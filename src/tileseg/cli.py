@@ -25,7 +25,7 @@ from .evaluate import EvaluateError, report as dice_report
 from .fusion import FusionError, fuse_concatenate, fuse_majority
 from .geometry import GeometryError, LabelVolume
 from .pipeline import ConfigError, PipelineConfig, load_config, run
-from .segmenter import SegmentationError
+from .segmenter import FAILURE_POLICIES, SegmentationError
 from .tiling import TilingError, build_grid, coverage_map, extract_tile, load_grid, save_grid
 
 EXIT_CODES = [
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fusion", choices=["majority", "concat"], default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--num-labels", type=int, default=None)
-    p.add_argument("--on-tile-failure", choices=["abort", "background"], default=None)
+    p.add_argument("--on-tile-failure", choices=FAILURE_POLICIES, default=None)
     p.add_argument("--resume", action="store_true", default=None)
 
     p = sub.add_parser("tile", help="extract tiles from an atlas-space volume")

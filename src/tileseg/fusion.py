@@ -3,19 +3,22 @@
 Every atlas voxel receives one vote from each tile whose box contains it;
 the fused label maximizes the vote count, with ties broken toward the
 smallest label value (which favors background at uncertain boundaries).
-Abutting partitions skip voting entirely and are reassembled by direct
-copy.
 
-The vote counts are accumulated per z-stripe with a flat bincount over
-``voxel * L + label`` indices, so resident memory stays bounded by the
-stripe budget instead of ``atlas_voxels * L``; stripes are disjoint, which
-makes parallel execution deterministic.
+Cutting every axis at each tile's origin and stop splits the atlas into
+regions that are each covered by one fixed set of K tiles.  A region with
+K = 1 is a copy of that tile, so an abutting partition is reassembled
+without voting.  Otherwise the K tile slices are stacked, sorted along the
+tile axis, and the mode is read from the run lengths: the first position
+that reaches the longest run holds the smallest winning label.  The cost
+grows with the votes cast, not with the label count, and regions are
+disjoint, which makes parallel execution deterministic.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -23,9 +26,6 @@ from .geometry import AffineTransform, LabelVolume, VolumeGeometry, compose
 from .tiling import TileGrid
 
 __all__ = ["FusionError", "FusionResult", "fuse_majority", "fuse_concatenate"]
-
-# per-stripe bincount buffer budget, bytes
-_STRIPE_BYTES = 128 << 20
 
 
 class FusionError(ValueError):
@@ -68,6 +68,48 @@ def _validate(tile_segs, grid: TileGrid, num_labels):
     return int(num_labels)
 
 
+def _regions(grid: TileGrid):
+    """Split the atlas at every tile origin and stop.
+
+    Yields ``(box, covering)`` for each covered cell of the product grid:
+    the cell's atlas slices and the indices of the tiles containing it,
+    which are the same for every voxel of the cell.
+    """
+    origins = np.array([t.origin for t in grid.tiles])
+    stops = np.array([t.stop for t in grid.tiles])
+    per_axis = []
+    for a, extent in enumerate(grid.atlas_dims):
+        cuts = np.unique(np.concatenate([[0, extent], origins[:, a], stops[:, a]]))
+        lo, hi = cuts[:-1], cuts[1:]
+        inside = (origins[:, a] <= lo[:, None]) & (hi[:, None] <= stops[:, a])  # intervals x tiles
+        per_axis.append([(slice(int(l), int(h)), m) for l, h, m in zip(lo, hi, inside)])
+    for (sx, mx), (sy, my), (sz, mz) in product(*per_axis):
+        covering = np.flatnonzero(mx & my & mz)
+        if covering.size:
+            yield (sx, sy, sz), covering
+
+
+def _sorting_network(n: int) -> list[tuple[int, int]]:
+    """Comparator pairs of Batcher's odd-even merge sort on ``n`` inputs.
+
+    Applying ``(i, j)`` in order as ``min -> i, max -> j`` sorts ascending.
+    A whole row of voxels goes through each comparator at once, which is
+    far cheaper than ``np.sort`` for the short tile axis.
+    """
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, j + min(k, n - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return pairs
+
+
 def fuse_majority(
     tile_segs: list[LabelVolume],
     grid: TileGrid,
@@ -82,62 +124,54 @@ def fuse_majority(
     """
     L = _validate(tile_segs, grid, num_labels)
     geometry = _atlas_geometry_from_tiles(tile_segs, grid)
-    nx, ny, nz = grid.atlas_dims
+    fused = np.zeros(grid.atlas_dims, dtype=np.uint16)
+    coverage = np.zeros(grid.atlas_dims, dtype=np.int32)
+    # 0-based run lengths reach K - 1, so this holds any K
+    run_dtype = np.min_scalar_type(grid.k)
 
-    fused = np.empty(grid.atlas_dims, dtype=np.uint16)
-    coverage = np.empty(grid.atlas_dims, dtype=np.int32)
-    tie_counts = np.zeros(nz, dtype=np.int64)
+    def vote(region) -> int:
+        box, covering = region
+        k = len(covering)
+        coverage[box] = k
+        parts = [
+            tile_segs[i].data[
+                tuple(slice(b.start - o, b.stop - o) for b, o in zip(box, grid.tiles[i].origin))
+            ]
+            for i in covering
+        ]
+        if k == 1:
+            fused[box] = parts[0]
+            return 0
+        stack = np.stack(parts).reshape(k, -1)
+        low = np.empty_like(stack[0])
+        for i, j in _sorting_network(k):
+            np.minimum(stack[i], stack[j], out=low)
+            np.maximum(stack[i], stack[j], out=stack[j])
+            stack[i] = low
+        runs = np.zeros(stack.shape, dtype=run_dtype)
+        for j in range(1, k):
+            np.multiply(runs[j - 1] + 1, stack[j] == stack[j - 1], out=runs[j])
+        at_top = runs == runs.max(axis=0)
+        winners = np.where(at_top, stack, np.iinfo(stack.dtype).max).min(axis=0)
+        fused[box] = winners.reshape(parts[0].shape)
+        return int(np.count_nonzero(np.count_nonzero(at_top, axis=0) > 1))
 
-    stripe = max(1, int(_STRIPE_BYTES // (nx * ny * L * 8)))
-
-    def process(z0: int) -> None:
-        z1 = min(z0 + stripe, nz)
-        sz = z1 - z0
-        nvox = nx * ny * sz
-        chunks = []
-        for seg, tile in zip(tile_segs, grid.tiles):
-            ox, oy, oz = tile.origin
-            dx, dy, dz = tile.size
-            lz0, lz1 = max(z0 - oz, 0), min(z1 - oz, dz)
-            if lz0 >= lz1:
-                continue
-            labels = seg.data[:, :, lz0:lz1].astype(np.int64)
-            gx = np.arange(ox, ox + dx, dtype=np.int64)[:, None, None]
-            gy = np.arange(oy, oy + dy, dtype=np.int64)[None, :, None]
-            gz = np.arange(oz + lz0 - z0, oz + lz1 - z0, dtype=np.int64)[None, None, :]
-            flat = (gx * ny + gy) * sz + gz
-            chunks.append((flat * L + labels).reshape(-1))
-        votes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        counts = np.bincount(votes, minlength=nvox * L).reshape(nvox, L)
-        winners = counts.argmax(axis=1).astype(np.uint16)
-        top = counts.max(axis=1)
-        ties = ((counts == top[:, None]).sum(axis=1) >= 2) & (top > 0)
-        fused[:, :, z0:z1] = winners.reshape(nx, ny, sz)
-        coverage[:, :, z0:z1] = counts.sum(axis=1).reshape(nx, ny, sz)
-        tie_counts[z0] = int(ties.sum())
-
-    starts = range(0, nz, stripe)
+    regions = list(_regions(grid))
     if jobs <= 1:
-        for z0 in starts:
-            process(z0)
+        ties = [vote(r) for r in regions]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(process, starts))
+            ties = list(pool.map(vote, regions))
 
     return FusionResult(
         fused=LabelVolume(geometry, fused, L),
-        tie_count=int(tie_counts.sum()),
+        tie_count=sum(ties),
         coverage_used=coverage,
     )
 
 
 def fuse_concatenate(tile_segs: list[LabelVolume], grid: TileGrid) -> LabelVolume:
-    """Reassemble an exact partition by copying each tile into place."""
-    L = _validate(tile_segs, grid, None)
+    """Reassemble an exact partition; every region is one tile's copy."""
     if not grid.is_partition():
         raise FusionError("concatenation needs a non-overlapped partition grid")
-    geometry = _atlas_geometry_from_tiles(tile_segs, grid)
-    out = np.empty(grid.atlas_dims, dtype=np.uint16)
-    for seg, tile in zip(tile_segs, grid.tiles):
-        out[tile.slices()] = seg.data
-    return LabelVolume(geometry, out, L)
+    return fuse_majority(tile_segs, grid).fused

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +39,7 @@ from .geometry import (
     resample_intensity,
     resample_labels,
 )
-from .segmenter import SegmenterBackend, parse_backend_spec, segment_all
+from .segmenter import FAILURE_POLICIES, SegmenterBackend, parse_backend_spec, segment_all
 from .tiling import TileGrid, build_grid, save_grid
 
 __all__ = [
@@ -85,16 +86,30 @@ class PipelineConfig:
     output_dir: str = "tileseg_out"
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
-        object.__setattr__(self, "tile_size", tuple(int(v) for v in self.tile_size))
-        object.__setattr__(self, "atlas_dims", tuple(int(v) for v in self.atlas_dims))
-        object.__setattr__(
-            self, "atlas_spacing", tuple(float(v) for v in self.atlas_spacing)
-        )
+        for name, kind in (
+            ("grid", int), ("tile_size", int), ("atlas_dims", int), ("atlas_spacing", float)
+        ):
+            value = getattr(self, name)
+            try:
+                triple = tuple(kind(v) for v in value)
+            except (TypeError, ValueError):
+                triple = ()
+            if len(triple) != 3:
+                raise ConfigError(f"{name} must be three numbers, got {value!r}")
+            object.__setattr__(self, name, triple)
+        for name, kind in (
+            ("jobs", numbers.Integral), ("num_labels", numbers.Integral),
+            ("background_fill", numbers.Real),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.fusion_mode not in ("majority", "concat"):
             raise ConfigError(f"unknown fusion mode {self.fusion_mode!r}")
+        if self.on_tile_failure not in FAILURE_POLICIES:
+            raise ConfigError(f"unknown tile failure policy {self.on_tile_failure!r}")
         if self.num_labels < 2:
             raise ConfigError("num_labels must be >= 2")
         if self.affine == "estimate" and not self.reference:
@@ -126,7 +141,12 @@ _CONFIG_KEYS = {
 
 def load_config(path, **overrides) -> PipelineConfig:
     """Load a JSON config file mirroring PipelineConfig; kwargs override."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -47,9 +47,12 @@ __all__ = [
     "segment_tile",
     "segment_all",
     "parse_backend_spec",
+    "FAILURE_POLICIES",
 ]
 
 DEFAULT_NUM_LABELS = 133
+# what segment_all does when a tile's backend call fails
+FAILURE_POLICIES = ("abort", "background")
 
 
 class SegmentationError(RuntimeError):
@@ -246,7 +249,7 @@ def segment_all(
         raise SegmentationError(
             f"volume dims {atlas_vol.dims} do not match grid dims {grid.atlas_dims}"
         )
-    if on_tile_failure not in ("abort", "background"):
+    if on_tile_failure not in FAILURE_POLICIES:
         raise SegmentationError(f"unknown failure policy {on_tile_failure!r}")
 
     def run_one(tile: TileSpec) -> LabelVolume:

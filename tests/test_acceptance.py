@@ -84,7 +84,7 @@ def test_tiling_geometry(capsys):
 
 
 def _dense_vote_oracle(tile_segs, grid, L):
-    """Per-label dense accumulation; shares nothing with the flat bincount."""
+    """Per-label dense accumulation; shares nothing with the region-wise vote."""
     counts = np.zeros((*grid.atlas_dims, L), dtype=np.int32)
     for seg, tile in zip(tile_segs, grid.tiles):
         sx, sy, sz = tile.slices()

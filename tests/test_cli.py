@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from conftest import random_intensity, random_labels
 from tileseg import io as tio
@@ -190,6 +191,28 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{bad", "not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"grid": 3}', "grid must be three numbers"),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, text, message):
+    _, _, scan_path = _write_phantom(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+            "--config", str(config_path),
+        ]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_tampered_grid_json_exits_6(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import tileseg.fusion
 from conftest import random_intensity, random_labels
-from tileseg.fusion import FusionError, fuse_concatenate, fuse_majority
+from test_acceptance import _dense_vote_oracle
+from tileseg.fusion import FusionError, _sorting_network, fuse_concatenate, fuse_majority
 from tileseg.geometry import LabelVolume, make_centered_geometry
 from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper, segment_all
 from tileseg.tiling import (
@@ -220,33 +220,60 @@ def test_rejects_inconsistent_tile_geometry():
         fuse_majority([segs[0], moved], grid)
 
 
-def test_stripe_boundaries_do_not_change_the_result(monkeypatch):
-    dims = (10, 10, 10)
-    prior = random_labels(dims, 5, seed=11)
-    grid = build_grid(dims, (2, 2, 2), (6, 6, 6))
-    vol = random_intensity(dims, seed=11)
-    backend = CorruptingWrapper(AtlasPriorOracle(prior), target_index=0, corruption_label=2)
-    segs = segment_all(backend, vol, grid)
-    wide = fuse_majority(segs, grid)
-    # force one z-slice per stripe
-    monkeypatch.setattr(tileseg.fusion, "_STRIPE_BYTES", 1)
-    narrow = fuse_majority(segs, grid)
-    npt.assert_array_equal(narrow.fused.data, wide.fused.data)
-    assert narrow.tie_count == wide.tie_count
-    npt.assert_array_equal(narrow.coverage_used, wide.coverage_used)
+def test_region_boundaries_match_dense_oracle():
+    # uneven cuts on x and z; on y, size == extent puts all three tiles at 0
+    dims = (7, 9, 5)
+    grid = build_grid(dims, (2, 3, 2), (4, 9, 3))
+    assert sorted({t.origin[1] for t in grid.tiles}) == [0]
+    L = 4
+    rng = np.random.default_rng(11)
+    geometry = make_centered_geometry(dims)
+    segs = [
+        extract_tile(LabelVolume(geometry, np.zeros(dims, dtype=np.uint16), L), t)
+        .with_data(rng.integers(0, L, size=t.size).astype(np.uint16))
+        for t in grid.tiles
+    ]
+    result = fuse_majority(segs, grid, num_labels=L)
+    winners, ties, coverage = _dense_vote_oracle(segs, grid, L)
+    npt.assert_array_equal(result.fused.data, winners)
+    assert result.tie_count == ties > 0
+    npt.assert_array_equal(result.coverage_used, coverage)
+    assert int(coverage.max()) == 12
 
 
-def test_parallel_fusion_matches_sequential(monkeypatch):
+def test_parallel_fusion_matches_sequential():
     dims = (12, 12, 12)
     prior = random_labels(dims, 5, seed=12)
     grid = build_grid(dims, (2, 2, 2), (7, 7, 7))
     vol = random_intensity(dims, seed=12)
-    segs = segment_all(AtlasPriorOracle(prior), vol, grid)
-    monkeypatch.setattr(tileseg.fusion, "_STRIPE_BYTES", 1)  # many stripes
+    backend = CorruptingWrapper(AtlasPriorOracle(prior), target_index=0, corruption_label=2)
+    segs = segment_all(backend, vol, grid)
     seq = fuse_majority(segs, grid, jobs=1)
     par = fuse_majority(segs, grid, jobs=4)
     npt.assert_array_equal(par.fused.data, seq.fused.data)
-    assert par.tie_count == seq.tie_count
+    assert par.tie_count == seq.tie_count > 0
+    npt.assert_array_equal(par.coverage_used, seq.coverage_used)
+
+
+def test_run_lengths_hold_more_than_255_coincident_tiles():
+    # 257 even-numbered tiles outvote 256 odd-numbered ones; an 8-bit run
+    # counter would wrap both runs at 255 and report a tie for label 0
+    segs, grid = _stacked_tiles(
+        [[1, 2] if n % 2 == 0 else [0, 0] for n in range(513)], num_labels=3
+    )
+    result = fuse_majority(segs, grid)
+    npt.assert_array_equal(result.fused.data.reshape(-1), [1, 2])
+    assert result.tie_count == 0
+    npt.assert_array_equal(result.coverage_used.reshape(-1), [513, 513])
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_sorting_network_sorts_every_length(n):
+    rows = np.random.default_rng(n).integers(0, 3, size=(n, 500))
+    expected = np.sort(rows, axis=0)
+    for i, j in _sorting_network(n):
+        rows[[i, j]] = np.sort(rows[[i, j]], axis=0)
+    npt.assert_array_equal(rows, expected)
 
 
 def test_num_labels_inferred_from_tiles():

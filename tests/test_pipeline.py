@@ -46,6 +46,21 @@ def test_config_rejects_tiny_label_count():
         PipelineConfig(num_labels=1)
 
 
+def test_config_rejects_unknown_tile_failure_policy():
+    with pytest.raises(ConfigError, match="tile failure policy"):
+        PipelineConfig(on_tile_failure="bogus")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("grid", 3), ("tile_size", (8, 8)), ("atlas_spacing", "1,1,1"), ("jobs", "2"),
+     ("num_labels", 2.5), ("background_fill", None)],
+)
+def test_config_rejects_wrongly_typed_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        PipelineConfig(**{field: value})
+
+
 def test_config_estimate_needs_reference():
     with pytest.raises(ConfigError, match="reference"):
         PipelineConfig(affine="estimate")
