@@ -14,7 +14,9 @@ fixtures where bit-exact float64 round-trips matter.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import uuid
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +37,7 @@ __all__ = [
     "write_nifti",
     "read_raw",
     "write_raw",
+    "write_atomic",
 ]
 
 HEADER_SIZE = 348
@@ -246,10 +249,27 @@ def write_nifti(vol, path) -> None:
         b"",
         MAGIC,
     )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(b"\x00\x00\x00\x00")  # no extensions
-        f.write(arr.tobytes(order="F"))
+    # the 4 zero bytes after the header: no extensions
+    write_atomic(path, header, b"\x00\x00\x00\x00", arr.tobytes(order="F"))
+
+
+def write_atomic(path, *chunks) -> None:
+    """Write bytes-like ``chunks`` to a unique sibling temp file, then rename it.
+
+    A process killed mid-write leaves the old file or none, never a prefix;
+    the temp file is removed on any exception.  There is no fsync, so this
+    guards against a killed process, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +278,7 @@ def write_nifti(vol, path) -> None:
 
 
 def write_raw(vol, path) -> None:
-    """Write a volume as ``path`` (binary blob) + ``path.json`` (sidecar)."""
+    """Write a volume as ``path`` (binary blob) + ``path.json`` (sidecar), each atomically."""
     path = Path(path)
     if isinstance(vol, LabelVolume):
         kind, dtype = "labels", "<u2"
@@ -275,8 +295,8 @@ def write_raw(vol, path) -> None:
     }
     if kind == "labels":
         meta["num_labels"] = vol.num_labels
-    path.write_bytes(arr.tobytes(order="F"))
-    Path(str(path) + ".json").write_text(json.dumps(meta, indent=1))
+    write_atomic(path, arr.tobytes(order="F"))
+    write_atomic(str(path) + ".json", json.dumps(meta, indent=1).encode())
 
 
 def read_raw(path):

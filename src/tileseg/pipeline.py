@@ -16,11 +16,11 @@ stage; feed corrected scans in.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import json
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +132,7 @@ class PipelineConfig:
         return parse_backend_spec(str(self.backend), self.num_labels)
 
 
-_CONFIG_KEYS = {
-    "grid", "tile_size", "atlas_dims", "atlas_spacing", "harmonization_model",
-    "backend", "affine", "reference", "fusion_mode", "num_labels", "jobs",
-    "on_tile_failure", "background_fill", "resume", "output_dir",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(PipelineConfig))
 
 
 def load_config(path, **overrides) -> PipelineConfig:
@@ -190,21 +186,13 @@ class _StageClock:
     def __init__(self):
         self.stages = []
 
+    @contextlib.contextmanager
     def time(self, name):
-        clock = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-                return self_inner
-
-            def __exit__(self_inner, exc_type, exc, tb):
-                clock.stages.append(
-                    {"name": name, "seconds": time.perf_counter() - self_inner.t0}
-                )
-                return False
-
-        return _Ctx()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
 
 def _forward_transform(config: PipelineConfig, scan: IntensityVolume):
@@ -214,44 +202,6 @@ def _forward_transform(config: PipelineConfig, scan: IntensityVolume):
         reference, _ = tio.read_nifti(config.reference)
         return estimate_affine_moments(scan, reference)
     return load_affine(config.affine)
-
-
-def _segment_with_cache(config, backend, atlas_input, grid, work_dir):
-    """Per-tile content-addressed cache so interrupted runs can resume."""
-    from .segmenter import SegmentationError, segment_tile
-    from .tiling import extract_tile
-
-    if not config.resume:
-        return segment_all(
-            backend, atlas_input, grid,
-            jobs=config.jobs, on_tile_failure=config.on_tile_failure,
-        )
-
-    cache = Path(work_dir) / "tiles"
-    cache.mkdir(parents=True, exist_ok=True)
-
-    def run_one(tile):
-        tile_input = extract_tile(atlas_input, tile)
-        key = hashlib.sha256()
-        key.update(tile_input.data.tobytes())
-        key.update(backend.descriptor().encode())
-        key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
-        entry = cache / key.hexdigest()
-        if entry.exists():
-            return tio.read_raw(entry)
-        try:
-            out = segment_tile(backend, tile_input, tile)
-        except Exception as exc:
-            raise SegmentationError(f"tile {tile.index}: {exc}") from exc
-        tio.write_raw(out, entry)
-        return out
-
-    if config.jobs <= 1:
-        return [run_one(t) for t in grid.tiles]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(run_one, grid.tiles))
 
 
 def run(config: PipelineConfig, input_scan) -> RunResult:
@@ -269,8 +219,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
     clock = _StageClock()
     stage = "setup"
     try:
-        if marker.exists():
-            marker.unlink()
+        marker.unlink(missing_ok=True)
         atlas_geom = config.atlas_geometry()
         grid = config.build_grid()
         backend = config.resolve_backend()
@@ -299,8 +248,10 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
 
         stage = "segment"
         with clock.time(stage):
-            tile_segs = _segment_with_cache(
-                config, backend, atlas_input, grid, out_dir / "work"
+            tile_segs = segment_all(
+                backend, atlas_input, grid, jobs=config.jobs,
+                on_tile_failure=config.on_tile_failure,
+                cache_dir=out_dir / "work" / "tiles" if config.resume else None,
             )
 
         stage = "fuse"
@@ -350,11 +301,10 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 "native_labels": str(native_path),
             },
         }
-        (out_dir / "report.json").write_text(json.dumps(report, indent=1))
+        tio.write_atomic(out_dir / "report.json", json.dumps(report, indent=1).encode())
     except Exception as exc:
         for path in (atlas_path, native_path, out_dir / "report.json"):
-            if path.exists():
-                path.unlink()
+            path.unlink(missing_ok=True)
         marker.write_text(f"stage: {stage}\nerror: {exc}\n")
         raise
     return RunResult(

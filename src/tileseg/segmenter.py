@@ -22,6 +22,7 @@ restore the original tile dims before writing its output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 import subprocess
@@ -113,7 +114,8 @@ class AtlasPriorOracle(SegmenterBackend):
         return out
 
     def descriptor(self):
-        return f"prior:{hash(self.prior.data.tobytes())}"
+        digest = hashlib.sha256(self.prior.data.tobytes()).hexdigest()
+        return f"prior:{digest}:{self.num_labels}"
 
 
 class CorruptingWrapper(SegmenterBackend):
@@ -237,6 +239,7 @@ def segment_all(
     grid: TileGrid,
     jobs: int = 1,
     on_tile_failure: str = "abort",
+    cache_dir=None,
 ) -> list[LabelVolume]:
     """Segment every tile of ``atlas_vol``, in fixed grid order.
 
@@ -244,6 +247,11 @@ def segment_all(
     the result is identical to the sequential run.  A failing tile aborts
     the whole run unless ``on_tile_failure="background"``, which substitutes
     an all-background tile and warns.
+
+    With ``cache_dir``, each backend answer is stored there under the sha256
+    of the tile input bytes, the backend descriptor and the tile placement,
+    and later calls read it back; an unreadable entry is recomputed.  A
+    substituted background tile is never stored, so a later call retries it.
     """
     if atlas_vol.dims != grid.atlas_dims:
         raise SegmentationError(
@@ -251,11 +259,25 @@ def segment_all(
         )
     if on_tile_failure not in FAILURE_POLICIES:
         raise SegmentationError(f"unknown failure policy {on_tile_failure!r}")
+    if cache_dir is not None:
+        cache_dir = Path(cache_dir)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        descriptor = backend.descriptor().encode()
 
     def run_one(tile: TileSpec) -> LabelVolume:
         tile_input = extract_tile(atlas_vol, tile)
+        entry = None
+        if cache_dir is not None:
+            key = hashlib.sha256(tile_input.data.tobytes())
+            key.update(descriptor)
+            key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
+            entry = cache_dir / key.hexdigest()
+            try:
+                return tio.read_raw(entry)
+            except (OSError, ValueError, KeyError):
+                pass  # absent or unreadable: recompute
         try:
-            return segment_tile(backend, tile_input, tile)
+            out = segment_tile(backend, tile_input, tile)
         except Exception as exc:
             if on_tile_failure == "background":
                 warnings.warn(
@@ -265,6 +287,9 @@ def segment_all(
                 data = np.zeros(tile_input.dims, dtype=np.uint16)
                 return LabelVolume(tile_input.geometry, data, backend.num_labels)
             raise SegmentationError(f"tile {tile.index}: {exc}") from exc
+        if entry is not None:
+            tio.write_raw(out, entry)
+        return out
 
     if jobs <= 1:
         return [run_one(t) for t in grid.tiles]

@@ -22,6 +22,7 @@ from .geometry import (
     VolumeGeometry,
     compose,
 )
+from .io import write_atomic
 
 __all__ = [
     "TilingError",
@@ -184,7 +185,7 @@ def extract_tile(vol, tile: TileSpec):
 
 
 def save_grid(grid: TileGrid, path) -> None:
-    Path(path).write_text(json.dumps(grid.to_dict(), indent=1))
+    write_atomic(path, json.dumps(grid.to_dict(), indent=1).encode())
 
 
 def load_grid(path) -> TileGrid:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -6,6 +10,7 @@ import pytest
 
 from conftest import random_intensity, random_labels
 from tileseg import io as tio
+import tileseg
 from tileseg.cli import main
 from tileseg.geometry import make_centered_geometry
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
@@ -96,6 +101,31 @@ def test_run_subcommand_end_to_end(tmp_path, capsys):
     assert "ties=0" in out
     native, _ = tio.read_nifti(out_dir / "native_labels.nii", as_labels=True)
     npt.assert_array_equal(native.data, truth.data)
+
+
+def test_prior_resume_hits_the_cache_in_a_new_process(tmp_path):
+    # each run is a fresh interpreter with its own hash seed, so the cache
+    # key must not depend on per-process state
+    _, truth_path, scan_path = _write_phantom(tmp_path)
+    out_dir = tmp_path / "out"
+    argv = [
+        "run", "--input", str(scan_path), "--output", str(out_dir),
+        "--backend", f"prior:{truth_path}", "--num-labels", "4",
+        "--atlas-dims", "16,16,16", "--grid", "2,2,2", "--tile-size", "9,9,9",
+        "--resume",
+    ]
+    src = str(Path(tileseg.__file__).resolve().parent.parent)
+    entries = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tileseg.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        entries.append(sorted(p.name for p in (out_dir / "work" / "tiles").iterdir()))
+    assert len(entries[0]) == 16  # 8 blobs + 8 sidecars
+    assert entries[1] == entries[0]
 
 
 def test_grid_info_json(capsys):

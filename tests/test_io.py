@@ -1,3 +1,4 @@
+import os
 import struct
 import warnings
 
@@ -255,3 +256,18 @@ def test_read_nifti_emits_no_warning_with_sform(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         read_nifti(p)
+
+
+def test_write_nifti_keeps_old_file_when_rename_fails(tmp_path, monkeypatch):
+    p = tmp_path / "lab.nii"
+    write_nifti(random_labels((4, 4, 4), 5, seed=1), p)
+    old = p.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        write_nifti(random_labels((4, 4, 4), 5, seed=2), p)
+    assert p.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
