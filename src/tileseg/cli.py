@@ -26,7 +26,7 @@ from .fusion import FusionError, fuse_concatenate, fuse_majority
 from .geometry import GeometryError, LabelVolume
 from .pipeline import ConfigError, PipelineConfig, load_config, run
 from .segmenter import FAILURE_POLICIES, SegmentationError
-from .tiling import TilingError, build_grid, coverage_map, extract_tile, load_grid, save_grid
+from .tiling import TilingError, coverage_map, extract_tile, load_grid, save_grid
 
 EXIT_CODES = [
     (ConfigError, 2),
@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="fused label volume path")
     p.add_argument("--mode", choices=["majority", "concat"], default="majority")
     p.add_argument("--num-labels", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("evaluate", help="per-label Dice report, automatic vs manual")
     p.add_argument("--auto", required=True)
@@ -115,10 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_from_args(args):
-    dims = args.atlas_dims or (172, 220, 156)
-    grid = args.grid or (3, 3, 3)
-    tile_size = args.tile_size or (96, 128, 88)
-    return build_grid(dims, grid, tile_size)
+    # unset flags fall back to the PipelineConfig defaults that `run` uses
+    layout = dict(atlas_dims=args.atlas_dims, grid=args.grid, tile_size=args.tile_size)
+    return PipelineConfig(**{k: v for k, v in layout.items() if v is not None}).build_grid()
 
 
 def cmd_fit_harmonization(args) -> int:
@@ -197,7 +195,7 @@ def cmd_fuse(args) -> int:
         seg, _ = tio.read_nifti(path, as_labels=True, num_labels=args.num_labels)
         segs.append(seg)
     if args.mode == "majority":
-        result = fuse_majority(segs, grid, num_labels=args.num_labels, jobs=args.jobs)
+        result = fuse_majority(segs, grid, num_labels=args.num_labels)
         tio.write_nifti(result.fused, args.output)
         print(
             f"fused {grid.k} tiles: ties={result.tie_count} "

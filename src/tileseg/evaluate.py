@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import LabelVolume
+from .io import write_atomic
 
 __all__ = ["EvaluateError", "DiceReport", "dice", "report"]
 
@@ -56,8 +57,9 @@ class DiceReport:
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "dice_per_label.tsv").write_text(self.to_text())
-        (directory / "dice_summary.json").write_text(json.dumps(self.to_dict(), indent=1))
+        write_atomic(directory / "dice_per_label.tsv", self.to_text().encode())
+        summary = json.dumps(self.to_dict(), indent=1)
+        write_atomic(directory / "dice_summary.json", summary.encode())
 
 
 def dice(auto: LabelVolume, manual: LabelVolume, label: int) -> float | None:

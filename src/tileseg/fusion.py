@@ -10,13 +10,11 @@ K = 1 is a copy of that tile, so an abutting partition is reassembled
 without voting.  Otherwise the K tile slices are stacked, sorted along the
 tile axis, and the mode is read from the run lengths: the first position
 that reaches the longest run holds the smallest winning label.  The cost
-grows with the votes cast, not with the label count, and regions are
-disjoint, which makes parallel execution deterministic.
+grows with the votes cast, not with the label count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -114,7 +112,6 @@ def fuse_majority(
     tile_segs: list[LabelVolume],
     grid: TileGrid,
     num_labels: int | None = None,
-    jobs: int = 1,
 ) -> FusionResult:
     """Per-voxel majority vote over the covering tiles.
 
@@ -129,8 +126,8 @@ def fuse_majority(
     # 0-based run lengths reach K - 1, so this holds any K
     run_dtype = np.min_scalar_type(grid.k)
 
-    def vote(region) -> int:
-        box, covering = region
+    ties = 0
+    for box, covering in _regions(grid):
         k = len(covering)
         coverage[box] = k
         parts = [
@@ -141,7 +138,7 @@ def fuse_majority(
         ]
         if k == 1:
             fused[box] = parts[0]
-            return 0
+            continue
         stack = np.stack(parts).reshape(k, -1)
         low = np.empty_like(stack[0])
         for i, j in _sorting_network(k):
@@ -154,18 +151,11 @@ def fuse_majority(
         at_top = runs == runs.max(axis=0)
         winners = np.where(at_top, stack, np.iinfo(stack.dtype).max).min(axis=0)
         fused[box] = winners.reshape(parts[0].shape)
-        return int(np.count_nonzero(np.count_nonzero(at_top, axis=0) > 1))
-
-    regions = list(_regions(grid))
-    if jobs <= 1:
-        ties = [vote(r) for r in regions]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ties = list(pool.map(vote, regions))
+        ties += int(np.count_nonzero(np.count_nonzero(at_top, axis=0) > 1))
 
     return FusionResult(
         fused=LabelVolume(geometry, fused, L),
-        tie_count=sum(ties),
+        tie_count=ties,
         coverage_used=coverage,
     )
 

@@ -262,41 +262,35 @@ class LabelVolume:
 _RESAMPLE_SLAB = 16
 
 
-def _target_to_source_indices(
-    target: VolumeGeometry,
-    transform: AffineTransform,
-    source: VolumeGeometry,
-    z0: int,
-    z1: int,
-) -> np.ndarray:
-    """Continuous source indices for target voxels in z-slab [z0, z1)."""
-    nx, ny, _ = target.dims
-    # combined map: target index -> target world -> source world -> source index
-    m = (
-        source.index_to_world.inverse().matrix
-        @ transform.matrix
-        @ target.index_to_world.matrix
-    )
-    xi = np.arange(nx, dtype=np.float64)
-    yi = np.arange(ny, dtype=np.float64)
-    zi = np.arange(z0, z1, dtype=np.float64)
-    out = np.empty((nx, ny, z1 - z0, 3))
-    for axis in range(3):
-        out[..., axis] = (
-            m[axis, 0] * xi[:, None, None]
-            + m[axis, 1] * yi[None, :, None]
-            + m[axis, 2] * zi[None, None, :]
-            + m[axis, 3]
-        )
-    return out
+def _slabs(dims, m: np.ndarray):
+    """Map every voxel index of a ``dims`` grid through ``m``, one z-slab at a time.
+
+    Yields ``(zs, coords)`` per slab: ``zs`` is the slab's z slice and
+    ``coords[a]`` is row ``a`` of ``m @ [i, j, k, 1]``, shaped like the slab.
+    """
+    nx, ny, nz = dims
+    xi = np.arange(nx, dtype=np.float64)[:, None, None]
+    yi = np.arange(ny, dtype=np.float64)[None, :, None]
+    for z0 in range(0, nz, _RESAMPLE_SLAB):
+        z1 = min(z0 + _RESAMPLE_SLAB, nz)
+        zi = np.arange(z0, z1, dtype=np.float64)[None, None, :]
+        yield slice(z0, z1), [
+            m[a, 0] * xi + m[a, 1] * yi + m[a, 2] * zi + m[a, 3] for a in range(3)
+        ]
 
 
-def _validate_resample(src_geometry, transform, target):
+def _pullback(source: VolumeGeometry, transform, target) -> np.ndarray:
+    """Check a resample request; return its target-index -> source-index matrix."""
     if not isinstance(transform, AffineTransform):
         transform = AffineTransform(transform)
     if not isinstance(target, VolumeGeometry):
         raise GeometryError("target must be a VolumeGeometry")
-    return transform
+    # target index -> target world -> source world -> source index
+    return (
+        source.index_to_world.inverse().matrix
+        @ transform.matrix
+        @ target.index_to_world.matrix
+    )
 
 
 def resample_intensity(
@@ -311,15 +305,11 @@ def resample_intensity(
     coordinates.  Target voxels that map outside the source grid (continuous
     index beyond ``[0, n-1]`` on any axis) receive ``background``.
     """
-    transform = _validate_resample(src.geometry, transform, target)
-    nx, ny, nz = target.dims
+    m = _pullback(src.geometry, transform, target)
     sx, sy, sz = src.dims
     out = np.empty(target.dims, dtype=np.float64)
     data = src.data
-    for z0 in range(0, nz, _RESAMPLE_SLAB):
-        z1 = min(z0 + _RESAMPLE_SLAB, nz)
-        idx = _target_to_source_indices(target, transform, src.geometry, z0, z1)
-        cx, cy, cz = idx[..., 0], idx[..., 1], idx[..., 2]
+    for zs, (cx, cy, cz) in _slabs(target.dims, m):
         inside = (
             (cx >= 0.0) & (cx <= sx - 1)
             & (cy >= 0.0) & (cy <= sy - 1)
@@ -327,25 +317,25 @@ def resample_intensity(
         )
         x0 = np.clip(np.floor(cx).astype(np.intp), 0, sx - 1)
         y0 = np.clip(np.floor(cy).astype(np.intp), 0, sy - 1)
-        z0i = np.clip(np.floor(cz).astype(np.intp), 0, sz - 1)
+        z0 = np.clip(np.floor(cz).astype(np.intp), 0, sz - 1)
         x1 = np.minimum(x0 + 1, sx - 1)
         y1 = np.minimum(y0 + 1, sy - 1)
-        z1i = np.minimum(z0i + 1, sz - 1)
+        z1 = np.minimum(z0 + 1, sz - 1)
         fx = np.clip(cx - x0, 0.0, 1.0)
         fy = np.clip(cy - y0, 0.0, 1.0)
-        fz = np.clip(cz - z0i, 0.0, 1.0)
+        fz = np.clip(cz - z0, 0.0, 1.0)
         gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
         val = (
-            data[x0, y0, z0i] * gx * gy * gz
-            + data[x1, y0, z0i] * fx * gy * gz
-            + data[x0, y1, z0i] * gx * fy * gz
-            + data[x0, y0, z1i] * gx * gy * fz
-            + data[x1, y1, z0i] * fx * fy * gz
-            + data[x1, y0, z1i] * fx * gy * fz
-            + data[x0, y1, z1i] * gx * fy * fz
-            + data[x1, y1, z1i] * fx * fy * fz
+            data[x0, y0, z0] * gx * gy * gz
+            + data[x1, y0, z0] * fx * gy * gz
+            + data[x0, y1, z0] * gx * fy * gz
+            + data[x0, y0, z1] * gx * gy * fz
+            + data[x1, y1, z0] * fx * fy * gz
+            + data[x1, y0, z1] * fx * gy * fz
+            + data[x0, y1, z1] * gx * fy * fz
+            + data[x1, y1, z1] * fx * fy * fz
         )
-        out[:, :, z0:z1] = np.where(inside, val, background)
+        out[:, :, zs] = np.where(inside, val, background)
     return IntensityVolume(target, out)
 
 
@@ -360,20 +350,15 @@ def resample_labels(
     Half-voxel ties round toward negative infinity.  Voxels whose rounded
     source index falls outside the grid receive ``background``.
     """
-    transform = _validate_resample(src.geometry, transform, target)
+    m = _pullback(src.geometry, transform, target)
     if not 0 <= background < src.num_labels:
         raise GeometryError(f"background {background} out of label range")
-    nx, ny, nz = target.dims
     sx, sy, sz = src.dims
     out = np.empty(target.dims, dtype=np.uint16)
     data = src.data
-    for z0 in range(0, nz, _RESAMPLE_SLAB):
-        z1 = min(z0 + _RESAMPLE_SLAB, nz)
-        idx = _target_to_source_indices(target, transform, src.geometry, z0, z1)
+    for zs, coords in _slabs(target.dims, m):
         # round half toward -inf: ceil(x - 0.5)
-        rx = np.ceil(idx[..., 0] - 0.5).astype(np.intp)
-        ry = np.ceil(idx[..., 1] - 0.5).astype(np.intp)
-        rz = np.ceil(idx[..., 2] - 0.5).astype(np.intp)
+        rx, ry, rz = (np.ceil(c - 0.5).astype(np.intp) for c in coords)
         inside = (
             (rx >= 0) & (rx < sx)
             & (ry >= 0) & (ry < sy)
@@ -382,7 +367,7 @@ def resample_labels(
         rx = np.clip(rx, 0, sx - 1)
         ry = np.clip(ry, 0, sy - 1)
         rz = np.clip(rz, 0, sz - 1)
-        out[:, :, z0:z1] = np.where(inside, data[rx, ry, rz], background)
+        out[:, :, zs] = np.where(inside, data[rx, ry, rz], background)
     return LabelVolume(target, out, src.num_labels)
 
 
@@ -397,22 +382,14 @@ def _intensity_moments(vol: IntensityVolume):
     mass = float(w.sum())
     if not mass > _DET_EPS:
         raise GeometryError("volume has (near-)zero total intensity")
-    nx, ny, nz = vol.dims
-    m = vol.geometry.index_to_world.matrix
-    # world coordinate per axis is affine in the index triple; accumulate
-    # moments slab-wise to avoid materializing full coordinate grids
+    # slab-wise, so no full coordinate grid is materialized
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
-    for z0 in range(0, nz, _RESAMPLE_SLAB):
-        z1 = min(z0 + _RESAMPLE_SLAB, nz)
-        xi = np.arange(nx, dtype=np.float64)[:, None, None]
-        yi = np.arange(ny, dtype=np.float64)[None, :, None]
-        zi = np.arange(z0, z1, dtype=np.float64)[None, None, :]
-        wv = vol.data[:, :, z0:z1]
+    for zs, world in _slabs(vol.dims, vol.geometry.index_to_world.matrix):
+        wv = vol.data[:, :, zs]
         for axis in range(3):
-            world = m[axis, 0] * xi + m[axis, 1] * yi + m[axis, 2] * zi + m[axis, 3]
-            sums[axis] += float((wv * world).sum())
-            sq_sums[axis] += float((wv * world * world).sum())
+            sums[axis] += float((wv * world[axis]).sum())
+            sq_sums[axis] += float((wv * world[axis] * world[axis]).sum())
     centroid = sums / mass
     var = sq_sums / mass - centroid**2
     var = np.maximum(var, 0.0)

@@ -177,16 +177,20 @@ def save_model(model: HarmonizationModel, directory) -> None:
         "mask_dims": list(model.mask.dims),
         "mask_spacing": list(model.mask.geometry.spacing),
     }
-    (directory / "meta.json").write_text(json.dumps(meta, indent=1))
-    model.mean_sorted.astype("<f8").tofile(directory / "mean_sorted.bin")
+    tio.write_atomic(directory / "meta.json", json.dumps(meta, indent=1).encode())
+    tio.write_atomic(directory / "mean_sorted.bin", model.mean_sorted.astype("<f8").tobytes())
     tio.write_nifti(model.mask, directory / "mask.nii")
 
 
 def load_model(directory) -> HarmonizationModel:
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
+    try:
+        meta = json.loads((directory / "meta.json").read_text())
+        mask_dims, quantile_count = meta["mask_dims"], int(meta["quantile_count"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise HarmonizeError(f"model metadata in {directory} is malformed: {exc!r}") from exc
     mean_sorted = np.fromfile(directory / "mean_sorted.bin", dtype="<f8")
     mask, _ = tio.read_nifti(directory / "mask.nii", as_labels=True, num_labels=2)
-    if list(mask.dims) != meta["mask_dims"]:
+    if list(mask.dims) != mask_dims:
         raise HarmonizeError("model mask dims disagree with metadata")
-    return HarmonizationModel(mean_sorted, mask, meta["quantile_count"])
+    return HarmonizationModel(mean_sorted, mask, quantile_count)

@@ -151,11 +151,15 @@ def load_config(path, **overrides) -> PipelineConfig:
 
 
 def save_affine(transform: AffineTransform, path) -> None:
-    np.savetxt(path, transform.matrix, fmt="%.17g")
+    rows = ("%.17g %.17g %.17g %.17g\n" % tuple(row) for row in transform.matrix)
+    tio.write_atomic(path, "".join(rows).encode())
 
 
 def load_affine(path) -> AffineTransform:
-    m = np.loadtxt(path)
+    try:
+        m = np.loadtxt(path)
+    except ValueError as exc:
+        raise ConfigError(f"affine file {path} is not a numeric matrix: {exc}") from exc
     if m.shape != (4, 4):
         raise ConfigError(f"affine file must hold a 4x4 matrix, got {m.shape}")
     return AffineTransform(m)
@@ -257,9 +261,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
         stage = "fuse"
         with clock.time(stage):
             if config.fusion_mode == "majority":
-                result = fuse_majority(
-                    tile_segs, grid, num_labels=backend.num_labels, jobs=config.jobs
-                )
+                result = fuse_majority(tile_segs, grid, num_labels=backend.num_labels)
                 fused = result.fused
                 tie_count = result.tie_count
                 coverage = result.coverage_used
@@ -305,7 +307,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
     except Exception as exc:
         for path in (atlas_path, native_path, out_dir / "report.json"):
             path.unlink(missing_ok=True)
-        marker.write_text(f"stage: {stage}\nerror: {exc}\n")
+        tio.write_atomic(marker, f"stage: {stage}\nerror: {exc}\n".encode())
         raise
     return RunResult(
         native_labels_path=str(native_path),

@@ -305,7 +305,11 @@ def parse_backend_spec(spec: str, num_labels: int = DEFAULT_NUM_LABELS) -> Segme
     """
     kind, sep, rest = spec.partition(":")
     if kind == "constant":
-        return ConstantOracle(int(rest or 0), num_labels)
+        try:
+            label = int(rest or 0)
+        except ValueError:
+            raise SegmentationError(f"constant label must be an integer, got {rest!r}") from None
+        return ConstantOracle(label, num_labels)
     if kind == "prior":
         if not rest:
             raise SegmentationError("prior backend needs a label volume path")

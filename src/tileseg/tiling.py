@@ -189,9 +189,14 @@ def save_grid(grid: TileGrid, path) -> None:
 
 
 def load_grid(path) -> TileGrid:
-    doc = json.loads(Path(path).read_text())
-    rebuilt = build_grid(doc["atlas_dims"], doc["grid"], doc["tile_size"])
-    stored = [tuple(o) for o in doc["origins"]]
+    try:
+        doc = json.loads(Path(path).read_text())
+        rebuilt = build_grid(doc["atlas_dims"], doc["grid"], doc["tile_size"])
+        stored = [tuple(o) for o in doc["origins"]]
+    except TilingError:
+        raise
+    except (ValueError, LookupError, TypeError) as exc:
+        raise TilingError(f"grid file {path} is malformed: {exc!r}") from exc
     actual = [t.origin for t in rebuilt.tiles]
     if stored != actual:
         raise TilingError("stored tile origins do not match the layout rule")

@@ -13,7 +13,9 @@ from tileseg import io as tio
 import tileseg
 from tileseg.cli import main
 from tileseg.geometry import make_centered_geometry
+from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
+from tileseg.pipeline import PipelineConfig
 from tileseg.tiling import build_grid
 
 
@@ -138,6 +140,7 @@ def test_grid_info_json(capsys):
     assert doc["axis_origins"]["z"] == [0, 34, 68]
     assert doc["origins"] == [list(t.origin) for t in grid.tiles]
     assert doc["coverage"]["min"] >= 1
+    assert {k: doc[k] for k in grid.to_dict()} == PipelineConfig().build_grid().to_dict()
 
 
 def test_grid_info_text(capsys):
@@ -337,3 +340,82 @@ def test_mismatched_harmonization_args_exit_2(tmp_path):
         ]
     )
     assert code == 2
+
+
+_SMALL_RUN = ["--atlas-dims", "16,16,16", "--grid", "2,2,2", "--tile-size", "9,9,9"]
+
+
+def test_non_numeric_affine_file_exits_2(tmp_path, capsys):
+    _, truth_path, scan_path = _write_phantom(tmp_path)
+    bad = tmp_path / "affine.txt"
+    bad.write_text("1 0 0 0\n0 one 0 0\n0 0 1 0\n0 0 0 1\n")
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+            "--backend", f"prior:{truth_path}", "--num-labels", "4",
+            "--affine", str(bad), *_SMALL_RUN,
+        ]
+    )
+    assert code == 2
+    assert "not a numeric matrix" in capsys.readouterr().err
+
+
+def test_non_integer_constant_backend_exits_7(tmp_path, capsys):
+    _, _, scan_path = _write_phantom(tmp_path)
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+            "--backend", "constant:x", *_SMALL_RUN,
+        ]
+    )
+    assert code == 7
+    assert "constant label must be an integer" in capsys.readouterr().err
+
+
+_LAYOUT = '"grid": [2, 2, 2], "tile_size": [9, 9, 9], "origins": []'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{bad",
+        "[]",
+        '{"grid": [2, 2, 2]}',
+        '{"atlas_dims": "abc", ' + _LAYOUT + "}",
+        '{"atlas_dims": [16, 16], ' + _LAYOUT + "}",
+    ],
+)
+def test_malformed_grid_json_exits_6(tmp_path, capsys, text):
+    _, truth_path, _ = _write_phantom(tmp_path)
+    tiles_dir = tmp_path / "tiles"
+    assert main(
+        [
+            "tile", "--input", str(truth_path), "--output", str(tiles_dir),
+            "--labels", "--num-labels", "4", "--grid", "2,2,2", "--tile-size", "9,9,9",
+        ]
+    ) == 0
+    (tiles_dir / "grid.json").write_text(text)
+    code = main(["fuse", "--tiles", str(tiles_dir), "--output", str(tmp_path / "f.nii")])
+    assert code == 6
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{bad", '{"mask_dims": [16, 16, 16]}', '{"mask_dims": [16, 16, 16], "quantile_count": "x"}'],
+)
+def test_malformed_harmonization_meta_exits_5(tmp_path, capsys, text):
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    mask = truth.with_data((truth.data > 0).astype(np.uint16))
+    model_dir = tmp_path / "model"
+    save_model(fit_model([tio.read_nifti(scan_path)[0]], [mask], 16), model_dir)
+    (model_dir / "meta.json").write_text(text)
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+            "--backend", f"prior:{truth_path}", "--num-labels", "4",
+            "--harmonization", str(model_dir), *_SMALL_RUN,
+        ]
+    )
+    assert code == 5
+    assert "malformed" in capsys.readouterr().err

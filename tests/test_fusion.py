@@ -241,20 +241,6 @@ def test_region_boundaries_match_dense_oracle():
     assert int(coverage.max()) == 12
 
 
-def test_parallel_fusion_matches_sequential():
-    dims = (12, 12, 12)
-    prior = random_labels(dims, 5, seed=12)
-    grid = build_grid(dims, (2, 2, 2), (7, 7, 7))
-    vol = random_intensity(dims, seed=12)
-    backend = CorruptingWrapper(AtlasPriorOracle(prior), target_index=0, corruption_label=2)
-    segs = segment_all(backend, vol, grid)
-    seq = fuse_majority(segs, grid, jobs=1)
-    par = fuse_majority(segs, grid, jobs=4)
-    npt.assert_array_equal(par.fused.data, seq.fused.data)
-    assert par.tie_count == seq.tie_count > 0
-    npt.assert_array_equal(par.coverage_used, seq.coverage_used)
-
-
 def test_run_lengths_hold_more_than_255_coincident_tiles():
     # 257 even-numbered tiles outvote 256 odd-numbered ones; an 8-bit run
     # counter would wrap both runs at 255 and report a tie for label 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -262,6 +264,46 @@ def test_resample_to_different_target_geometry():
     npt.assert_allclose(center_val, src_center, rtol=1e-9)
 
 
+# --- z-slab boundaries: nz = 33 spans three slabs of 16, the last one partial ---
+
+
+def _tilted(translation=(0.0, 0.0, 0.0)) -> AffineTransform:
+    c, s = np.cos(0.3), np.sin(0.3)
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    about_y = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return AffineTransform.from_linear_translation(about_y @ about_x, translation)
+
+
+def test_resampling_across_z_slabs_matches_per_voxel_loop():
+    spacing = (1.0, 1.2, 0.9)
+    img = random_intensity((9, 8, 30), seed=21, spacing=spacing)
+    lab = random_labels((9, 8, 30), 7, seed=21, spacing=spacing)
+    target = make_centered_geometry((7, 6, 33), (1.1, 0.9, 0.7))
+    t = _tilted((0.7, -1.3, -1.0))
+    m = np.linalg.inv(img.geometry.index_to_world.matrix) @ t.matrix @ target.index_to_world.matrix
+    n = np.array(img.dims)
+    want_img = np.full(target.dims, -1.0)
+    want_lab = np.zeros(target.dims, dtype=np.uint16)
+    for ijk in np.ndindex(*target.dims):
+        c = (m @ [*ijk, 1.0])[:3]
+        if np.all((c >= 0.0) & (c <= n - 1)):
+            lo = np.floor(c).astype(int)
+            hi = np.minimum(lo + 1, n - 1)
+            f = c - lo
+            want_img[ijk] = sum(
+                np.prod(np.where(corner, f, 1.0 - f)) * img.data[tuple(np.where(corner, hi, lo))]
+                for corner in itertools.product((False, True), repeat=3)
+            )
+        r = np.ceil(c - 0.5).astype(int)
+        if np.all((r >= 0) & (r < n)):
+            want_lab[ijk] = lab.data[tuple(r)]
+    # the last, partial slab both samples the source and falls outside it
+    assert 0 < np.count_nonzero(want_img[:, :, 32:] != -1.0) < 42
+    out_img = resample_intensity(img, t, target, background=-1.0)
+    npt.assert_allclose(out_img.data, want_img, rtol=1e-12, atol=1e-12)
+    npt.assert_array_equal(resample_labels(lab, t, target).data, want_lab)
+
+
 # --- Moments-based affine estimation ---
 
 
@@ -296,3 +338,25 @@ def test_moments_rejects_zero_mass():
     empty = IntensityVolume(g, np.zeros((4, 4, 4)))
     with pytest.raises(GeometryError):
         estimate_affine_moments(empty, empty)
+
+
+def _full_grid_moments(vol):
+    world = vol.geometry.world_coordinates(np.indices(vol.dims).reshape(3, -1).T)
+    w = vol.data.reshape(-1)
+    centroid = w @ world / w.sum()
+    return centroid, np.sqrt(w @ (world - centroid) ** 2 / w.sum())
+
+
+def test_moments_across_z_slabs_match_full_grid_moments():
+    base = make_centered_geometry((7, 6, 33), (1.1, 0.9, 0.8))
+    tilted = VolumeGeometry(
+        base.dims, base.spacing, compose(_tilted((3.0, -2.0, 5.0)), base.index_to_world)
+    )
+    rng = np.random.default_rng(22)
+    moving = IntensityVolume(tilted, rng.uniform(1.0, 10.0, size=tilted.dims))
+    fixed = random_intensity((10, 9, 35), seed=23, lo=1.0, hi=10.0)
+    c_mov, s_mov = _full_grid_moments(moving)
+    c_fix, s_fix = _full_grid_moments(fixed)
+    est = estimate_affine_moments(moving, fixed)
+    npt.assert_allclose(np.diag(est.linear), s_mov / s_fix, rtol=1e-9)
+    npt.assert_allclose(est.offset, c_mov - s_mov / s_fix * c_fix, atol=1e-9)

@@ -7,7 +7,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_intensity, random_labels
-from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
+from tileseg.evaluate import report as dice_report
+from tileseg.geometry import AffineTransform, IntensityVolume, LabelVolume, make_centered_geometry
+from tileseg.harmonize import fit_model, save_model
 from tileseg.io import (
     NiftiFormatError,
     read_nifti,
@@ -15,6 +17,7 @@ from tileseg.io import (
     write_nifti,
     write_raw,
 )
+from tileseg.pipeline import save_affine
 
 
 def test_label_round_trip_is_bitwise(tmp_path):
@@ -271,3 +274,35 @@ def test_write_nifti_keeps_old_file_when_rename_fails(tmp_path, monkeypatch):
         write_nifti(random_labels((4, 4, 4), 5, seed=2), p)
     assert p.read_bytes() == old
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _save_model(directory, seed):
+    vol = random_intensity((4, 4, 4), seed=seed)
+    mask = LabelVolume(vol.geometry, np.ones(vol.dims, dtype=np.uint16), 2)
+    save_model(fit_model([vol], [mask], quantile_count=8), directory)
+
+
+def _save_dice_report(directory, seed):
+    auto, manual = random_labels((4, 4, 4), 5, seed=seed), random_labels((4, 4, 4), 5, seed=9)
+    dice_report(auto, manual).save(directory)
+
+
+def _save_affine(directory, seed):
+    directory.mkdir(exist_ok=True)
+    save_affine(AffineTransform.translation((seed, 0.0, 0.0)), directory / "affine.txt")
+
+
+@pytest.mark.parametrize("save", [_save_model, _save_dice_report, _save_affine])
+def test_package_writers_keep_old_files_when_rename_fails(tmp_path, monkeypatch, save):
+    out = tmp_path / "out"
+    save(out, 1)
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        save(out, 2)
+    # no file changed and no temp file is left behind
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == old
