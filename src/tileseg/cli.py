@@ -56,7 +56,6 @@ def _add_grid_flags(p: argparse.ArgumentParser):
     p.add_argument("--grid", type=_triple, default=None, help="tiles per axis, e.g. 3,3,3")
     p.add_argument("--tile-size", type=_triple, default=None, help="tile dims, e.g. 96,128,88")
     p.add_argument("--atlas-dims", type=_triple, default=None, help="atlas grid dims")
-    p.add_argument("--atlas-spacing", type=_float_triple, default=None, help="atlas voxel mm")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--config", default=None, help="JSON config file; flags override")
     _add_grid_flags(p)
+    p.add_argument("--atlas-spacing", type=_float_triple, default=None, help="atlas voxel mm")
     p.add_argument("--backend", default=None, help="constant:<l> | prior:<nii> | external:<cmd>")
     p.add_argument("--affine", default=None, help="identity | estimate | <matrix file>")
     p.add_argument("--reference", default=None, help="atlas-space volume for --affine estimate")

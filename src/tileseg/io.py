@@ -174,13 +174,12 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     nvox = dims[0] * dims[1] * dims[2]
     dtype = np.dtype(endian + _DTYPE_NUMPY[datatype])
     nbytes = nvox * dtype.itemsize
-    data_section = blob[vox_offset : vox_offset + nbytes]
-    if len(data_section) < nbytes:
-        raise NiftiFormatError(
-            f"truncated data section: need {nbytes} bytes, have {len(data_section)}"
-        )
-    flat = np.frombuffer(data_section, dtype=dtype)
-    arr = flat.reshape(dims, order="F")
+    have = max(len(blob) - vox_offset, 0)
+    if have < nbytes:
+        raise NiftiFormatError(f"truncated data section: need {nbytes} bytes, have {have}")
+    # a view of the file bytes; the volume constructor makes the only copy
+    arr = np.frombuffer(blob, dtype, count=nvox, offset=vox_offset)
+    arr = arr.reshape(dims, order="F")
 
     geometry = VolumeGeometry(dims, spacing, AffineTransform(affine))
     summary = NiftiHeaderSummary(
@@ -194,9 +193,9 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     if as_labels:
         if arr.min() < 0:
             raise NiftiFormatError("negative values in a label volume")
-        vol = LabelVolume(geometry, arr.astype(np.uint16), num_labels or 0)
+        vol = LabelVolume(geometry, arr, num_labels or 0)
     else:
-        vol = IntensityVolume(geometry, arr.astype(np.float64))
+        vol = IntensityVolume(geometry, arr)
     return vol, summary
 
 

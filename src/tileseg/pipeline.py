@@ -238,6 +238,9 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
             atlas_input = resample_intensity(
                 scan, forward, atlas_geom, background=config.background_fill
             )
+        # from here on only the scan's grid is needed
+        native_geometry = scan.geometry
+        del scan
 
         stage = "harmonize"
         fit = None
@@ -257,6 +260,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 on_tile_failure=config.on_tile_failure,
                 cache_dir=out_dir / "work" / "tiles" if config.resume else None,
             )
+        del atlas_input
 
         stage = "fuse"
         with clock.time(stage):
@@ -269,10 +273,11 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 fused = fuse_concatenate(tile_segs, grid)
                 tie_count = 0
                 coverage = np.ones(grid.atlas_dims, dtype=np.int32)
+        del tile_segs
 
         stage = "unregister"
         with clock.time(stage):
-            native_labels = inverse_transform_labels(fused, forward, scan.geometry)
+            native_labels = inverse_transform_labels(fused, forward, native_geometry)
 
         stage = "write"
         with clock.time(stage):

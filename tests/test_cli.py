@@ -150,6 +150,29 @@ def test_grid_info_text(capsys):
     assert "x-origins: [0, 38, 76]" in out
 
 
+def test_grid_info_rejects_atlas_spacing(capsys):
+    # the grid layout is in voxels; only `run` builds an atlas geometry
+    with pytest.raises(SystemExit) as exc:
+        main(["grid-info", "--atlas-spacing", "5,5,5"])
+    assert exc.value.code == 2
+    assert "--atlas-spacing" in capsys.readouterr().err
+
+
+def test_tile_rejects_atlas_spacing(tmp_path, capsys):
+    _, truth_path, _ = _write_phantom(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "tile", "--input", str(truth_path), "--output", str(tmp_path / "tiles"),
+                "--labels", "--grid", "2,2,2", "--tile-size", "9,9,9",
+                "--atlas-spacing", "5,5,5",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--atlas-spacing" in capsys.readouterr().err
+    assert not (tmp_path / "tiles").exists()
+
+
 def test_evaluate_identical_volumes(tmp_path, capsys):
     _, truth_path, _ = _write_phantom(tmp_path)
     report_dir = tmp_path / "report"

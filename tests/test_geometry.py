@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -264,7 +265,7 @@ def test_resample_to_different_target_geometry():
     npt.assert_allclose(center_val, src_center, rtol=1e-9)
 
 
-# --- z-slab boundaries: nz = 33 spans three slabs of 16, the last one partial ---
+# --- z-slab boundaries: nz = 33 spans five slabs of 8, the last one partial ---
 
 
 def _tilted(translation=(0.0, 0.0, 0.0)) -> AffineTransform:
@@ -302,6 +303,137 @@ def test_resampling_across_z_slabs_matches_per_voxel_loop():
     out_img = resample_intensity(img, t, target, background=-1.0)
     npt.assert_allclose(out_img.data, want_img, rtol=1e-12, atol=1e-12)
     npt.assert_array_equal(resample_labels(lab, t, target).data, want_lab)
+
+
+# --- Strided flat gather: bytewise equal to the three-index eight-corner formula ---
+
+
+def _source_coords(src, t, target):
+    """Continuous source index of every target voxel, computed as the resamplers do."""
+    m = np.linalg.inv(src.geometry.index_to_world.matrix) @ t.matrix @ target.index_to_world.matrix
+    nx, ny, nz = target.dims
+    xi = np.arange(nx, dtype=np.float64)[:, None, None]
+    yi = np.arange(ny, dtype=np.float64)[None, :, None]
+    zi = np.arange(nz, dtype=np.float64)[None, None, :]
+    return [m[a, 0] * xi + m[a, 1] * yi + m[a, 2] * zi + m[a, 3] for a in range(3)]
+
+
+def _three_index_trilinear(src, t, target, background):
+    cx, cy, cz = _source_coords(src, t, target)
+    sx, sy, sz = src.dims
+    data = src.data
+    inside = (
+        (cx >= 0.0) & (cx <= sx - 1)
+        & (cy >= 0.0) & (cy <= sy - 1)
+        & (cz >= 0.0) & (cz <= sz - 1)
+    )
+    x0 = np.clip(np.floor(cx).astype(np.intp), 0, sx - 1)
+    y0 = np.clip(np.floor(cy).astype(np.intp), 0, sy - 1)
+    z0 = np.clip(np.floor(cz).astype(np.intp), 0, sz - 1)
+    x1 = np.minimum(x0 + 1, sx - 1)
+    y1 = np.minimum(y0 + 1, sy - 1)
+    z1 = np.minimum(z0 + 1, sz - 1)
+    fx = np.clip(cx - x0, 0.0, 1.0)
+    fy = np.clip(cy - y0, 0.0, 1.0)
+    fz = np.clip(cz - z0, 0.0, 1.0)
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    val = (
+        data[x0, y0, z0] * gx * gy * gz
+        + data[x1, y0, z0] * fx * gy * gz
+        + data[x0, y1, z0] * gx * fy * gz
+        + data[x0, y0, z1] * gx * gy * fz
+        + data[x1, y1, z0] * fx * fy * gz
+        + data[x1, y0, z1] * fx * gy * fz
+        + data[x0, y1, z1] * gx * fy * fz
+        + data[x1, y1, z1] * fx * fy * fz
+    )
+    return np.where(inside, val, background), inside
+
+
+def _three_index_nearest(src, t, target, background):
+    rx, ry, rz = (np.ceil(c - 0.5).astype(np.intp) for c in _source_coords(src, t, target))
+    sx, sy, sz = src.dims
+    inside = (
+        (rx >= 0) & (rx < sx)
+        & (ry >= 0) & (ry < sy)
+        & (rz >= 0) & (rz < sz)
+    )
+    rx = np.clip(rx, 0, sx - 1)
+    ry = np.clip(ry, 0, sy - 1)
+    rz = np.clip(rz, 0, sz - 1)
+    return np.where(inside, src.data[rx, ry, rz], background).astype(np.uint16)
+
+
+def _memory_layouts(data):
+    """The same voxels stored x-fastest (NIfTI), z-fastest, and x-z-y."""
+    permuted = np.ascontiguousarray(data.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return {
+        "F": np.asfortranarray(data),
+        "C": np.ascontiguousarray(data),
+        "permuted": permuted,
+    }
+
+
+_TILTED_SCALED = AffineTransform.from_linear_translation(
+    _tilted().linear @ np.diag([1.3, 0.8, 1.1]), (0.9, -1.7, 0.6)
+)
+
+# (source geometry, target geometry, transform); the test checks that each
+# case reaches what its name says
+_GATHER_CASES = {
+    "tilted-scaled": (make_centered_geometry((9, 8, 12), (1.0, 1.2, 0.9)),
+                      make_centered_geometry((8, 7, 19), (1.1, 0.9, 0.7)),
+                      _TILTED_SCALED),
+    "last-plane": (make_centered_geometry((9, 7, 5)),
+                   make_centered_geometry((5, 4, 3), (2.0, 2.0, 2.0)),
+                   AffineTransform.identity()),
+    "size-1-axis": (make_centered_geometry((9, 1, 7)),
+                    make_centered_geometry((9, 1, 7)),
+                    AffineTransform.translation((0.3, 0.0, -0.2))),
+}
+
+
+@pytest.mark.parametrize("layout", ["F", "C", "permuted"])
+@pytest.mark.parametrize("case", sorted(_GATHER_CASES))
+def test_flat_gather_is_bytewise_equal_to_three_index_formula(case, layout):
+    geometry, target, t = _GATHER_CASES[case]
+    dims = geometry.dims
+    rng = np.random.default_rng(31)
+    img = IntensityVolume(geometry, _memory_layouts(rng.uniform(-50.0, 50.0, dims))[layout])
+    lab = LabelVolume(geometry, _memory_layouts(rng.integers(0, 6, dims))[layout], 6)
+    if layout != "C":
+        # the constructors keep the source's memory order
+        assert not img.data.flags.c_contiguous and not lab.data.flags.c_contiguous
+    want_img, inside = _three_index_trilinear(img, t, target, background=-7.5)
+    want_lab = _three_index_nearest(lab, t, target, background=3)
+    coords = _source_coords(img, t, target)
+    if case == "tilted-scaled":
+        assert 0 < np.count_nonzero(inside) < inside.size
+    if case == "last-plane":
+        assert all(np.any(c == n - 1) for c, n in zip(coords, dims)) and inside.all()
+    if case == "size-1-axis":
+        assert np.all(coords[1] == 0.0) and inside.any()
+    got_img = resample_intensity(img, t, target, background=-7.5)
+    got_lab = resample_labels(lab, t, target, background=3)
+    assert got_img.data.tobytes() == want_img.tobytes()
+    assert got_lab.data.tobytes() == want_lab.tobytes()
+
+
+def test_resampling_never_copies_the_source():
+    # NIfTI volumes are read x-fastest; flattening one in C order would copy it
+    geometry = make_centered_geometry((64, 64, 64))
+    rng = np.random.default_rng(32)
+    img = IntensityVolume(geometry, np.asfortranarray(rng.uniform(0.0, 1.0, geometry.dims)))
+    lab = LabelVolume(geometry, np.asfortranarray(rng.integers(0, 9, geometry.dims)), 9)
+    target = make_centered_geometry((4, 4, 4), (8.0, 8.0, 8.0))
+    for resample, src in ((resample_intensity, img), (resample_labels, lab)):
+        tracemalloc.start()
+        try:
+            resample(src, _tilted(), target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < src.data.nbytes / 2, resample.__name__
 
 
 # --- Moments-based affine estimation ---
