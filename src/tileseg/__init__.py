@@ -14,7 +14,6 @@ from .geometry import (
     IntensityVolume,
     LabelVolume,
     VolumeGeometry,
-    atlas_geometry,
     compose,
     estimate_affine_moments,
     make_centered_geometry,
@@ -30,7 +29,7 @@ from .harmonize import (
     standardize,
 )
 from .io import read_nifti, read_raw, write_nifti, write_raw
-from .pipeline import PipelineConfig, RunResult, inverse_transform_labels, run
+from .pipeline import PipelineConfig, RunResult, run
 from .segmenter import (
     AtlasPriorOracle,
     ConstantOracle,
@@ -60,7 +59,6 @@ __all__ = [
     "TileGrid",
     "TileSpec",
     "VolumeGeometry",
-    "atlas_geometry",
     "build_grid",
     "compose",
     "coverage_map",
@@ -71,7 +69,6 @@ __all__ = [
     "fuse_concatenate",
     "fuse_majority",
     "harmonize",
-    "inverse_transform_labels",
     "make_centered_geometry",
     "read_nifti",
     "read_raw",

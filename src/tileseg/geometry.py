@@ -31,7 +31,6 @@ __all__ = [
     "VolumeGeometry",
     "IntensityVolume",
     "LabelVolume",
-    "atlas_geometry",
     "make_centered_geometry",
     "compose",
     "resample_intensity",
@@ -41,7 +40,6 @@ __all__ = [
 
 # Canonical atlas grid: 172 x 220 x 156 voxels at 1 mm isotropic.
 ATLAS_DIMS = (172, 220, 156)
-ATLAS_SPACING = (1.0, 1.0, 1.0)
 
 _DET_EPS = 1e-12
 
@@ -106,20 +104,9 @@ class AffineTransform:
     def inverse(self) -> "AffineTransform":
         return AffineTransform(np.linalg.inv(self.matrix))
 
-    def apply_points(self, points: np.ndarray) -> np.ndarray:
-        """Map an (N, 3) array of points through the transform."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.linear.T + self.offset
-
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.matrix, np.eye(4), atol=tol))
-
-    def close_to(self, other: "AffineTransform", tol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.matrix, other.matrix, atol=tol))
-
 
 def compose(a: AffineTransform, b: AffineTransform) -> AffineTransform:
-    """Composition ``a after b``: ``compose(a, b).apply == a.apply(b.apply(x))``."""
+    """Composition ``a after b``: the matrix product ``a.matrix @ b.matrix``."""
     return AffineTransform(a.matrix @ b.matrix)
 
 
@@ -160,9 +147,6 @@ class VolumeGeometry:
             )
         )
 
-    def world_coordinates(self, indices: np.ndarray) -> np.ndarray:
-        return self.index_to_world.apply_points(indices)
-
 
 def make_centered_geometry(dims, spacing=(1.0, 1.0, 1.0)) -> VolumeGeometry:
     """Geometry whose world origin sits at the grid center.
@@ -178,11 +162,6 @@ def make_centered_geometry(dims, spacing=(1.0, 1.0, 1.0)) -> VolumeGeometry:
     return VolumeGeometry(
         dims, spacing, AffineTransform.from_linear_translation(linear, translation)
     )
-
-
-def atlas_geometry() -> VolumeGeometry:
-    """The canonical atlas grid: 172x220x156 voxels, 1 mm isotropic, centered."""
-    return make_centered_geometry(ATLAS_DIMS, ATLAS_SPACING)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,8 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     dim = fields[7:15]
     datatype = fields[19]
     pixdim = fields[22:30]
+    if not np.all(np.isfinite([fields[30], *pixdim[1:4], *fields[52:64]])):
+        raise NiftiFormatError("non-finite vox_offset, pixdim or srow in the header")
     vox_offset = int(fields[30])
     sform_code = fields[45]
     srow = np.array(fields[52:64], dtype=np.float64).reshape(3, 4)

@@ -1,4 +1,4 @@
-"""Deterministic synthetic label/intensity phantoms for tests and demos."""
+"""Deterministic synthetic label/intensity phantoms for tests and the benchmark."""
 
 from __future__ import annotations
 

@@ -49,7 +49,6 @@ __all__ = [
     "load_config",
     "save_affine",
     "load_affine",
-    "inverse_transform_labels",
     "run",
 ]
 
@@ -165,18 +164,6 @@ def load_affine(path) -> AffineTransform:
     return AffineTransform(m)
 
 
-def inverse_transform_labels(
-    fused: LabelVolume,
-    forward_affine: AffineTransform,
-    native_geometry: VolumeGeometry,
-) -> LabelVolume:
-    """Map atlas-space labels back onto the native grid.
-
-    Nearest-neighbor resampling under the inverse of the forward transform.
-    """
-    return resample_labels(fused, forward_affine.inverse(), native_geometry)
-
-
 @dataclass
 class RunResult:
     native_labels_path: str
@@ -277,7 +264,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
 
         stage = "unregister"
         with clock.time(stage):
-            native_labels = inverse_transform_labels(fused, forward, native_geometry)
+            native_labels = resample_labels(fused, forward.inverse(), native_geometry)
 
         stage = "write"
         with clock.time(stage):

@@ -219,7 +219,11 @@ def segment_tile(
         raise SegmentationError(
             f"tile input dims {tile_input.dims} do not match tile size {tile.size}"
         )
-    out = backend.segment(tile_input, tile)
+    return _check_answer(backend.segment(tile_input, tile), tile_input, backend.num_labels)
+
+
+def _check_answer(out, tile_input: IntensityVolume, num_labels: int) -> LabelVolume:
+    """The tile contract: labels below ``num_labels`` on ``tile_input``'s grid."""
     if not isinstance(out, LabelVolume):
         raise SegmentationError("backend returned a non-label volume")
     if out.dims != tile_input.dims:
@@ -228,7 +232,7 @@ def segment_tile(
         )
     if not out.geometry.matches(tile_input.geometry, tol=1e-6):
         raise SegmentationError("backend changed the tile's world geometry")
-    if int(out.data.max(initial=0)) >= backend.num_labels:
+    if int(out.data.max(initial=0)) >= num_labels:
         raise SegmentationError("backend produced labels out of range")
     return out
 
@@ -250,8 +254,9 @@ def segment_all(
 
     With ``cache_dir``, each backend answer is stored there under the sha256
     of the tile input bytes, the backend descriptor and the tile placement,
-    and later calls read it back; an unreadable entry is recomputed.  A
-    substituted background tile is never stored, so a later call retries it.
+    and later calls read it back; an entry that is unreadable or breaks the
+    tile contract is recomputed.  A substituted background tile is never
+    stored, so a later call retries it.
     """
     if atlas_vol.dims != grid.atlas_dims:
         raise SegmentationError(
@@ -273,9 +278,9 @@ def segment_all(
             key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
             entry = cache_dir / key.hexdigest()
             try:
-                return tio.read_raw(entry)
-            except (OSError, ValueError, KeyError):
-                pass  # absent or unreadable: recompute
+                return _check_answer(tio.read_raw(entry), tile_input, backend.num_labels)
+            except (OSError, ValueError, KeyError, TypeError, SegmentationError):
+                pass  # absent, unreadable or off-contract: recompute
         try:
             out = segment_tile(backend, tile_input, tile)
         except Exception as exc:

@@ -68,9 +68,6 @@ class TileSpec:
     def slices(self) -> tuple:
         return tuple(slice(o, o + s) for o, s in zip(self.origin, self.size))
 
-    def contains_voxel(self, voxel) -> bool:
-        return all(o <= v < o + s for v, o, s in zip(voxel, self.origin, self.size))
-
 
 def axis_origins(extent: int, k: int, size: int) -> list[int]:
     """Evenly spaced tile origins along one axis.

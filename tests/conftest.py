@@ -7,6 +7,11 @@ hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("suite")
 
 
+def apply_affine(transform, points):
+    """Map an (N, 3) array of points through an AffineTransform."""
+    return np.asarray(points, dtype=np.float64) @ transform.linear.T + transform.offset
+
+
 def random_intensity(dims, seed=0, lo=0.0, hi=100.0, spacing=(1.0, 1.0, 1.0)):
     geometry = make_centered_geometry(dims, spacing)
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,21 @@ def test_missing_input_exits_3(tmp_path, capsys):
     code = main(["evaluate", "--auto", str(tmp_path / "a.nii"), "--manual", str(tmp_path / "b.nii")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "offset, value",
+    [(108, float("nan")), (108, float("inf")), (280, float("nan"))],
+    ids=["vox_offset_nan", "vox_offset_inf", "srow_x_nan"],
+)
+def test_non_finite_header_float_exits_3(tmp_path, capsys, offset, value):
+    _, truth_path, _ = _write_phantom(tmp_path)
+    raw = bytearray(truth_path.read_bytes())
+    raw[offset : offset + 4] = struct.pack("<f", value)
+    truth_path.write_bytes(raw)
+    code = main(["tile", "--input", str(truth_path), "--output", str(tmp_path / "t"), "--labels"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_impossible_grid_exits_6(tmp_path, capsys):

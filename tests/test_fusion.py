@@ -64,8 +64,9 @@ def _brute_force(tile_segs, grid, num_labels):
             for z in range(dims[2]):
                 counts = [0] * num_labels
                 for seg, tile in zip(tile_segs, grid.tiles):
-                    if tile.contains_voxel((x, y, z)):
-                        ox, oy, oz = tile.origin
+                    ox, oy, oz = tile.origin
+                    sx, sy, sz = tile.size
+                    if ox <= x < ox + sx and oy <= y < oy + sy and oz <= z < oz + sz:
                         counts[int(seg.data[x - ox, y - oy, z - oz])] += 1
                 top = max(counts)
                 fused[x, y, z] = counts.index(top)

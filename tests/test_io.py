@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_intensity, random_labels
+from tileseg.cli import EXIT_CODES
 from tileseg.evaluate import report as dice_report
 from tileseg.geometry import AffineTransform, IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.harmonize import fit_model, save_model
@@ -191,6 +192,28 @@ def test_reads_big_endian_file(tmp_path):
     expected_affine = np.eye(4)
     expected_affine[:3, :] = np.array(srow).reshape(3, 4)
     npt.assert_allclose(out.geometry.index_to_world.matrix, expected_affine, atol=1e-6)
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["intensity", "labels"])
+def test_header_fuzz_reads_a_volume_or_raises_a_mapped_error(tmp_path, labels):
+    # 1000 seeded mutations of 1-3 header bytes; none may escape as a traceback
+    vol = random_labels((4, 5, 6), 7, seed=3) if labels else random_intensity((4, 5, 6), seed=3)
+    p = tmp_path / "vol.nii"
+    write_nifti(vol, p)
+    clean = p.read_bytes()
+    mapped = tuple(exc_type for exc_type, _ in EXIT_CODES)
+    rng = np.random.default_rng(40 + labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a zeroed sform_code reads with a warning
+        for _ in range(1000):
+            raw = bytearray(clean)
+            for pos in rng.choice(352, size=rng.integers(1, 4), replace=False):
+                raw[pos] = rng.integers(256)
+            p.write_bytes(raw)
+            try:
+                read_nifti(p, as_labels=labels)
+            except mapped:
+                pass
 
 
 def test_rejects_negative_values_as_labels(tmp_path):

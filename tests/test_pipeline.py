@@ -11,6 +11,9 @@ from tileseg.fusion import fuse_majority
 from tileseg.geometry import (
     AffineTransform,
     GeometryError,
+    LabelVolume,
+    VolumeGeometry,
+    compose,
     make_centered_geometry,
     resample_labels,
 )
@@ -19,7 +22,6 @@ from tileseg.phantom import intensity_from_labels, make_blob_phantom
 from tileseg.pipeline import (
     ConfigError,
     PipelineConfig,
-    inverse_transform_labels,
     load_affine,
     load_config,
     run,
@@ -31,7 +33,7 @@ from tileseg.segmenter import (
     SegmenterBackend,
     segment_all,
 )
-from tileseg.tiling import build_grid, coverage_map
+from tileseg.tiling import build_grid, coverage_map, extract_tile
 from conftest import random_labels
 
 
@@ -134,7 +136,7 @@ def test_load_affine_rejects_invalid_matrix(tmp_path):
 
 def test_inverse_transform_identity_is_bitwise():
     lab = random_labels((8, 8, 8), 5, seed=1)
-    out = inverse_transform_labels(lab, AffineTransform.identity(), lab.geometry)
+    out = resample_labels(lab, AffineTransform.identity().inverse(), lab.geometry)
     npt.assert_array_equal(out.data, lab.data)
 
 
@@ -145,7 +147,7 @@ def test_inverse_transform_undoes_integer_shift():
     atlas = resample_labels(native, forward, atlas_geom)
     # forward reads source at index + 2, so atlas[i] = native[i + 2]
     npt.assert_array_equal(atlas.data[:6], native.data[2:])
-    back = inverse_transform_labels(atlas, forward, native.geometry)
+    back = resample_labels(atlas, forward.inverse(), native.geometry)
     # voxels that stayed in bounds both ways return exactly
     npt.assert_array_equal(back.data[2:], native.data[2:])
     assert np.all(back.data[:2] == 0)
@@ -194,7 +196,7 @@ def test_round_trip_errors_confined_to_label_boundaries():
         (0.3, -0.2, 0.1),
     )
     atlas = resample_labels(native, forward, atlas_geom)
-    back = inverse_transform_labels(atlas, forward, native.geometry)
+    back = resample_labels(atlas, forward.inverse(), native.geometry)
     diff = back.data != native.data
     # two nearest-neighbor roundings displace by under 2 voxels, so flips
     # can only happen near a label boundary; uniform interiors are stable
@@ -284,9 +286,7 @@ def test_run_with_saved_affine_round_trips(tmp_path):
     save_affine(forward, affine_path)
     config = _base_config(tmp_path, truth, affine=str(affine_path))
     result = run(config, scan_path)
-    expected_native = inverse_transform_labels(
-        result.fused, forward, truth.geometry
-    )
+    expected_native = resample_labels(result.fused, forward.inverse(), truth.geometry)
     npt.assert_array_equal(result.native_labels.data, expected_native.data)
 
 
@@ -434,7 +434,11 @@ def _truncate_blob(entry):
     entry.write_bytes(entry.read_bytes()[:-2])
 
 
-@pytest.mark.parametrize("damage", [_drop_sidecar, _truncate_blob])
+def _non_object_sidecar(entry):
+    Path(str(entry) + ".json").write_text("[]")
+
+
+@pytest.mark.parametrize("damage", [_drop_sidecar, _truncate_blob, _non_object_sidecar])
 def test_resume_recomputes_an_unreadable_entry(tmp_path, damage):
     truth, scan_path = _phantom_case(tmp_path)
     backend = CorruptingWrapper(AtlasPriorOracle(truth), target_index=2, corruption_label=1)
@@ -450,6 +454,57 @@ def test_resume_recomputes_an_unreadable_entry(tmp_path, damage):
     assert _cache_entries(tmp_path) == entries
     for entry in entries:
         tio.read_raw(entry)  # the damaged entries were rewritten
+
+
+class _CountingPrior(AtlasPriorOracle):
+    """Prior oracle that records the index of every tile it segments."""
+
+    def __init__(self, prior):
+        super().__init__(prior)
+        self.calls = []
+
+    def segment(self, tile_input, tile):
+        self.calls.append(tile.index)
+        return super().segment(tile_input, tile)
+
+
+def _short_dims(vol):
+    nx, ny, nz = vol.dims
+    geometry = VolumeGeometry((nx, ny, nz - 1), vol.geometry.spacing, vol.geometry.index_to_world)
+    return LabelVolume(geometry, vol.data[:, :, :-1], vol.num_labels)
+
+
+def _shifted_geometry(vol):
+    i2w = compose(AffineTransform.translation((5.0, 0.0, 0.0)), vol.geometry.index_to_world)
+    return LabelVolume(VolumeGeometry(vol.dims, vol.geometry.spacing, i2w), vol.data, vol.num_labels)
+
+
+def _label_out_of_range(vol):
+    data = vol.data.copy()
+    data[0, 0, 0] = vol.num_labels + 2
+    return LabelVolume(vol.geometry, data, vol.num_labels + 5)
+
+
+@pytest.mark.parametrize("rewrite", [_short_dims, _shifted_geometry, _label_out_of_range])
+def test_resume_recomputes_an_entry_that_breaks_the_tile_contract(tmp_path, rewrite):
+    # each rewritten entry reads back fine, but is not an answer for its tile
+    truth, scan_path = _phantom_case(tmp_path)
+    fresh = _base_config(tmp_path, truth, output_dir=str(tmp_path / "fresh"))
+    run(fresh, scan_path)
+    backend = _CountingPrior(truth)
+    config = _base_config(tmp_path, truth, backend=backend, resume=True)
+    run(config, scan_path)
+    entry = _cache_entries(tmp_path)[0]
+    tio.write_raw(rewrite(tio.read_raw(entry)), entry)
+    backend.calls.clear()
+    run(config, scan_path)
+    assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
+    assert len(backend.calls) == 1  # only the rewritten tile ran again
+    # and its entry now holds the backend's answer
+    answer = extract_tile(truth, config.build_grid().tiles[backend.calls[0]])
+    cached = tio.read_raw(entry)
+    assert cached.geometry.matches(answer.geometry, tol=1e-6)
+    npt.assert_array_equal(cached.data, answer.data)
 
 
 def test_bench_tracing_targets_resolve():
