@@ -154,7 +154,7 @@ def fuse_majority(
         ties += int(np.count_nonzero(np.count_nonzero(at_top, axis=0) > 1))
 
     return FusionResult(
-        fused=LabelVolume(geometry, fused, L),
+        fused=LabelVolume._adopt(geometry, fused, L),
         tie_count=ties,
         coverage_used=coverage,
     )

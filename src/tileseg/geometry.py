@@ -164,19 +164,57 @@ def make_centered_geometry(dims, spacing=(1.0, 1.0, 1.0)) -> VolumeGeometry:
     )
 
 
+class _Volume:
+    """What both volume types share: ``dims`` and the adopt path."""
+
+    @property
+    def dims(self) -> tuple:
+        return self.geometry.dims
+
+    @classmethod
+    def _adopt(cls, geometry: VolumeGeometry, arr: np.ndarray, *args):
+        """Wrap ``arr``, a fresh dense array the package just built, without a copy.
+
+        Runs the same checks as the public constructor, then freezes ``arr``
+        itself; only the constructor's copy is skipped.  Arrays the package
+        did not just build (a NIfTI read, a user array, a tile view) go
+        through the copying constructor.
+        """
+        assert _is_dense(arr), "volumes hold dense arrays (see _flat)"
+        vol = object.__new__(cls)
+        object.__setattr__(vol, "geometry", geometry)
+        vol._freeze(arr, *args)
+        return vol
+
+
+def _is_dense(arr: np.ndarray) -> bool:
+    """Whether ``arr`` fills one block of memory in some axis order."""
+    step = arr.itemsize
+    for stride, n in sorted(zip(arr.strides, arr.shape)):
+        if n > 1 and stride != step:
+            return False
+        step *= n
+    return True
+
+
 @dataclass(frozen=True)
-class IntensityVolume:
+class IntensityVolume(_Volume):
     """A scalar 3D image on a :class:`VolumeGeometry`.
 
     Data is stored as float64, shaped ``dims``, indexed ``[x, y, z]``, and
-    frozen after construction; all values must be finite.
+    frozen after construction; all values must be finite.  The constructor
+    copies ``data``; arrays the package builds itself are adopted without a
+    copy (``_adopt``) after the same checks.
     """
 
     geometry: VolumeGeometry
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64)
+        self._freeze(np.array(self.data, dtype=np.float64))
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        assert arr.dtype == np.float64
         if arr.shape != self.geometry.dims:
             raise GeometryError(
                 f"data shape {arr.shape} does not match dims {self.geometry.dims}"
@@ -186,21 +224,19 @@ class IntensityVolume:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @property
-    def dims(self) -> tuple:
-        return self.geometry.dims
-
     def with_data(self, data: np.ndarray) -> "IntensityVolume":
         return IntensityVolume(self.geometry, data)
 
 
 @dataclass(frozen=True)
-class LabelVolume:
+class LabelVolume(_Volume):
     """An integer 3D label map on a :class:`VolumeGeometry`.
 
     Values live in ``[0, num_labels - 1]`` with 0 reserved for background.
     When ``num_labels`` is omitted it is inferred as ``max(data) + 1``
-    (never below 2).
+    (never below 2).  The constructor copies ``data`` into uint16; uint16
+    arrays the package builds itself are adopted without a copy
+    (``_adopt``) after the same checks.
     """
 
     geometry: VolumeGeometry
@@ -209,14 +245,17 @@ class LabelVolume:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
+        if arr.size and arr.min() < 0:
+            raise GeometryError("label data contains negative values")
+        self._freeze(np.array(arr, dtype=np.uint16), self.num_labels)
+
+    def _freeze(self, arr: np.ndarray, num_labels: int) -> None:
+        assert arr.dtype == np.uint16
         if arr.shape != self.geometry.dims:
             raise GeometryError(
                 f"data shape {arr.shape} does not match dims {self.geometry.dims}"
             )
-        if arr.size and arr.min() < 0:
-            raise GeometryError("label data contains negative values")
-        arr = np.array(arr, dtype=np.uint16)
-        n = int(self.num_labels)
+        n = int(num_labels)
         if n == 0:
             n = max(int(arr.max()) + 1 if arr.size else 2, 2)
         if n < 2:
@@ -228,10 +267,6 @@ class LabelVolume:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "num_labels", n)
-
-    @property
-    def dims(self) -> tuple:
-        return self.geometry.dims
 
     def with_data(self, data: np.ndarray) -> "LabelVolume":
         return LabelVolume(self.geometry, data, self.num_labels)
@@ -322,7 +357,7 @@ def resample_intensity(
         val += flat.take(i010 + dz) * gx * fy * fz
         val += flat.take(i110 + dz) * fx * fy * fz
         out[:, :, zs] = np.where(inside, val, background)
-    return IntensityVolume(target, out)
+    return IntensityVolume._adopt(target, out)
 
 
 def resample_labels(
@@ -348,7 +383,7 @@ def resample_labels(
             inside &= (c >= 0.0) & (c < n)
         index = np.where(inside, rx * stx + ry * sty + rz * stz, 0.0).astype(np.intp)
         out[:, :, zs] = np.where(inside, flat.take(index), background)
-    return LabelVolume(target, out, src.num_labels)
+    return LabelVolume._adopt(target, out, src.num_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,9 @@ def standardize(vol: IntensityVolume) -> IntensityVolume:
     std = float(vol.data.std())
     if std <= 1e-12:
         raise HarmonizeError("volume is constant; cannot standardize")
-    return vol.with_data((vol.data - mean) / std)
+    z = vol.data - mean
+    z /= std
+    return IntensityVolume._adopt(vol.geometry, z)
 
 
 def sorted_intensities(
@@ -98,14 +100,19 @@ def sorted_intensities(
         raise HarmonizeError(f"quantile_count must be >= 2, got {quantile_count}")
     if not vol.geometry.matches(mask.geometry):
         raise HarmonizeError("volume and mask geometries differ")
-    values = vol.data[mask.data > 0]
-    if values.size == 0:
+    values = vol.data[mask.data > 0]  # a copy, so it is sorted in place
+    n = values.size
+    if n == 0:
         raise HarmonizeError("mask selects no voxels")
-    ordered = np.sort(values)[::-1]
-    if values.size == 1:
-        return np.full(quantile_count, float(ordered[0]))
-    positions = np.linspace(0.0, ordered.size - 1.0, quantile_count)
-    return np.interp(positions, np.arange(ordered.size), ordered)
+    if n == 1:
+        return np.full(quantile_count, float(values[0]))
+    values.sort()
+    positions = np.linspace(0.0, n - 1.0, quantile_count)
+    # np.interp over all n ranks reads only the two that bracket each
+    # position, so interpolating over just those ranks gives the same bits
+    lower = positions.astype(np.intp)
+    ranks = np.union1d(lower, np.minimum(lower + 1, n - 1))
+    return np.interp(positions, ranks, values[n - 1 - ranks])
 
 
 def fit_model(
@@ -132,7 +139,7 @@ def fit_model(
         if not mask.geometry.matches(geometry):
             raise HarmonizeError("atlas mask is not on the common grid")
         union |= mask.data > 0
-    union_mask = LabelVolume(geometry, union.astype(np.uint16), 2)
+    union_mask = LabelVolume._adopt(geometry, union.astype(np.uint16), 2)
     profiles = [
         sorted_intensities(standardize(vol), union_mask, quantile_count)
         for vol in atlas_volumes
@@ -161,7 +168,9 @@ def harmonize(
     beta0 = float(ref.mean() - beta1 * profile.mean())
     residual = ref - (beta1 * profile + beta0)
     fit = RegressionFit(beta1, beta0, float(np.sqrt(np.mean(residual**2))))
-    return zscored.with_data(beta1 * zscored.data + beta0), fit
+    out = zscored.data * beta1
+    out += beta0
+    return IntensityVolume._adopt(vol.geometry, out), fit
 
 
 # ---------------------------------------------------------------------------

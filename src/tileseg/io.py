@@ -215,10 +215,10 @@ def write_nifti(vol, path) -> None:
         if int(vol.data.max(initial=0)) > 32767:
             raise NiftiFormatError("label values exceed int16 range")
         datatype = DT_INT16
-        arr = vol.data.astype("<i2")
+        arr = vol.data.astype("<i2", order="F")
     else:
         datatype = DT_FLOAT32
-        arr = vol.data.astype("<f4")
+        arr = vol.data.astype("<f4", order="F")
 
     m = vol.geometry.index_to_world.matrix
     dim = (3, *dims, 1, 1, 1, 1)
@@ -250,8 +250,9 @@ def write_nifti(vol, path) -> None:
         b"",
         MAGIC,
     )
-    # the 4 zero bytes after the header: no extensions
-    write_atomic(path, header, b"\x00\x00\x00\x00", arr.tobytes(order="F"))
+    # the 4 zero bytes after the header: no extensions; the voxels are written
+    # from a flat view of the one F-ordered copy
+    write_atomic(path, header, b"\x00\x00\x00\x00", arr.ravel(order="F"))
 
 
 def write_atomic(path, *chunks) -> None:
@@ -283,10 +284,9 @@ def write_raw(vol, path) -> None:
     path = Path(path)
     if isinstance(vol, LabelVolume):
         kind, dtype = "labels", "<u2"
-        arr = vol.data.astype(dtype)
     else:
         kind, dtype = "intensity", "<f8"
-        arr = vol.data.astype(dtype)
+    arr = vol.data.astype(dtype, order="F")
     meta = {
         "kind": kind,
         "dtype": dtype,
@@ -296,7 +296,7 @@ def write_raw(vol, path) -> None:
     }
     if kind == "labels":
         meta["num_labels"] = vol.num_labels
-    write_atomic(path, arr.tobytes(order="F"))
+    write_atomic(path, arr.ravel(order="F"))
     write_atomic(str(path) + ".json", json.dumps(meta, indent=1).encode())
 
 
@@ -312,6 +312,7 @@ def read_raw(path):
     if flat.size != nvox:
         raise NiftiFormatError(f"raw blob holds {flat.size} values, expected {nvox}")
     arr = flat.reshape(dims, order="F")
+    # astype makes the one copy of the blob, which the volume adopts
     if meta["kind"] == "labels":
-        return LabelVolume(geometry, arr.astype(np.uint16), meta.get("num_labels", 0))
-    return IntensityVolume(geometry, arr.astype(np.float64))
+        return LabelVolume._adopt(geometry, arr.astype(np.uint16), meta.get("num_labels", 0))
+    return IntensityVolume._adopt(geometry, arr.astype(np.float64))

@@ -47,7 +47,7 @@ def make_blob_phantom(
             + ((z - center[2]) / radii[2]) ** 2
         )
         out[d2 <= 1.0] = label
-    vol = LabelVolume(geometry, out, num_labels)
+    vol = LabelVolume._adopt(geometry, out, num_labels)
     present = set(np.unique(vol.data).tolist())
     missing = [l for l in range(1, num_labels) if l not in present]
     if missing:
@@ -64,4 +64,4 @@ def intensity_from_labels(
     data = levels[labels.data]
     if noise > 0.0:
         data = data + rng.normal(0.0, noise, size=labels.dims)
-    return IntensityVolume(labels.geometry, data)
+    return IntensityVolume._adopt(labels.geometry, data)

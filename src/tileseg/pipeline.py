@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, fields
@@ -103,6 +104,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+        if not math.isfinite(self.background_fill):
+            raise ConfigError(f"background_fill must be finite, got {self.background_fill!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.fusion_mode not in ("majority", "concat"):

@@ -88,7 +88,7 @@ class ConstantOracle(SegmenterBackend):
 
     def segment(self, tile_input, tile):
         data = np.full(tile_input.dims, self.label, dtype=np.uint16)
-        return LabelVolume(tile_input.geometry, data, self.num_labels)
+        return LabelVolume._adopt(tile_input.geometry, data, self.num_labels)
 
     def descriptor(self):
         return f"constant:{self.label}:{self.num_labels}"
@@ -138,7 +138,7 @@ class CorruptingWrapper(SegmenterBackend):
     def segment(self, tile_input, tile):
         if tile.index == self.target_index:
             data = np.full(tile_input.dims, self.corruption_label, dtype=np.uint16)
-            return LabelVolume(tile_input.geometry, data, self.num_labels)
+            return LabelVolume._adopt(tile_input.geometry, data, self.num_labels)
         return self.inner.segment(tile_input, tile)
 
     def descriptor(self):
@@ -290,7 +290,7 @@ def segment_all(
                     stacklevel=2,
                 )
                 data = np.zeros(tile_input.dims, dtype=np.uint16)
-                return LabelVolume(tile_input.geometry, data, backend.num_labels)
+                return LabelVolume._adopt(tile_input.geometry, data, backend.num_labels)
             raise SegmentationError(f"tile {tile.index}: {exc}") from exc
         if entry is not None:
             tio.write_raw(out, entry)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis
 import numpy as np
 
@@ -23,3 +25,13 @@ def random_labels(dims, num_labels, seed=0, spacing=(1.0, 1.0, 1.0)):
     rng = np.random.default_rng(seed)
     data = rng.integers(0, num_labels, size=geometry.dims, dtype=np.uint16)
     return LabelVolume(geometry, data, num_labels)
+
+
+def peak_alloc(fn):
+    """``(tracemalloc peak in bytes, result)`` of calling ``fn()``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -287,6 +287,25 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_non_finite_background_fill_exits_2(tmp_path, capsys):
+    # the atlas reaches outside the scan, so a NaN fill would reach the output
+    _, _, scan_path = _write_phantom(tmp_path, dims=(20, 20, 20))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        '{"background_fill": NaN, "atlas_dims": [24, 24, 24], "grid": [2, 2, 2], '
+        '"tile_size": [12, 12, 12], "num_labels": 4}'
+    )
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+            "--config", str(config_path),
+        ]
+    )
+    assert code == 2
+    assert "background_fill must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tampered_grid_json_exits_6(tmp_path, capsys):
     _, truth_path, _ = _write_phantom(tmp_path)
     tiles_dir = tmp_path / "tiles"

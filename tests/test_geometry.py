@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import apply_affine, random_intensity, random_labels
+from conftest import apply_affine, peak_alloc, random_intensity, random_labels
 from tileseg.geometry import (
     ATLAS_DIMS,
     AffineTransform,
@@ -21,7 +21,12 @@ from tileseg.geometry import (
     resample_intensity,
     resample_labels,
 )
+from tileseg import io as tio
+from tileseg.fusion import fuse_majority
+from tileseg.harmonize import fit_model, harmonize, standardize
 from tileseg.pipeline import PipelineConfig
+from tileseg.segmenter import ConstantOracle, CorruptingWrapper
+from tileseg.tiling import build_grid, extract_tile
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
@@ -434,6 +439,91 @@ def test_resampling_never_copies_the_source():
         finally:
             tracemalloc.stop()
         assert peak < src.data.nbytes / 2, resample.__name__
+
+
+@pytest.mark.parametrize("resample", [resample_intensity, resample_labels])
+def test_resampling_allocates_its_output_once(resample):
+    # a long z axis makes the 8-slice slab temporaries small next to the output,
+    # so a second copy of the output (the volume constructor's) shows up
+    geometry = make_centered_geometry((32, 32, 32))
+    rng = np.random.default_rng(33)
+    if resample is resample_intensity:
+        src = IntensityVolume(geometry, rng.uniform(0.0, 1.0, geometry.dims))
+    else:
+        src = LabelVolume(geometry, rng.integers(0, 9, geometry.dims), 9)
+    target = make_centered_geometry((32, 32, 512))
+    peak, out = peak_alloc(lambda: resample(src, AffineTransform.identity(), target))
+    assert peak < 1.7 * out.data.nbytes
+
+
+def test_resample_intensity_rejects_non_finite_background():
+    # the output is adopted without a copy, but still checked for finiteness
+    src = random_intensity((4, 4, 4))
+    target = make_centered_geometry((8, 8, 8))  # reaches outside the source
+    for background in (np.nan, np.inf):
+        with pytest.raises(GeometryError, match="NaN or Inf"):
+            resample_intensity(src, AffineTransform.identity(), target, background=background)
+
+
+def test_user_arrays_are_copied():
+    g = make_centered_geometry((3, 3, 3))
+    for make, a in (
+        (lambda a: IntensityVolume(g, a), np.zeros((3, 3, 3))),
+        (lambda a: LabelVolume(g, a, 4), np.zeros((3, 3, 3), dtype=np.uint16)),
+    ):
+        vol = make(a)
+        assert a.flags.writeable
+        a[0, 0, 0] = 1
+        assert vol.data[0, 0, 0] == 0
+        assert not np.shares_memory(a, vol.data)
+
+
+def test_package_built_volumes_are_read_only(tmp_path):
+    img = random_intensity((4, 5, 6), seed=3)
+    lab = random_labels((4, 5, 6), 4, seed=3)
+    grid = build_grid((4, 5, 6), (2, 1, 1), (3, 5, 6))
+    tiles = [extract_tile(lab, t) for t in grid.tiles]
+    mask = lab.with_data(np.ones(lab.dims))
+    tile_input = extract_tile(img, grid.tiles[0])
+    tio.write_raw(img, tmp_path / "img.raw")
+    tio.write_raw(lab, tmp_path / "lab.raw")
+    outputs = [
+        resample_intensity(img, _tilted(), img.geometry),
+        resample_labels(lab, _tilted(), lab.geometry),
+        standardize(img),
+        harmonize(img, fit_model([img], [mask], quantile_count=8))[0],
+        fit_model([img], [mask], quantile_count=8).mask,
+        fuse_majority(tiles, grid).fused,
+        ConstantOracle(1, 4).segment(tile_input, grid.tiles[0]),
+        CorruptingWrapper(ConstantOracle(1, 4), 0, 2).segment(tile_input, grid.tiles[0]),
+        tio.read_raw(tmp_path / "img.raw"),
+        tio.read_raw(tmp_path / "lab.raw"),
+    ]
+    for vol in outputs:
+        assert not vol.data.flags.writeable
+        with pytest.raises(ValueError):
+            vol.data[0, 0, 0] = 1
+
+
+@pytest.mark.parametrize(
+    "view, dense",
+    [
+        (lambda a: a, True),
+        (np.asfortranarray, True),
+        (lambda a: np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1), True),
+        (lambda a: a[:, ::2], False),
+        (lambda a: np.broadcast_to(a[:, :1], a.shape), False),
+    ],
+    ids=["C", "F", "x-z-y", "strided", "broadcast"],
+)
+def test_adopt_takes_dense_arrays_only(view, dense):
+    arr = view(np.zeros((4, 6, 5)))
+    g = make_centered_geometry(arr.shape)
+    if dense:
+        assert IntensityVolume._adopt(g, arr).data is arr
+    else:
+        with pytest.raises(AssertionError, match="dense"):
+            IntensityVolume._adopt(g, arr)
 
 
 # --- Moments-based affine estimation ---

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_intensity
+from conftest import peak_alloc, random_intensity
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.harmonize import (
     HarmonizationModel,
@@ -307,3 +307,52 @@ def test_load_model_rejects_tampered_dims(tmp_path):
     meta_path.write_text(meta_path.read_text().replace("4", "5"))
     with pytest.raises(HarmonizeError, match="dims"):
         load_model(tmp_path / "model")
+
+
+# --- memory and bitwise contracts ---
+
+
+def _full_interpolation(values, quantile_count):
+    """The profile as np.interp over every rank of the descending sort."""
+    ordered = np.sort(values)[::-1]
+    positions = np.linspace(0.0, ordered.size - 1.0, quantile_count)
+    return np.interp(positions, np.arange(ordered.size), ordered)
+
+
+@pytest.mark.parametrize(
+    "n, quantile_count, draw",
+    [
+        (2, 2, "normal"),
+        (2, 1024, "normal"),
+        (3, 7, "ties"),
+        (5, 1024, "cauchy"),
+        (17, 3, "normal"),
+        (1023, 1024, "lognormal"),
+        (1025, 1024, "ties"),
+        (4097, 1024, "cauchy"),
+        (20000, 1024, "normal"),
+        (20000, 333, "lognormal"),
+    ],
+)
+def test_sorted_profile_equals_full_interpolation_bitwise(n, quantile_count, draw):
+    rng = np.random.default_rng(n * 7919 + quantile_count)
+    values = {
+        "normal": lambda: rng.normal(size=n),
+        "ties": lambda: rng.integers(-3, 4, size=n).astype(np.float64),
+        "cauchy": lambda: rng.standard_cauchy(size=n) * 1e150,
+        "lognormal": lambda: np.exp(rng.normal(scale=30.0, size=n)),
+    }[draw]()
+    vol = _line_volume(values)
+    got = sorted_intensities(vol, _full_mask(vol.geometry), quantile_count)
+    assert got.tobytes() == _full_interpolation(values, quantile_count).tobytes()
+
+
+def test_harmonize_holds_few_volume_sized_arrays():
+    # the scan's z-scores, the masked values and the output; not 6 volumes
+    vol = random_intensity((64, 64, 64), seed=21)
+    mask = _full_mask(vol.geometry)
+    model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), mask, 1024)
+    harmonize(vol, model)  # first calls of numpy routines allocate once
+    peak, _ = peak_alloc(lambda: harmonize(vol, model))
+    assert peak < 3 * vol.data.nbytes
+

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_intensity, random_labels
+from conftest import peak_alloc, random_intensity, random_labels
 from tileseg.cli import EXIT_CODES
 from tileseg.evaluate import report as dice_report
 from tileseg.geometry import AffineTransform, IntensityVolume, LabelVolume, make_centered_geometry
@@ -273,6 +273,47 @@ def test_raw_rejects_size_mismatch(tmp_path):
     p.write_bytes(p.read_bytes()[:-2])
     with pytest.raises(NiftiFormatError, match="raw blob"):
         read_raw(p)
+
+
+def _volume(kind, order, seed=41):
+    rng = np.random.default_rng(seed)
+    g = make_centered_geometry((64, 48, 40))
+    if kind == "labels":
+        return LabelVolume(g, np.asarray(rng.integers(0, 133, g.dims), order=order), 133)
+    return IntensityVolume(g, np.asarray(rng.normal(size=g.dims), order=order))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["labels", "intensity"])
+@pytest.mark.parametrize(
+    "write, offset, dtypes",
+    [(write_nifti, 352, {"labels": "<i2", "intensity": "<f4"}),
+     (write_raw, 0, {"labels": "<u2", "intensity": "<f8"})],
+    ids=["nifti", "raw"],
+)
+def test_writers_encode_the_voxels_with_one_copy(tmp_path, write, offset, dtypes, kind, order):
+    vol = _volume(kind, order)
+    assert vol.data.flags.f_contiguous == (order == "F")
+    expected = vol.data.astype(dtypes[kind]).tobytes(order="F")
+    peak, _ = peak_alloc(lambda: write(vol, tmp_path / "vol"))
+    assert (tmp_path / "vol").read_bytes()[offset:] == expected
+    assert peak < 1.5 * len(expected)
+
+
+@pytest.mark.parametrize("kind", ["labels", "intensity"])
+def test_read_raw_copies_the_blob_once(tmp_path, kind):
+    vol = _volume(kind, "C")
+    path = tmp_path / "vol.raw"
+    write_raw(vol, path)
+    peak, out = peak_alloc(lambda: read_raw(path))
+    # the blob, the volume, and the finiteness mask of an intensity volume
+    assert peak < 2.25 * out.data.nbytes
+    # what read_raw returned before it adopted its astype copy
+    blob_dtype, dtype = {"labels": ("<u2", np.uint16), "intensity": ("<f8", np.float64)}[kind]
+    old = np.frombuffer(path.read_bytes(), blob_dtype).reshape(vol.dims, order="F").astype(dtype)
+    assert out.data.dtype == old.dtype and out.data.strides == old.strides
+    assert out.data.tobytes() == old.tobytes() == vol.data.tobytes()
+    assert not out.data.flags.writeable
 
 
 def test_read_nifti_emits_no_warning_with_sform(tmp_path):

@@ -70,6 +70,12 @@ def test_config_rejects_wrongly_typed_values(field, value):
         PipelineConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_background_fill(value):
+    with pytest.raises(ConfigError, match="background_fill must be finite"):
+        PipelineConfig(background_fill=value)
+
+
 def test_config_estimate_needs_reference():
     with pytest.raises(ConfigError, match="reference"):
         PipelineConfig(affine="estimate")
