@@ -226,7 +226,8 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
         with clock.time(stage):
             forward = _forward_transform(config, scan)
             atlas_input = resample_intensity(
-                scan, forward, atlas_geom, background=config.background_fill
+                scan, forward, atlas_geom, background=config.background_fill,
+                jobs=config.jobs,
             )
         # from here on only the scan's grid is needed
         native_geometry = scan.geometry
@@ -267,7 +268,9 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
 
         stage = "unregister"
         with clock.time(stage):
-            native_labels = resample_labels(fused, forward.inverse(), native_geometry)
+            native_labels = resample_labels(
+                fused, forward.inverse(), native_geometry, jobs=config.jobs
+            )
 
         stage = "write"
         with clock.time(stage):

@@ -237,6 +237,16 @@ def _check_answer(out, tile_input: IntensityVolume, num_labels: int) -> LabelVol
     return out
 
 
+def _cache_key(tile_input: IntensityVolume, tile: TileSpec, descriptor: bytes) -> str:
+    """sha256 of the tile's input voxels in C order, the backend descriptor and the placement."""
+    data = tile_input.data
+    # hashlib reads a C-contiguous array's buffer in place; any other layout is copied
+    key = hashlib.sha256(data if data.flags.c_contiguous else data.tobytes())
+    key.update(descriptor)
+    key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
+    return key.hexdigest()
+
+
 def segment_all(
     backend: SegmenterBackend,
     atlas_vol: IntensityVolume,
@@ -256,7 +266,8 @@ def segment_all(
     of the tile input bytes, the backend descriptor and the tile placement,
     and later calls read it back; an entry that is unreadable or breaks the
     tile contract is recomputed.  A substituted background tile is never
-    stored, so a later call retries it.
+    stored, so a later call retries it.  Orphan ``*.tmp`` files that a
+    killed write left in ``cache_dir`` are deleted before any tile runs.
     """
     if atlas_vol.dims != grid.atlas_dims:
         raise SegmentationError(
@@ -267,16 +278,16 @@ def segment_all(
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
+        # temp files of writes killed before their rename (see io.write_atomic)
+        for orphan in cache_dir.glob("*.tmp"):
+            orphan.unlink(missing_ok=True)
         descriptor = backend.descriptor().encode()
 
     def run_one(tile: TileSpec) -> LabelVolume:
         tile_input = extract_tile(atlas_vol, tile)
         entry = None
         if cache_dir is not None:
-            key = hashlib.sha256(tile_input.data.tobytes())
-            key.update(descriptor)
-            key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
-            entry = cache_dir / key.hexdigest()
+            entry = cache_dir / _cache_key(tile_input, tile, descriptor)
             try:
                 return _check_answer(tio.read_raw(entry), tile_input, backend.num_labels)
             except (OSError, ValueError, KeyError, TypeError, SegmentationError):

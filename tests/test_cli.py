@@ -12,7 +12,7 @@ import pytest
 from conftest import random_intensity, random_labels
 from tileseg import io as tio
 import tileseg
-from tileseg.cli import main
+from tileseg.cli import EXIT_CODES, main
 from tileseg.geometry import make_centered_geometry
 from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
@@ -321,6 +321,38 @@ def test_tampered_grid_json_exits_6(tmp_path, capsys):
     (tiles_dir / "grid.json").write_text(json.dumps(doc))
     code = main(["fuse", "--tiles", str(tiles_dir), "--output", str(tmp_path / "f.nii")])
     assert code == 6
+
+
+def test_tile_of_the_wrong_size_exits_8(tmp_path, capsys):
+    _, truth_path, _ = _write_phantom(tmp_path)
+    tiles_dir = tmp_path / "tiles"
+    assert main(
+        [
+            "tile", "--input", str(truth_path), "--output", str(tiles_dir),
+            "--labels", "--num-labels", "4",
+            "--grid", "2,2,2", "--tile-size", "9,9,9",
+        ]
+    ) == 0
+    tio.write_nifti(random_labels((9, 9, 8), 4, seed=2), tiles_dir / "tile_000.nii")
+    code = main(["fuse", "--tiles", str(tiles_dir), "--output", str(tmp_path / "f.nii")])
+    assert code == 8
+    assert "tile 0 dims" in capsys.readouterr().err
+    assert not (tmp_path / "f.nii").exists()
+
+
+def _readme_exit_codes():
+    """``{code: meaning}`` from the README's "Exit codes" table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = (line.split("|") for line in section.splitlines() if line.startswith("|"))
+    return {int(cells[1]): cells[2].strip() for cells in rows if cells[1].strip().isdigit()}
+
+
+def test_readme_exit_code_table_matches_exit_codes():
+    table = _readme_exit_codes()
+    assert table[0] == "success"
+    assert {code for code in table if 2 <= code <= 9} == {code for _, code in EXIT_CODES}
+    assert set(table) <= {0, *range(2, 10)}
 
 
 def test_evaluate_dim_mismatch_exits_9(tmp_path):

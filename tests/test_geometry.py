@@ -424,6 +424,122 @@ def test_flat_gather_is_bytewise_equal_to_three_index_formula(case, layout):
     assert got_lab.data.tobytes() == want_lab.tobytes()
 
 
+# --- Cropped, threaded sweep: bytewise equal to the uncropped serial kernel ---
+
+
+def _uncropped_trilinear(src, t, target, background):
+    """The trilinear kernel as it ran before cropping, over the whole target at once."""
+    cx, cy, cz = _source_coords(src, t, target)
+    sx, sy, sz = src.dims
+    flat = src.data.ravel(order="K")
+    stx, sty, stz = (s // src.data.itemsize for s in src.data.strides)
+    inside = np.ones(cx.shape, dtype=bool)
+    for c, n in zip((cx, cy, cz), src.dims):
+        inside &= (c >= 0.0) & (c <= n - 1)
+    x0, y0, z0 = np.floor(cx), np.floor(cy), np.floor(cz)
+    i000 = np.where(inside, x0 * stx + y0 * sty + z0 * stz, 0.0).astype(np.intp)
+    dx = (inside & (cx < sx - 1)) * stx
+    dy = (inside & (cy < sy - 1)) * sty
+    dz = (inside & (cz < sz - 1)) * stz
+    i100, i010 = i000 + dx, i000 + dy
+    i110 = i100 + dy
+    fx, fy, fz = cx - x0, cy - y0, cz - z0
+    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+    val = flat.take(i000) * gx * gy * gz
+    val += flat.take(i100) * fx * gy * gz
+    val += flat.take(i010) * gx * fy * gz
+    val += flat.take(i000 + dz) * gx * gy * fz
+    val += flat.take(i110) * fx * fy * gz
+    val += flat.take(i100 + dz) * fx * gy * fz
+    val += flat.take(i010 + dz) * gx * fy * fz
+    val += flat.take(i110 + dz) * fx * fy * fz
+    return np.where(inside, val, background), inside
+
+
+def _uncropped_nearest(src, t, target, background):
+    """The nearest-neighbour kernel as it ran before cropping, over the whole target."""
+    rx, ry, rz = _source_coords(src, t, target)
+    flat = src.data.ravel(order="K")
+    stx, sty, stz = (s // src.data.itemsize for s in src.data.strides)
+    inside = np.ones(rx.shape, dtype=bool)
+    for c, n in zip((rx, ry, rz), src.dims):
+        np.ceil(np.subtract(c, 0.5, out=c), out=c)
+        inside &= (c >= 0.0) & (c < n)
+    index = np.where(inside, rx * stx + ry * sty + rz * stz, 0.0).astype(np.intp)
+    return np.where(inside, flat.take(index), background), inside
+
+
+def _faces(mask):
+    """Whether ``mask`` has a set voxel on each of the six faces of its grid."""
+    return [bool(np.take(mask, end, axis=a).any()) for a in range(3) for end in (0, -1)]
+
+
+_QUARTER = np.pi / 2  # cos(_QUARTER) is 6e-17, not 0
+_ROT90 = np.array(
+    [[np.cos(_QUARTER), -np.sin(_QUARTER), 0.0], [np.sin(_QUARTER), np.cos(_QUARTER), 0.0],
+     [0.0, 0.0, 1.0]]
+)
+
+# (source geometry, target geometry, transform); every target nz is off the
+# slab size, and the test checks that each case reaches what its name says
+_CROP_CASES = {
+    "tilted-scaled": _GATHER_CASES["tilted-scaled"],
+    "fully-outside": (make_centered_geometry((9, 8, 12)),
+                      make_centered_geometry((8, 7, 19)),
+                      AffineTransform.from_linear_translation(_tilted().linear, (40.0, 0.0, 0.0))),
+    "small-fov": (make_centered_geometry((10, 9, 7), (1.0, 1.1, 1.2)),
+                  make_centered_geometry((23, 21, 22)),
+                  _tilted((0.4, -0.3, 0.2))),
+    "every-face": (make_centered_geometry((14, 13, 15)),
+                   make_centered_geometry((15, 14, 13)),
+                   _tilted((0.2, 0.1, -0.3))),
+    "interior": (make_centered_geometry((24, 22, 26)),
+                 make_centered_geometry((9, 8, 11)),
+                 _tilted((0.3, -0.2, 0.1))),
+    "rot90": (make_centered_geometry((12, 9, 10)),
+              make_centered_geometry((10, 11, 13)),
+              AffineTransform.from_linear_translation(_ROT90, (0.5, 0.0, -1.0))),
+    "subnormal-shear": (make_centered_geometry((9, 8, 12)),
+                        make_centered_geometry((10, 9, 13)),
+                        AffineTransform.from_linear_translation(
+                            [[1.0, 0.0, 0.0], [5e-324, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                            (0.5, 0.25, -0.5))),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("jobs", [1, 2, 3, 40])
+@pytest.mark.parametrize("case", sorted(_CROP_CASES))
+def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(case, jobs):
+    geometry, target, t = _CROP_CASES[case]
+    rng = np.random.default_rng(34)
+    img = IntensityVolume(geometry, np.asfortranarray(rng.uniform(-50.0, 50.0, geometry.dims)))
+    lab = LabelVolume(geometry, np.asfortranarray(rng.integers(1, 6, geometry.dims)), 6)
+    want_img, inside = _uncropped_trilinear(img, t, target, background=-7.5)
+    want_lab, reached = _uncropped_nearest(lab, t, target, background=0)
+    assert target.dims[2] % 8 != 0 and target.dims[2] < 40  # nz off the slab; 40 jobs exceed nz
+    if case in ("tilted-scaled", "rot90", "subnormal-shear"):
+        assert 0 < np.count_nonzero(inside) < inside.size
+    if case == "fully-outside":
+        assert not reached.any()
+    if case == "small-fov":
+        # the source covers an inner box of the target: the register crop
+        assert reached.any() and not any(_faces(reached))
+    if case == "every-face":
+        assert all(_faces(inside)) and not reached.all()
+    if case == "interior":
+        coords = _source_coords(img, t, target)
+        assert all(c.min() >= 0.0 and c.max() < n - 1 for c, n in zip(coords, geometry.dims))
+    if case == "rot90":
+        assert 0.0 < abs(t.linear[0, 0]) < 1e-15
+    if case == "subnormal-shear":
+        assert 0.0 < t.linear[1, 0] < np.finfo(np.float64).tiny
+    got_img = resample_intensity(img, t, target, background=-7.5, jobs=jobs)
+    got_lab = resample_labels(lab, t, target, background=0, jobs=jobs)
+    assert got_img.data.tobytes() == want_img.tobytes()
+    assert got_lab.data.tobytes() == want_lab.astype(np.uint16).tobytes()
+
+
 def test_resampling_never_copies_the_source():
     # NIfTI volumes are read x-fastest; flattening one in C order would copy it
     geometry = make_centered_geometry((64, 64, 64))
@@ -441,8 +557,15 @@ def test_resampling_never_copies_the_source():
         assert peak < src.data.nbytes / 2, resample.__name__
 
 
-@pytest.mark.parametrize("resample", [resample_intensity, resample_labels])
-def test_resampling_allocates_its_output_once(resample):
+@pytest.mark.parametrize(
+    "resample, jobs",
+    [
+        pytest.param(r, j, id=r.__name__ if j == 1 else f"{r.__name__}-jobs{j}")
+        for r in (resample_intensity, resample_labels)
+        for j in (1, 2)
+    ],
+)
+def test_resampling_allocates_its_output_once(resample, jobs):
     # a long z axis makes the 8-slice slab temporaries small next to the output,
     # so a second copy of the output (the volume constructor's) shows up
     geometry = make_centered_geometry((32, 32, 32))
@@ -452,7 +575,7 @@ def test_resampling_allocates_its_output_once(resample):
     else:
         src = LabelVolume(geometry, rng.integers(0, 9, geometry.dims), 9)
     target = make_centered_geometry((32, 32, 512))
-    peak, out = peak_alloc(lambda: resample(src, AffineTransform.identity(), target))
+    peak, out = peak_alloc(lambda: resample(src, AffineTransform.identity(), target, jobs=jobs))
     assert peak < 1.7 * out.data.nbytes
 
 

@@ -444,6 +444,23 @@ def _non_object_sidecar(entry):
     Path(str(entry) + ".json").write_text("[]")
 
 
+def test_resume_sweeps_orphan_temp_files(tmp_path):
+    truth, scan_path = _phantom_case(tmp_path)
+    backend = CorruptingWrapper(AtlasPriorOracle(truth), target_index=2, corruption_label=1)
+    fresh = _base_config(tmp_path, truth, backend=backend, output_dir=str(tmp_path / "fresh"))
+    run(fresh, scan_path)
+    config = _base_config(tmp_path, truth, backend=backend, resume=True)
+    run(config, scan_path)
+    entries = _cache_entries(tmp_path)
+    # what a write killed between its open and its rename leaves behind
+    orphan = entries[0].with_name(f"{entries[0].name}.{'0' * 32}.tmp")
+    orphan.write_bytes(entries[0].read_bytes()[:5])
+    run(config, scan_path)
+    assert not orphan.exists()
+    assert _cache_entries(tmp_path) == entries
+    assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
+
+
 @pytest.mark.parametrize("damage", [_drop_sidecar, _truncate_blob, _non_object_sidecar])
 def test_resume_recomputes_an_unreadable_entry(tmp_path, damage):
     truth, scan_path = _phantom_case(tmp_path)

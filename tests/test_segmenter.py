@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 import textwrap
 
@@ -5,15 +7,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_intensity, random_labels
+from conftest import peak_alloc, random_intensity, random_labels
 from tileseg import io as tio
-from tileseg.geometry import LabelVolume, make_centered_geometry
+from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.segmenter import (
     AtlasPriorOracle,
     ConstantOracle,
     CorruptingWrapper,
     ExternalProcessBackend,
     SegmentationError,
+    _cache_key,
     parse_backend_spec,
     segment_all,
     segment_tile,
@@ -269,3 +272,28 @@ def test_parse_external_spec():
 def test_parse_unknown_spec():
     with pytest.raises(SegmentationError, match="unknown backend"):
         parse_backend_spec("magic:wand")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cache_key_hashes_the_c_order_bytes_without_a_copy(tmp_path, order):
+    geometry = make_centered_geometry((40, 36, 32))
+    data = np.random.default_rng(6).uniform(0.0, 1.0, geometry.dims)
+    vol = IntensityVolume(geometry, np.asfortranarray(data) if order == "F" else data)
+    grid = build_grid(geometry.dims, (2, 2, 2), (24, 20, 18))
+    backend = ConstantOracle(label=1, num_labels=4)
+    segment_all(backend, vol, grid, cache_dir=tmp_path)
+    descriptor = backend.descriptor().encode()
+    want = []
+    for tile in grid.tiles:
+        tile_input = extract_tile(vol, tile)
+        assert tile_input.data.flags.c_contiguous == (order == "C")
+        # the key as first defined: a hash of the C-order bytes copied out
+        key = hashlib.sha256(tile_input.data.tobytes())
+        key.update(descriptor)
+        key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
+        want.append(key.hexdigest())
+        peak, got = peak_alloc(lambda: _cache_key(tile_input, tile, descriptor))
+        assert got == key.hexdigest()
+        if order == "C":
+            assert peak < tile_input.data.nbytes / 20
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == sorted(want)
