@@ -13,6 +13,7 @@ time.  Scans are expected to be bias-corrected already.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from .harmonize import DEFAULT_QUANTILES, HarmonizeError, fit_model, save_model
 from .evaluate import EvaluateError, report as dice_report
 from .fusion import FusionError, fuse_concatenate, fuse_majority
 from .geometry import GeometryError, LabelVolume
-from .pipeline import ConfigError, PipelineConfig, load_config, run
+from .pipeline import _CONFIG_KEYS, ConfigError, PipelineConfig, load_config, run
 from .segmenter import FAILURE_POLICIES, SegmentationError
 from .tiling import TilingError, coverage_map, extract_tile, load_grid, save_grid
 
@@ -73,15 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: scan in, native-space labels out")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True, help="output directory")
+    p.add_argument("--output", dest="output_dir", required=True, help="output directory")
     p.add_argument("--config", default=None, help="JSON config file; flags override")
     _add_grid_flags(p)
     p.add_argument("--atlas-spacing", type=_float_triple, default=None, help="atlas voxel mm")
     p.add_argument("--backend", default=None, help="constant:<l> | prior:<nii> | external:<cmd>")
     p.add_argument("--affine", default=None, help="identity | estimate | <matrix file>")
     p.add_argument("--reference", default=None, help="atlas-space volume for --affine estimate")
-    p.add_argument("--harmonization", default=None, help="model directory, or 'skip'")
-    p.add_argument("--fusion", choices=["majority", "concat"], default=None)
+    p.add_argument("--harmonization", dest="harmonization_model", help="model dir, or 'skip'")
+    p.add_argument("--fusion", dest="fusion_mode", choices=["majority", "concat"], default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--num-labels", type=int, default=None)
     p.add_argument("--on-tile-failure", choices=FAILURE_POLICIES, default=None)
@@ -131,29 +132,14 @@ def cmd_fit_harmonization(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = dict(
-        grid=args.grid,
-        tile_size=args.tile_size,
-        atlas_dims=args.atlas_dims,
-        atlas_spacing=args.atlas_spacing,
-        backend=args.backend,
-        affine=args.affine,
-        reference=args.reference,
-        fusion_mode=args.fusion,
-        jobs=args.jobs,
-        num_labels=args.num_labels,
-        on_tile_failure=args.on_tile_failure,
-        resume=args.resume,
-        output_dir=args.output,
-    )
-    if args.harmonization is not None:
-        overrides["harmonization_model"] = (
-            None if args.harmonization == "skip" else args.harmonization
-        )
+    # every run flag's dest is a PipelineConfig field; unset flags are None
+    overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     if args.config:
         config = load_config(args.config, **overrides)
     else:
-        config = PipelineConfig(**{k: v for k, v in overrides.items() if v is not None})
+        config = PipelineConfig(**overrides)
+    if config.harmonization_model == "skip":
+        config = dataclasses.replace(config, harmonization_model=None)
     result = run(config, args.input)
     fusion = result.report["fusion"]
     for entry in result.report["stages"]:

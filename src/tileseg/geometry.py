@@ -25,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -350,16 +351,21 @@ def _slabs(dims, m: np.ndarray, z_range=None, slab=_RESAMPLE_SLAB, reach=None):
 
 
 def _sweep(kernel, nz: int, jobs: int) -> None:
-    """Run ``kernel(z_range, slab)`` over ``min(jobs, nz)`` contiguous z ranges.
+    """Run ``kernel(z_range, slab)`` over ``min(jobs, nz, usable CPUs)`` z ranges.
 
-    Each range runs on its own thread and writes only its own planes; its
-    slab shrinks with the thread count, so the planes in flight stay
+    More threads than CPUs would only shrink the slabs.  Each contiguous
+    range runs on its own thread and writes only its own planes; its slab
+    shrinks with the thread count, so the planes in flight stay
     ``_RESAMPLE_SLAB`` in total.  The calling thread takes the first range:
     a pool thread allocates from its own fresh malloc arena, and at
     ``jobs=2`` a second pool thread raised a benchmark scan's peak RSS by
     11 MB.
     """
-    threads = max(1, min(jobs, nz))
+    if hasattr(os, "sched_getaffinity"):
+        ncpu = len(os.sched_getaffinity(0))
+    else:
+        ncpu = os.cpu_count() or 1
+    threads = max(1, min(jobs, nz, ncpu))
     slab = max(1, _RESAMPLE_SLAB // threads)
     cuts = [nz * i // threads for i in range(threads + 1)]
     first, *rest = zip(cuts, cuts[1:])

@@ -1,10 +1,11 @@
 """NIfTI-1 single-file reading/writing plus a raw fixture format.
 
-The reader accepts either byte order (detected from the 348 header-size
-field) and the uint8 / int16 / float32 datatypes; the writer always emits
-little-endian files with float32 intensities or int16 labels.  Scale
-fields (scl_slope/scl_inter) are not applied; the data section is decoded
-as stored.
+The header is one named record, ``_HEADER``, read and written by field
+name.  The reader accepts either byte order (detected from the 348
+header-size field) and the uint8 / int16 / float32 datatypes; the writer
+always emits little-endian files with float32 intensities or int16
+labels.  Scale fields (scl_slope/scl_inter) are not applied; the data
+section is decoded as stored.
 
 The raw format is a JSON sidecar (dims, spacing, affine, dtype) next to a
 flat little-endian binary blob in x-fastest order.  It exists for test
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import uuid
 import warnings
 from dataclasses import dataclass
@@ -44,52 +44,49 @@ HEADER_SIZE = 348
 VOX_OFFSET = 352
 MAGIC = b"n+1\x00"
 
-DT_UINT8 = 2
 DT_INT16 = 4
 DT_FLOAT32 = 16
 
-_DTYPE_NAMES = {DT_UINT8: "uint8", DT_INT16: "int16", DT_FLOAT32: "float32"}
-_DTYPE_NUMPY = {DT_UINT8: "u1", DT_INT16: "i2", DT_FLOAT32: "f4"}
-_BITPIX = {DT_UINT8: 8, DT_INT16: 16, DT_FLOAT32: 32}
+# datatype code -> element type; the name is dtype.name, bitpix 8 * itemsize
+_DTYPES = {2: np.dtype("u1"), DT_INT16: np.dtype("i2"), DT_FLOAT32: np.dtype("f4")}
 
-# '<'/'>' + this yields exactly 348 bytes
-_HEADER_FMT = (
-    "i"      # sizeof_hdr
-    "10s"    # data_type (unused)
-    "18s"    # db_name (unused)
-    "i"      # extents
-    "h"      # session_error
-    "1s"     # regular
-    "1s"     # dim_info
-    "8h"     # dim
-    "3f"     # intent_p1..p3
-    "h"      # intent_code
-    "h"      # datatype
-    "h"      # bitpix
-    "h"      # slice_start
-    "8f"     # pixdim
-    "f"      # vox_offset
-    "f"      # scl_slope
-    "f"      # scl_inter
-    "h"      # slice_end
-    "1s"     # slice_code
-    "1s"     # xyzt_units
-    "f"      # cal_max
-    "f"      # cal_min
-    "f"      # slice_duration
-    "f"      # toffset
-    "i"      # glmax
-    "i"      # glmin
-    "80s"    # descrip
-    "24s"    # aux_file
-    "h"      # qform_code
-    "h"      # sform_code
-    "6f"     # quatern_b..qoffset_z
-    "12f"    # srow_x, srow_y, srow_z
-    "16s"    # intent_name
-    "4s"     # magic
-)
-assert struct.calcsize("<" + _HEADER_FMT) == HEADER_SIZE
+_HEADER = np.dtype([
+    ("sizeof_hdr", "i4"),
+    ("data_type", "S10"),
+    ("db_name", "S18"),
+    ("extents", "i4"),
+    ("session_error", "i2"),
+    ("regular", "S1"),
+    ("dim_info", "u1"),
+    ("dim", "i2", 8),
+    ("intent_p", "f4", 3),  # intent_p1..p3
+    ("intent_code", "i2"),
+    ("datatype", "i2"),
+    ("bitpix", "i2"),
+    ("slice_start", "i2"),
+    ("pixdim", "f4", 8),
+    ("vox_offset", "f4"),
+    ("scl_slope", "f4"),
+    ("scl_inter", "f4"),
+    ("slice_end", "i2"),
+    ("slice_code", "u1"),
+    ("xyzt_units", "u1"),
+    ("cal_max", "f4"),
+    ("cal_min", "f4"),
+    ("slice_duration", "f4"),
+    ("toffset", "f4"),
+    ("glmax", "i4"),
+    ("glmin", "i4"),
+    ("descrip", "S80"),
+    ("aux_file", "S24"),
+    ("qform_code", "i2"),
+    ("sform_code", "i2"),
+    ("quatern", "f4", 6),  # quatern_b..d, qoffset_x..z
+    ("srow", "f4", (3, 4)),  # srow_x, srow_y, srow_z
+    ("intent_name", "S16"),
+    ("magic", "V4"),  # V, not S: an S field drops the trailing NUL
+])
+assert _HEADER.itemsize == HEADER_SIZE
 
 
 class NiftiFormatError(ValueError):
@@ -112,9 +109,9 @@ def _unpack_header(raw: bytes):
     if len(raw) < HEADER_SIZE:
         raise NiftiFormatError(f"file too short for a NIfTI-1 header ({len(raw)} bytes)")
     for endian, name in (("<", "little"), (">", "big")):
-        (size,) = struct.unpack_from(endian + "i", raw, 0)
-        if size == HEADER_SIZE:
-            return struct.unpack(endian + _HEADER_FMT, raw[:HEADER_SIZE]), endian, name
+        header = np.frombuffer(raw, _HEADER.newbyteorder(endian), count=1)[0]
+        if header["sizeof_hdr"] == HEADER_SIZE:
+            return header, endian, name
     raise NiftiFormatError("header size field is not 348 in either byte order")
 
 
@@ -128,35 +125,34 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     """
     path = Path(path)
     blob = path.read_bytes()
-    fields, endian, order_name = _unpack_header(blob)
+    header, endian, order_name = _unpack_header(blob)
 
-    dim = fields[7:15]
-    datatype = fields[19]
-    pixdim = fields[22:30]
-    if not np.all(np.isfinite([fields[30], *pixdim[1:4], *fields[52:64]])):
+    # as Python values: a numpy cast of a signalling NaN would warn
+    dim = tuple(header["dim"].tolist())
+    datatype = int(header["datatype"])
+    spacing = tuple(header["pixdim"][1:4].tolist())
+    srow = np.array(header["srow"].tolist())
+    if not np.all(np.isfinite([float(header["vox_offset"]), *spacing, *srow.ravel()])):
         raise NiftiFormatError("non-finite vox_offset, pixdim or srow in the header")
-    vox_offset = int(fields[30])
-    sform_code = fields[45]
-    srow = np.array(fields[52:64], dtype=np.float64).reshape(3, 4)
-    magic = fields[65]
+    vox_offset = int(header["vox_offset"])
+    magic = bytes(header["magic"])
 
     if magic != MAGIC:
         raise NiftiFormatError(f"bad magic {magic!r}; only single-file n+1 supported")
-    if datatype not in _DTYPE_NAMES:
+    if datatype not in _DTYPES:
         raise NiftiFormatError(f"unsupported datatype code {datatype}")
     ndim = dim[0]
     if not 3 <= ndim <= 7:
         raise NiftiFormatError(f"dim[0] = {ndim}; need a 3D volume")
     if any(d not in (0, 1) for d in dim[4 : ndim + 1]):
         raise NiftiFormatError(f"volume has more than 3 non-trivial dimensions: {dim}")
-    dims = tuple(int(d) for d in dim[1:4])
+    dims = dim[1:4]
     if any(d <= 0 for d in dims):
         raise NiftiFormatError(f"non-positive dims {dims}")
     if vox_offset < VOX_OFFSET:
         raise NiftiFormatError(f"vox_offset {vox_offset} below minimum {VOX_OFFSET}")
 
-    spacing = tuple(float(p) for p in pixdim[1:4])
-    if sform_code > 0:
+    if header["sform_code"] > 0:
         if abs(np.linalg.det(srow[:, :3])) <= 1e-12:
             raise NiftiFormatError("non-invertible srow affine")
         affine = np.eye(4)
@@ -174,7 +170,7 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
         srow = affine[:3, :].copy()
 
     nvox = dims[0] * dims[1] * dims[2]
-    dtype = np.dtype(endian + _DTYPE_NUMPY[datatype])
+    dtype = _DTYPES[datatype].newbyteorder(endian)
     nbytes = nvox * dtype.itemsize
     have = max(len(blob) - vox_offset, 0)
     if have < nbytes:
@@ -186,7 +182,7 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     geometry = VolumeGeometry(dims, spacing, AffineTransform(affine))
     summary = NiftiHeaderSummary(
         dims=dims,
-        datatype_code=_DTYPE_NAMES[datatype],
+        datatype_code=dtype.name,
         spacing=spacing,
         srow=srow,
         vox_offset=vox_offset,
@@ -207,7 +203,6 @@ def write_nifti(vol, path) -> None:
     Always little-endian, data at byte offset 352, sform carrying the
     volume's index-to-world affine.
     """
-    path = Path(path)
     dims = vol.dims
     if any(d > 32767 for d in dims):
         raise NiftiFormatError(f"dims {dims} overflow the int16 header fields")
@@ -220,39 +215,24 @@ def write_nifti(vol, path) -> None:
         datatype = DT_FLOAT32
         arr = vol.data.astype("<f4", order="F")
 
-    m = vol.geometry.index_to_world.matrix
-    dim = (3, *dims, 1, 1, 1, 1)
-    pixdim = (1.0, *vol.geometry.spacing, 0.0, 0.0, 0.0, 0.0)
-    srow = tuple(float(v) for v in m[:3, :].reshape(-1))
-
-    header = struct.pack(
-        "<" + _HEADER_FMT,
-        HEADER_SIZE,
-        b"", b"",
-        0, 0, b"r", b"\x00",
-        *dim,
-        0.0, 0.0, 0.0,
-        0,
-        datatype,
-        _BITPIX[datatype],
-        0,
-        *pixdim,
-        float(VOX_OFFSET),
-        1.0, 0.0,
-        0, b"\x00", b"\x00",
-        0.0, 0.0, 0.0, 0.0,
-        0, 0,
-        b"tileseg", b"",
-        0,          # qform_code
-        2,          # sform_code: aligned to a template space
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-        *srow,
-        b"",
-        MAGIC,
-    )
+    header = np.zeros((), _HEADER.newbyteorder("<"))
+    header["sizeof_hdr"] = HEADER_SIZE
+    header["regular"] = b"r"
+    header["dim"] = (3, *dims, 1, 1, 1, 1)
+    header["datatype"] = datatype
+    header["bitpix"] = 8 * arr.itemsize
+    header["pixdim"] = (1.0, *vol.geometry.spacing, 0.0, 0.0, 0.0, 0.0)
+    header["vox_offset"] = VOX_OFFSET
+    header["scl_slope"] = 1.0
+    header["descrip"] = b"tileseg"
+    header["sform_code"] = 2  # aligned to a template space
+    header["srow"] = vol.geometry.index_to_world.matrix[:3, :]
+    header["magic"] = MAGIC
+    if not np.isfinite([*header["pixdim"], *header["srow"].ravel()]).all():
+        raise NiftiFormatError("spacing or affine overflow the float32 header fields")
     # the 4 zero bytes after the header: no extensions; the voxels are written
     # from a flat view of the one F-ordered copy
-    write_atomic(path, header, b"\x00\x00\x00\x00", arr.ravel(order="F"))
+    write_atomic(path, header.tobytes(), b"\x00\x00\x00\x00", arr.ravel(order="F"))
 
 
 def write_atomic(path, *chunks) -> None:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import struct
@@ -12,7 +14,7 @@ import pytest
 from conftest import random_intensity, random_labels
 from tileseg import io as tio
 import tileseg
-from tileseg.cli import EXIT_CODES, main
+from tileseg.cli import EXIT_CODES, build_parser, main
 from tileseg.geometry import make_centered_geometry
 from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
@@ -509,3 +511,32 @@ def test_malformed_harmonization_meta_exits_5(tmp_path, capsys, text):
     )
     assert code == 5
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "in_config, flags",
+    [("no_model", ["--harmonization", "skip"]), ("skip", [])],
+    ids=["flag-over-config", "config"],
+)
+def test_harmonization_skip_runs_without_a_model(tmp_path, in_config, flags):
+    _, truth_path, scan_path = _write_phantom(tmp_path)
+    config_path = tmp_path / "config.json"
+    model = in_config if in_config == "skip" else str(tmp_path / in_config)
+    config_path.write_text(json.dumps({"harmonization_model": model}))
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(out_dir),
+            "--config", str(config_path), "--backend", f"prior:{truth_path}",
+            "--num-labels", "4", *flags, *_SMALL_RUN,
+        ]
+    )
+    assert code == 0
+    assert json.loads((out_dir / "report.json").read_text())["harmonization"] is None
+
+
+def test_every_run_flag_is_a_pipeline_config_field():
+    # cmd_run hands PipelineConfig each flag under its dest; any other dest would be dropped
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "input", "config"}
+    assert dests <= {f.name for f in dataclasses.fields(PipelineConfig)}

@@ -1,4 +1,5 @@
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from tileseg.geometry import (
     IntensityVolume,
     LabelVolume,
     VolumeGeometry,
+    _sweep,
     compose,
     estimate_affine_moments,
     make_centered_geometry,
@@ -539,6 +541,27 @@ def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(case, jobs
     assert got_img.data.tobytes() == want_img.tobytes()
     assert got_lab.data.tobytes() == want_lab.astype(np.uint16).tobytes()
 
+
+def test_sweep_runs_one_thread_per_usable_cpu_at_most(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = []
+    _sweep(lambda z_range, slab: calls.append((z_range, slab)), 19, jobs=4)
+    assert calls == [((0, 19), 8)]
+
+
+@pytest.mark.parametrize("case", sorted(_CROP_CASES))
+def test_sweep_beyond_the_usable_cpus_is_bytewise_equal(monkeypatch, case):
+    # a host with few CPUs caps the threads; lift the cap to run the 3- and 40-way splits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    geometry, target, t = _CROP_CASES[case]
+    rng = np.random.default_rng(35)
+    img = IntensityVolume(geometry, np.asfortranarray(rng.uniform(-50.0, 50.0, geometry.dims)))
+    lab = LabelVolume(geometry, np.asfortranarray(rng.integers(1, 6, geometry.dims)), 6)
+    want_img = resample_intensity(img, t, target, background=-7.5).data.tobytes()
+    want_lab = resample_labels(lab, t, target).data.tobytes()
+    for jobs in (3, 40):
+        assert resample_intensity(img, t, target, background=-7.5, jobs=jobs).data.tobytes() == want_img
+        assert resample_labels(lab, t, target, jobs=jobs).data.tobytes() == want_lab
 
 def test_resampling_never_copies_the_source():
     # NIfTI volumes are read x-fastest; flattening one in C order would copy it

@@ -9,7 +9,13 @@ import pytest
 from conftest import peak_alloc, random_intensity, random_labels
 from tileseg.cli import EXIT_CODES
 from tileseg.evaluate import report as dice_report
-from tileseg.geometry import AffineTransform, IntensityVolume, LabelVolume, make_centered_geometry
+from tileseg.geometry import (
+    AffineTransform,
+    IntensityVolume,
+    LabelVolume,
+    VolumeGeometry,
+    make_centered_geometry,
+)
 from tileseg.harmonize import fit_model, save_model
 from tileseg.io import (
     NiftiFormatError,
@@ -64,16 +70,47 @@ def test_affine_round_trip_within_float32(tmp_path):
     npt.assert_allclose(out.geometry.spacing, src.geometry.spacing, atol=1e-5)
 
 
-def test_written_header_layout(tmp_path):
-    src = random_labels((4, 4, 4), 5)
-    p = tmp_path / "lab.nii"
+@pytest.mark.parametrize("labels", [False, True], ids=["intensity", "labels"])
+def test_written_header_layout(tmp_path, labels):
+    dims, spacing = (4, 5, 3), (0.9, 1.1, 1.3)
+    c, s = np.cos(0.4), np.sin(0.4)
+    m = np.eye(4)
+    m[:3, :3] = np.array([[c, -s, 0.0], [s * c, c * c, -s], [s * s, c * s, c]]) @ np.diag(spacing)
+    m[:3, 3] = (-12.5, 33.25, 7.0 / 3.0)
+    geometry = VolumeGeometry(dims, spacing, AffineTransform(m))
+    rng = np.random.default_rng(8)
+    if labels:
+        src = LabelVolume(geometry, rng.integers(0, 5, dims), 5)
+        datatype, bitpix = 4, 16
+    else:
+        src = IntensityVolume(geometry, rng.uniform(0.0, 100.0, dims))
+        datatype, bitpix = 16, 32
+    p = tmp_path / "vol.nii"
     write_nifti(src, p)
     blob = p.read_bytes()
-    assert blob[0:4] == struct.pack("<i", 348)
-    assert blob[344:348] == b"n+1\x00"
-    (vox_offset,) = struct.unpack_from("<f", blob, 108)
-    assert vox_offset == 352.0
-    assert len(blob) == 352 + 4 * 4 * 4 * 2
+    # the NIfTI-1 header field by field, packed independently of the writer
+    header = b"".join([
+        struct.pack("<i", 348),  # sizeof_hdr
+        bytes(10), bytes(18),  # data_type, db_name
+        struct.pack("<ih", 0, 0),  # extents, session_error
+        b"r", b"\x00",  # regular, dim_info
+        struct.pack("<8h", 3, *dims, 1, 1, 1, 1),  # dim
+        struct.pack("<3fh", 0.0, 0.0, 0.0, 0),  # intent_p1..p3, intent_code
+        struct.pack("<3h", datatype, bitpix, 0),  # datatype, bitpix, slice_start
+        struct.pack("<8f", 1.0, *spacing, 0.0, 0.0, 0.0, 0.0),  # pixdim
+        struct.pack("<3f", 352.0, 1.0, 0.0),  # vox_offset, scl_slope, scl_inter
+        struct.pack("<h", 0), b"\x00", b"\x00",  # slice_end, slice_code, xyzt_units
+        struct.pack("<4f", 0.0, 0.0, 0.0, 0.0),  # cal_max, cal_min, slice_duration, toffset
+        struct.pack("<2i", 0, 0),  # glmax, glmin
+        b"tileseg".ljust(80, b"\x00"), bytes(24),  # descrip, aux_file
+        struct.pack("<2h", 0, 2),  # qform_code, sform_code
+        struct.pack("<6f", *[0.0] * 6),  # quatern_b..d, qoffset_x..z
+        struct.pack("<12f", *m[:3, :].ravel()),  # srow_x, srow_y, srow_z
+        bytes(16), b"n+1\x00",  # intent_name, magic
+    ])
+    assert len(header) == 348
+    assert blob[:352] == header + bytes(4)
+    assert len(blob) == 352 + 4 * 5 * 3 * bitpix // 8
 
 
 def _write_valid(tmp_path, name="base.nii"):
@@ -370,3 +407,11 @@ def test_package_writers_keep_old_files_when_rename_fails(tmp_path, monkeypatch,
         save(out, 2)
     # no file changed and no temp file is left behind
     assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_writer_rejects_geometry_beyond_float32(tmp_path):
+    vol = random_labels((4, 4, 4), 2, spacing=(1e39, 1.0, 1.0))
+    with pytest.raises(NiftiFormatError, match="overflow the float32 header fields"):
+        write_nifti(vol, tmp_path / "big.nii")
+    assert not list(tmp_path.iterdir())
