@@ -13,7 +13,6 @@ time.  Scans are expected to be bias-corrected already.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -138,8 +137,6 @@ def cmd_run(args) -> int:
         config = load_config(args.config, **overrides)
     else:
         config = PipelineConfig(**overrides)
-    if config.harmonization_model == "skip":
-        config = dataclasses.replace(config, harmonization_model=None)
     result = run(config, args.input)
     fusion = result.report["fusion"]
     for entry in result.report["stages"]:

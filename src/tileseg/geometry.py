@@ -179,12 +179,13 @@ class _Volume:
 
     @classmethod
     def _adopt(cls, geometry: VolumeGeometry, arr: np.ndarray, *args):
-        """Wrap ``arr``, a fresh dense array the package just built, without a copy.
+        """Wrap ``arr``, a dense array the package just built or decoded, without a copy.
 
         Runs the same checks as the public constructor, then freezes ``arr``
-        itself; only the constructor's copy is skipped.  Arrays the package
-        did not just build (a NIfTI read, a user array, a tile view) go
-        through the copying constructor.
+        itself; only the constructor's copy is skipped.  An intensity array
+        may keep a stored element type (``read_nifti`` adopts its view of
+        the file bytes).  Arrays from outside (a user array, a tile view)
+        go through the copying constructor.
         """
         assert _is_dense(arr), "volumes hold dense arrays (see _flat)"
         vol = object.__new__(cls)
@@ -203,14 +204,21 @@ def _is_dense(arr: np.ndarray) -> bool:
     return True
 
 
+# element types an intensity volume holds: float64, or a NIfTI type kept as stored
+_INTENSITY_DTYPES = tuple(np.dtype(t) for t in ("f8", "f4", "i2", "u1"))
+
+
 @dataclass(frozen=True)
 class IntensityVolume(_Volume):
     """A scalar 3D image on a :class:`VolumeGeometry`.
 
-    Data is stored as float64, shaped ``dims``, indexed ``[x, y, z]``, and
-    frozen after construction; all values must be finite.  The constructor
-    copies ``data``; arrays the package builds itself are adopted without a
-    copy (``_adopt``) after the same checks.
+    Data is shaped ``dims``, indexed ``[x, y, z]``, and frozen after
+    construction; all values must be finite.  The constructor copies
+    ``data`` into float64; arrays the package builds itself are adopted
+    without a copy (``_adopt``) after the same checks.  A volume read from
+    NIfTI keeps the file's element type (float32, int16 or uint8): each of
+    them widens to float64 exactly, so the resamplers widen corner by
+    corner and the reductions widen once, with the bits of a float64 copy.
     """
 
     geometry: VolumeGeometry
@@ -220,12 +228,13 @@ class IntensityVolume(_Volume):
         self._freeze(np.array(self.data, dtype=np.float64))
 
     def _freeze(self, arr: np.ndarray) -> None:
-        assert arr.dtype == np.float64
+        assert arr.dtype in _INTENSITY_DTYPES
         if arr.shape != self.geometry.dims:
             raise GeometryError(
                 f"data shape {arr.shape} does not match dims {self.geometry.dims}"
             )
-        if not np.all(np.isfinite(arr)):
+        # min and max propagate NaN, so this checks every voxel without a mask
+        if not np.isfinite([arr.min(), arr.max()]).all():
             raise GeometryError("intensity data contains NaN or Inf")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -491,8 +500,9 @@ def resample_labels(
 
 def _intensity_moments(vol: IntensityVolume):
     """Intensity-weighted world centroid and per-world-axis std."""
-    w = vol.data.reshape(-1)
-    mass = float(w.sum())
+    # the one C-order float64 copy (none for a C-order float64 volume); the
+    # slab products below widen vol.data's own values exactly
+    mass = float(vol.data.astype(np.float64, order="C", copy=False).reshape(-1).sum())
     if not mass > _DET_EPS:
         raise GeometryError("volume has (near-)zero total intensity")
     # slab-wise, so no full coordinate grid is materialized

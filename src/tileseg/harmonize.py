@@ -76,13 +76,24 @@ class HarmonizationModel:
         object.__setattr__(self, "quantile_count", int(self.quantile_count))
 
 
-def standardize(vol: IntensityVolume) -> IntensityVolume:
-    """Demean and scale to unit population std, over all voxels."""
-    mean = float(vol.data.mean())
-    std = float(vol.data.std())
+def _moments(vol: IntensityVolume):
+    """``(data, mean, std)``: the voxels widened once to float64, and their moments.
+
+    ``data`` is ``vol.data`` itself when it is already float64; widening
+    keeps the memory order, so the sums have the bits of a float64 volume.
+    """
+    data = vol.data.astype(np.float64, copy=False)
+    mean = float(data.mean())
+    std = float(data.std())
     if std <= 1e-12:
         raise HarmonizeError("volume is constant; cannot standardize")
-    z = vol.data - mean
+    return data, mean, std
+
+
+def standardize(vol: IntensityVolume) -> IntensityVolume:
+    """Demean and scale to unit population std, over all voxels."""
+    data, mean, std = _moments(vol)
+    z = data - mean
     z /= std
     return IntensityVolume._adopt(vol.geometry, z)
 
@@ -96,23 +107,32 @@ def sorted_intensities(
     the output is non-increasing of length ``quantile_count`` regardless of
     how many voxels the mask selects.
     """
+    return _profile(vol.geometry, mask, quantile_count, vol.data)
+
+
+def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndarray:
+    """The sorted profile of ``(data - mean) / std``, ``data`` on ``geometry``.
+
+    The raw masked values are sorted and only the ranks read are z-scored:
+    ``(v - mean) / std`` is monotone in floating point, so this gives the
+    bits of sorting the z-scored volume.
+    """
     if quantile_count < 2:
         raise HarmonizeError(f"quantile_count must be >= 2, got {quantile_count}")
-    if not vol.geometry.matches(mask.geometry):
+    if not geometry.matches(mask.geometry):
         raise HarmonizeError("volume and mask geometries differ")
-    values = vol.data[mask.data > 0]  # a copy, so it is sorted in place
+    values = data[mask.data > 0]  # a copy, so it is sorted in place
     n = values.size
     if n == 0:
         raise HarmonizeError("mask selects no voxels")
-    if n == 1:
-        return np.full(quantile_count, float(values[0]))
     values.sort()
     positions = np.linspace(0.0, n - 1.0, quantile_count)
     # np.interp over all n ranks reads only the two that bracket each
     # position, so interpolating over just those ranks gives the same bits
     lower = positions.astype(np.intp)
     ranks = np.union1d(lower, np.minimum(lower + 1, n - 1))
-    return np.interp(positions, ranks, values[n - 1 - ranks])
+    picked = (values[n - 1 - ranks].astype(np.float64) - mean) / std
+    return np.interp(positions, ranks, picked)
 
 
 def fit_model(
@@ -141,7 +161,7 @@ def fit_model(
         union |= mask.data > 0
     union_mask = LabelVolume._adopt(geometry, union.astype(np.uint16), 2)
     profiles = [
-        sorted_intensities(standardize(vol), union_mask, quantile_count)
+        _profile(geometry, union_mask, quantile_count, *_moments(vol))
         for vol in atlas_volumes
     ]
     mean_sorted = np.mean(profiles, axis=0)
@@ -155,10 +175,11 @@ def harmonize(
 
     Standardizes the scan, regresses the reference profile on the scan's
     own sorted profile (ordinary least squares), and applies the fitted
-    slope and intercept to every voxel.
+    slope and intercept to every voxel.  No z-scored volume is built: the
+    output buffer is ``((x - mean) / std) * beta1 + beta0``, computed in place.
     """
-    zscored = standardize(vol)
-    profile = sorted_intensities(zscored, model.mask, model.quantile_count)
+    data, mean, std = _moments(vol)
+    profile = _profile(vol.geometry, model.mask, model.quantile_count, data, mean, std)
     px = profile - profile.mean()
     var = float(px @ px)
     if var <= 1e-20:
@@ -168,7 +189,9 @@ def harmonize(
     beta0 = float(ref.mean() - beta1 * profile.mean())
     residual = ref - (beta1 * profile + beta0)
     fit = RegressionFit(beta1, beta0, float(np.sqrt(np.mean(residual**2))))
-    out = zscored.data * beta1
+    out = data - mean
+    out /= std
+    out *= beta1
     out += beta0
     return IntensityVolume._adopt(vol.geometry, out), fit
 

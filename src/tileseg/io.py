@@ -5,7 +5,9 @@ name.  The reader accepts either byte order (detected from the 348
 header-size field) and the uint8 / int16 / float32 datatypes; the writer
 always emits little-endian files with float32 intensities or int16
 labels.  Scale fields (scl_slope/scl_inter) are not applied; the data
-section is decoded as stored.
+section is decoded as stored, and an intensity volume keeps it as stored:
+its voxels are a read-only view of the file bytes (a big-endian file gets
+one native-order copy of the same width), not a float64 copy.
 
 The raw format is a JSON sidecar (dims, spacing, affine, dtype) next to a
 flat little-endian binary blob in x-fastest order.  It exists for test
@@ -175,7 +177,7 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     have = max(len(blob) - vox_offset, 0)
     if have < nbytes:
         raise NiftiFormatError(f"truncated data section: need {nbytes} bytes, have {have}")
-    # a view of the file bytes; the volume constructor makes the only copy
+    # a read-only view of the file bytes
     arr = np.frombuffer(blob, dtype, count=nvox, offset=vox_offset)
     arr = arr.reshape(dims, order="F")
 
@@ -193,7 +195,10 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
             raise NiftiFormatError("negative values in a label volume")
         vol = LabelVolume(geometry, arr, num_labels or 0)
     else:
-        vol = IntensityVolume(geometry, arr)
+        # kept as stored; the label constructor above copies into uint16
+        if not dtype.isnative:
+            arr = arr.astype(dtype.newbyteorder("="))
+        vol = IntensityVolume._adopt(geometry, arr)
     return vol, summary
 
 
@@ -213,7 +218,11 @@ def write_nifti(vol, path) -> None:
         arr = vol.data.astype("<i2", order="F")
     else:
         datatype = DT_FLOAT32
-        arr = vol.data.astype("<f4", order="F")
+        with np.errstate(over="ignore"):
+            arr = vol.data.astype("<f4", order="F")
+        # the volume is finite, so only a float32 overflow makes an extreme infinite
+        if not np.isfinite([arr.min(), arr.max()]).all():
+            raise NiftiFormatError("intensities overflow float32")
 
     header = np.zeros((), _HEADER.newbyteorder("<"))
     header["sizeof_hdr"] = HEADER_SIZE

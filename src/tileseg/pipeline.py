@@ -67,6 +67,8 @@ class PipelineConfig:
     atlas-space intensity volume), or a path to a 4x4 whitespace-separated
     matrix file.  ``backend`` is a spec string (``constant:...``,
     ``prior:...``, ``external:...``) or a SegmenterBackend instance.
+    ``harmonization_model`` is a model directory; ``None`` or ``"skip"``
+    (stored as ``None``) runs without harmonization.
     """
 
     grid: tuple = (3, 3, 3)
@@ -97,6 +99,8 @@ class PipelineConfig:
             if len(triple) != 3:
                 raise ConfigError(f"{name} must be three numbers, got {value!r}")
             object.__setattr__(self, name, triple)
+        if self.harmonization_model == "skip":
+            object.__setattr__(self, "harmonization_model", None)
         for name, kind in (
             ("jobs", numbers.Integral), ("num_labels", numbers.Integral),
             ("background_fill", numbers.Real),

@@ -348,11 +348,11 @@ def test_sorted_profile_equals_full_interpolation_bitwise(n, quantile_count, dra
 
 
 def test_harmonize_holds_few_volume_sized_arrays():
-    # the scan's z-scores, the masked values and the output; not 6 volumes
+    # std's temporary, then the masked values, then the output: never a z-scored copy
     vol = random_intensity((64, 64, 64), seed=21)
     mask = _full_mask(vol.geometry)
     model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), mask, 1024)
     harmonize(vol, model)  # first calls of numpy routines allocate once
     peak, _ = peak_alloc(lambda: harmonize(vol, model))
-    assert peak < 3 * vol.data.nbytes
+    assert peak <= 1.3 * vol.data.nbytes
 

@@ -353,6 +353,26 @@ def test_read_raw_copies_the_blob_once(tmp_path, kind):
     assert not out.data.flags.writeable
 
 
+def test_read_nifti_holds_the_file_bytes_and_no_float64_copy(tmp_path):
+    src = _volume("intensity", "F")
+    path = tmp_path / "vol.nii"
+    write_nifti(src, path)
+    voxel_bytes = path.stat().st_size - 352
+    peak, (vol, _) = peak_alloc(lambda: read_nifti(path))
+    assert vol.data.dtype == np.float32 and vol.data.nbytes == voxel_bytes
+    # the file's bytes, which the volume views, and nothing volume-sized besides
+    assert peak <= 1.3 * voxel_bytes
+
+
+def test_write_rejects_intensities_beyond_float32(tmp_path):
+    vol = IntensityVolume(make_centered_geometry((4, 4, 4)), np.full((4, 4, 4), 1e39))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NiftiFormatError, match="overflow float32"):
+            write_nifti(vol, tmp_path / "big.nii")
+    assert not list(tmp_path.iterdir())
+
+
 def test_read_nifti_emits_no_warning_with_sform(tmp_path):
     src = random_intensity((4, 4, 4))
     p = tmp_path / "img.nii"

@@ -314,6 +314,24 @@ def test_run_harmonization_self_model_is_neutral(tmp_path):
     npt.assert_array_equal(result.fused.data, truth.data)
 
 
+@pytest.mark.parametrize("source", ["api", "config_file"])
+def test_run_skips_harmonization_given_skip(tmp_path, source):
+    truth, scan_path = _phantom_case(tmp_path)
+    if source == "api":
+        config = _base_config(tmp_path, truth, harmonization_model="skip")
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"harmonization_model": "skip", "atlas_dims": list(DIMS)}))
+        config = load_config(
+            path, grid=(2, 2, 2), tile_size=(14, 14, 14), backend=AtlasPriorOracle(truth),
+            num_labels=truth.num_labels, output_dir=str(tmp_path / "out"),
+        )
+    assert config.harmonization_model is None
+    result = run(config, scan_path)
+    assert result.report["harmonization"] is None
+    npt.assert_array_equal(result.fused.data, truth.data)
+
+
 def test_run_is_deterministic_across_parallelism(tmp_path):
     truth, scan_path = _phantom_case(tmp_path)
     backend = CorruptingWrapper(AtlasPriorOracle(truth), target_index=2, corruption_label=1)
