@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as tio
 from .harmonize import DEFAULT_QUANTILES, HarmonizeError, fit_model, save_model
 from .evaluate import EvaluateError, report as dice_report
@@ -26,7 +24,7 @@ from .fusion import FusionError, fuse_concatenate, fuse_majority
 from .geometry import GeometryError, LabelVolume
 from .pipeline import _CONFIG_KEYS, ConfigError, PipelineConfig, load_config, run
 from .segmenter import FAILURE_POLICIES, SegmentationError
-from .tiling import TilingError, coverage_map, extract_tile, load_grid, save_grid
+from .tiling import TilingError, extract_tile, load_grid, save_grid
 
 EXIT_CODES = [
     (ConfigError, 2),
@@ -180,10 +178,8 @@ def cmd_fuse(args) -> int:
     if args.mode == "majority":
         result = fuse_majority(segs, grid, num_labels=args.num_labels)
         tio.write_nifti(result.fused, args.output)
-        print(
-            f"fused {grid.k} tiles: ties={result.tie_count} "
-            f"coverage {result.coverage_used.min()}..{result.coverage_used.max()}"
-        )
+        cov = grid.coverage()
+        print(f"fused {grid.k} tiles: ties={result.tie_count} coverage {min(cov)}..{max(cov)}")
     else:
         fused = fuse_concatenate(segs, grid)
         tio.write_nifti(fused, args.output)
@@ -209,7 +205,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid_info(args) -> int:
     grid = _grid_from_args(args)
-    cov = coverage_map(grid)
+    cov = grid.coverage()
+    mean = sum(n * v for n, v in cov.items()) / sum(cov.values())
     axes = ["x", "y", "z"]
     origins = {
         axes[a]: sorted({t.origin[a] for t in grid.tiles}) for a in range(3)
@@ -217,21 +214,16 @@ def cmd_grid_info(args) -> int:
     if args.json:
         doc = grid.to_dict()
         doc["axis_origins"] = origins
-        doc["coverage"] = {
-            "min": int(cov.min()),
-            "max": int(cov.max()),
-            "mean": float(cov.mean()),
-        }
+        doc["coverage"] = {"min": min(cov), "max": max(cov), "mean": mean}
         print(json.dumps(doc, indent=1))
         return 0
     print(f"atlas dims {grid.atlas_dims}, grid {grid.grid}, tile size {grid.tile_size}")
-    print(f"tiles: {grid.k} ({'partition' if grid.is_partition() else 'overlapped'})")
+    print(f"tiles: {grid.k} ({'partition' if set(cov) == {1} else 'overlapped'})")
     for axis in axes:
         print(f"  {axis}-origins: {origins[axis]}")
-    values, counts = np.unique(cov, return_counts=True)
-    print(f"coverage: min {cov.min()}, max {cov.max()}, mean {cov.mean():.3f}")
-    for v, c in zip(values, counts):
-        print(f"  coverage {v}: {c} voxels")
+    print(f"coverage: min {min(cov)}, max {max(cov)}, mean {mean:.3f}")
+    for n, voxels in cov.items():
+        print(f"  coverage {n}: {voxels} voxels")
     return 0
 
 

@@ -4,24 +4,23 @@ Every atlas voxel receives one vote from each tile whose box contains it;
 the fused label maximizes the vote count, with ties broken toward the
 smallest label value (which favors background at uncertain boundaries).
 
-Cutting every axis at each tile's origin and stop splits the atlas into
-regions that are each covered by one fixed set of K tiles.  A region with
-K = 1 is a copy of that tile, so an abutting partition is reassembled
-without voting.  Otherwise the K tile slices are stacked, sorted along the
-tile axis, and the mode is read from the run lengths: the first position
-that reaches the longest run holds the smallest winning label.  The cost
-grows with the votes cast, not with the label count.
+Each of the grid's regions (``TileGrid.regions``) is covered by one fixed
+set of K tiles.  A region with K = 1 is a copy of that tile, so an abutting
+partition is reassembled without voting.  Otherwise the K tile slices are
+stacked, sorted along the tile axis, and the mode is read from the run
+lengths: the first position that reaches the longest run holds the
+smallest winning label.  The cost grows with the votes cast, not with the
+label count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .geometry import AffineTransform, LabelVolume, VolumeGeometry, compose
-from .tiling import TileGrid
+from .tiling import TileGrid, coverage_map
 
 __all__ = ["FusionError", "FusionResult", "fuse_majority", "fuse_concatenate"]
 
@@ -32,9 +31,12 @@ class FusionError(ValueError):
 
 @dataclass(frozen=True)
 class FusionResult:
+    """``coverage_used`` equals ``coverage_map(grid)`` (int32, atlas dims); it
+    stays because ``bench/tracing.py`` counts a fusion's votes from it."""
+
     fused: LabelVolume
     tie_count: int
-    coverage_used: np.ndarray  # votes cast per voxel, int32, atlas dims
+    coverage_used: np.ndarray
 
 
 def _atlas_geometry_from_tiles(tile_segs, grid: TileGrid) -> VolumeGeometry:
@@ -64,27 +66,6 @@ def _validate(tile_segs, grid: TileGrid, num_labels):
         if int(seg.data.max(initial=0)) >= num_labels:
             raise FusionError(f"tile {tile.index} holds labels >= {num_labels}")
     return int(num_labels)
-
-
-def _regions(grid: TileGrid):
-    """Split the atlas at every tile origin and stop.
-
-    Yields ``(box, covering)`` for each covered cell of the product grid:
-    the cell's atlas slices and the indices of the tiles containing it,
-    which are the same for every voxel of the cell.
-    """
-    origins = np.array([t.origin for t in grid.tiles])
-    stops = np.array([t.stop for t in grid.tiles])
-    per_axis = []
-    for a, extent in enumerate(grid.atlas_dims):
-        cuts = np.unique(np.concatenate([[0, extent], origins[:, a], stops[:, a]]))
-        lo, hi = cuts[:-1], cuts[1:]
-        inside = (origins[:, a] <= lo[:, None]) & (hi[:, None] <= stops[:, a])  # intervals x tiles
-        per_axis.append([(slice(int(l), int(h)), m) for l, h, m in zip(lo, hi, inside)])
-    for (sx, mx), (sy, my), (sz, mz) in product(*per_axis):
-        covering = np.flatnonzero(mx & my & mz)
-        if covering.size:
-            yield (sx, sy, sz), covering
 
 
 def _sorting_network(n: int) -> list[tuple[int, int]]:
@@ -117,19 +98,17 @@ def fuse_majority(
 
     Returns the fused atlas-space label volume, the number of voxels where
     the top vote count was shared by several labels, and the per-voxel vote
-    count (equal to the grid's coverage map).
+    count (the grid's coverage map).
     """
     L = _validate(tile_segs, grid, num_labels)
     geometry = _atlas_geometry_from_tiles(tile_segs, grid)
     fused = np.zeros(grid.atlas_dims, dtype=np.uint16)
-    coverage = np.zeros(grid.atlas_dims, dtype=np.int32)
     # 0-based run lengths reach K - 1, so this holds any K
     run_dtype = np.min_scalar_type(grid.k)
 
     ties = 0
-    for box, covering in _regions(grid):
+    for box, covering in grid.regions():
         k = len(covering)
-        coverage[box] = k
         parts = [
             tile_segs[i].data[
                 tuple(slice(b.start - o, b.stop - o) for b, o in zip(box, grid.tiles[i].origin))
@@ -156,7 +135,7 @@ def fuse_majority(
     return FusionResult(
         fused=LabelVolume._adopt(geometry, fused, L),
         tie_count=ties,
-        coverage_used=coverage,
+        coverage_used=coverage_map(grid),
     )
 
 

@@ -249,9 +249,9 @@ class LabelVolume(_Volume):
 
     Values live in ``[0, num_labels - 1]`` with 0 reserved for background.
     When ``num_labels`` is omitted it is inferred as ``max(data) + 1``
-    (never below 2).  The constructor copies ``data`` into uint16; uint16
-    arrays the package builds itself are adopted without a copy
-    (``_adopt``) after the same checks.
+    (never below 2).  The constructor copies ``data`` into uint16, refusing
+    any value the copy would change; uint16 arrays the package builds
+    itself are adopted without a copy (``_adopt``) after the same checks.
     """
 
     geometry: VolumeGeometry
@@ -259,10 +259,7 @@ class LabelVolume(_Volume):
     num_labels: int = field(default=0)
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.size and arr.min() < 0:
-            raise GeometryError("label data contains negative values")
-        self._freeze(np.array(arr, dtype=np.uint16), self.num_labels)
+        self._freeze(_label_array(self.data), self.num_labels)
 
     def _freeze(self, arr: np.ndarray, num_labels: int) -> None:
         assert arr.dtype == np.uint16
@@ -285,6 +282,22 @@ class LabelVolume(_Volume):
 
     def with_data(self, data: np.ndarray) -> "LabelVolume":
         return LabelVolume(self.geometry, data, self.num_labels)
+
+
+def _label_array(data, error=GeometryError) -> np.ndarray:
+    """A uint16 copy of ``data``; raises ``error`` on a value the copy would change."""
+    arr = np.asarray(data)
+    with np.errstate(invalid="ignore"):  # NaN casts quietly; the check below catches it
+        out = np.array(arr, dtype=np.uint16)
+    if not (
+        np.can_cast(arr.dtype, np.uint16)  # bool, uint8, uint16: no pass
+        or np.can_cast(arr.dtype, np.int16) and arr.min(initial=0) >= 0  # one pass
+        or np.array_equal(out, arr)
+    ):
+        bad = arr[out != arr][0]
+        reason = "negative" if bad < 0 else "above 65535" if bad > 65535 else "not a whole number"
+        raise error(f"label value {bad} is {reason}; labels are stored as uint16")
+    return out
 
 
 # ---------------------------------------------------------------------------

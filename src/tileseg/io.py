@@ -30,6 +30,7 @@ from .geometry import (
     IntensityVolume,
     LabelVolume,
     VolumeGeometry,
+    _label_array,
 )
 
 __all__ = [
@@ -191,11 +192,9 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
         byte_order=order_name,
     )
     if as_labels:
-        if arr.min() < 0:
-            raise NiftiFormatError("negative values in a label volume")
-        vol = LabelVolume(geometry, arr, num_labels or 0)
+        vol = LabelVolume._adopt(geometry, _label_array(arr, NiftiFormatError), num_labels or 0)
     else:
-        # kept as stored; the label constructor above copies into uint16
+        # kept as stored; labels above are copied into uint16
         if not dtype.isnative:
             arr = arr.astype(dtype.newbyteorder("="))
         vol = IntensityVolume._adopt(geometry, arr)
@@ -301,7 +300,7 @@ def read_raw(path):
     if flat.size != nvox:
         raise NiftiFormatError(f"raw blob holds {flat.size} values, expected {nvox}")
     arr = flat.reshape(dims, order="F")
-    # astype makes the one copy of the blob, which the volume adopts
+    # each branch makes the one copy of the blob, which the volume adopts
     if meta["kind"] == "labels":
-        return LabelVolume._adopt(geometry, arr.astype(np.uint16), meta.get("num_labels", 0))
+        return LabelVolume._adopt(geometry, _label_array(arr), meta.get("num_labels", 0))
     return IntensityVolume._adopt(geometry, arr.astype(np.float64))

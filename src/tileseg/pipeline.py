@@ -20,6 +20,7 @@ import contextlib
 import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -58,6 +59,18 @@ class ConfigError(ValueError):
     """Invalid pipeline configuration."""
 
 
+# what a field's annotation (a string, see the __future__ import) lets it hold
+_KINDS = {
+    "int": numbers.Integral, "float": numbers.Real, "bool": bool,
+    "str": (str, os.PathLike), "str | None": (str, os.PathLike, type(None)),
+}
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance``, except that a bool is no number (``True`` is an int)."""
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a full run needs besides the input scan.
@@ -89,25 +102,24 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name, kind in (
-            ("grid", int), ("tile_size", int), ("atlas_dims", int), ("atlas_spacing", float)
+            ("grid", numbers.Integral), ("tile_size", numbers.Integral),
+            ("atlas_dims", numbers.Integral), ("atlas_spacing", numbers.Real),
         ):
             value = getattr(self, name)
             try:
-                triple = tuple(kind(v) for v in value)
-            except (TypeError, ValueError):
+                triple = tuple(value)
+            except TypeError:
                 triple = ()
-            if len(triple) != 3:
+            if len(triple) != 3 or not all(_is_a(v, kind) for v in triple):
                 raise ConfigError(f"{name} must be three numbers, got {value!r}")
-            object.__setattr__(self, name, triple)
+            convert = int if kind is numbers.Integral else float
+            object.__setattr__(self, name, tuple(convert(v) for v in triple))
         if self.harmonization_model == "skip":
             object.__setattr__(self, "harmonization_model", None)
-        for name, kind in (
-            ("jobs", numbers.Integral), ("num_labels", numbers.Integral),
-            ("background_fill", numbers.Real),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ConfigError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _KINDS and not _is_a(value, _KINDS[f.type]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not math.isfinite(self.background_fill):
             raise ConfigError(f"background_fill must be finite, got {self.background_fill!r}")
         if self.jobs < 1:
@@ -263,11 +275,9 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 result = fuse_majority(tile_segs, grid, num_labels=backend.num_labels)
                 fused = result.fused
                 tie_count = result.tie_count
-                coverage = result.coverage_used
             else:
                 fused = fuse_concatenate(tile_segs, grid)
                 tie_count = 0
-                coverage = np.ones(grid.atlas_dims, dtype=np.int32)
         del tile_segs
 
         stage = "unregister"
@@ -281,6 +291,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
             tio.write_nifti(fused, atlas_path)
             tio.write_nifti(native_labels, native_path)
             save_grid(grid, out_dir / "grid.json")
+        coverage = grid.coverage()
         report = {
             "input": str(input_scan),
             "stages": clock.stages,
@@ -294,9 +305,9 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
             "fusion": {
                 "mode": config.fusion_mode,
                 "tie_count": int(tie_count),
-                "coverage_min": int(coverage.min()),
-                "coverage_max": int(coverage.max()),
-                "coverage_mean": float(coverage.mean()),
+                "coverage_min": min(coverage),
+                "coverage_max": max(coverage),
+                "coverage_mean": sum(n * v for n, v in coverage.items()) / sum(coverage.values()),
             },
             "grid": grid.to_dict(),
             "num_labels": backend.num_labels,

@@ -27,6 +27,20 @@ def random_labels(dims, num_labels, seed=0, spacing=(1.0, 1.0, 1.0)):
     return LabelVolume(geometry, data, num_labels)
 
 
+def float32_nifti(path, dims, value):
+    """Write a float32 NIfTI whose every voxel holds ``value``, NaN included."""
+    from tileseg.io import write_nifti
+
+    write_nifti(IntensityVolume(make_centered_geometry(dims), np.zeros(dims)), path)
+    raw = path.read_bytes()
+    n = int(np.prod(dims))
+    path.write_bytes(raw[: len(raw) - 4 * n] + np.full(n, value, "<f4").tobytes())
+
+
+# values a uint16 label copy would change, and the reason each is refused
+NOT_LABELS = [(70000, "above 65535"), (2.7, "not a whole number"), (float("nan"), "not a whole number")]
+
+
 def peak_alloc(fn):
     """``(tracemalloc peak in bytes, result)`` of calling ``fn()``."""
     tracemalloc.start()

@@ -289,6 +289,24 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("resume", "false"), ("grid", [2.7, 2, 2]), ("tile_size", ["12", 12, 12]),
+     ("jobs", True), ("harmonization_model", 5)],
+)
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, field, value):
+    _, _, scan_path = _write_phantom(tmp_path)
+    config_path = tmp_path / "config.json"
+    doc = {"atlas_dims": [16, 16, 16], "grid": [2, 2, 2], "tile_size": [12, 12, 12]}
+    doc[field] = value
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out), "--config", str(config_path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_background_fill_exits_2(tmp_path, capsys):
     # the atlas reaches outside the scan, so a NaN fill would reach the output
     _, _, scan_path = _write_phantom(tmp_path, dims=(20, 20, 20))

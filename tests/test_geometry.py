@@ -1,6 +1,7 @@
 import itertools
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import apply_affine, peak_alloc, random_intensity, random_labels
+from conftest import NOT_LABELS, apply_affine, peak_alloc, random_intensity, random_labels
 from tileseg.geometry import (
     ATLAS_DIMS,
     AffineTransform,
@@ -167,6 +168,31 @@ def test_label_volume_range_checks():
         LabelVolume(g, np.full((2, 2, 2), 5), num_labels=5)
     with pytest.raises(GeometryError):
         LabelVolume(g, np.full((2, 2, 2), -1, dtype=np.int32))
+
+
+@pytest.mark.parametrize("value, reason", NOT_LABELS)
+def test_label_volume_rejects_what_uint16_would_change(value, reason):
+    g = make_centered_geometry((2, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # not even a numpy cast warning
+        with pytest.raises(GeometryError, match=reason):
+            LabelVolume(g, np.full((2, 2, 2), value))
+
+
+@pytest.mark.parametrize(
+    "dtype, top",
+    [("?", 1), ("u1", 255), ("i1", 127), ("i2", 32767), (">i2", 32767), ("u2", 65535),
+     ("i4", 65535), ("u8", 65535), ("f4", 65535), ("f8", 65535)],
+)
+def test_label_volume_keeps_every_label_value_exactly(dtype, top):
+    g = make_centered_geometry((2, 2, 2))
+    data = np.array([0, top, 1, 0, 1, 1, top, 0]).astype(dtype).reshape(2, 2, 2)
+    lab = LabelVolume(g, data)
+    assert lab.data.dtype == np.uint16
+    npt.assert_array_equal(lab.data, data.astype(np.int64))
+    if np.dtype(dtype).kind in "if":
+        with pytest.raises(GeometryError, match="negative"):
+            LabelVolume(g, -data)
 
 
 def test_label_volume_infers_num_labels():

@@ -6,8 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import peak_alloc, random_intensity, random_labels
-from tileseg.cli import EXIT_CODES
+from conftest import NOT_LABELS, float32_nifti, peak_alloc, random_intensity, random_labels
+from tileseg.cli import EXIT_CODES, main
 from tileseg.evaluate import report as dice_report
 from tileseg.geometry import (
     AffineTransform,
@@ -260,6 +260,18 @@ def test_rejects_negative_values_as_labels(tmp_path):
     write_nifti(src, p)
     with pytest.raises(NiftiFormatError, match="negative"):
         read_nifti(p, as_labels=True)
+
+
+@pytest.mark.parametrize("value, reason", NOT_LABELS)
+def test_read_labels_rejects_what_uint16_would_change(tmp_path, capsys, value, reason):
+    p = tmp_path / "lab.nii"
+    float32_nifti(p, (3, 3, 3), value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # not even a numpy cast warning
+        with pytest.raises(NiftiFormatError, match=reason):
+            read_nifti(p, as_labels=True)
+    assert main(["evaluate", "--auto", str(p), "--manual", str(p)]) == 3
+    assert reason in capsys.readouterr().err
 
 
 def test_write_rejects_oversized_dims():

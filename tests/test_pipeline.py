@@ -285,6 +285,25 @@ def test_run_concat_mode_on_partition(tmp_path):
     assert report["fusion"]["coverage_max"] == 1
 
 
+@pytest.mark.parametrize(
+    "mode, grid, tile_size",
+    [("majority", (3, 3, 3), (12, 12, 12)), ("majority", (2, 3, 2), (13, 9, 16)),
+     ("concat", (2, 2, 2), (12, 12, 12)), ("concat", (4, 1, 2), (6, 24, 12))],
+)
+def test_run_reports_the_coverage_of_painted_tiles(tmp_path, mode, grid, tile_size):
+    truth, scan_path = _phantom_case(tmp_path)
+    config = _base_config(tmp_path, truth, fusion_mode=mode, grid=grid, tile_size=tile_size)
+    result = run(config, scan_path)
+    painted = np.zeros(DIMS, dtype=np.int64)
+    for tile in config.build_grid().tiles:
+        painted[tile.slices()] += 1
+    fusion = json.loads((tmp_path / "out" / "report.json").read_text())["fusion"]
+    assert fusion == result.report["fusion"]
+    assert (fusion["coverage_min"], fusion["coverage_max"], fusion["coverage_mean"]) == (
+        int(painted.min()), int(painted.max()), float(painted.mean())
+    )
+
+
 def test_run_with_saved_affine_round_trips(tmp_path):
     truth, scan_path = _phantom_case(tmp_path)
     forward = AffineTransform.translation((2.0, -1.0, 0.0))

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import peak_alloc, random_intensity, random_labels
+from conftest import NOT_LABELS, float32_nifti, peak_alloc, random_intensity, random_labels
 from tileseg import io as tio
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.segmenter import (
@@ -214,6 +214,21 @@ def test_external_backend_malformed_output():
     )
     backend = ExternalProcessBackend(junk, num_labels=4)
     with pytest.raises(SegmentationError, match="malformed"):
+        segment_tile(backend, vol, tile)
+
+
+@pytest.mark.parametrize("value, reason", NOT_LABELS)
+def test_external_backend_rejects_what_uint16_would_change(tmp_path, value, reason):
+    vol, tile = _one_tile_case()
+    answer = tmp_path / "answer.nii"
+    float32_nifti(answer, tile.size, value)
+    copy = (
+        f"{sys.executable} -c "
+        '"import shutil, sys; shutil.copy(sys.argv[1], sys.argv[3])" '
+        f"{answer} {{input}} {{output}}"
+    )
+    backend = ExternalProcessBackend(copy, num_labels=4)
+    with pytest.raises(SegmentationError, match=f"malformed backend output.*{reason}"):
         segment_tile(backend, vol, tile)
 
 

@@ -83,6 +83,72 @@ def test_coverage_matches_interval_membership_oracle():
     assert cov.min() >= 1
 
 
+def _coverage_oracle(grid):
+    """Per-voxel tile count of a built grid: the outer product of the axes' oracles."""
+    per_axis = [
+        _axis_coverage_oracle(extent, axis_origins(extent, k, size), size)
+        for extent, k, size in zip(grid.atlas_dims, grid.grid, grid.tile_size)
+    ]
+    return np.einsum("i,j,k->ijk", *(np.array(c) for c in per_axis))
+
+
+@st.composite
+def _axis_layout(draw):
+    """``(extent, k, size)`` of one coverable axis; slack 0 abuts into a partition."""
+    k = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 9))
+    slack = draw(st.one_of(st.just(0), st.integers(0, (k - 1) * size)))
+    return k * size - slack, k, size
+
+
+@given(st.tuples(_axis_layout(), _axis_layout(), _axis_layout()))
+def test_regions_and_coverage_match_the_axis_oracle(layout):
+    extents, ks, sizes = zip(*layout)
+    grid = build_grid(extents, ks, sizes)
+    expected = _coverage_oracle(grid)
+    values, counts = np.unique(expected, return_counts=True)
+    assert grid.coverage() == dict(zip(values.tolist(), counts.tolist()))
+    assert grid.is_partition() == bool((expected == 1).all())
+    npt.assert_array_equal(coverage_map(grid), expected)
+    # the regions tile the atlas, and each names exactly the tiles holding it
+    painted = np.zeros(extents, dtype=np.int32)
+    for box, covering in grid.regions():
+        painted[box] += 1
+        corner = [s.start for s in box]
+        holding = [
+            t.index for t in grid.tiles
+            if all(o <= c < e for o, c, e in zip(t.origin, corner, t.stop))
+        ]
+        assert list(covering) == holding
+    assert (painted == 1).all()
+
+
+def test_stacked_tiles_are_not_a_partition():
+    # two tiles on the same two voxels: each voxel is covered twice
+    tiles = (TileSpec((0, 0, 0), (2, 1, 1), 0), TileSpec((0, 0, 0), (2, 1, 1), 1))
+    grid = TileGrid((2, 1, 1), (1, 1, 1), (2, 1, 1), tiles)
+    assert grid.is_partition() is False
+    assert grid.coverage() == {2: 2}
+    npt.assert_array_equal(coverage_map(grid).reshape(-1), [2, 2])
+
+
+def test_coverage_counts_only_atlas_voxels():
+    # a hand-built tile reaching past the atlas covers only the voxels inside it
+    grid = TileGrid((4, 1, 1), (1, 1, 1), (3, 1, 1), (TileSpec((2, 0, 0), (3, 1, 1), 0),))
+    assert grid.coverage() == {0: 2, 1: 2}
+    npt.assert_array_equal(coverage_map(grid).reshape(-1), [0, 0, 1, 1])
+    assert [box for box, _ in grid.regions()] == [(slice(2, 4), slice(0, 1), slice(0, 1))]
+
+
+def test_uncovered_voxels_count_under_zero():
+    tiles = (TileSpec((0, 0, 0), (2, 1, 1), 0), TileSpec((3, 0, 0), (1, 1, 1), 1))
+    grid = TileGrid((4, 1, 1), (2, 1, 1), (1, 1, 1), tiles)
+    assert grid.coverage() == {0: 1, 1: 3}
+    assert grid.is_partition() is False
+    npt.assert_array_equal(coverage_map(grid).reshape(-1), [1, 1, 0, 1])
+    assert [covering.tolist() for _, covering in grid.regions()] == [[0], [1]]
+
+
 @given(
     st.integers(4, 60),
     st.integers(1, 6),
