@@ -15,9 +15,9 @@ Conventions used throughout the package:
   z*stz`` (element strides) on a flat view of the source, which is never
   copied; trilinear output is bitwise identical to the eight-corner formula
   ``d000*gx*gy*gz + d100*fx*gy*gz + ...`` summed in that order.
-* Resampling sweeps the target in z-slabs, each cropped to the box of
-  voxels that can reach the source; ``jobs`` threads take contiguous z
-  ranges.  Each voxel's coordinate is the same expression either way, so
+* Resampling sweeps the target one z plane at a time, each cropped to the
+  box of voxels that can reach the source; ``jobs`` threads take contiguous
+  z ranges.  Each voxel's coordinate is the same expression either way, so
   the output is the same bit for bit at any ``jobs``.
 * Nearest-neighbor rounding at exact half-voxel ties rounds half toward
   negative infinity, so results are deterministic across platforms.
@@ -304,31 +304,30 @@ def _label_array(data, error=GeometryError) -> np.ndarray:
 # Resampling
 # ---------------------------------------------------------------------------
 
-# z-slab size for chunked resampling; of 4 to 16 slices, 8 measured fastest.
-# With several threads each takes _RESAMPLE_SLAB // threads planes at a time.
-_RESAMPLE_SLAB = 8
+# The moment sums add up slab by slab, so this size fixes the bits of an
+# estimated affine; resampling steps one plane at a time.
+_MOMENT_SLAB = 8
 
 
-def _box(m: np.ndarray, dims, zs: slice, lo: float, hi) -> tuple | None:
-    """Index box of the voxels in planes ``zs`` that can map into the source.
+def _box(m: np.ndarray, dims, z: int, lo: float, hi) -> tuple | None:
+    """Index box of the voxels in plane ``z`` that can map into the source.
 
     A voxel lands in the source only if its coordinate on every axis ``a``
-    lies in ``[lo, hi[a]]``.  Along a (y, z) row the coordinate is linear in
-    x, so each axis allows one x-interval; the box is the hull of the rows
-    where the three intervals meet, rounded outward to whole voxels.  Each
-    interval is widened by ``eps``, far above the rounding of the coordinate
-    sums, so a voxel outside the box falls outside the source bit for bit.
-    Returns None when no voxel of the planes can land.
+    lies in ``[lo, hi[a]]``.  Along a row of the plane the coordinate is
+    linear in x, so each axis allows one x-interval; the box is the hull of
+    the rows where the three intervals meet, rounded outward to whole
+    voxels.  Each interval is widened by ``eps``, far above the rounding of
+    the coordinate sums, so a voxel outside the box falls outside the
+    source bit for bit.  Returns None when no voxel of the plane can land.
     """
     nx, ny, nz = dims
-    yi = np.arange(ny, dtype=np.float64)[:, None]
-    zi = np.arange(zs.start, zs.stop, dtype=np.float64)[None, :]
-    xa = np.zeros((ny, zi.size))
-    xb = np.full((ny, zi.size), nx - 1.0)
+    yi = np.arange(ny, dtype=np.float64)
+    xa = np.zeros(ny)
+    xb = np.full(ny, nx - 1.0)
     for a in range(3):
         k = m[a, 0]
         eps = 1e-9 * (1.0 + np.abs(m[a]) @ (nx, ny, nz, 1.0))
-        rest = m[a, 1] * yi + m[a, 2] * zi + m[a, 3]
+        rest = m[a, 1] * yi + m[a, 2] * z + m[a, 3]
         below, above = lo - eps - rest, hi[a] + eps - rest  # bounds on k * x
         if abs(k) * nx <= eps:  # k * x stays within eps: a row is all in or all out
             xb[(below > eps) | (above < -eps)] = -1.0
@@ -339,30 +338,31 @@ def _box(m: np.ndarray, dims, zs: slice, lo: float, hi) -> tuple | None:
     rows = xa <= xb
     if not rows.any():
         return None
-    ys, zr = np.flatnonzero(rows.any(axis=1)), np.flatnonzero(rows.any(axis=0))
+    ys = np.flatnonzero(rows)
     return (
         slice(int(np.floor(xa[rows].min())), int(np.ceil(xb[rows].max())) + 1),
         slice(int(ys[0]), int(ys[-1]) + 1),
-        slice(zs.start + int(zr[0]), zs.start + int(zr[-1]) + 1),
+        slice(z, z + 1),
     )
 
 
-def _slabs(dims, m: np.ndarray, z_range=None, slab=_RESAMPLE_SLAB, reach=None):
+def _slabs(dims, m: np.ndarray, z_range=None, slab=1, reach=None):
     """Map the voxel indices of a ``dims`` grid through ``m``, one z-slab at a time.
 
     Yields ``(box, coords)`` per slab of ``slab`` planes in ``z_range``
     (default: every plane): ``box`` is a tuple of index slices into the grid
     and ``coords[a]`` is row ``a`` of ``m @ [i, j, k, 1]`` over the box.
-    With ``reach=(lo, hi)`` each box is cropped to the voxels that can map
-    into ``[lo, hi[a]]`` on every axis (``_box``), and slabs with none are
-    skipped; each voxel's coordinate is the same expression in any box.
+    With ``reach=(lo, hi)`` (one-plane slabs) each box is cropped to the
+    voxels that can map into ``[lo, hi[a]]`` on every axis (``_box``), and
+    planes with none are skipped; each voxel's coordinate is the same
+    expression in any box.
     """
     nx, ny, nz = dims
     start, stop = z_range or (0, nz)
     for z0 in range(start, stop, slab):
         box = (slice(0, nx), slice(0, ny), slice(z0, min(z0 + slab, stop)))
         if reach is not None:
-            box = _box(m, dims, box[2], *reach)
+            box = _box(m, dims, z0, *reach)
             if box is None:
                 continue
         xi, yi, zi = (np.arange(s.start, s.stop, dtype=np.float64) for s in box)
@@ -373,27 +373,26 @@ def _slabs(dims, m: np.ndarray, z_range=None, slab=_RESAMPLE_SLAB, reach=None):
 
 
 def _sweep(kernel, nz: int, jobs: int) -> None:
-    """Run ``kernel(z_range, slab)`` over ``min(jobs, nz, usable CPUs)`` z ranges.
+    """Run ``kernel(z_range)`` over ``min(jobs, nz, usable CPUs)`` z ranges.
 
-    More threads than CPUs would only shrink the slabs.  Each contiguous
-    range runs on its own thread and writes only its own planes; its slab
-    shrinks with the thread count, so the planes in flight stay
-    ``_RESAMPLE_SLAB`` in total.  The calling thread takes the first range:
-    a pool thread allocates from its own fresh malloc arena, and at
-    ``jobs=2`` a second pool thread raised a benchmark scan's peak RSS by
-    11 MB.
+    Each contiguous range runs on its own thread, one plane at a time, and
+    writes only its own planes, so one plane of temporaries is in flight
+    per thread.  Threads beyond the usable CPUs cannot run at once; each
+    would only add its plane of temporaries and its malloc arena.  The
+    calling thread takes the first range: a pool thread allocates from its
+    own fresh malloc arena, and at ``jobs=2`` a second pool thread raised a
+    benchmark scan's peak RSS by 11 MB.
     """
     if hasattr(os, "sched_getaffinity"):
         ncpu = len(os.sched_getaffinity(0))
     else:
         ncpu = os.cpu_count() or 1
     threads = max(1, min(jobs, nz, ncpu))
-    slab = max(1, _RESAMPLE_SLAB // threads)
     cuts = [nz * i // threads for i in range(threads + 1)]
     first, *rest = zip(cuts, cuts[1:])
     with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        others = [pool.submit(kernel, r, slab) for r in rest]
-        kernel(first, slab)
+        others = [pool.submit(kernel, r) for r in rest]
+        kernel(first)
         for future in others:
             future.result()
 
@@ -437,8 +436,8 @@ def resample_intensity(
     out = np.full(target.dims, background, dtype=np.float64)
     reach = (0.0, (sx - 1, sy - 1, sz - 1))
 
-    def kernel(z_range, slab):
-        for box, (cx, cy, cz) in _slabs(target.dims, m, z_range, slab, reach):
+    def kernel(z_range):
+        for box, (cx, cy, cz) in _slabs(target.dims, m, z_range, reach=reach):
             x0, y0, z0 = np.floor(cx), np.floor(cy), np.floor(cz)
             i000 = x0 * stx + y0 * sty + z0 * stz
             # when every voxel has all eight corners, no mask and scalar steps
@@ -493,8 +492,8 @@ def resample_labels(
     out = np.full(target.dims, background, dtype=np.uint16)
     reach = (-0.5, tuple(n - 0.5 for n in src.dims))
 
-    def kernel(z_range, slab):
-        for box, (rx, ry, rz) in _slabs(target.dims, m, z_range, slab, reach):
+    def kernel(z_range):
+        for box, (rx, ry, rz) in _slabs(target.dims, m, z_range, reach=reach):
             inside = np.ones(rx.shape, dtype=bool)
             for c, n in zip((rx, ry, rz), src.dims):
                 np.ceil(np.subtract(c, 0.5, out=c), out=c)  # round half toward -inf
@@ -521,7 +520,7 @@ def _intensity_moments(vol: IntensityVolume):
     # slab-wise, so no full coordinate grid is materialized
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
-    for box, world in _slabs(vol.dims, vol.geometry.index_to_world.matrix):
+    for box, world in _slabs(vol.dims, vol.geometry.index_to_world.matrix, slab=_MOMENT_SLAB):
         wv = vol.data[box]
         for axis in range(3):
             sums[axis] += float((wv * world[axis]).sum())

@@ -11,8 +11,9 @@ External-process protocol, per tile:
 1. the intensity tile is written as a NIfTI-1 file,
 2. the tile placement is written as a JSON document
    (``origin``, ``size``, ``index``, ``num_labels``),
-3. the command template is expanded with ``{input}``, ``{output}`` and
-   ``{spec}`` paths and invoked (no shell),
+3. the command template is split into arguments, each argument's
+   ``{input}``, ``{output}`` and ``{spec}`` become paths, and the command
+   is invoked (no shell), so a path with a space stays one argument,
 4. the process must write a NIfTI-1 label file of identical dims to
    ``{output}`` and exit 0; anything else fails the tile.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shlex
+import string
 import subprocess
 import tempfile
 import warnings
@@ -152,14 +154,24 @@ class ExternalProcessBackend(SegmenterBackend):
     """Runs one subprocess per tile through the file protocol above.
 
     ``command_template`` must contain the ``{input}`` and ``{output}``
-    placeholders (``{spec}`` is optional).  Each invocation gets its own
-    temporary workspace, so tiles may run concurrently.
+    placeholders, may contain ``{spec}`` and no other; a template that
+    breaks this fails here, before any tile runs.  Each invocation gets its
+    own temporary workspace, so tiles may run concurrently.
     """
 
     def __init__(self, command_template: str, num_labels: int = DEFAULT_NUM_LABELS):
-        if "{input}" not in command_template or "{output}" not in command_template:
+        try:
+            self._args = shlex.split(command_template)
+            fields = {
+                name for arg in self._args
+                for _, name, _, _ in string.Formatter().parse(arg) if name is not None
+            }
+        except ValueError as exc:
+            raise SegmentationError(f"malformed command template: {exc}") from exc
+        if not {"input", "output"} <= fields <= {"input", "output", "spec"}:
             raise SegmentationError(
-                "command template must contain {input} and {output} placeholders"
+                "command template must contain {input} and {output} placeholders,"
+                f" may contain {{spec}} and no other; got {sorted(fields)}"
             )
         self.command_template = command_template
         self.num_labels = int(num_labels)
@@ -181,11 +193,9 @@ class ExternalProcessBackend(SegmenterBackend):
                     }
                 )
             )
-            command = self.command_template.format(
-                input=str(input_path), output=str(output_path), spec=str(spec_path)
-            )
+            paths = {"input": str(input_path), "output": str(output_path), "spec": str(spec_path)}
             proc = subprocess.run(
-                shlex.split(command), capture_output=True, text=True
+                [arg.format(**paths) for arg in self._args], capture_output=True, text=True
             )
             if proc.returncode != 0:
                 raise SegmentationError(

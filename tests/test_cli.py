@@ -402,6 +402,23 @@ def test_backend_failure_exits_7(tmp_path, capsys):
     assert "tile 0" in capsys.readouterr().err
 
 
+def test_unknown_template_placeholder_exits_7_before_any_tile(tmp_path, capsys):
+    # were it left to the tiles, the background policy would turn every tile
+    # into background and exit 0
+    _, _, scan_path = _write_phantom(tmp_path)
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+            "--backend", "external:cp {input} {output} {model}",
+            "--on-tile-failure", "background",
+            "--atlas-dims", "16,16,16", "--grid", "2,2,2", "--tile-size", "9,9,9",
+        ]
+    )
+    assert code == 7
+    assert "'model'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "atlas_labels.nii").exists()
+
+
 def test_invalid_affine_matrix_exits_4(tmp_path):
     _, truth_path, scan_path = _write_phantom(tmp_path)
     bad = tmp_path / "affine.txt"

@@ -571,8 +571,8 @@ def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(case, jobs
 def test_sweep_runs_one_thread_per_usable_cpu_at_most(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
-    _sweep(lambda z_range, slab: calls.append((z_range, slab)), 19, jobs=4)
-    assert calls == [((0, 19), 8)]
+    _sweep(calls.append, 19, jobs=4)
+    assert calls == [(0, 19)]
 
 
 @pytest.mark.parametrize("case", sorted(_CROP_CASES))
@@ -615,7 +615,7 @@ def test_resampling_never_copies_the_source():
     ],
 )
 def test_resampling_allocates_its_output_once(resample, jobs):
-    # a long z axis makes the 8-slice slab temporaries small next to the output,
+    # a long z axis makes the one-plane temporaries small next to the output,
     # so a second copy of the output (the volume constructor's) shows up
     geometry = make_centered_geometry((32, 32, 32))
     rng = np.random.default_rng(33)
@@ -625,7 +625,24 @@ def test_resampling_allocates_its_output_once(resample, jobs):
         src = LabelVolume(geometry, rng.integers(0, 9, geometry.dims), 9)
     target = make_centered_geometry((32, 32, 512))
     peak, out = peak_alloc(lambda: resample(src, AffineTransform.identity(), target, jobs=jobs))
-    assert peak < 1.7 * out.data.nbytes
+    assert peak < 1.3 * out.data.nbytes
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("resample", [resample_intensity, resample_labels])
+def test_resampling_temporaries_are_a_few_planes_per_thread(resample, jobs):
+    # each thread sweeps one target plane at a time; a slab of several planes
+    # holds each of its ~20 float64 temporaries that many times over
+    geometry = make_centered_geometry((64, 64, 24))
+    rng = np.random.default_rng(36)
+    if resample is resample_intensity:
+        src = IntensityVolume(geometry, np.asfortranarray(rng.uniform(0.0, 1.0, geometry.dims)))
+    else:
+        src = LabelVolume(geometry, np.asfortranarray(rng.integers(0, 9, geometry.dims)), 9)
+    target = make_centered_geometry((96, 96, 16))
+    peak, out = peak_alloc(lambda: resample(src, _tilted(), target, jobs=jobs))
+    plane = 96 * 96 * np.dtype(np.float64).itemsize
+    assert peak - out.data.nbytes < 24 * jobs * plane
 
 
 def test_resample_intensity_rejects_non_finite_background():
@@ -754,3 +771,40 @@ def test_moments_across_z_slabs_match_full_grid_moments():
     est = estimate_affine_moments(moving, fixed)
     npt.assert_allclose(np.diag(est.linear), s_mov / s_fix, rtol=1e-9)
     npt.assert_allclose(est.offset, c_mov - s_mov / s_fix * c_fix, atol=1e-9)
+
+
+def _moments_in_8_plane_slabs(vol):
+    """The moment sums as ``estimate_affine_moments`` adds them: one float per 8-plane slab."""
+    m = vol.geometry.index_to_world.matrix
+    nx, ny, nz = vol.dims
+    xi = np.arange(nx, dtype=np.float64)[:, None, None]
+    yi = np.arange(ny, dtype=np.float64)[None, :, None]
+    mass = float(vol.data.astype(np.float64, order="C").reshape(-1).sum())
+    sums, sq_sums = np.zeros(3), np.zeros(3)
+    for z0 in range(0, nz, 8):
+        zi = np.arange(z0, min(z0 + 8, nz), dtype=np.float64)[None, None, :]
+        wv = vol.data[:, :, z0:z0 + 8]
+        for a in range(3):
+            world = m[a, 0] * xi + m[a, 1] * yi + m[a, 2] * zi + m[a, 3]
+            sums[a] += float((wv * world).sum())
+            sq_sums[a] += float((wv * world * world).sum())
+    centroid = sums / mass
+    return centroid, np.sqrt(np.maximum(sq_sums / mass - centroid**2, 0.0))
+
+
+def test_moment_sums_keep_their_8_plane_slabs():
+    # the resamplers step one plane at a time; the moment sums must not follow,
+    # or the last bits of every affine=estimate run would change
+    base = make_centered_geometry((21, 18, 29), (1.1, 0.9, 0.8))
+    tilted = VolumeGeometry(
+        base.dims, base.spacing, compose(_tilted((3.0, -2.0, 5.0)), base.index_to_world)
+    )
+    rng = np.random.default_rng(37)
+    moving = IntensityVolume(tilted, np.asfortranarray(rng.uniform(1.0, 10.0, tilted.dims)))
+    fixed = random_intensity((19, 23, 37), seed=38, lo=1.0, hi=10.0)
+    assert moving.dims[2] % 8 and fixed.dims[2] % 8
+    c_mov, s_mov = _moments_in_8_plane_slabs(moving)
+    c_fix, s_fix = _moments_in_8_plane_slabs(fixed)
+    scale = s_mov / s_fix
+    want = AffineTransform.from_linear_translation(np.diag(scale), c_mov - scale * c_fix)
+    assert estimate_affine_moments(moving, fixed).matrix.tobytes() == want.matrix.tobytes()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
@@ -237,6 +238,37 @@ def test_external_backend_requires_placeholders():
         ExternalProcessBackend("model {input}")
     with pytest.raises(SegmentationError, match="placeholders"):
         ExternalProcessBackend("model {output}")
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("cp {input} {output} {model}", "placeholders"),
+        ("cp {input} {output} {}", "placeholders"),
+        ("cp {input.name} {output}", "placeholders"),
+        ("cp {input} {output} {", "malformed command template"),
+        ("cp '{input} {output}", "malformed command template"),
+    ],
+)
+def test_external_backend_rejects_a_template_no_tile_could_run(template, message):
+    with pytest.raises(SegmentationError, match=message):
+        ExternalProcessBackend(template)
+
+
+def test_external_backend_passes_paths_with_spaces_as_one_argument(tmp_path, monkeypatch):
+    spaced = tmp_path / "tmp dir"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    vol, tile = _one_tile_case()
+    prior = random_labels(vol.dims, 6, seed=8)
+    prior_path = spaced / "prior.nii"
+    tio.write_nifti(prior, prior_path)
+    stub = _write_stub(spaced, prior_path)
+    backend = ExternalProcessBackend(
+        f"{sys.executable} '{stub}' {{input}} {{output}} {{spec}}", num_labels=6
+    )
+    npt.assert_array_equal(segment_tile(backend, vol, tile).data, prior.data)
+    assert backend.descriptor() == f"external:{backend.command_template}:6"
 
 
 def test_background_policy_substitutes_and_warns():
