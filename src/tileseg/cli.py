@@ -241,6 +241,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # run, tile, fuse and evaluate take a label count; a user error, not a geometry one
+        if getattr(args, "num_labels", None) is not None and args.num_labels < 2:
+            raise ConfigError(f"--num-labels must be at least 2, got {args.num_labels}")
         return _COMMANDS[args.command](args)
     except Exception as exc:
         for exc_type, code in EXIT_CODES:

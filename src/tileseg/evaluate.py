@@ -19,6 +19,9 @@ from .io import write_atomic
 
 __all__ = ["EvaluateError", "DiceReport", "dice", "report"]
 
+# voxels counted per step of report()
+_CHUNK = 1 << 16
+
 
 class EvaluateError(ValueError):
     """Volumes are not comparable."""
@@ -83,13 +86,18 @@ def report(auto: LabelVolume, manual: LabelVolume) -> DiceReport:
             f"label counts differ: {auto.num_labels} vs {manual.num_labels}"
         )
     L = auto.num_labels
-    # single pass over the volumes instead of 2L full scans
-    a = auto.data.reshape(-1).astype(np.int64)
-    b = manual.data.reshape(-1).astype(np.int64)
-    count_a = np.bincount(a, minlength=L)
-    count_b = np.bincount(b, minlength=L)
-    agree = a == b
-    count_both = np.bincount(a[agree], minlength=L)
+    # one pass over the volumes instead of 2L full scans, flat in one memory
+    # order (a copy only where the layouts differ) and counted a chunk at a
+    # time, so bincount's int64 widening is chunk-sized, not volume-sized
+    order = "F" if auto.data.flags.f_contiguous and manual.data.flags.f_contiguous else "C"
+    a = auto.data.ravel(order)
+    b = manual.data.ravel(order)
+    count_a, count_b, count_both = np.zeros((3, L), dtype=np.int64)
+    for start in range(0, a.size, _CHUNK):
+        part_a, part_b = a[start : start + _CHUNK], b[start : start + _CHUNK]
+        count_a += np.bincount(part_a, minlength=L)
+        count_b += np.bincount(part_b, minlength=L)
+        count_both += np.bincount(part_a[part_a == part_b], minlength=L)
 
     per_label: dict = {}
     scores = []

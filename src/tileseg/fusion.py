@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AffineTransform, LabelVolume, VolumeGeometry, compose
+from .geometry import AffineTransform, LabelVolume, VolumeGeometry, _label_dtype, compose
 from .tiling import TileGrid, coverage_map
 
 __all__ = ["FusionError", "FusionResult", "fuse_majority", "fuse_concatenate"]
@@ -98,11 +98,13 @@ def fuse_majority(
 
     Returns the fused atlas-space label volume, the number of voxels where
     the top vote count was shared by several labels, and the per-voxel vote
-    count (the grid's coverage map).
+    count (the grid's coverage map).  The fused map and the vote stacks are
+    in the label type of ``num_labels`` (one byte per vote up to 256
+    labels), whatever the types of the tiles.
     """
     L = _validate(tile_segs, grid, num_labels)
     geometry = _atlas_geometry_from_tiles(tile_segs, grid)
-    fused = np.zeros(grid.atlas_dims, dtype=np.uint16)
+    fused = np.zeros(grid.atlas_dims, dtype=_label_dtype(L))
     # 0-based run lengths reach K - 1, so this holds any K
     run_dtype = np.min_scalar_type(grid.k)
 
@@ -118,7 +120,8 @@ def fuse_majority(
         if k == 1:
             fused[box] = parts[0]
             continue
-        stack = np.stack(parts).reshape(k, -1)
+        # tile values are below L, so casting them into L's type keeps them
+        stack = np.stack(parts, dtype=fused.dtype, casting="same_kind").reshape(k, -1)
         low = np.empty_like(stack[0])
         for i, j in _sorting_network(k):
             np.minimum(stack[i], stack[j], out=low)

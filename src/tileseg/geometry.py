@@ -249,9 +249,12 @@ class LabelVolume(_Volume):
 
     Values live in ``[0, num_labels - 1]`` with 0 reserved for background.
     When ``num_labels`` is omitted it is inferred as ``max(data) + 1``
-    (never below 2).  The constructor copies ``data`` into uint16, refusing
-    any value the copy would change; uint16 arrays the package builds
-    itself are adopted without a copy (``_adopt``) after the same checks.
+    (never below 2).  ``data`` is held in ``_label_dtype(num_labels)``:
+    uint8 up to 256 labels (the paper's 133 included), uint16 above.  The
+    constructor copies ``data`` into that type, refusing any value that is
+    negative, above 65535 or not a whole number; arrays the package builds
+    in that type are adopted without a copy (``_adopt``) after the same
+    checks.
     """
 
     geometry: VolumeGeometry
@@ -259,10 +262,9 @@ class LabelVolume(_Volume):
     num_labels: int = field(default=0)
 
     def __post_init__(self):
-        self._freeze(_label_array(self.data), self.num_labels)
+        self._freeze(_label_array(self.data, self.num_labels), self.num_labels)
 
     def _freeze(self, arr: np.ndarray, num_labels: int) -> None:
-        assert arr.dtype == np.uint16
         if arr.shape != self.geometry.dims:
             raise GeometryError(
                 f"data shape {arr.shape} does not match dims {self.geometry.dims}"
@@ -276,6 +278,7 @@ class LabelVolume(_Volume):
             raise GeometryError(
                 f"label value {int(arr.max())} out of range for num_labels={n}"
             )
+        assert arr.dtype == _label_dtype(n)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "num_labels", n)
@@ -284,20 +287,35 @@ class LabelVolume(_Volume):
         return LabelVolume(self.geometry, data, self.num_labels)
 
 
-def _label_array(data, error=GeometryError) -> np.ndarray:
-    """A uint16 copy of ``data``; raises ``error`` on a value the copy would change."""
+def _label_dtype(num_labels: int) -> np.dtype:
+    """The element type of a label volume: uint8 up to 256 labels, uint16 above."""
+    return np.dtype(np.uint8 if num_labels <= 256 else np.uint16)
+
+
+def _label_array(data, num_labels: int = 0, error=GeometryError) -> np.ndarray:
+    """A copy of ``data`` in the label type of ``num_labels`` (0: inferred).
+
+    Raises ``error`` on a value that is negative, above 65535 or not a whole
+    number.  The type is chosen for ``max(num_labels, max(data) + 1)``, so a
+    value out of range is copied unchanged and the volume's range check
+    names it.
+    """
     arr = np.asarray(data)
-    with np.errstate(invalid="ignore"):  # NaN casts quietly; the check below catches it
-        out = np.array(arr, dtype=np.uint16)
     if not (
         np.can_cast(arr.dtype, np.uint16)  # bool, uint8, uint16: no pass
         or np.can_cast(arr.dtype, np.int16) and arr.min(initial=0) >= 0  # one pass
-        or np.array_equal(out, arr)
     ):
-        bad = arr[out != arr][0]
-        reason = "negative" if bad < 0 else "above 65535" if bad > 65535 else "not a whole number"
-        raise error(f"label value {bad} is {reason}; labels are stored as uint16")
-    return out
+        with np.errstate(invalid="ignore"):  # NaN casts quietly; the check below catches it
+            wide = np.array(arr, dtype=np.uint16)
+        if not np.array_equal(wide, arr):
+            bad = arr[wide != arr][0]
+            reason = "negative" if bad < 0 else "above 65535" if bad > 65535 else "not a whole number"
+            raise error(
+                f"label value {bad} is {reason}; labels are whole numbers in [0, 65535],"
+                " stored as uint8 up to 256 labels and as uint16 above"
+            )
+    top = int(arr.max(initial=0))
+    return arr.astype(_label_dtype(max(int(num_labels), top + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +507,7 @@ def resample_labels(
     if not 0 <= background < src.num_labels:
         raise GeometryError(f"background {background} out of label range")
     flat, (stx, sty, stz) = _flat(src.data)
-    out = np.full(target.dims, background, dtype=np.uint16)
+    out = np.full(target.dims, background, dtype=src.data.dtype)
     reach = (-0.5, tuple(n - 0.5 for n in src.dims))
 
     def kernel(z_range):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume
+from .geometry import IntensityVolume, LabelVolume, _label_dtype
 
 __all__ = [
     "HarmonizeError",
@@ -154,12 +154,12 @@ def fit_model(
     for vol in atlas_volumes[1:]:
         if not vol.geometry.matches(geometry):
             raise HarmonizeError("atlas volumes are not on a common grid")
-    union = np.zeros(geometry.dims, dtype=bool)
+    union = np.zeros(geometry.dims, dtype=_label_dtype(2))
     for mask in atlas_masks:
         if not mask.geometry.matches(geometry):
             raise HarmonizeError("atlas mask is not on the common grid")
         union |= mask.data > 0
-    union_mask = LabelVolume._adopt(geometry, union.astype(np.uint16), 2)
+    union_mask = LabelVolume._adopt(geometry, union, 2)
     profiles = [
         _profile(geometry, union_mask, quantile_count, *_moments(vol))
         for vol in atlas_volumes

@@ -7,11 +7,15 @@ always emits little-endian files with float32 intensities or int16
 labels.  Scale fields (scl_slope/scl_inter) are not applied; the data
 section is decoded as stored, and an intensity volume keeps it as stored:
 its voxels are a read-only view of the file bytes (a big-endian file gets
-one native-order copy of the same width), not a float64 copy.
+one native-order copy of the same width), not a float64 copy.  A label
+volume is one copy of the stored voxels in its label type (uint8 up to 256
+labels, uint16 above; see ``LabelVolume``).
 
 The raw format is a JSON sidecar (dims, spacing, affine, dtype) next to a
 flat little-endian binary blob in x-fastest order.  It exists for test
-fixtures where bit-exact float64 round-trips matter.
+fixtures where bit-exact float64 round-trips matter, and it holds the
+resume cache's tile answers.  Labels are stored as ``<u2`` whatever their
+label type, so entries written by earlier versions still read.
 """
 
 from __future__ import annotations
@@ -192,9 +196,11 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
         byte_order=order_name,
     )
     if as_labels:
-        vol = LabelVolume._adopt(geometry, _label_array(arr, NiftiFormatError), num_labels or 0)
+        vol = LabelVolume._adopt(
+            geometry, _label_array(arr, num_labels or 0, NiftiFormatError), num_labels or 0
+        )
     else:
-        # kept as stored; labels above are copied into uint16
+        # kept as stored; labels above are copied once into their label type
         if not dtype.isnative:
             arr = arr.astype(dtype.newbyteorder("="))
         vol = IntensityVolume._adopt(geometry, arr)
@@ -302,5 +308,6 @@ def read_raw(path):
     arr = flat.reshape(dims, order="F")
     # each branch makes the one copy of the blob, which the volume adopts
     if meta["kind"] == "labels":
-        return LabelVolume._adopt(geometry, _label_array(arr), meta.get("num_labels", 0))
+        num_labels = meta.get("num_labels", 0)
+        return LabelVolume._adopt(geometry, _label_array(arr, num_labels), num_labels)
     return IntensityVolume._adopt(geometry, arr.astype(np.float64))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .geometry import IntensityVolume, LabelVolume, VolumeGeometry
+from .geometry import IntensityVolume, LabelVolume, VolumeGeometry, _label_dtype
 
 __all__ = ["make_blob_phantom", "intensity_from_labels"]
 
@@ -36,7 +36,7 @@ def make_blob_phantom(
     x = np.arange(geometry.dims[0])[:, None, None]
     y = np.arange(geometry.dims[1])[None, :, None]
     z = np.arange(geometry.dims[2])[None, None, :]
-    out = np.zeros(geometry.dims, dtype=np.uint16)
+    out = np.zeros(geometry.dims, dtype=_label_dtype(num_labels))
     for label, cell in zip(range(1, num_labels), cells):
         center = (np.array(cell) + 0.5) * cell_size
         center += rng.uniform(-0.08, 0.08, size=3) * cell_size

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume
+from .geometry import IntensityVolume, LabelVolume, _label_dtype
 from .tiling import TileGrid, TileSpec, extract_tile
 
 __all__ = [
@@ -89,7 +89,7 @@ class ConstantOracle(SegmenterBackend):
             )
 
     def segment(self, tile_input, tile):
-        data = np.full(tile_input.dims, self.label, dtype=np.uint16)
+        data = np.full(tile_input.dims, self.label, dtype=_label_dtype(self.num_labels))
         return LabelVolume._adopt(tile_input.geometry, data, self.num_labels)
 
     def descriptor(self):
@@ -116,8 +116,10 @@ class AtlasPriorOracle(SegmenterBackend):
         return out
 
     def descriptor(self):
-        digest = hashlib.sha256(self.prior.data.tobytes()).hexdigest()
-        return f"prior:{digest}:{self.num_labels}"
+        # the prior's voxels as uint16 in C order, whatever its label type, so
+        # the resume-cache keys stay those of uint16 priors
+        digest = hashlib.sha256(np.ascontiguousarray(self.prior.data, dtype=np.uint16))
+        return f"prior:{digest.hexdigest()}:{self.num_labels}"
 
 
 class CorruptingWrapper(SegmenterBackend):
@@ -139,7 +141,9 @@ class CorruptingWrapper(SegmenterBackend):
 
     def segment(self, tile_input, tile):
         if tile.index == self.target_index:
-            data = np.full(tile_input.dims, self.corruption_label, dtype=np.uint16)
+            data = np.full(
+                tile_input.dims, self.corruption_label, dtype=_label_dtype(self.num_labels)
+            )
             return LabelVolume._adopt(tile_input.geometry, data, self.num_labels)
         return self.inner.segment(tile_input, tile)
 
@@ -215,7 +219,7 @@ class ExternalProcessBackend(SegmenterBackend):
             raise SegmentationError(
                 f"backend output dims {out.dims} != tile dims {tile_input.dims}"
             )
-        return LabelVolume(tile_input.geometry, out.data, self.num_labels)
+        return LabelVolume._adopt(tile_input.geometry, out.data, self.num_labels)
 
     def descriptor(self):
         return f"external:{self.command_template}:{self.num_labels}"
@@ -310,7 +314,7 @@ def segment_all(
                     f"tile {tile.index} failed ({exc}); substituting background",
                     stacklevel=2,
                 )
-                data = np.zeros(tile_input.dims, dtype=np.uint16)
+                data = np.zeros(tile_input.dims, dtype=_label_dtype(backend.num_labels))
                 return LabelVolume._adopt(tile_input.geometry, data, backend.num_labels)
             raise SegmentationError(f"tile {tile.index}: {exc}") from exc
         if entry is not None:

@@ -326,6 +326,31 @@ def test_non_finite_background_fill_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+@pytest.mark.parametrize("command", ["run", "tile", "fuse", "evaluate"])
+def test_label_count_below_2_exits_2(tmp_path, capsys, command, value):
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    tiles_dir = tmp_path / "tiles"
+    assert main(
+        ["tile", "--input", str(truth_path), "--output", str(tiles_dir), "--labels",
+         "--grid", "2,2,2", "--tile-size", "9,9,9"]
+    ) == 0
+    out = tmp_path / "out"
+    argv = {
+        "run": ["run", "--input", str(scan_path), "--output", str(out),
+                "--backend", f"prior:{truth_path}", *_SMALL_RUN],
+        "tile": ["tile", "--input", str(truth_path), "--output", str(out), "--labels",
+                 "--grid", "2,2,2", "--tile-size", "9,9,9"],
+        "fuse": ["fuse", "--tiles", str(tiles_dir), "--output", str(out)],
+        "evaluate": ["evaluate", "--auto", str(truth_path), "--manual", str(truth_path),
+                     "--output", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--num-labels", value]) == 2
+    assert f"--num-labels must be at least 2, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tampered_grid_json_exits_6(tmp_path, capsys):
     _, truth_path, _ = _write_phantom(tmp_path)
     tiles_dir = tmp_path / "tiles"

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_labels
+from conftest import peak_alloc, random_labels
 from tileseg.evaluate import EvaluateError, dice, report
 from tileseg.geometry import LabelVolume, make_centered_geometry
 
@@ -113,6 +113,40 @@ def test_report_agrees_with_per_label_dice():
     rep = report(a, b)
     for label in range(1, 5):
         assert rep.per_label[label] == dice(a, b, label)
+
+
+def _int64_report(auto, manual):
+    """The per-label counts over both volumes widened whole to int64."""
+    L = auto.num_labels
+    a = auto.data.reshape(-1).astype(np.int64)
+    b = manual.data.reshape(-1).astype(np.int64)
+    count_a = np.bincount(a, minlength=L)
+    count_b = np.bincount(b, minlength=L)
+    count_both = np.bincount(a[a == b], minlength=L)
+    per_label = {}
+    for label in range(1, L):
+        denom = int(count_a[label]) + int(count_b[label])
+        per_label[label] = 2.0 * int(count_both[label]) / denom if denom else None
+    scores = [v for v in per_label.values() if v is not None]
+    return per_label, float(np.mean(scores)), float(np.median(scores)), len(scores)
+
+
+@pytest.mark.parametrize("num_labels", [133, 300])
+@pytest.mark.parametrize("orders", ["FF", "CC", "FC"])
+def test_report_counts_without_widening_the_volumes(orders, num_labels):
+    # 580,545 voxels: nine whole counting chunks and a partial one
+    g = make_centered_geometry((97, 95, 63))
+    rng = np.random.default_rng(21)
+    truth = rng.integers(0, num_labels, g.dims)
+    auto = np.where(rng.random(g.dims) < 0.7, truth, rng.integers(0, num_labels, g.dims))
+    a = LabelVolume(g, np.asarray(auto, order=orders[0]), num_labels)
+    m = LabelVolume(g, np.asarray(truth, order=orders[1]), num_labels)
+    peak, got = peak_alloc(lambda: report(a, m))
+    assert (got.per_label, got.mean_dsc, got.median_dsc, got.labels_evaluated) == _int64_report(a, m)
+    # int64 copies of both volumes were 16 bytes a voxel; what is left is one
+    # copy of a volume whose memory order differs, and chunk-sized counts
+    copy = a.data.nbytes if orders == "FC" else 0
+    assert peak < copy + 1.5 * 2**20
 
 
 def test_rejects_dim_mismatch():

@@ -267,3 +267,35 @@ def test_num_labels_inferred_from_tiles():
     segs, grid = _stacked_tiles([[1, 1], [2, 2]], num_labels=9)
     result = fuse_majority(segs, grid)
     assert result.fused.num_labels == 9
+
+
+@pytest.mark.parametrize(
+    "num_labels, tile_labels, dtype",
+    [(6, 6, np.uint8), (256, 256, np.uint8), (300, 300, np.uint16), (6, 300, np.uint8)],
+)
+def test_fused_map_takes_the_label_type(num_labels, tile_labels, dtype):
+    # the last case: uint16 tiles voting below a one-byte label count
+    dims = (7, 9, 5)
+    grid = build_grid(dims, (2, 3, 2), (4, 9, 3))
+    rng = np.random.default_rng(12)
+    geometry = make_centered_geometry(dims)
+    segs = [
+        extract_tile(LabelVolume(geometry, np.zeros(dims, dtype=np.uint16), tile_labels), t)
+        .with_data(rng.integers(0, num_labels, size=t.size))
+        for t in grid.tiles
+    ]
+    assert segs[0].data.dtype == (np.uint8 if tile_labels <= 256 else np.uint16)
+    result = fuse_majority(segs, grid, num_labels=num_labels)
+    winners, ties, _ = _dense_vote_oracle(segs, grid, num_labels)
+    assert result.fused.data.dtype == dtype
+    assert result.fused.data.tobytes() == winners.astype(dtype).tobytes()
+    assert result.tie_count == ties > 0
+
+
+def test_the_top_one_byte_label_wins_its_votes():
+    # 255 is also the fill of the one-byte winner search
+    segs, grid = _stacked_tiles([[255, 255], [255, 0], [254, 255]], num_labels=256)
+    result = fuse_majority(segs, grid)
+    assert result.fused.data.dtype == np.uint8
+    npt.assert_array_equal(result.fused.data.reshape(-1), [255, 255])
+    assert result.tie_count == 0

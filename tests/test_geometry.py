@@ -28,6 +28,7 @@ from tileseg import io as tio
 from tileseg.fusion import fuse_majority
 from tileseg.harmonize import fit_model, harmonize, standardize
 from tileseg.pipeline import PipelineConfig
+from tileseg.phantom import make_blob_phantom
 from tileseg.segmenter import ConstantOracle, CorruptingWrapper
 from tileseg.tiling import build_grid, extract_tile
 
@@ -188,7 +189,9 @@ def test_label_volume_keeps_every_label_value_exactly(dtype, top):
     g = make_centered_geometry((2, 2, 2))
     data = np.array([0, top, 1, 0, 1, 1, top, 0]).astype(dtype).reshape(2, 2, 2)
     lab = LabelVolume(g, data)
-    assert lab.data.dtype == np.uint16
+    # num_labels is inferred as top + 1: one byte up to 256 labels
+    assert lab.data.dtype == (np.uint8 if top < 256 else np.uint16)
+    assert lab.data.tobytes() == data.astype(lab.data.dtype).tobytes()
     npt.assert_array_equal(lab.data, data.astype(np.int64))
     if np.dtype(dtype).kind in "if":
         with pytest.raises(GeometryError, match="negative"):
@@ -200,6 +203,34 @@ def test_label_volume_infers_num_labels():
     assert LabelVolume(g, np.full((2, 2, 2), 7)).num_labels == 8
     # never below 2, even for all-background data
     assert LabelVolume(g, np.zeros((2, 2, 2), dtype=np.uint16)).num_labels == 2
+
+
+@pytest.mark.parametrize(
+    "num_labels, dtype",
+    [(2, np.uint8), (133, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16)],
+)
+def test_label_type_is_one_byte_up_to_256_labels(num_labels, dtype):
+    g = make_centered_geometry((2, 2, 2))
+    data = np.array([0, 1, num_labels - 1, 0, 0, 1, 0, num_labels - 1]).reshape(2, 2, 2)
+    # given or inferred, the label count alone picks the type
+    for lab in (LabelVolume(g, data, num_labels), LabelVolume(g, data)):
+        assert lab.num_labels == num_labels
+        assert lab.data.dtype == dtype
+        assert lab.data.tobytes() == data.astype(dtype).tobytes()
+
+
+def test_phantom_takes_the_label_type():
+    lab = make_blob_phantom(make_centered_geometry((12, 12, 12)), num_labels=6)
+    assert lab.data.dtype == np.uint8
+
+
+@pytest.mark.parametrize("value", [265, 300, 65535])
+def test_label_beyond_a_one_byte_count_is_refused_unwrapped(value):
+    # a uint8 copy would wrap 265 to 9, inside num_labels=10
+    g = make_centered_geometry((2, 2, 2))
+    for dtype in ("u2", "i4", "f8"):
+        with pytest.raises(GeometryError, match=f"label value {value} out of range"):
+            LabelVolume(g, np.full((2, 2, 2), value, dtype=dtype), 10)
 
 
 # --- Resampling ---
@@ -394,7 +425,7 @@ def _three_index_nearest(src, t, target, background):
     rx = np.clip(rx, 0, sx - 1)
     ry = np.clip(ry, 0, sy - 1)
     rz = np.clip(rz, 0, sz - 1)
-    return np.where(inside, src.data[rx, ry, rz], background).astype(np.uint16)
+    return np.where(inside, src.data[rx, ry, rz], background)
 
 
 def _memory_layouts(data):
@@ -449,7 +480,20 @@ def test_flat_gather_is_bytewise_equal_to_three_index_formula(case, layout):
     got_img = resample_intensity(img, t, target, background=-7.5)
     got_lab = resample_labels(lab, t, target, background=3)
     assert got_img.data.tobytes() == want_img.tobytes()
-    assert got_lab.data.tobytes() == want_lab.tobytes()
+    assert got_lab.data.dtype == np.uint8  # 6 labels
+    assert got_lab.data.tobytes() == want_lab.astype(got_lab.data.dtype).tobytes()
+
+
+@pytest.mark.parametrize("num_labels, dtype", [(256, np.uint8), (300, np.uint16)])
+def test_resample_labels_keeps_the_label_type(num_labels, dtype):
+    geometry, target, t = _GATHER_CASES["tilted-scaled"]
+    data = np.random.default_rng(37).integers(0, num_labels, geometry.dims)
+    lab = LabelVolume(geometry, np.asfortranarray(data), num_labels)
+    want = _three_index_nearest(lab, t, target, background=num_labels - 1)
+    got = resample_labels(lab, t, target, background=num_labels - 1)
+    assert lab.data.dtype == got.data.dtype == dtype
+    assert got.data.tobytes() == want.astype(dtype).tobytes()
+    assert int(want.max()) == num_labels - 1
 
 
 # --- Cropped, threaded sweep: bytewise equal to the uncropped serial kernel ---
@@ -565,7 +609,8 @@ def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(case, jobs
     got_img = resample_intensity(img, t, target, background=-7.5, jobs=jobs)
     got_lab = resample_labels(lab, t, target, background=0, jobs=jobs)
     assert got_img.data.tobytes() == want_img.tobytes()
-    assert got_lab.data.tobytes() == want_lab.astype(np.uint16).tobytes()
+    assert got_lab.data.dtype == np.uint8  # 6 labels
+    assert got_lab.data.tobytes() == want_lab.astype(got_lab.data.dtype).tobytes()
 
 
 def test_sweep_runs_one_thread_per_usable_cpu_at_most(monkeypatch):
@@ -625,7 +670,9 @@ def test_resampling_allocates_its_output_once(resample, jobs):
         src = LabelVolume(geometry, rng.integers(0, 9, geometry.dims), 9)
     target = make_centered_geometry((32, 32, 512))
     peak, out = peak_alloc(lambda: resample(src, AffineTransform.identity(), target, jobs=jobs))
-    assert peak < 1.3 * out.data.nbytes
+    # a second copy would reach 2x; next to a one-byte label output the
+    # float64 plane temporaries weigh twice what they did next to uint16
+    assert peak < (1.3 if resample is resample_intensity else 1.6) * out.data.nbytes
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import warnings
@@ -27,15 +28,19 @@ from tileseg.io import (
 from tileseg.pipeline import save_affine
 
 
-def test_label_round_trip_is_bitwise(tmp_path):
-    src = random_labels((9, 7, 5), 133, seed=1)
+@pytest.mark.parametrize("num_labels, dtype", [(133, np.uint8), (300, np.uint16)])
+def test_label_round_trip_is_bitwise(tmp_path, num_labels, dtype):
+    src = random_labels((9, 7, 5), num_labels, seed=1)
     p = tmp_path / "lab.nii"
     write_nifti(src, p)
-    out, summary = read_nifti(p, as_labels=True, num_labels=133)
-    npt.assert_array_equal(out.data, src.data)
-    assert out.num_labels == 133
+    out, summary = read_nifti(p, as_labels=True, num_labels=num_labels)
+    assert out.data.dtype == src.data.dtype == dtype
+    assert out.data.tobytes() == src.data.tobytes()
+    assert out.num_labels == num_labels
     assert summary.datatype_code == "int16"
     assert summary.byte_order == "little"
+    # the file holds int16 whatever the label type
+    assert p.read_bytes()[352:] == src.data.astype("<i2").tobytes(order="F")
 
 
 def test_high_label_value_survives(tmp_path):
@@ -305,14 +310,34 @@ def test_raw_round_trip_intensity_bitwise(tmp_path):
     )
 
 
-def test_raw_round_trip_labels(tmp_path):
-    src = random_labels((5, 4, 3), 9, seed=7)
+@pytest.mark.parametrize("num_labels, dtype", [(9, np.uint8), (300, np.uint16)])
+def test_raw_round_trip_labels(tmp_path, num_labels, dtype):
+    src = random_labels((5, 4, 3), num_labels, seed=7)
     p = tmp_path / "lab.raw"
     write_raw(src, p)
     out = read_raw(p)
     assert isinstance(out, LabelVolume)
-    npt.assert_array_equal(out.data, src.data)
-    assert out.num_labels == 9
+    assert out.data.dtype == src.data.dtype == dtype
+    assert out.data.tobytes() == src.data.tobytes()
+    assert out.num_labels == num_labels
+    # the blob holds <u2 whatever the label type
+    assert p.read_bytes() == src.data.astype("<u2").tobytes(order="F")
+
+
+def test_raw_label_entry_bytes_are_pinned(tmp_path):
+    # resume-cache entries are raw label files; these digests were taken when
+    # every label volume was uint16, so caches written then still match
+    data = (np.arange(120).reshape(4, 5, 6) * 7) % 11
+    vol = LabelVolume(make_centered_geometry((4, 5, 6)), data, 11)
+    assert vol.data.dtype == np.uint8
+    p = tmp_path / "entry"
+    write_raw(vol, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "153c7e66e3a25c288bbf3d17c753a9c480d20febb80fda62cf599672ab619b76"
+    )
+    assert hashlib.sha256((tmp_path / "entry.json").read_bytes()).hexdigest() == (
+        "0cb091432a439ac1956212ae79ac597e9bbe4644607726ea20bfa17eec444479"
+    )
 
 
 def test_raw_rejects_size_mismatch(tmp_path):
@@ -355,14 +380,26 @@ def test_read_raw_copies_the_blob_once(tmp_path, kind):
     path = tmp_path / "vol.raw"
     write_raw(vol, path)
     peak, out = peak_alloc(lambda: read_raw(path))
-    # the blob, the volume, and the finiteness mask of an intensity volume
-    assert peak < 2.25 * out.data.nbytes
-    # what read_raw returned before it adopted its astype copy
-    blob_dtype, dtype = {"labels": ("<u2", np.uint16), "intensity": ("<f8", np.float64)}[kind]
+    # the blob, the volume, and the finiteness mask of an intensity volume;
+    # 133 labels take one byte, copied from the <u2 blob with no uint16 step
+    assert peak < path.stat().st_size + 1.25 * out.data.nbytes
+    # the blob's values in the volume's type, in the blob's memory order
+    blob_dtype, dtype = {"labels": ("<u2", np.uint8), "intensity": ("<f8", np.float64)}[kind]
     old = np.frombuffer(path.read_bytes(), blob_dtype).reshape(vol.dims, order="F").astype(dtype)
     assert out.data.dtype == old.dtype and out.data.strides == old.strides
     assert out.data.tobytes() == old.tobytes() == vol.data.tobytes()
     assert not out.data.flags.writeable
+
+
+def test_read_nifti_copies_labels_once_into_their_type(tmp_path):
+    src = _volume("labels", "F")  # 133 labels
+    path = tmp_path / "lab.nii"
+    write_nifti(src, path)
+    peak, (vol, _) = peak_alloc(lambda: read_nifti(path, as_labels=True, num_labels=133))
+    assert vol.data.dtype == np.uint8
+    assert vol.data.tobytes() == src.data.tobytes()
+    # the file's int16 bytes and the one-byte volume; a uint16 step would add 2 bytes a voxel
+    assert peak < path.stat().st_size + 1.25 * vol.data.nbytes
 
 
 def test_read_nifti_holds_the_file_bytes_and_no_float64_copy(tmp_path):

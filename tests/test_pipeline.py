@@ -1,12 +1,18 @@
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tileseg
 from tileseg import io as tio
+from tileseg.cli import main
 from tileseg.fusion import fuse_majority
 from tileseg.geometry import (
     AffineTransform,
@@ -467,6 +473,90 @@ def test_resume_retries_a_substituted_tile(tmp_path):
     second = run(config, scan_path)
     npt.assert_array_equal(second.fused.data, truth.data)
     assert len(_cache_entries(tmp_path)) == 8
+
+
+# An `external:` backend that answers tile i with answers/tile_<i>.nii, logs
+# each call to $CALLS_LOG and, for tile $KILL_AT, SIGKILLs the run that started it.
+_KILLING_BACKEND = r"""
+i=$(sed -n 's/.*"index": \([0-9]*\).*/\1/p' "$1")
+echo "$i" >> "$CALLS_LOG"
+if [ "$i" = "$KILL_AT" ]; then kill -9 $PPID; exit 1; fi
+cp "{answers}/tile_$(printf %03d "$i").nii" "$2"
+"""
+
+
+def _kill_resume_case(tmp_path):
+    """A 3x3x3 grid of overlapping 6^3 tiles over a 12^3 atlas, noisy answers."""
+    truth = make_blob_phantom(make_centered_geometry((12, 12, 12)), num_labels=5, seed=2)
+    scan_path = tmp_path / "scan.nii"
+    tio.write_nifti(intensity_from_labels(truth, seed=2), scan_path)
+    answers = tmp_path / "answers"
+    answers.mkdir()
+    grid = build_grid(truth.dims, (3, 3, 3), (6, 6, 6))
+    rng = np.random.default_rng(5)
+    for tile in grid.tiles:
+        answer = extract_tile(truth, tile)
+        noisy = np.where(rng.random(tile.size) < 0.3, rng.integers(0, 5, tile.size), answer.data)
+        tio.write_nifti(answer.with_data(noisy), answers / f"tile_{tile.index:03d}.nii")
+    script = tmp_path / "backend.sh"
+    script.write_text(_KILLING_BACKEND.format(answers=answers))
+    args = [
+        "--input", str(scan_path), "--backend", f"external:sh {script} {{spec}} {{output}} {{input}}",
+        "--atlas-dims", "12,12,12", "--grid", "3,3,3", "--tile-size", "6,6,6",
+        "--num-labels", "5", "--affine", "identity", "--harmonization", "skip",
+    ]
+    return args, grid.k
+
+
+def _calls(log):
+    return [int(line) for line in log.read_text().split()] if log.exists() else []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kill_at", [0, 13, 26])
+def test_resume_after_a_kill_matches_a_fresh_run(tmp_path, monkeypatch, kill_at, jobs):
+    args, k = _kill_resume_case(tmp_path)
+    monkeypatch.delenv("KILL_AT", raising=False)
+    monkeypatch.setenv("CALLS_LOG", str(tmp_path / "fresh.log"))
+    fresh = tmp_path / "fresh"
+    assert main(["run", *args, "--output", str(fresh)]) == 0
+
+    out = tmp_path / "out"
+    resumed = ["run", *args, "--output", str(out), "--resume", "--jobs", str(jobs)]
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(tileseg.__file__).resolve().parents[1]),
+        TMPDIR=str(tmp_path),  # the killed run's tile workspaces stay in here
+        KILL_AT=str(kill_at),
+        CALLS_LOG=str(tmp_path / "killed.log"),
+    )
+    killed = subprocess.run(
+        [sys.executable, "-m", "tileseg.cli", *resumed], env=env, capture_output=True, timeout=120
+    )
+    assert killed.returncode == -signal.SIGKILL
+    for name in ("atlas_labels.nii", "native_labels.nii", "report.json"):
+        assert not (out / name).exists()
+    cache = out / "work" / "tiles"
+    # complete entries: a blob and its sidecar (the kill may fall between the two writes)
+    cached = {p.name for p in cache.glob("*.json")} & {p.name + ".json" for p in cache.iterdir()}
+    if jobs == 1:
+        assert _calls(tmp_path / "killed.log") == list(range(kill_at + 1))
+        assert len(cached) == kill_at
+
+    monkeypatch.setenv("CALLS_LOG", str(tmp_path / "resumed.log"))
+    assert main(resumed) == 0
+    calls = _calls(tmp_path / "resumed.log")
+    assert len(calls) == len(set(calls)) == k - len(cached)
+    assert kill_at in calls
+    if jobs == 1:
+        assert calls == list(range(kill_at, k))
+    for name in ("atlas_labels.nii", "native_labels.nii"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    reports = [json.loads((d / "report.json").read_text()) for d in (fresh, out)]
+    for report in reports:
+        del report["stages"], report["outputs"]
+    assert reports[0] == reports[1]
+    assert not list(cache.glob("*.tmp"))
 
 
 def _drop_sidecar(entry):

@@ -344,3 +344,29 @@ def test_cache_key_hashes_the_c_order_bytes_without_a_copy(tmp_path, order):
         if order == "C":
             assert peak < tile_input.data.nbytes / 20
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == sorted(want)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_prior_descriptor_is_pinned(order):
+    # taken when every label volume was uint16: the prior's uint16 C-order
+    # bytes, so resume caches keyed on it still match
+    data = (np.arange(120).reshape(4, 5, 6) * 7) % 11
+    prior = LabelVolume(make_centered_geometry((4, 5, 6)), np.asarray(data, order=order), 11)
+    assert prior.data.dtype == np.uint8
+    assert AtlasPriorOracle(prior).descriptor() == (
+        "prior:c8e2472306a4e02406cce5b65e5279fb473056ebf7f337b431f25b3581295fee:11"
+    )
+
+
+@pytest.mark.parametrize("num_labels, dtype", [(4, np.uint8), (300, np.uint16)])
+def test_built_in_answers_take_the_label_type(num_labels, dtype):
+    vol = random_intensity(DIMS, seed=11)
+    size = GRID.tiles[0].size
+    corrupt = CorruptingWrapper(ConstantOracle(1, num_labels), 0, num_labels - 1)
+    failing = ExternalProcessBackend("false {input} {output}", num_labels=num_labels)
+    with pytest.warns(UserWarning, match="substituting background"):
+        substituted = segment_all(failing, vol, GRID, on_tile_failure="background")[0]
+    corrupted, constant = segment_all(corrupt, vol, GRID)[:2]
+    for out, value in ((corrupted, num_labels - 1), (constant, 1), (substituted, 0)):
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == np.full(size, value, dtype).tobytes()
