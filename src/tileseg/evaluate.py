@@ -60,9 +60,9 @@ class DiceReport:
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        write_atomic(directory / "dice_per_label.tsv", self.to_text().encode())
+        write_atomic(directory / "dice_per_label.tsv", (self.to_text().encode(),))
         summary = json.dumps(self.to_dict(), indent=1)
-        write_atomic(directory / "dice_summary.json", summary.encode())
+        write_atomic(directory / "dice_summary.json", (summary.encode(),))
 
 
 def dice(auto: LabelVolume, manual: LabelVolume, label: int) -> float | None:

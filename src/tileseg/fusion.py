@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AffineTransform, LabelVolume, VolumeGeometry, _label_dtype, compose
+from .geometry import AffineTransform, LabelVolume, VolumeGeometry, _labels, compose
 from .tiling import TileGrid, coverage_map
 
 __all__ = ["FusionError", "FusionResult", "fuse_majority", "fuse_concatenate"]
@@ -100,11 +100,12 @@ def fuse_majority(
     the top vote count was shared by several labels, and the per-voxel vote
     count (the grid's coverage map).  The fused map and the vote stacks are
     in the label type of ``num_labels`` (one byte per vote up to 256
-    labels), whatever the types of the tiles.
+    labels), whatever the types of the tiles, and x-fastest: each covering
+    part is copied once into its row of the stack, in F order.
     """
     L = _validate(tile_segs, grid, num_labels)
     geometry = _atlas_geometry_from_tiles(tile_segs, grid)
-    fused = np.zeros(grid.atlas_dims, dtype=_label_dtype(L))
+    fused = _labels(grid.atlas_dims, 0, L)
     # 0-based run lengths reach K - 1, so this holds any K
     run_dtype = np.min_scalar_type(grid.k)
 
@@ -120,8 +121,10 @@ def fuse_majority(
         if k == 1:
             fused[box] = parts[0]
             continue
-        # tile values are below L, so casting them into L's type keeps them
-        stack = np.stack(parts, dtype=fused.dtype, casting="same_kind").reshape(k, -1)
+        # one x-fastest copy of each part, cast into L's type (its values are below L)
+        stack = np.empty((k, parts[0].size), dtype=fused.dtype)
+        for row, part in zip(stack, parts):
+            np.copyto(row.reshape(part.shape, order="F"), part, casting="same_kind")
         low = np.empty_like(stack[0])
         for i, j in _sorting_network(k):
             np.minimum(stack[i], stack[j], out=low)
@@ -132,7 +135,7 @@ def fuse_majority(
             np.multiply(runs[j - 1] + 1, stack[j] == stack[j - 1], out=runs[j])
         at_top = runs == runs.max(axis=0)
         winners = np.where(at_top, stack, np.iinfo(stack.dtype).max).min(axis=0)
-        fused[box] = winners.reshape(parts[0].shape)
+        fused[box] = winners.reshape(parts[0].shape, order="F")
         ties += int(np.count_nonzero(np.count_nonzero(at_top, axis=0) > 1))
 
     return FusionResult(

@@ -5,6 +5,11 @@ Conventions used throughout the package:
 * Volumes are indexed ``data[x, y, z]`` with shape equal to ``dims``.
   The linear (disk) layout is x-fastest ("Fortran" order), matching the
   de facto layout of single-file medical volumes.
+* Label arrays the package builds or decodes are x-fastest in memory too
+  (``_labels``), so a z plane is one block that the writers cast and store
+  as it is.  Intensity arrays the package builds are not: ``harmonize``
+  sums its moments in memory order, and a C and an F copy of one volume
+  give different sums in the last bits.
 * ``index_to_world`` maps homogeneous voxel indices to world millimetres:
   ``world = M @ [i, j, k, 1]``.
 * Resampling is pull-back: we iterate target voxels, map them through the
@@ -251,10 +256,10 @@ class LabelVolume(_Volume):
     When ``num_labels`` is omitted it is inferred as ``max(data) + 1``
     (never below 2).  ``data`` is held in ``_label_dtype(num_labels)``:
     uint8 up to 256 labels (the paper's 133 included), uint16 above.  The
-    constructor copies ``data`` into that type, refusing any value that is
-    negative, above 65535 or not a whole number; arrays the package builds
-    in that type are adopted without a copy (``_adopt``) after the same
-    checks.
+    constructor copies ``data`` into that type, in the caller's memory
+    order, refusing any value that is negative, above 65535 or not a whole
+    number; arrays the package builds (``_labels``, x-fastest) are adopted
+    without a copy (``_adopt``) after the same checks.
     """
 
     geometry: VolumeGeometry
@@ -290,6 +295,11 @@ class LabelVolume(_Volume):
 def _label_dtype(num_labels: int) -> np.dtype:
     """The element type of a label volume: uint8 up to 256 labels, uint16 above."""
     return np.dtype(np.uint8 if num_labels <= 256 else np.uint16)
+
+
+def _labels(dims, fill: int, num_labels: int) -> np.ndarray:
+    """A new label array of ``dims`` filled with ``fill``: the label type, x-fastest."""
+    return np.full(dims, fill, dtype=_label_dtype(num_labels), order="F")
 
 
 def _label_array(data, num_labels: int = 0, error=GeometryError) -> np.ndarray:
@@ -507,7 +517,7 @@ def resample_labels(
     if not 0 <= background < src.num_labels:
         raise GeometryError(f"background {background} out of label range")
     flat, (stx, sty, stz) = _flat(src.data)
-    out = np.full(target.dims, background, dtype=src.data.dtype)
+    out = _labels(target.dims, background, src.num_labels)
     reach = (-0.5, tuple(n - 0.5 for n in src.dims))
 
     def kernel(z_range):

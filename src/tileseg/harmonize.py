@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume, _label_dtype
+from .geometry import IntensityVolume, LabelVolume, _labels
 
 __all__ = [
     "HarmonizeError",
@@ -154,7 +154,7 @@ def fit_model(
     for vol in atlas_volumes[1:]:
         if not vol.geometry.matches(geometry):
             raise HarmonizeError("atlas volumes are not on a common grid")
-    union = np.zeros(geometry.dims, dtype=_label_dtype(2))
+    union = _labels(geometry.dims, 0, 2)
     for mask in atlas_masks:
         if not mask.geometry.matches(geometry):
             raise HarmonizeError("atlas mask is not on the common grid")
@@ -209,8 +209,8 @@ def save_model(model: HarmonizationModel, directory) -> None:
         "mask_dims": list(model.mask.dims),
         "mask_spacing": list(model.mask.geometry.spacing),
     }
-    tio.write_atomic(directory / "meta.json", json.dumps(meta, indent=1).encode())
-    tio.write_atomic(directory / "mean_sorted.bin", model.mean_sorted.astype("<f8").tobytes())
+    tio.write_atomic(directory / "meta.json", (json.dumps(meta, indent=1).encode(),))
+    tio.write_atomic(directory / "mean_sorted.bin", (model.mean_sorted.astype("<f8").tobytes(),))
     tio.write_nifti(model.mask, directory / "mask.nii")
 
 

@@ -16,6 +16,10 @@ flat little-endian binary blob in x-fastest order.  It exists for test
 fixtures where bit-exact float64 round-trips matter, and it holds the
 resume cache's tile answers.  Labels are stored as ``<u2`` whatever their
 label type, so entries written by earlier versions still read.
+
+Both writers cast and write one z plane at a time (``_planes``): a label
+volume is x-fastest in memory (see ``geometry``), so each of its planes is
+one block, and no whole-volume copy in the stored type is ever made.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import json
 import os
 import uuid
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +217,10 @@ def write_nifti(vol, path) -> None:
     """Write an IntensityVolume (float32) or LabelVolume (int16) as .nii.
 
     Always little-endian, data at byte offset 352, sform carrying the
-    volume's index-to-world affine.
+    volume's index-to-world affine.  The voxels are cast and written one z
+    plane at a time, whatever the volume's memory order.  An intensity that
+    overflows float32, in any plane, raises ``NiftiFormatError`` and leaves
+    the old file at ``path``, or none.
     """
     dims = vol.dims
     if any(d > 32767 for d in dims):
@@ -219,22 +228,16 @@ def write_nifti(vol, path) -> None:
     if isinstance(vol, LabelVolume):
         if int(vol.data.max(initial=0)) > 32767:
             raise NiftiFormatError("label values exceed int16 range")
-        datatype = DT_INT16
-        arr = vol.data.astype("<i2", order="F")
+        datatype, dtype = DT_INT16, np.dtype("<i2")
     else:
-        datatype = DT_FLOAT32
-        with np.errstate(over="ignore"):
-            arr = vol.data.astype("<f4", order="F")
-        # the volume is finite, so only a float32 overflow makes an extreme infinite
-        if not np.isfinite([arr.min(), arr.max()]).all():
-            raise NiftiFormatError("intensities overflow float32")
+        datatype, dtype = DT_FLOAT32, np.dtype("<f4")
 
     header = np.zeros((), _HEADER.newbyteorder("<"))
     header["sizeof_hdr"] = HEADER_SIZE
     header["regular"] = b"r"
     header["dim"] = (3, *dims, 1, 1, 1, 1)
     header["datatype"] = datatype
-    header["bitpix"] = 8 * arr.itemsize
+    header["bitpix"] = 8 * dtype.itemsize
     header["pixdim"] = (1.0, *vol.geometry.spacing, 0.0, 0.0, 0.0, 0.0)
     header["vox_offset"] = VOX_OFFSET
     header["scl_slope"] = 1.0
@@ -244,16 +247,34 @@ def write_nifti(vol, path) -> None:
     header["magic"] = MAGIC
     if not np.isfinite([*header["pixdim"], *header["srow"].ravel()]).all():
         raise NiftiFormatError("spacing or affine overflow the float32 header fields")
-    # the 4 zero bytes after the header: no extensions; the voxels are written
-    # from a flat view of the one F-ordered copy
-    write_atomic(path, header.tobytes(), b"\x00\x00\x00\x00", arr.ravel(order="F"))
+    # the 4 zero bytes after the header: no extensions
+    write_atomic(path, chain((header.tobytes(), bytes(4)), _planes(vol.data, dtype)))
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write bytes-like ``chunks`` to a unique sibling temp file, then rename it.
+def _planes(data: np.ndarray, dtype: np.dtype) -> Iterator[np.ndarray]:
+    """The voxels of ``data`` cast to ``dtype``, one x-fastest z plane at a time.
 
-    A process killed mid-write leaves the old file or none, never a prefix;
-    the temp file is removed on any exception.  There is no fsync, so this
+    A plane of an x-fastest array is one block, cast as it lies; a plane of
+    any other layout is gathered by the cast.  The volume is finite, so a
+    cast to a float type that makes a plane's extreme infinite overflowed
+    it: that raises ``NiftiFormatError``.
+    """
+    for z in range(data.shape[2]):
+        with np.errstate(over="ignore"):
+            plane = data[:, :, z].astype(dtype, order="F")
+        if dtype.kind == "f" and not np.isfinite([plane.min(), plane.max()]).all():
+            raise NiftiFormatError(f"intensities overflow {dtype.name}")
+        yield plane.ravel(order="F")
+
+
+def write_atomic(path, chunks: Iterable) -> None:
+    """Write the bytes-like items of ``chunks`` to a unique sibling temp file, then rename it.
+
+    Each chunk is written as it arrives, so ``chunks`` may be a generator
+    that encodes a volume piece by piece; a single blob is a one-item
+    tuple.  A process killed mid-write leaves the old file or none, never a
+    prefix; on any exception, the generator's own included, the temp file
+    is removed and ``path`` is left as it was.  There is no fsync, so this
     guards against a killed process, not against power loss.
     """
     path = Path(path)
@@ -274,13 +295,15 @@ def write_atomic(path, *chunks) -> None:
 
 
 def write_raw(vol, path) -> None:
-    """Write a volume as ``path`` (binary blob) + ``path.json`` (sidecar), each atomically."""
+    """Write a volume as ``path`` (binary blob) + ``path.json`` (sidecar), each atomically.
+
+    The blob is cast and written one z plane at a time, like ``write_nifti``.
+    """
     path = Path(path)
     if isinstance(vol, LabelVolume):
         kind, dtype = "labels", "<u2"
     else:
         kind, dtype = "intensity", "<f8"
-    arr = vol.data.astype(dtype, order="F")
     meta = {
         "kind": kind,
         "dtype": dtype,
@@ -290,8 +313,8 @@ def write_raw(vol, path) -> None:
     }
     if kind == "labels":
         meta["num_labels"] = vol.num_labels
-    write_atomic(path, arr.ravel(order="F"))
-    write_atomic(str(path) + ".json", json.dumps(meta, indent=1).encode())
+    write_atomic(path, _planes(vol.data, np.dtype(dtype)))
+    write_atomic(str(path) + ".json", (json.dumps(meta, indent=1).encode(),))
 
 
 def read_raw(path):

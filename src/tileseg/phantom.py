@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .geometry import IntensityVolume, LabelVolume, VolumeGeometry, _label_dtype
+from .geometry import IntensityVolume, LabelVolume, VolumeGeometry, _labels
 
 __all__ = ["make_blob_phantom", "intensity_from_labels"]
 
@@ -36,7 +36,7 @@ def make_blob_phantom(
     x = np.arange(geometry.dims[0])[:, None, None]
     y = np.arange(geometry.dims[1])[None, :, None]
     z = np.arange(geometry.dims[2])[None, None, :]
-    out = np.zeros(geometry.dims, dtype=_label_dtype(num_labels))
+    out = _labels(geometry.dims, 0, num_labels)
     for label, cell in zip(range(1, num_labels), cells):
         center = (np.array(cell) + 0.5) * cell_size
         center += rng.uniform(-0.08, 0.08, size=3) * cell_size
@@ -58,10 +58,14 @@ def make_blob_phantom(
 def intensity_from_labels(
     labels: LabelVolume, seed: int = 0, noise: float = 0.0
 ) -> IntensityVolume:
-    """Intensity image with one distinct mean intensity per label."""
+    """Intensity image with one distinct mean intensity per label.
+
+    C order whatever the labels' order, like every intensity array the
+    package builds (see ``geometry``).
+    """
     rng = np.random.default_rng(seed)
     levels = rng.permutation(np.linspace(20.0, 220.0, labels.num_labels))
-    data = levels[labels.data]
+    data = levels.take(labels.data)
     if noise > 0.0:
         data = data + rng.normal(0.0, noise, size=labels.dims)
     return IntensityVolume._adopt(labels.geometry, data)

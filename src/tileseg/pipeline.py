@@ -170,7 +170,7 @@ def load_config(path, **overrides) -> PipelineConfig:
 
 def save_affine(transform: AffineTransform, path) -> None:
     rows = ("%.17g %.17g %.17g %.17g\n" % tuple(row) for row in transform.matrix)
-    tio.write_atomic(path, "".join(rows).encode())
+    tio.write_atomic(path, ("".join(rows).encode(),))
 
 
 def load_affine(path) -> AffineTransform:
@@ -218,18 +218,22 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
     """Execute the full pipeline on one scan.
 
     Writes ``atlas_labels.nii``, ``native_labels.nii``, ``grid.json`` and
-    ``report.json`` into ``config.output_dir``; on failure, partial outputs
-    are removed and a ``FAILED`` marker names the broken stage.
+    ``report.json`` into ``config.output_dir``.  An earlier run's label
+    files and report are removed before the first stage, so a run killed
+    part way leaves none of them; on failure, partial outputs are removed
+    and a ``FAILED`` marker names the broken stage.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atlas_path = out_dir / "atlas_labels.nii"
     native_path = out_dir / "native_labels.nii"
+    outputs = (atlas_path, native_path, out_dir / "report.json")
     marker = out_dir / "FAILED"
     clock = _StageClock()
     stage = "setup"
     try:
-        marker.unlink(missing_ok=True)
+        for path in (marker, *outputs):
+            path.unlink(missing_ok=True)
         atlas_geom = config.atlas_geometry()
         grid = config.build_grid()
         backend = config.resolve_backend()
@@ -316,11 +320,11 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 "native_labels": str(native_path),
             },
         }
-        tio.write_atomic(out_dir / "report.json", json.dumps(report, indent=1).encode())
+        tio.write_atomic(out_dir / "report.json", (json.dumps(report, indent=1).encode(),))
     except Exception as exc:
-        for path in (atlas_path, native_path, out_dir / "report.json"):
+        for path in outputs:
             path.unlink(missing_ok=True)
-        tio.write_atomic(marker, f"stage: {stage}\nerror: {exc}\n".encode())
+        tio.write_atomic(marker, (f"stage: {stage}\nerror: {exc}\n".encode(),))
         raise
     return RunResult(
         native_labels_path=str(native_path),

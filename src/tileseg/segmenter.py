@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume, _label_dtype
+from .geometry import IntensityVolume, LabelVolume, _labels
 from .tiling import TileGrid, TileSpec, extract_tile
 
 __all__ = [
@@ -89,7 +89,7 @@ class ConstantOracle(SegmenterBackend):
             )
 
     def segment(self, tile_input, tile):
-        data = np.full(tile_input.dims, self.label, dtype=_label_dtype(self.num_labels))
+        data = _labels(tile_input.dims, self.label, self.num_labels)
         return LabelVolume._adopt(tile_input.geometry, data, self.num_labels)
 
     def descriptor(self):
@@ -141,9 +141,7 @@ class CorruptingWrapper(SegmenterBackend):
 
     def segment(self, tile_input, tile):
         if tile.index == self.target_index:
-            data = np.full(
-                tile_input.dims, self.corruption_label, dtype=_label_dtype(self.num_labels)
-            )
+            data = _labels(tile_input.dims, self.corruption_label, self.num_labels)
             return LabelVolume._adopt(tile_input.geometry, data, self.num_labels)
         return self.inner.segment(tile_input, tile)
 
@@ -314,7 +312,7 @@ def segment_all(
                     f"tile {tile.index} failed ({exc}); substituting background",
                     stacklevel=2,
                 )
-                data = np.zeros(tile_input.dims, dtype=_label_dtype(backend.num_labels))
+                data = _labels(tile_input.dims, 0, backend.num_labels)
                 return LabelVolume._adopt(tile_input.geometry, data, backend.num_labels)
             raise SegmentationError(f"tile {tile.index}: {exc}") from exc
         if entry is not None:

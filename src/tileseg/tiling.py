@@ -203,7 +203,7 @@ def extract_tile(vol, tile: TileSpec):
 
 
 def save_grid(grid: TileGrid, path) -> None:
-    write_atomic(path, json.dumps(grid.to_dict(), indent=1).encode())
+    write_atomic(path, (json.dumps(grid.to_dict(), indent=1).encode(),))
 
 
 def load_grid(path) -> TileGrid:

@@ -15,7 +15,7 @@ from conftest import random_intensity, random_labels
 from tileseg import io as tio
 import tileseg
 from tileseg.cli import EXIT_CODES, build_parser, main
-from tileseg.geometry import make_centered_geometry
+from tileseg.geometry import IntensityVolume, make_centered_geometry
 from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
 from tileseg.pipeline import PipelineConfig
@@ -239,6 +239,22 @@ def test_non_finite_header_float_exits_3(tmp_path, capsys, offset, value):
     code = main(["tile", "--input", str(truth_path), "--output", str(tmp_path / "t"), "--labels"])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_float32_overflow_in_the_last_plane_exits_3(tmp_path, monkeypatch, capsys, order):
+    # built in memory: the float32 voxels of a file cannot overflow float32
+    data = np.ones((6, 5, 4), order=order)
+    data[2, 3, -1] = 1e39
+    vol = IntensityVolume(make_centered_geometry(data.shape), data)
+    monkeypatch.setattr(tio, "read_nifti", lambda *args, **kwargs: (vol, None))
+    out = tmp_path / "tiles"
+    code = main(["tile", "--input", "scan.nii", "--output", str(out), "--grid", "1,1,1",
+                 "--tile-size", "6,5,4"])
+    assert code == 3
+    assert "overflow float32" in capsys.readouterr().err
+    # the planes before the last were written to a temp file, which is gone
+    assert sorted(p.name for p in out.iterdir()) == ["grid.json"]
 
 
 def test_impossible_grid_exits_6(tmp_path, capsys):

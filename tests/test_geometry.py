@@ -29,7 +29,7 @@ from tileseg.fusion import fuse_majority
 from tileseg.harmonize import fit_model, harmonize, standardize
 from tileseg.pipeline import PipelineConfig
 from tileseg.phantom import make_blob_phantom
-from tileseg.segmenter import ConstantOracle, CorruptingWrapper
+from tileseg.segmenter import ConstantOracle, CorruptingWrapper, SegmenterBackend, segment_all
 from tileseg.tiling import build_grid, extract_tile
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -714,16 +714,27 @@ def test_user_arrays_are_copied():
         assert not np.shares_memory(a, vol.data)
 
 
-def test_package_built_volumes_are_read_only(tmp_path):
+class _FailingBackend(SegmenterBackend):
+    num_labels = 4
+
+    def segment(self, tile_input, tile):
+        raise RuntimeError("no answer")
+
+
+def _package_built_volumes(tmp_path) -> list:
+    """One volume from each place the package builds or decodes one."""
     img = random_intensity((4, 5, 6), seed=3)
-    lab = random_labels((4, 5, 6), 4, seed=3)
+    lab = random_labels((4, 5, 6), 4, seed=3)  # C order, like any user array
     grid = build_grid((4, 5, 6), (2, 1, 1), (3, 5, 6))
     tiles = [extract_tile(lab, t) for t in grid.tiles]
     mask = lab.with_data(np.ones(lab.dims))
     tile_input = extract_tile(img, grid.tiles[0])
     tio.write_raw(img, tmp_path / "img.raw")
     tio.write_raw(lab, tmp_path / "lab.raw")
-    outputs = [
+    tio.write_nifti(lab, tmp_path / "lab.nii")
+    with pytest.warns(UserWarning, match="substituting background"):
+        substituted = segment_all(_FailingBackend(), img, grid, on_tile_failure="background")
+    return [
         resample_intensity(img, _tilted(), img.geometry),
         resample_labels(lab, _tilted(), lab.geometry),
         standardize(img),
@@ -732,13 +743,26 @@ def test_package_built_volumes_are_read_only(tmp_path):
         fuse_majority(tiles, grid).fused,
         ConstantOracle(1, 4).segment(tile_input, grid.tiles[0]),
         CorruptingWrapper(ConstantOracle(1, 4), 0, 2).segment(tile_input, grid.tiles[0]),
+        substituted[0],
+        make_blob_phantom(lab.geometry, num_labels=2),
         tio.read_raw(tmp_path / "img.raw"),
         tio.read_raw(tmp_path / "lab.raw"),
+        tio.read_nifti(tmp_path / "lab.nii", as_labels=True)[0],
     ]
-    for vol in outputs:
+
+
+def test_package_built_volumes_are_read_only(tmp_path):
+    for vol in _package_built_volumes(tmp_path):
         assert not vol.data.flags.writeable
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1
+
+
+def test_package_built_label_arrays_are_x_fastest(tmp_path):
+    labels = [v for v in _package_built_volumes(tmp_path) if isinstance(v, LabelVolume)]
+    assert len(labels) == 9
+    for vol in labels:
+        assert vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous
 
 
 @pytest.mark.parametrize(

@@ -371,7 +371,10 @@ def test_writers_encode_the_voxels_with_one_copy(tmp_path, write, offset, dtypes
     expected = vol.data.astype(dtypes[kind]).tobytes(order="F")
     peak, _ = peak_alloc(lambda: write(vol, tmp_path / "vol"))
     assert (tmp_path / "vol").read_bytes()[offset:] == expected
-    assert peak < 1.5 * len(expected)
+    # a cast z plane or two (the next is cast while the last is written), the
+    # header and the file buffer; no copy of the whole volume
+    plane = len(expected) // vol.dims[2]
+    assert peak < 3 * plane + 32 * 1024 < len(expected)
 
 
 @pytest.mark.parametrize("kind", ["labels", "intensity"])

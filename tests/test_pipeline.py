@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -513,8 +514,11 @@ def _calls(log):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("kill_at", [0, 13, 26])
-def test_resume_after_a_kill_matches_a_fresh_run(tmp_path, monkeypatch, kill_at, jobs):
+@pytest.mark.parametrize(
+    "kill_at, stale", [(0, False), (13, False), (26, False), (13, True)],
+    ids=["0", "13", "26", "13-stale"],
+)
+def test_resume_after_a_kill_matches_a_fresh_run(tmp_path, monkeypatch, kill_at, stale, jobs):
     args, k = _kill_resume_case(tmp_path)
     monkeypatch.delenv("KILL_AT", raising=False)
     monkeypatch.setenv("CALLS_LOG", str(tmp_path / "fresh.log"))
@@ -522,6 +526,8 @@ def test_resume_after_a_kill_matches_a_fresh_run(tmp_path, monkeypatch, kill_at,
     assert main(["run", *args, "--output", str(fresh)]) == 0
 
     out = tmp_path / "out"
+    if stale:  # the output directory holds a finished run's files
+        shutil.copytree(fresh, out)
     resumed = ["run", *args, "--output", str(out), "--resume", "--jobs", str(jobs)]
     env = dict(
         os.environ,
