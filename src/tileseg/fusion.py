@@ -9,8 +9,10 @@ set of K tiles.  A region with K = 1 is a copy of that tile, so an abutting
 partition is reassembled without voting.  Otherwise the K tile slices are
 stacked, sorted along the tile axis, and the mode is read from the run
 lengths: the first position that reaches the longest run holds the
-smallest winning label.  The cost grows with the votes cast, not with the
-label count.
+smallest winning label.  The winner is a plain min-reduce over the stack
+or'ed with ``at_top - 1`` in the label type: zero on the longest runs,
+all ones (the type's maximum) elsewhere, so no per-voxel select is made.
+The cost grows with the votes cast, not with the label count.
 """
 
 from __future__ import annotations
@@ -31,12 +33,17 @@ class FusionError(ValueError):
 
 @dataclass(frozen=True)
 class FusionResult:
-    """``coverage_used`` equals ``coverage_map(grid)`` (int32, atlas dims); it
-    stays because ``bench/tracing.py`` counts a fusion's votes from it."""
+    """The fused labels, the tied voxel count and the grid they were fused on."""
 
     fused: LabelVolume
     tie_count: int
-    coverage_used: np.ndarray
+    grid: TileGrid
+
+    @property
+    def coverage_used(self) -> np.ndarray:
+        """``coverage_map(grid)`` (int32, atlas dims), built when read: only
+        ``bench/tracing.py`` counts a fusion's votes from it."""
+        return coverage_map(self.grid)
 
 
 def _atlas_geometry_from_tiles(tile_segs, grid: TileGrid) -> VolumeGeometry:
@@ -97,16 +104,17 @@ def fuse_majority(
     """Per-voxel majority vote over the covering tiles.
 
     Returns the fused atlas-space label volume, the number of voxels where
-    the top vote count was shared by several labels, and the per-voxel vote
-    count (the grid's coverage map).  The fused map and the vote stacks are
-    in the label type of ``num_labels`` (one byte per vote up to 256
-    labels), whatever the types of the tiles, and x-fastest: each covering
-    part is copied once into its row of the stack, in F order.
+    the top vote count was shared by several labels, and the grid, whose
+    per-voxel vote count ``coverage_used`` is built only when read.  The
+    fused map and the vote stacks are in the label type of ``num_labels``
+    (one byte per vote up to 256 labels), whatever the types of the tiles,
+    and x-fastest: each covering part is copied once into its row of the
+    stack, in F order.
     """
     L = _validate(tile_segs, grid, num_labels)
     geometry = _atlas_geometry_from_tiles(tile_segs, grid)
     fused = _labels(grid.atlas_dims, 0, L)
-    # 0-based run lengths reach K - 1, so this holds any K
+    # holds the 0-based run lengths (up to K - 1) and the at-top counts (up to K)
     run_dtype = np.min_scalar_type(grid.k)
 
     ties = 0
@@ -134,15 +142,14 @@ def fuse_majority(
         for j in range(1, k):
             np.multiply(runs[j - 1] + 1, stack[j] == stack[j - 1], out=runs[j])
         at_top = runs == runs.max(axis=0)
-        winners = np.where(at_top, stack, np.iinfo(stack.dtype).max).min(axis=0)
-        fused[box] = winners.reshape(parts[0].shape, order="F")
-        ties += int(np.count_nonzero(np.count_nonzero(at_top, axis=0) > 1))
+        # 0 on the longest runs and all ones (the type's maximum) elsewhere
+        top = at_top.astype(stack.dtype)
+        top -= 1
+        top |= stack
+        fused[box] = top.min(axis=0).reshape(parts[0].shape, order="F")
+        ties += int(np.count_nonzero(at_top.sum(axis=0, dtype=run_dtype) > 1))
 
-    return FusionResult(
-        fused=LabelVolume._adopt(geometry, fused, L),
-        tie_count=ties,
-        coverage_used=coverage_map(grid),
-    )
+    return FusionResult(fused=LabelVolume._adopt(geometry, fused, L), tie_count=ties, grid=grid)
 
 
 def fuse_concatenate(tile_segs: list[LabelVolume], grid: TileGrid) -> LabelVolume:

@@ -22,8 +22,13 @@ Conventions used throughout the package:
   ``d000*gx*gy*gz + d100*fx*gy*gz + ...`` summed in that order.
 * Resampling sweeps the target one z plane at a time, each cropped to the
   box of voxels that can reach the source; ``jobs`` threads take contiguous
-  z ranges.  Each voxel's coordinate is the same expression either way, so
-  the output is the same bit for bit at any ``jobs``.
+  z ranges.  The boxes are computed for a block of planes at once
+  (``_boxes``), element by element as for one plane.  A coordinate is
+  ``m[a,0]*x + m[a,1]*y``, the same on every plane and computed once per
+  call as three target-plane arrays that the threads share read-only, plus
+  ``m[a,2]*z``, plus ``m[a,3]``.  Each voxel's coordinate is this one
+  expression in any box, so the output is the same bit for bit at any
+  ``jobs``.
 * Nearest-neighbor rounding at exact half-voxel ties rounds half toward
   negative infinity, so results are deterministic across platforms.
 """
@@ -337,25 +342,32 @@ def _label_array(data, num_labels: int = 0, error=GeometryError) -> np.ndarray:
 _MOMENT_SLAB = 8
 
 
-def _box(m: np.ndarray, dims, z: int, lo: float, hi) -> tuple | None:
-    """Index box of the voxels in plane ``z`` that can map into the source.
+# Crop boxes are computed for this many target planes at once
+_BOX_BLOCK = 16
+
+
+def _boxes(m: np.ndarray, dims, z0: int, z1: int, lo: float, hi) -> list:
+    """Index boxes ``(x, y)`` of the voxels in planes ``z0 .. z1-1`` that can map into the source.
 
     A voxel lands in the source only if its coordinate on every axis ``a``
-    lies in ``[lo, hi[a]]``.  Along a row of the plane the coordinate is
-    linear in x, so each axis allows one x-interval; the box is the hull of
-    the rows where the three intervals meet, rounded outward to whole
-    voxels.  Each interval is widened by ``eps``, far above the rounding of
-    the coordinate sums, so a voxel outside the box falls outside the
-    source bit for bit.  Returns None when no voxel of the plane can land.
+    lies in ``[lo, hi[a]]``.  Along a row of a plane the coordinate is
+    linear in x, so each axis allows one x-interval; a plane's box is the
+    hull of its rows where the three intervals meet, rounded outward to
+    whole voxels.  Each interval is widened by ``eps``, far above the
+    rounding of the coordinate sums, so a voxel outside the box falls
+    outside the source bit for bit.  The rows of all the planes are one
+    ``(planes, ny)`` array, each element computed as it would be for its
+    plane alone.  A plane no voxel of which can land gets None.
     """
     nx, ny, nz = dims
     yi = np.arange(ny, dtype=np.float64)
-    xa = np.zeros(ny)
-    xb = np.full(ny, nx - 1.0)
+    zi = np.arange(z0, z1, dtype=np.float64)[:, None]
+    xa = np.zeros((z1 - z0, ny))
+    xb = np.full((z1 - z0, ny), nx - 1.0)
     for a in range(3):
         k = m[a, 0]
         eps = 1e-9 * (1.0 + np.abs(m[a]) @ (nx, ny, nz, 1.0))
-        rest = m[a, 1] * yi + m[a, 2] * z + m[a, 3]
+        rest = m[a, 1] * yi + m[a, 2] * zi + m[a, 3]
         below, above = lo - eps - rest, hi[a] + eps - rest  # bounds on k * x
         if abs(k) * nx <= eps:  # k * x stays within eps: a row is all in or all out
             xb[(below > eps) | (above < -eps)] = -1.0
@@ -364,40 +376,61 @@ def _box(m: np.ndarray, dims, z: int, lo: float, hi) -> tuple | None:
             np.maximum(xa, np.minimum(*ends), out=xa)
             np.minimum(xb, np.maximum(*ends), out=xb)
     rows = xa <= xb
-    if not rows.any():
-        return None
-    ys = np.flatnonzero(rows)
-    return (
-        slice(int(np.floor(xa[rows].min())), int(np.ceil(xb[rows].max())) + 1),
-        slice(int(ys[0]), int(ys[-1]) + 1),
-        slice(z, z + 1),
-    )
+    starts = np.floor(np.where(rows, xa, np.inf).min(axis=1)).tolist()
+    stops = np.ceil(np.where(rows, xb, -np.inf).max(axis=1)).tolist()
+    first = rows.argmax(axis=1).tolist()
+    last = (ny - 1 - rows[:, ::-1].argmax(axis=1)).tolist()
+    return [
+        (slice(int(x0), int(x1) + 1), slice(y0, y1 + 1)) if hit else None
+        for hit, x0, x1, y0, y1 in zip(rows.any(axis=1).tolist(), starts, stops, first, last)
+    ]
 
 
-def _slabs(dims, m: np.ndarray, z_range=None, slab=1, reach=None):
+def _slabs(dims, m: np.ndarray, slab: int):
     """Map the voxel indices of a ``dims`` grid through ``m``, one z-slab at a time.
 
-    Yields ``(box, coords)`` per slab of ``slab`` planes in ``z_range``
-    (default: every plane): ``box`` is a tuple of index slices into the grid
-    and ``coords[a]`` is row ``a`` of ``m @ [i, j, k, 1]`` over the box.
-    With ``reach=(lo, hi)`` (one-plane slabs) each box is cropped to the
-    voxels that can map into ``[lo, hi[a]]`` on every axis (``_box``), and
-    planes with none are skipped; each voxel's coordinate is the same
-    expression in any box.
+    Yields ``(box, coords)`` per slab of ``slab`` planes: ``box`` is a tuple
+    of index slices into the grid and ``coords[a]`` is row ``a`` of
+    ``m @ [i, j, k, 1]`` over the box.
     """
     nx, ny, nz = dims
-    start, stop = z_range or (0, nz)
-    for z0 in range(start, stop, slab):
-        box = (slice(0, nx), slice(0, ny), slice(z0, min(z0 + slab, stop)))
-        if reach is not None:
-            box = _box(m, dims, z0, *reach)
+    xi = np.arange(nx, dtype=np.float64)[:, None, None]
+    yi = np.arange(ny, dtype=np.float64)[None, :, None]
+    for z0 in range(0, nz, slab):
+        box = (slice(0, nx), slice(0, ny), slice(z0, min(z0 + slab, nz)))
+        zi = np.arange(z0, box[2].stop, dtype=np.float64)[None, None, :]
+        yield box, [m[a, 0] * xi + m[a, 1] * yi + m[a, 2] * zi + m[a, 3] for a in range(3)]
+
+
+def _plane_terms(dims, m: np.ndarray) -> list:
+    """``m[a, 0] * x + m[a, 1] * y`` over one target plane, for each axis ``a``.
+
+    The part of each coordinate that is the same on every plane; computed
+    once per resample and read by every thread of the sweep.
+    """
+    nx, ny, _ = dims
+    xi = np.arange(nx, dtype=np.float64)[:, None]
+    yi = np.arange(ny, dtype=np.float64)[None, :]
+    return [m[a, 0] * xi + m[a, 1] * yi for a in range(3)]
+
+
+def _planes(dims, m: np.ndarray, terms: list, z_range, reach):
+    """Map the target voxels that can reach the source through ``m``, one plane at a time.
+
+    Yields ``(box, coords)`` per plane ``z`` in ``z_range`` that has such
+    voxels: ``box`` is ``(x slice, y slice, z)``, cropped by ``_boxes`` to
+    the voxels that can map into ``reach = (lo, hi)`` on every axis, and
+    ``coords[a]`` is row ``a`` of ``m @ [i, j, z, 1]`` over the box, summed
+    as ``terms[a] + m[a, 2] * z + m[a, 3]``: the same expression, in the
+    same order, for each voxel in any box.
+    """
+    start, stop = z_range
+    for z0 in range(start, stop, _BOX_BLOCK):
+        z1 = min(z0 + _BOX_BLOCK, stop)
+        for z, box in zip(range(z0, z1), _boxes(m, dims, z0, z1, *reach)):
             if box is None:
                 continue
-        xi, yi, zi = (np.arange(s.start, s.stop, dtype=np.float64) for s in box)
-        xi, yi, zi = xi[:, None, None], yi[None, :, None], zi[None, None, :]
-        yield box, [
-            m[a, 0] * xi + m[a, 1] * yi + m[a, 2] * zi + m[a, 3] for a in range(3)
-        ]
+            yield (*box, z), [terms[a][box] + m[a, 2] * z + m[a, 3] for a in range(3)]
 
 
 def _sweep(kernel, nz: int, jobs: int) -> None:
@@ -444,6 +477,14 @@ def _pullback(source: VolumeGeometry, transform, target) -> np.ndarray:
     )
 
 
+def _corner(flat: np.ndarray, index, wx, wy, wz) -> np.ndarray:
+    """``flat[index] * wx * wy * wz`` in float64, the products made in place."""
+    product = flat.take(index) * wx
+    product *= wy
+    product *= wz
+    return product
+
+
 def resample_intensity(
     src: IntensityVolume,
     transform: AffineTransform,
@@ -463,9 +504,10 @@ def resample_intensity(
     flat, (stx, sty, stz) = _flat(src.data)
     out = np.full(target.dims, background, dtype=np.float64)
     reach = (0.0, (sx - 1, sy - 1, sz - 1))
+    terms = _plane_terms(target.dims, m)
 
     def kernel(z_range):
-        for box, (cx, cy, cz) in _slabs(target.dims, m, z_range, reach=reach):
+        for box, (cx, cy, cz) in _planes(target.dims, m, terms, z_range, reach):
             x0, y0, z0 = np.floor(cx), np.floor(cy), np.floor(cz)
             i000 = x0 * stx + y0 * sty + z0 * stz
             # when every voxel has all eight corners, no mask and scalar steps
@@ -483,17 +525,19 @@ def resample_intensity(
             i000 = i000.astype(np.intp)
             i100, i010 = i000 + dx, i000 + dy
             i110 = i100 + dy
-            fx, fy, fz = cx - x0, cy - y0, cz - z0
-            gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
+            # fractions and their complements overwrite the coordinates and
+            # their floors, which are not read again
+            fx, fy, fz = (np.subtract(c, c0, out=c) for c, c0 in ((cx, x0), (cy, y0), (cz, z0)))
+            gx, gy, gz = (np.subtract(1.0, f, out=c0) for f, c0 in ((fx, x0), (fy, y0), (fz, z0)))
             # corner by corner, in the order and grouping of d000*gx*gy*gz + d100*fx*gy*gz + ...
-            val = flat.take(i000) * gx * gy * gz
-            val += flat.take(i100) * fx * gy * gz
-            val += flat.take(i010) * gx * fy * gz
-            val += flat.take(i000 + dz) * gx * gy * fz
-            val += flat.take(i110) * fx * fy * gz
-            val += flat.take(i100 + dz) * fx * gy * fz
-            val += flat.take(i010 + dz) * gx * fy * fz
-            val += flat.take(i110 + dz) * fx * fy * fz
+            val = _corner(flat, i000, gx, gy, gz)
+            val += _corner(flat, i100, fx, gy, gz)
+            val += _corner(flat, i010, gx, fy, gz)
+            val += _corner(flat, i000 + dz, gx, gy, fz)
+            val += _corner(flat, i110, fx, fy, gz)
+            val += _corner(flat, i100 + dz, fx, gy, fz)
+            val += _corner(flat, i010 + dz, gx, fy, fz)
+            val += _corner(flat, i110 + dz, fx, fy, fz)
             out[box] = val if inside is None else np.where(inside, val, background)
 
     _sweep(kernel, target.dims[2], jobs)
@@ -518,16 +562,24 @@ def resample_labels(
         raise GeometryError(f"background {background} out of label range")
     flat, (stx, sty, stz) = _flat(src.data)
     out = _labels(target.dims, background, src.num_labels)
+    fill = out.dtype.type(background)
     reach = (-0.5, tuple(n - 0.5 for n in src.dims))
+    terms = _plane_terms(target.dims, m)
 
     def kernel(z_range):
-        for box, (rx, ry, rz) in _slabs(target.dims, m, z_range, reach=reach):
+        for box, (rx, ry, rz) in _planes(target.dims, m, terms, z_range, reach):
             inside = np.ones(rx.shape, dtype=bool)
             for c, n in zip((rx, ry, rz), src.dims):
                 np.ceil(np.subtract(c, 0.5, out=c), out=c)  # round half toward -inf
                 inside &= (c >= 0.0) & (c < n)
+            # a non-finite coordinate must not reach the integer cast: voxel 0 instead
             index = np.where(inside, rx * stx + ry * sty + rz * stz, 0.0).astype(np.intp)
-            out[box] = np.where(inside, flat.take(index), background)
+            # (v - b) * inside + b, exact in unsigned wraparound: v inside, b outside
+            labels = flat.take(index)
+            labels -= fill
+            labels *= inside
+            labels += fill
+            out[box] = labels
 
     _sweep(kernel, target.dims[2], jobs)
     return LabelVolume._adopt(target, out, src.num_labels)

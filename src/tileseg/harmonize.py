@@ -121,7 +121,10 @@ def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndar
         raise HarmonizeError(f"quantile_count must be >= 2, got {quantile_count}")
     if not geometry.matches(mask.geometry):
         raise HarmonizeError("volume and mask geometries differ")
-    values = data[mask.data > 0]  # a copy, so it is sorted in place
+    # a copy, so it is sorted in place.  The mask is compared into C order,
+    # the registered atlas's, so the gather walks one layout; a boolean index
+    # reads in C order in any layout, so the values and their order are the same
+    values = data[np.greater(mask.data, 0, order="C")]
     n = values.size
     if n == 0:
         raise HarmonizeError("mask selects no voxels")

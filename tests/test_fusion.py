@@ -17,14 +17,15 @@ from tileseg.tiling import (
 
 
 def _stacked_tiles(values_per_tile, num_labels):
-    """k full-volume tiles over a (2,1,1) atlas, each voting its own labels."""
-    g = make_centered_geometry((2, 1, 1))
+    """k full-volume tiles over an (n,1,1) atlas, each voting its own n labels."""
+    dims = (len(values_per_tile[0]), 1, 1)
+    g = make_centered_geometry(dims)
     tiles = tuple(
-        TileSpec((0, 0, 0), (2, 1, 1), n) for n in range(len(values_per_tile))
+        TileSpec((0, 0, 0), dims, n) for n in range(len(values_per_tile))
     )
-    grid = TileGrid((2, 1, 1), (len(values_per_tile), 1, 1), (2, 1, 1), tiles)
+    grid = TileGrid(dims, (len(values_per_tile), 1, 1), dims, tiles)
     segs = [
-        LabelVolume(g, np.array(v, dtype=np.uint16).reshape(2, 1, 1), num_labels)
+        LabelVolume(g, np.array(v, dtype=np.uint16).reshape(dims), num_labels)
         for v in values_per_tile
     ]
     return segs, grid
@@ -299,3 +300,64 @@ def test_the_top_one_byte_label_wins_its_votes():
     assert result.fused.data.dtype == np.uint8
     npt.assert_array_equal(result.fused.data.reshape(-1), [255, 255])
     assert result.tie_count == 0
+
+
+def _stacked_votes(k, n, labels, p, num_labels, seed):
+    """``k`` tiles over an ``(n, 1, 1)`` atlas, each voting ``labels`` with weights ``p``."""
+    rng = np.random.default_rng(seed)
+    return _stacked_tiles(rng.choice(labels, size=(k, n), p=p).tolist(), num_labels)
+
+
+def _votes_for(segs, label):
+    return sum((seg.data.reshape(-1) == label).astype(int) for seg in segs)
+
+
+@pytest.mark.parametrize("k", range(2, 28))
+def test_the_top_one_byte_label_wins_and_ties_for_every_tile_count(k):
+    # 255 is all ones in one byte, the fill off the longest runs
+    segs, grid = _stacked_votes(k, 600, [0, 1, 254, 255], [0.1, 0.1, 0.3, 0.5], 256, seed=k)
+    result = fuse_majority(segs, grid)
+    winners, ties, _ = _dense_vote_oracle(segs, grid, 256)
+    assert result.fused.data.dtype == np.uint8
+    assert result.fused.data.tobytes() == winners.astype(np.uint8).tobytes()
+    assert result.tie_count == ties > 0
+    top = np.max([_votes_for(segs, label) for label in (0, 1, 254, 255)], axis=0)
+    at_top = _votes_for(segs, 255) == top
+    fused = result.fused.data.reshape(-1)
+    assert (at_top & (fused == 255)).any() and (at_top & (fused < 255)).any()
+
+
+@pytest.mark.parametrize("k", [2, 5, 27])
+def test_a_two_byte_stack_matches_the_dense_oracle(k):
+    segs, grid = _stacked_votes(k, 600, [0, 7, 298, 299], [0.2, 0.2, 0.2, 0.4], 300, seed=k)
+    result = fuse_majority(segs, grid)
+    winners, ties, _ = _dense_vote_oracle(segs, grid, 300)
+    assert result.fused.data.dtype == np.uint16
+    assert result.fused.data.tobytes() == winners.astype(np.uint16).tobytes()
+    assert result.tie_count == ties > 0
+    assert (result.fused.data == 299).any()
+
+
+def test_a_tie_among_256_labels_counts_past_one_byte():
+    # 512 tiles: on voxel 0 each of 256 labels gets two votes, so 256 labels
+    # share the top; a one-byte count of them would wrap to 0 and miss the tie
+    votes = [[n // 2, n % 2, 3] for n in range(512)]
+    segs, grid = _stacked_tiles(votes, 256)
+    assert grid.k == 512
+    result = fuse_majority(segs, grid)
+    winners, ties, _ = _dense_vote_oracle(segs, grid, 256)
+    assert result.fused.data.tobytes() == winners.astype(np.uint8).tobytes()
+    npt.assert_array_equal(result.fused.data.reshape(-1), [0, 0, 3])
+    assert result.tie_count == ties == 2
+
+
+def test_the_coverage_map_is_built_only_when_read(monkeypatch):
+    segs, grid = _stacked_tiles([[5, 5], [5, 7], [7, 5]], num_labels=8)
+    built = []
+    monkeypatch.setattr(
+        "tileseg.fusion.coverage_map", lambda g: built.append(g) or coverage_map(g)
+    )
+    result = fuse_majority(segs, grid)
+    assert built == []
+    npt.assert_array_equal(result.coverage_used.reshape(-1), [3, 3])
+    assert built == [grid]

@@ -17,6 +17,9 @@ from tileseg.geometry import (
     IntensityVolume,
     LabelVolume,
     VolumeGeometry,
+    _BOX_BLOCK,
+    _boxes,
+    _pullback,
     _sweep,
     compose,
     estimate_affine_moments,
@@ -486,13 +489,20 @@ def test_flat_gather_is_bytewise_equal_to_three_index_formula(case, layout):
 
 @pytest.mark.parametrize("num_labels, dtype", [(256, np.uint8), (300, np.uint16)])
 def test_resample_labels_keeps_the_label_type(num_labels, dtype):
+    # outside voxels take any background, whether the label read is above or below it
     geometry, target, t = _GATHER_CASES["tilted-scaled"]
     data = np.random.default_rng(37).integers(0, num_labels, geometry.dims)
     lab = LabelVolume(geometry, np.asfortranarray(data), num_labels)
-    want = _three_index_nearest(lab, t, target, background=num_labels - 1)
-    got = resample_labels(lab, t, target, background=num_labels - 1)
-    assert lab.data.dtype == got.data.dtype == dtype
-    assert got.data.tobytes() == want.astype(dtype).tobytes()
+    # the voxels whose value follows the background are the outside ones
+    outside = _three_index_nearest(lab, t, target, 0) != _three_index_nearest(lab, t, target, 1)
+    assert 0 < np.count_nonzero(outside) < outside.size
+    inside = _three_index_nearest(lab, t, target, 0)[~outside]
+    assert (inside < num_labels // 2).any() and (inside > num_labels // 2).any()
+    for background in (1, num_labels // 2, num_labels - 1):
+        want = _three_index_nearest(lab, t, target, background=background)
+        got = resample_labels(lab, t, target, background=background)
+        assert lab.data.dtype == got.data.dtype == dtype
+        assert got.data.tobytes() == want.astype(dtype).tobytes()
     assert int(want.max()) == num_labels - 1
 
 
@@ -611,6 +621,61 @@ def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(case, jobs
     assert got_img.data.tobytes() == want_img.tobytes()
     assert got_lab.data.dtype == np.uint8  # 6 labels
     assert got_lab.data.tobytes() == want_lab.astype(got_lab.data.dtype).tobytes()
+
+
+def _plane_box(m, dims, z, lo, hi):
+    """The crop box of plane ``z`` alone: the per-plane oracle for ``_boxes``."""
+    nx, ny, nz = dims
+    yi = np.arange(ny, dtype=np.float64)
+    xa = np.zeros(ny)
+    xb = np.full(ny, nx - 1.0)
+    for a in range(3):
+        k = m[a, 0]
+        eps = 1e-9 * (1.0 + np.abs(m[a]) @ (nx, ny, nz, 1.0))
+        rest = m[a, 1] * yi + m[a, 2] * z + m[a, 3]
+        below, above = lo - eps - rest, hi[a] + eps - rest
+        if abs(k) * nx <= eps:
+            xb[(below > eps) | (above < -eps)] = -1.0
+        else:
+            ends = below / k, above / k
+            np.maximum(xa, np.minimum(*ends), out=xa)
+            np.minimum(xb, np.maximum(*ends), out=xb)
+    rows = xa <= xb
+    if not rows.any():
+        return None
+    ys = np.flatnonzero(rows)
+    return (
+        slice(int(np.floor(xa[rows].min())), int(np.ceil(xb[rows].max())) + 1),
+        slice(int(ys[0]), int(ys[-1]) + 1),
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_CROP_CASES))
+def test_blocked_crop_boxes_equal_the_per_plane_boxes(case):
+    geometry, target, t = _CROP_CASES[case]
+    m = _pullback(geometry, t, target)
+    nz = target.dims[2]
+    assert nz % _BOX_BLOCK != 0
+    reaches = {
+        "trilinear": (0.0, tuple(n - 1 for n in geometry.dims)),
+        "nearest": (-0.5, tuple(n - 0.5 for n in geometry.dims)),
+    }
+    for lo, hi in reaches.values():
+        want = [_plane_box(m, target.dims, z, lo, hi) for z in range(nz)]
+        # whole blocks from 0, and blocks from an odd start as a later thread takes them
+        for start in (0, 3):
+            got = []
+            for z0 in range(start, nz, _BOX_BLOCK):
+                got += _boxes(m, target.dims, z0, min(z0 + _BOX_BLOCK, nz), lo, hi)
+            assert got == want[start:]
+        full = (slice(0, target.dims[0]), slice(0, target.dims[1]))
+        if case == "fully-outside":
+            assert want == [None] * nz
+        if case == "small-fov":
+            assert None in want and any(b not in (None, full) for b in want)
+        if case == "interior":
+            assert want == [full] * nz
 
 
 def test_sweep_runs_one_thread_per_usable_cpu_at_most(monkeypatch):
