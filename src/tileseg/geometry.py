@@ -228,7 +228,8 @@ class IntensityVolume(_Volume):
     without a copy (``_adopt``) after the same checks.  A volume read from
     NIfTI keeps the file's element type (float32, int16 or uint8): each of
     them widens to float64 exactly, so the resamplers widen corner by
-    corner and the reductions widen once, with the bits of a float64 copy.
+    corner, the moments sum into float64 and ``harmonize`` widens once,
+    each with the bits of a float64 copy.
     """
 
     geometry: VolumeGeometry
@@ -337,11 +338,6 @@ def _label_array(data, num_labels: int = 0, error=GeometryError) -> np.ndarray:
 # Resampling
 # ---------------------------------------------------------------------------
 
-# The moment sums add up slab by slab, so this size fixes the bits of an
-# estimated affine; resampling steps one plane at a time.
-_MOMENT_SLAB = 8
-
-
 # Crop boxes are computed for this many target planes at once
 _BOX_BLOCK = 16
 
@@ -384,22 +380,6 @@ def _boxes(m: np.ndarray, dims, z0: int, z1: int, lo: float, hi) -> list:
         (slice(int(x0), int(x1) + 1), slice(y0, y1 + 1)) if hit else None
         for hit, x0, x1, y0, y1 in zip(rows.any(axis=1).tolist(), starts, stops, first, last)
     ]
-
-
-def _slabs(dims, m: np.ndarray, slab: int):
-    """Map the voxel indices of a ``dims`` grid through ``m``, one z-slab at a time.
-
-    Yields ``(box, coords)`` per slab of ``slab`` planes: ``box`` is a tuple
-    of index slices into the grid and ``coords[a]`` is row ``a`` of
-    ``m @ [i, j, k, 1]`` over the box.
-    """
-    nx, ny, nz = dims
-    xi = np.arange(nx, dtype=np.float64)[:, None, None]
-    yi = np.arange(ny, dtype=np.float64)[None, :, None]
-    for z0 in range(0, nz, slab):
-        box = (slice(0, nx), slice(0, ny), slice(z0, min(z0 + slab, nz)))
-        zi = np.arange(z0, box[2].stop, dtype=np.float64)[None, None, :]
-        yield box, [m[a, 0] * xi + m[a, 1] * yi + m[a, 2] * zi + m[a, 3] for a in range(3)]
 
 
 def _plane_terms(dims, m: np.ndarray) -> list:
@@ -591,24 +571,31 @@ def resample_labels(
 
 
 def _intensity_moments(vol: IntensityVolume):
-    """Intensity-weighted world centroid and per-world-axis std."""
-    # the one C-order float64 copy (none for a C-order float64 volume); the
-    # slab products below widen vol.data's own values exactly
-    mass = float(vol.data.astype(np.float64, order="C", copy=False).reshape(-1).sum())
+    """Intensity-weighted world centroid and per-world-axis std.
+
+    Summed into float64 marginals from the voxels as stored, with no copy:
+    the bits of a float64 copy's while no axis contiguous in memory holds
+    more than numpy's 8192-element buffer.
+    """
+    w = vol.data
+    # w_yz sums out x, w_xz sums out y, w_xy sums out z
+    w_yz, w_xz, w_xy = (w.sum(axis=a, dtype=np.float64) for a in range(3))
+    margins = w_xy.sum(axis=1), w_xy.sum(axis=0), w_xz.sum(axis=0)
+    mass = margins[0].sum()
     if not mass > _DET_EPS:
         raise GeometryError("volume has (near-)zero total intensity")
-    # slab-wise, so no full coordinate grid is materialized
-    sums = np.zeros(3)
-    sq_sums = np.zeros(3)
-    for box, world in _slabs(vol.dims, vol.geometry.index_to_world.matrix, slab=_MOMENT_SLAB):
-        wv = vol.data[box]
-        for axis in range(3):
-            sums[axis] += float((wv * world[axis]).sum())
-            sq_sums[axis] += float((wv * world[axis] * world[axis]).sum())
-    centroid = sums / mass
-    var = sq_sums / mass - centroid**2
-    var = np.maximum(var, 0.0)
-    return centroid, np.sqrt(var)
+    index = [np.arange(n, dtype=np.float64) for n in vol.dims]
+    mean = np.array([i @ m for i, m in zip(index, margins)]) / mass
+    dx, dy, dz = (i - c for i, c in zip(index, mean))
+    xy, xz, yz = dx @ w_xy @ dy, dx @ w_xz @ dz, dy @ w_yz @ dz
+    cov = np.array([
+        [(dx * dx) @ margins[0], xy, xz],
+        [xy, (dy * dy) @ margins[1], yz],
+        [xz, yz, (dz * dz) @ margins[2]],
+    ]) / mass
+    m = vol.geometry.index_to_world
+    var = np.diag(m.linear @ cov @ m.linear.T)
+    return m.linear @ mean + m.offset, np.sqrt(np.maximum(var, 0.0))
 
 
 def estimate_affine_moments(
@@ -620,6 +607,16 @@ def estimate_affine_moments(
     translation plus anisotropic scaling, no rotation or shear.  The result
     maps fixed-space world coordinates into moving-space world coordinates,
     ready for pull-back resampling of ``moving`` onto ``fixed``'s grid.
+
+    Each volume's moments are taken in index space from the 1-D margins
+    ``m_i`` and the 2-D marginal sums ``W_ij`` of its intensities ``w``:
+    ``mass = sum(w)``, ``mean_i = (i @ m_i) / mass`` and, with the centred
+    index vectors ``d_i = i - mean_i``, the covariance ``C_ii = ((d_i *
+    d_i) @ m_i) / mass`` and ``C_ij = (d_i @ W_ij @ d_j) / mass``.  With
+    ``index_to_world = [L | t]`` the world centroid is ``L @ mean + t`` and
+    the per-axis variance is ``diag(L @ C @ L.T)``.  Centred, a volume on
+    an axis-aligned grid whose intensity lies on one plane has a spread of
+    0 (up to the rounding of its mean) across it, and is refused.
 
     This is a deliberately weak substitute for a real registration tool;
     supply a precomputed affine for production alignment.

@@ -132,6 +132,8 @@ class PipelineConfig:
             raise ConfigError("num_labels must be >= 2")
         if self.affine == "estimate" and not self.reference:
             raise ConfigError("affine=estimate needs a reference volume path")
+        if self.reference and self.affine != "estimate":
+            raise ConfigError(f"reference is read only by affine=estimate, not {self.affine!r}")
 
     def atlas_geometry(self) -> VolumeGeometry:
         return make_centered_geometry(self.atlas_dims, self.atlas_spacing)

@@ -15,10 +15,12 @@ from conftest import random_intensity, random_labels
 from tileseg import io as tio
 import tileseg
 from tileseg.cli import EXIT_CODES, build_parser, main
-from tileseg.geometry import IntensityVolume, make_centered_geometry
+from tileseg.geometry import (
+    AffineTransform, IntensityVolume, VolumeGeometry, compose, make_centered_geometry,
+)
 from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
-from tileseg.pipeline import PipelineConfig
+from tileseg.pipeline import PipelineConfig, run
 from tileseg.tiling import build_grid
 
 
@@ -538,6 +540,87 @@ def test_non_integer_constant_backend_exits_7(tmp_path, capsys):
     )
     assert code == 7
     assert "constant label must be an integer" in capsys.readouterr().err
+
+
+def _estimate_case(tmp_path):
+    """The translated phantom of the pipeline's estimate test: ``run`` argv, and its config."""
+    dims = (24, 24, 24)
+    truth = make_blob_phantom(make_centered_geometry(dims), num_labels=5, seed=4)
+    reference = intensity_from_labels(truth, seed=4)
+    base = make_centered_geometry(dims)
+    shift = AffineTransform.translation((3.0, 0.0, 0.0))
+    shifted = VolumeGeometry(dims, base.spacing, compose(shift, base.index_to_world))
+    paths = {name: tmp_path / f"{name}.nii" for name in ("truth", "scan", "reference")}
+    tio.write_nifti(truth, paths["truth"])
+    tio.write_nifti(IntensityVolume(shifted, reference.data), paths["scan"])
+    tio.write_nifti(reference, paths["reference"])
+    config = dict(
+        atlas_dims=dims, grid=(2, 2, 2), tile_size=(14, 14, 14),
+        backend=f"prior:{paths['truth']}", num_labels=5,
+        affine="estimate", reference=str(paths["reference"]),
+    )
+    argv = [
+        "run", "--input", str(paths["scan"]), "--backend", config["backend"], "--num-labels", "5",
+        "--atlas-dims", "24,24,24", "--grid", "2,2,2", "--tile-size", "14,14,14",
+    ]
+    return argv, config, paths
+
+
+def test_run_estimated_affine_matches_the_python_run(tmp_path):
+    argv, config, paths = _estimate_case(tmp_path)
+    out = tmp_path / "cli"
+    flags = ["--affine", "estimate", "--reference", str(paths["reference"])]
+    assert main([*argv, "--output", str(out), *flags]) == 0
+    result = run(PipelineConfig(**config, output_dir=str(tmp_path / "api")), paths["scan"])
+    truth, _ = tio.read_nifti(paths["truth"], as_labels=True)
+    npt.assert_array_equal(result.fused.data, truth.data)
+    for name in ("atlas_labels.nii", "native_labels.nii"):
+        assert (out / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+
+def test_estimate_without_reference_exits_2(tmp_path, capsys):
+    argv, _, _ = _estimate_case(tmp_path)
+    assert main([*argv, "--output", str(tmp_path / "out"), "--affine", "estimate"]) == 2
+    assert "needs a reference" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("affine", [None, "identity"])
+def test_reference_without_estimate_exits_2(tmp_path, capsys, affine):
+    argv, _, paths = _estimate_case(tmp_path)
+    flags = ["--reference", str(paths["reference"])] + (["--affine", affine] if affine else [])
+    assert main([*argv, "--output", str(tmp_path / "out"), *flags]) == 2
+    assert "read only by affine=estimate" in capsys.readouterr().err
+
+
+def test_estimate_with_missing_reference_exits_3(tmp_path):
+    argv, _, _ = _estimate_case(tmp_path)
+    flags = ["--affine", "estimate", "--reference", str(tmp_path / "absent.nii")]
+    assert main([*argv, "--output", str(tmp_path / "out"), *flags]) == 3
+
+
+def test_estimate_with_all_zero_reference_exits_4(tmp_path, capsys):
+    argv, _, paths = _estimate_case(tmp_path)
+    zero = IntensityVolume(make_centered_geometry((24, 24, 24)), np.zeros((24, 24, 24)))
+    tio.write_nifti(zero, paths["reference"])
+    flags = ["--affine", "estimate", "--reference", str(paths["reference"])]
+    assert main([*argv, "--output", str(tmp_path / "out"), *flags]) == 4
+    assert "zero total intensity" in capsys.readouterr().err
+
+
+def test_estimate_on_a_one_plane_scan_exits_4(tmp_path, capsys):
+    # all intensity on one z plane: no z spread to scale by
+    data = np.zeros((12, 12, 12))
+    data[:, :, 1] = np.random.default_rng(0).uniform(1.0, 1000.0, (12, 12))
+    geometry = make_centered_geometry((12, 12, 12), (1.0, 1.2, 0.9))
+    tio.write_nifti(IntensityVolume(geometry, data), tmp_path / "flat.nii")
+    tio.write_nifti(random_intensity((12, 12, 12), seed=3, lo=1.0, hi=10.0), tmp_path / "ref.nii")
+    code = main([
+        "run", "--input", str(tmp_path / "flat.nii"), "--output", str(tmp_path / "out"),
+        "--affine", "estimate", "--reference", str(tmp_path / "ref.nii"),
+        "--atlas-dims", "12,12,12", "--grid", "2,2,2", "--tile-size", "7,7,7",
+    ])
+    assert code == 4
+    assert "degenerate intensity spread" in capsys.readouterr().err
 
 
 _LAYOUT = '"grid": [2, 2, 2], "tile_size": [9, 9, 9], "origins": []'

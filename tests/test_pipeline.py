@@ -88,6 +88,13 @@ def test_config_estimate_needs_reference():
         PipelineConfig(affine="estimate")
 
 
+@pytest.mark.parametrize("affine", ["identity", "affine.txt"])
+def test_config_reference_needs_estimate(affine):
+    # any other affine would ignore the reference without a word
+    with pytest.raises(ConfigError, match="read only by affine=estimate"):
+        PipelineConfig(affine=affine, reference="reference.nii")
+
+
 def test_config_concat_needs_partition_grid():
     config = PipelineConfig(
         atlas_dims=(10, 10, 10), grid=(2, 2, 2), tile_size=(6, 6, 6),
