@@ -9,7 +9,9 @@ Conventions used throughout the package:
   (``_labels``), so a z plane is one block that the writers cast and store
   as it is.  Intensity arrays the package builds are not: ``harmonize``
   sums its moments in memory order, and a C and an F copy of one volume
-  give different sums in the last bits.
+  give different sums in the last bits.  They hold ``_intensity_dtype`` of
+  their source: float64 from float64, float32 from a stored type.  Each
+  value is computed in float64 and rounded once, where it is stored.
 * ``index_to_world`` maps homogeneous voxel indices to world millimetres:
   ``world = M @ [i, j, k, 1]``.
 * Resampling is pull-back: we iterate target voxels, map them through the
@@ -21,9 +23,10 @@ Conventions used throughout the package:
   copied; trilinear output is bitwise identical to the eight-corner formula
   ``d000*gx*gy*gz + d100*fx*gy*gz + ...`` summed in that order.
 * Resampling sweeps the target one z plane at a time, each cropped to the
-  box of voxels that can reach the source; ``jobs`` threads take contiguous
-  z ranges.  The boxes are computed for a block of planes at once
-  (``_boxes``), element by element as for one plane.  A coordinate is
+  box of voxels that can reach the source; up to ``jobs`` threads take
+  contiguous z ranges, at most one per usable CPU and per ``_SWEEP_VOXELS``
+  target voxels (``_sweep``).  The boxes are computed for a block of planes
+  at once (``_boxes``), element by element as for one plane.  A coordinate is
   ``m[a,0]*x + m[a,1]*y``, the same on every plane and computed once per
   call as three target-plane arrays that the threads share read-only, plus
   ``m[a,2]*z``, plus ``m[a,3]``.  Each voxel's coordinate is this one
@@ -35,6 +38,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -228,8 +232,10 @@ class IntensityVolume(_Volume):
     without a copy (``_adopt``) after the same checks.  A volume read from
     NIfTI keeps the file's element type (float32, int16 or uint8): each of
     them widens to float64 exactly, so the resamplers widen corner by
-    corner, the moments sum into float64 and ``harmonize`` widens once,
-    each with the bits of a float64 copy.
+    corner and the moments sum into float64, each with the bits of a
+    float64 copy.  What the package builds from such a volume (its
+    resample, harmonized volume and tiles) is float32 (``_intensity_dtype``):
+    the float64 copy's result, rounded once.
     """
 
     geometry: VolumeGeometry
@@ -301,6 +307,15 @@ class LabelVolume(_Volume):
 def _label_dtype(num_labels: int) -> np.dtype:
     """The element type of a label volume: uint8 up to 256 labels, uint16 above."""
     return np.dtype(np.uint8 if num_labels <= 256 else np.uint16)
+
+
+def _intensity_dtype(source: np.dtype) -> np.dtype:
+    """The element type of an intensity volume built from ``source`` voxels.
+
+    float64 for a float64 source; float32 for a stored type (float32, int16
+    or uint8), which float32 holds exactly.
+    """
+    return np.dtype(np.float64 if source == np.float64 else np.float32)
 
 
 def _labels(dims, fill: int, num_labels: int) -> np.ndarray:
@@ -413,13 +428,20 @@ def _planes(dims, m: np.ndarray, terms: list, z_range, reach):
             yield (*box, z), [terms[a][box] + m[a, 2] * z + m[a, 3] for a in range(3)]
 
 
-def _sweep(kernel, nz: int, jobs: int) -> None:
-    """Run ``kernel(z_range)`` over ``min(jobs, nz, usable CPUs)`` z ranges.
+# target voxels per resampling thread, at least: below it a second thread
+# costs more than it saves.  On a 2-CPU host two threads break even near
+# 0.9 M target voxels for trilinear and 2-4 M for nearest-neighbour
+_SWEEP_VOXELS = 1 << 19
 
-    Each contiguous range runs on its own thread, one plane at a time, and
-    writes only its own planes, so one plane of temporaries is in flight
-    per thread.  Threads beyond the usable CPUs cannot run at once; each
-    would only add its plane of temporaries and its malloc arena.  The
+
+def _sweep(kernel, dims, jobs: int) -> None:
+    """Run ``kernel(z_range)`` over the z planes of ``dims``, split into contiguous ranges.
+
+    There are ``min(jobs, nz, usable CPUs, voxels // _SWEEP_VOXELS)``
+    ranges, at least one.  Each runs on its own thread, one plane at a
+    time, and writes only its own planes, so one plane of temporaries is in
+    flight per thread.  Threads beyond the usable CPUs cannot run at once;
+    each would only add its plane of temporaries and its malloc arena.  The
     calling thread takes the first range: a pool thread allocates from its
     own fresh malloc arena, and at ``jobs=2`` a second pool thread raised a
     benchmark scan's peak RSS by 11 MB.
@@ -428,7 +450,8 @@ def _sweep(kernel, nz: int, jobs: int) -> None:
         ncpu = len(os.sched_getaffinity(0))
     else:
         ncpu = os.cpu_count() or 1
-    threads = max(1, min(jobs, nz, ncpu))
+    nz = dims[2]
+    threads = max(1, min(jobs, nz, ncpu, math.prod(dims) // _SWEEP_VOXELS))
     cuts = [nz * i // threads for i in range(threads + 1)]
     first, *rest = zip(cuts, cuts[1:])
     with ThreadPoolExecutor(max(1, threads - 1)) as pool:
@@ -478,11 +501,22 @@ def resample_intensity(
     coordinates.  Target voxels that map outside the source grid (continuous
     index beyond ``[0, n-1]`` on any axis) receive ``background``.  ``jobs``
     threads split the target's z planes; the output is the same bit for bit.
+    Each voxel is computed in float64 and stored in ``_intensity_dtype`` of
+    the source: float32 for a stored type, so a finite ``background``
+    beyond float32 range is refused before any voxel is computed.
     """
     m = _pullback(src.geometry, transform, target)
+    dtype = _intensity_dtype(src.data.dtype)
+    with np.errstate(over="ignore"):
+        fill = dtype.type(background)
+    if np.isfinite(background) and not np.isfinite(fill):
+        raise GeometryError(
+            f"background {background!r} does not fit the {dtype.name} output"
+            f" of a {src.data.dtype.name} source"
+        )
     sx, sy, sz = src.dims
     flat, (stx, sty, stz) = _flat(src.data)
-    out = np.full(target.dims, background, dtype=np.float64)
+    out = np.full(target.dims, fill, dtype=dtype)
     reach = (0.0, (sx - 1, sy - 1, sz - 1))
     terms = _plane_terms(target.dims, m)
 
@@ -520,7 +554,7 @@ def resample_intensity(
             val += _corner(flat, i110 + dz, fx, fy, fz)
             out[box] = val if inside is None else np.where(inside, val, background)
 
-    _sweep(kernel, target.dims[2], jobs)
+    _sweep(kernel, target.dims, jobs)
     return IntensityVolume._adopt(target, out)
 
 
@@ -561,7 +595,7 @@ def resample_labels(
             labels += fill
             out[box] = labels
 
-    _sweep(kernel, target.dims[2], jobs)
+    _sweep(kernel, target.dims, jobs)
     return LabelVolume._adopt(target, out, src.num_labels)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume, _labels
+from .geometry import IntensityVolume, LabelVolume, _intensity_dtype, _labels
 
 __all__ = [
     "HarmonizeError",
@@ -76,26 +76,68 @@ class HarmonizationModel:
         object.__setattr__(self, "quantile_count", int(self.quantile_count))
 
 
-def _moments(vol: IntensityVolume):
-    """``(data, mean, std)``: the voxels widened once to float64, and their moments.
+# voxels per block of the moments and of the output: one float64 buffer of
+# this many voxels is the only float64 array harmonize builds at atlas scale
+_BLOCK = 1 << 16
 
-    ``data`` is ``vol.data`` itself when it is already float64; widening
-    keeps the memory order, so the sums have the bits of a float64 volume.
+
+def _blocks(data: np.ndarray):
+    """Yield ``(part, wide)`` over ``data``'s voxels in memory order, in fixed blocks.
+
+    ``part`` slices the block out of ``data.ravel(order="K")``, a view, and
+    ``wide`` is the block widened to float64 in one buffer that every block
+    reuses: only one block is widened at a time.
     """
-    data = vol.data.astype(np.float64, copy=False)
-    mean = float(data.mean())
-    std = float(data.std())
+    flat = data.ravel(order="K")
+    buf = np.empty(min(_BLOCK, flat.size))
+    for start in range(0, flat.size, _BLOCK):
+        part = slice(start, min(start + _BLOCK, flat.size))
+        wide = buf[: part.stop - start]
+        np.copyto(wide, flat[part])
+        yield part, wide
+
+
+def _moments(data: np.ndarray):
+    """``(mean, std)`` of all voxels, summed in float64 block by block.
+
+    Each block is widened before it is summed, so a stored-type volume and
+    its float64 widening give the same bits; the std is a centred second
+    pass.
+    """
+    mean = float(sum(wide.sum() for _, wide in _blocks(data)) / data.size)
+
+    def squares(wide):
+        wide -= mean
+        wide *= wide
+        return wide.sum()
+
+    std = float(np.sqrt(sum(squares(wide) for _, wide in _blocks(data)) / data.size))
     if std <= 1e-12:
         raise HarmonizeError("volume is constant; cannot standardize")
-    return data, mean, std
+    return mean, std
+
+
+def _mapped(data: np.ndarray, mean: float, std: float, fit=None) -> np.ndarray:
+    """``(data - mean) / std``, then ``* beta1 + beta0`` of ``fit``, block by block.
+
+    Each voxel is computed in float64 and rounded once into the output, a
+    new array in ``data``'s layout and ``_intensity_dtype``.
+    """
+    out = np.empty_like(data, dtype=_intensity_dtype(data.dtype))
+    dest = out.ravel(order="K")
+    for part, wide in _blocks(data):
+        wide -= mean
+        wide /= std
+        if fit is not None:
+            wide *= fit.beta1
+            wide += fit.beta0
+        dest[part] = wide
+    return out
 
 
 def standardize(vol: IntensityVolume) -> IntensityVolume:
     """Demean and scale to unit population std, over all voxels."""
-    data, mean, std = _moments(vol)
-    z = data - mean
-    z /= std
-    return IntensityVolume._adopt(vol.geometry, z)
+    return IntensityVolume._adopt(vol.geometry, _mapped(vol.data, *_moments(vol.data)))
 
 
 def sorted_intensities(
@@ -164,7 +206,7 @@ def fit_model(
         union |= mask.data > 0
     union_mask = LabelVolume._adopt(geometry, union, 2)
     profiles = [
-        _profile(geometry, union_mask, quantile_count, *_moments(vol))
+        _profile(geometry, union_mask, quantile_count, vol.data, *_moments(vol.data))
         for vol in atlas_volumes
     ]
     mean_sorted = np.mean(profiles, axis=0)
@@ -178,11 +220,14 @@ def harmonize(
 
     Standardizes the scan, regresses the reference profile on the scan's
     own sorted profile (ordinary least squares), and applies the fitted
-    slope and intercept to every voxel.  No z-scored volume is built: the
-    output buffer is ``((x - mean) / std) * beta1 + beta0``, computed in place.
+    slope and intercept to every voxel.  No z-scored or widened volume is
+    built: the masked voxels are sorted in the scan's own type, and the
+    output, ``((x - mean) / std) * beta1 + beta0`` in float64 rounded once,
+    is written block by block into an array of the scan's layout and
+    ``_intensity_dtype`` (float32 for a stored-type or float32 scan).
     """
-    data, mean, std = _moments(vol)
-    profile = _profile(vol.geometry, model.mask, model.quantile_count, data, mean, std)
+    mean, std = _moments(vol.data)
+    profile = _profile(vol.geometry, model.mask, model.quantile_count, vol.data, mean, std)
     px = profile - profile.mean()
     var = float(px @ px)
     if var <= 1e-20:
@@ -192,11 +237,7 @@ def harmonize(
     beta0 = float(ref.mean() - beta1 * profile.mean())
     residual = ref - (beta1 * profile + beta0)
     fit = RegressionFit(beta1, beta0, float(np.sqrt(np.mean(residual**2))))
-    out = data - mean
-    out /= std
-    out *= beta1
-    out += beta0
-    return IntensityVolume._adopt(vol.geometry, out), fit
+    return IntensityVolume._adopt(vol.geometry, _mapped(vol.data, mean, std, fit)), fit
 
 
 # ---------------------------------------------------------------------------

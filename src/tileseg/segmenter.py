@@ -2,13 +2,16 @@
 
 The per-tile model is a black box behind a small contract: given an
 intensity tile it must return a label tile of identical dims and world
-geometry with values below ``num_labels``.  Production models run as
+geometry with values below ``num_labels``.  An in-process backend gets the
+tile in the atlas volume's element type: float32 for a scan read from a
+file (float32, int16 or uint8 voxels), float64 for a float64 scan built
+in memory (see ``geometry._intensity_dtype``).  Production models run as
 external processes through a file-based protocol; deterministic built-in
 oracles cover testing and phantom studies.
 
 External-process protocol, per tile:
 
-1. the intensity tile is written as a NIfTI-1 file,
+1. the intensity tile is written as a float32 NIfTI-1 file,
 2. the tile placement is written as a JSON document
    (``origin``, ``size``, ``index``, ``num_labels``),
 3. the command template is split into arguments, each argument's

@@ -23,6 +23,7 @@ from .geometry import (
     IntensityVolume,
     LabelVolume,
     VolumeGeometry,
+    _intensity_dtype,
     compose,
 )
 from .io import write_atomic
@@ -185,7 +186,8 @@ def extract_tile(vol, tile: TileSpec):
     Works for intensity and label volumes alike; the extracted geometry
     composes the parent affine with the tile-origin offset so voxel (0,0,0)
     of the tile maps to the same world point as the parent voxel at
-    ``tile.origin``.
+    ``tile.origin``.  An intensity tile is copied in the volume's memory
+    order and ``_intensity_dtype``: a float32 or float64 volume's own type.
     """
     dims = vol.dims
     if any(o + s > d for o, s, d in zip(tile.origin, tile.size, dims)):
@@ -199,7 +201,7 @@ def extract_tile(vol, tile: TileSpec):
     )
     if isinstance(vol, LabelVolume):
         return LabelVolume(geometry, sub, vol.num_labels)
-    return IntensityVolume(geometry, sub)
+    return IntensityVolume._adopt(geometry, sub.astype(_intensity_dtype(sub.dtype), order="K"))
 
 
 def save_grid(grid: TileGrid, path) -> None:

@@ -344,6 +344,27 @@ def test_non_finite_background_fill_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_background_fill_beyond_float32_exits_4(tmp_path, capsys):
+    # a float32 scan registers into float32, which cannot hold a finite 1e39
+    _, truth_path, scan_path = _write_phantom(tmp_path, dims=(20, 20, 20))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        '{"background_fill": 1e39, "atlas_dims": [24, 24, 24], "grid": [2, 2, 2], '
+        '"tile_size": [12, 12, 12], "num_labels": 4}'
+    )
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--input", str(scan_path), "--output", str(out), "--config", str(config_path)]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "background 1e+39 does not fit the float32 output of a float32 source" in err
+    assert "Traceback" not in err
+    assert (out / "FAILED").read_text().startswith("stage: register\n")
+    assert not (out / "atlas_labels.nii").exists()
+
+
 @pytest.mark.parametrize("value", ["1", "0", "-3"])
 @pytest.mark.parametrize("command", ["run", "tile", "fuse", "evaluate"])
 def test_label_count_below_2_exits_2(tmp_path, capsys, command, value):

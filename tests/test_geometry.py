@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -27,6 +28,7 @@ from tileseg.geometry import (
     resample_intensity,
     resample_labels,
 )
+from tileseg import geometry as geometry_module
 from tileseg import io as tio
 from tileseg.fusion import fuse_majority
 from tileseg.harmonize import fit_model, harmonize, standardize
@@ -592,7 +594,9 @@ _CROP_CASES = {
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("jobs", [1, 2, 3, 40])
 @pytest.mark.parametrize("case", sorted(_CROP_CASES))
-def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(case, jobs):
+def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(monkeypatch, case, jobs):
+    # these targets are far below the voxels that earn a second thread; lift that floor
+    monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)
     geometry, target, t = _CROP_CASES[case]
     rng = np.random.default_rng(34)
     img = IntensityVolume(geometry, np.asfortranarray(rng.uniform(-50.0, 50.0, geometry.dims)))
@@ -681,14 +685,39 @@ def test_blocked_crop_boxes_equal_the_per_plane_boxes(case):
 def test_sweep_runs_one_thread_per_usable_cpu_at_most(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = []
-    _sweep(calls.append, 19, jobs=4)
+    _sweep(calls.append, (1024, 1024, 19), jobs=4)
     assert calls == [(0, 19)]
+
+
+@pytest.mark.parametrize(
+    "dims, jobs, threads",
+    [
+        ((48, 56, 40), 2, 1),  # the benchmark's SMALL atlas grid ...
+        ((72, 72, 48), 2, 1),  # ... and native grid
+        ((172, 220, 156), 2, 2),  # the paper's atlas grid, 5.9 M voxels ...
+        ((256, 256, 170), 2, 2),  # ... and the benchmark's native grid, 11.1 M
+        ((172, 220, 156), 64, 11),
+        ((1024, 1024, 1), 2, 1),  # one plane
+        ((1024, 1, 1023), 2, 1),  # one voxel short of two threads' floor
+        ((1024, 1, 1024), 3, 2),
+        ((1024, 1, 1024), 1, 1),
+    ],
+)
+def test_sweep_threads_are_capped_by_target_voxels(monkeypatch, dims, jobs, threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert geometry_module._SWEEP_VOXELS == 1 << 19
+    ranges = []
+    _sweep(ranges.append, dims, jobs)
+    assert len(ranges) == threads
+    assert sorted(ranges)[0][0] == 0 and sorted(ranges)[-1][1] == dims[2]
 
 
 @pytest.mark.parametrize("case", sorted(_CROP_CASES))
 def test_sweep_beyond_the_usable_cpus_is_bytewise_equal(monkeypatch, case):
-    # a host with few CPUs caps the threads; lift the cap to run the 3- and 40-way splits
+    # a host with few CPUs caps the threads, and so does a small target;
+    # lift both caps to run the 3- and 40-way splits
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)
     geometry, target, t = _CROP_CASES[case]
     rng = np.random.default_rng(35)
     img = IntensityVolume(geometry, np.asfortranarray(rng.uniform(-50.0, 50.0, geometry.dims)))
@@ -717,26 +746,37 @@ def test_resampling_never_copies_the_source():
 
 
 @pytest.mark.parametrize(
-    "resample, jobs",
+    "resample, jobs, source",
     [
-        pytest.param(r, j, id=r.__name__ if j == 1 else f"{r.__name__}-jobs{j}")
+        pytest.param(r, j, None, id=r.__name__ if j == 1 else f"{r.__name__}-jobs{j}")
         for r in (resample_intensity, resample_labels)
+        for j in (1, 2)
+    ] + [
+        pytest.param(resample_intensity, j, np.float32, id=f"resample_intensity-float32-jobs{j}")
         for j in (1, 2)
     ],
 )
-def test_resampling_allocates_its_output_once(resample, jobs):
+def test_resampling_allocates_its_output_once(monkeypatch, resample, jobs, source):
     # a long z axis makes the one-plane temporaries small next to the output,
     # so a second copy of the output (the volume constructor's) shows up
+    monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)  # two threads at jobs=2
     geometry = make_centered_geometry((32, 32, 32))
     rng = np.random.default_rng(33)
     if resample is resample_intensity:
-        src = IntensityVolume(geometry, rng.uniform(0.0, 1.0, geometry.dims))
+        values = rng.uniform(0.0, 1.0, geometry.dims)
+        if source is None:
+            src = IntensityVolume(geometry, values)
+        else:  # a stored type, as read_nifti keeps it
+            src = IntensityVolume._adopt(geometry, values.astype(source))
     else:
         src = LabelVolume(geometry, rng.integers(0, 9, geometry.dims), 9)
     target = make_centered_geometry((32, 32, 512))
     peak, out = peak_alloc(lambda: resample(src, AffineTransform.identity(), target, jobs=jobs))
-    # a second copy would reach 2x; next to a one-byte label output the
-    # float64 plane temporaries weigh twice what they did next to uint16
+    if resample is resample_intensity:
+        assert out.data.dtype == (np.float64 if source is None else np.float32)
+    # a second copy (or a float64 output cast to float32) would reach 2x; next to
+    # a one-byte label output the float64 plane temporaries weigh twice what they
+    # did next to uint16
     assert peak < (1.3 if resample is resample_intensity else 1.6) * out.data.nbytes
 
 
@@ -764,6 +804,28 @@ def test_resample_intensity_rejects_non_finite_background():
     for background in (np.nan, np.inf):
         with pytest.raises(GeometryError, match="NaN or Inf"):
             resample_intensity(src, AffineTransform.identity(), target, background=background)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("background", [1e39, -1e39])
+@pytest.mark.parametrize("code", ["f4", "i2", "u1"])
+def test_background_beyond_float32_is_refused_before_any_sweep(monkeypatch, code, background):
+    geometry = make_centered_geometry((4, 4, 4))
+    src = IntensityVolume._adopt(geometry, np.ones(geometry.dims, dtype=code))  # as read
+    target = make_centered_geometry((8, 8, 8))  # reaches outside the source
+
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry_module, "_sweep", no_sweep)
+        message = f"background {background!r} does not fit the float32 output of a {src.data.dtype.name}"
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            resample_intensity(src, AffineTransform.identity(), target, background=background)
+    # the float64 output of a float64 source holds it
+    wide = IntensityVolume(geometry, src.data)
+    out = resample_intensity(wide, AffineTransform.identity(), target, background=background)
+    assert out.data.dtype == np.float64 and out.data[0, 0, 0] == background
 
 
 def test_user_arrays_are_copied():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import peak_alloc, random_intensity
+from tileseg import io as tio
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.harmonize import (
     HarmonizationModel,
@@ -357,3 +358,19 @@ def test_harmonize_holds_few_volume_sized_arrays():
     peak, _ = peak_alloc(lambda: harmonize(vol, model))
     assert peak <= 1.3 * vol.data.nbytes
 
+
+
+def test_harmonize_of_a_float32_volume_builds_no_float64_copy(tmp_path):
+    # the masked values in float32, then the float32 output: a float64
+    # widening of the volume alone would weigh 2x its float32 bytes
+    rng = np.random.default_rng(22)
+    geometry = make_centered_geometry((128, 128, 64))  # 1 Mi voxels
+    tio.write_nifti(IntensityVolume(geometry, rng.normal(50.0, 10.0, geometry.dims)),
+                    tmp_path / "scan.nii")
+    vol, _ = tio.read_nifti(tmp_path / "scan.nii")
+    assert vol.data.dtype == np.float32 and vol.data.size >= 1 << 20
+    model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), _full_mask(geometry), 1024)
+    harmonize(vol, model)  # first calls of numpy routines allocate once
+    peak, (out, _) = peak_alloc(lambda: harmonize(vol, model))
+    assert out.data.dtype == np.float32
+    assert peak < 1.5 * vol.data.nbytes

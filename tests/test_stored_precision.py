@@ -1,13 +1,20 @@
 """Intensity volumes read from NIfTI keep the stored element type.
 
 Every type the reader accepts widens to float64 exactly, so each consumer
-must give the same bits on the stored volume as on its float64 widening,
-the volume the reader returned when it copied into float64.
+computes on the stored volume what it computes on its float64 widening,
+the volume the reader returned when it copied into float64.  Numbers
+(moments, fits, profiles, affines) are the same bits; a volume the package
+builds from a stored-type volume is float32 (``_intensity_dtype``), the
+widened volume's result rounded once, so the ``external:`` backends, which
+receive float32 tile files, get the same bytes.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
+from tileseg import geometry as geometry_module
 from tileseg import io as tio
 from tileseg.geometry import (
     AffineTransform,
@@ -66,6 +73,23 @@ def _same(a, b):
     return a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
 
 
+def _rounded(wide):
+    """The float64 result of the widened volume, rounded once into float32."""
+    assert wide.dtype == np.float64
+    return wide.astype(np.float32)
+
+
+def _tile_files_agree(tmp_path, got, want) -> bool:
+    """Whether the tile input files an ``external:`` backend gets from ``got`` and ``want`` match."""
+    size = tuple(d // 2 + 1 for d in got.dims)
+    for tile in build_grid(got.dims, (2, 2, 2), size).tiles:
+        tio.write_nifti(extract_tile(got, tile), tmp_path / "got_tile.nii")
+        tio.write_nifti(extract_tile(want, tile), tmp_path / "want_tile.nii")
+        if (tmp_path / "got_tile.nii").read_bytes() != (tmp_path / "want_tile.nii").read_bytes():
+            return False
+    return True
+
+
 @pytest.mark.parametrize("code, endian", STORED, ids=IDS)
 def test_read_keeps_the_stored_type_read_only(tmp_path, code, endian):
     path = tmp_path / "vol.nii"
@@ -77,11 +101,12 @@ def test_read_keeps_the_stored_type_read_only(tmp_path, code, endian):
     with pytest.raises(ValueError):
         vol.data[0, 0, 0] = 1
     assert np.array_equal(vol.data, values)
-    # tiles, and therefore backends and resume-cache keys, stay float64
+    # tiles hold the rule's float32: the widened volume's tiles rounded once
     wide = IntensityVolume(vol.geometry, vol.data)
     assert wide.data.dtype == np.float64
     for tile in build_grid(DIMS, (2, 2, 2), (12, 10, 9)).tiles:
-        assert _same(extract_tile(vol, tile).data, extract_tile(wide, tile).data)
+        assert _same(extract_tile(vol, tile).data, _rounded(extract_tile(wide, tile).data))
+    assert _tile_files_agree(tmp_path, vol, wide)
     # and both writers encode the same bytes
     for write in (tio.write_nifti, tio.write_raw):
         write(vol, tmp_path / "stored")
@@ -109,12 +134,16 @@ def _edge_crossing():
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("warp", [_interior, _edge_crossing], ids=["interior", "edge"])
 @pytest.mark.parametrize("code, endian", STORED, ids=IDS)
-def test_resample_intensity_is_bitwise_the_widened_result(tmp_path, code, endian, warp, jobs):
+def test_resample_intensity_is_bitwise_the_widened_result(
+    tmp_path, monkeypatch, code, endian, warp, jobs
+):
+    monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)  # two threads at jobs=2
     vol, wide = _read(tmp_path, code, endian)
     transform, target = warp()
     got = resample_intensity(vol, transform, target, background=-1.5, jobs=jobs)
     want = resample_intensity(wide, transform, target, background=-1.5, jobs=jobs)
-    assert _same(got.data, want.data)
+    assert _same(got.data, _rounded(want.data))
+    assert _tile_files_agree(tmp_path, got, want)
     inside = got.data != -1.5
     assert inside.all() if warp is _interior else 0 < inside.mean() < 1
 
@@ -142,10 +171,21 @@ def _masks(geometry):
     ]
 
 
+# blocks of the moments and the output: the test volumes span several,
+# the last one partial, where harmonize's own blocks would hold them whole
+BLOCK = 1000
+# the package exports the function harmonize under the module's name
+harmonize_module = importlib.import_module("tileseg.harmonize")
+
+
 @pytest.mark.parametrize("code, endian", STORED, ids=IDS)
-def test_fit_model_and_harmonize_are_bitwise_the_widened_result(tmp_path, code, endian):
+def test_fit_model_and_harmonize_are_bitwise_the_widened_result(
+    tmp_path, monkeypatch, code, endian
+):
+    monkeypatch.setattr(harmonize_module, "_BLOCK", BLOCK)
     a, wide_a = _read(tmp_path, code, endian, seed=0)
     b, wide_b = _read(tmp_path, code, endian, seed=1)
+    assert a.data.size % BLOCK != 0 and a.data.size > 2 * BLOCK
     masks = _masks(a.geometry)
     model = fit_model([a, b], masks, quantile_count=64)
     wide_model = fit_model([wide_a, wide_b], masks, quantile_count=64)
@@ -154,16 +194,26 @@ def test_fit_model_and_harmonize_are_bitwise_the_widened_result(tmp_path, code, 
 
     got, fit = harmonize(a, model)
     want, wide_fit = harmonize(wide_a, model)
-    assert _same(got.data, want.data)
+    assert _same(got.data, _rounded(want.data))
     assert fit == wide_fit
-    assert _same(standardize(a).data, standardize(wide_a).data)
+    assert _tile_files_agree(tmp_path, got, want)
+    assert _same(standardize(a).data, _rounded(standardize(wide_a).data))
     assert sorted_intensities(a, masks[0], 33).tobytes() == (
         sorted_intensities(wide_a, masks[0], 33).tobytes()
     )
 
 
+def _blocked_moments(x):
+    """Mean and std of float64 ``x``: sums over ``BLOCK`` voxels in memory order, added in turn."""
+    flat = x.ravel(order="K")
+    blocks = [flat[i:i + BLOCK] for i in range(0, flat.size, BLOCK)]
+    mean = float(sum(b.sum() for b in blocks) / flat.size)
+    return mean, float(np.sqrt(sum(((b - mean) ** 2).sum() for b in blocks) / flat.size))
+
+
 @pytest.mark.parametrize("code, endian", STORED, ids=IDS)
-def test_harmonize_equals_the_z_scored_volume_oracle(tmp_path, code, endian):
+def test_harmonize_equals_the_z_scored_volume_oracle(tmp_path, monkeypatch, code, endian):
+    monkeypatch.setattr(harmonize_module, "_BLOCK", BLOCK)
     vol, wide = _read(tmp_path, code, endian)
     other, _ = _read(tmp_path, code, endian, seed=3)
     mask = _masks(vol.geometry)[0]
@@ -172,9 +222,10 @@ def test_harmonize_equals_the_z_scored_volume_oracle(tmp_path, code, endian):
 
     # the scan's z-scored volume, its sorted profile, then one least-squares line
     x = wide.data
-    z = x - x.mean()
-    z /= x.std()
-    assert _same(standardize(vol).data, z)
+    mean, std = _blocked_moments(x)
+    z = x - mean
+    z /= std
+    assert _same(standardize(vol).data, _rounded(z))
     ordered = np.sort(z[model.mask.data > 0])[::-1]
     positions = np.linspace(0.0, ordered.size - 1.0, model.quantile_count)
     profile = np.interp(positions, np.arange(ordered.size), ordered)
@@ -183,4 +234,4 @@ def test_harmonize_equals_the_z_scored_volume_oracle(tmp_path, code, endian):
     beta1 = float(px @ (ref - ref.mean())) / float(px @ px)
     beta0 = float(ref.mean() - beta1 * profile.mean())
     assert (fit.beta1, fit.beta0) == (beta1, beta0)
-    assert _same(got.data, z * beta1 + beta0)
+    assert _same(got.data, _rounded(z * beta1 + beta0))
