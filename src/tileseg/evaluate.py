@@ -86,12 +86,11 @@ def report(auto: LabelVolume, manual: LabelVolume) -> DiceReport:
             f"label counts differ: {auto.num_labels} vs {manual.num_labels}"
         )
     L = auto.num_labels
-    # one pass over the volumes instead of 2L full scans, flat in one memory
-    # order (a copy only where the layouts differ) and counted a chunk at a
-    # time, so bincount's int64 widening is chunk-sized, not volume-sized
-    order = "F" if auto.data.flags.f_contiguous and manual.data.flags.f_contiguous else "C"
-    a = auto.data.ravel(order)
-    b = manual.data.ravel(order)
+    # one pass over the volumes instead of 2L full scans, flat views in
+    # their x-fastest order, counted a chunk at a time, so bincount's int64
+    # widening is chunk-sized, not volume-sized
+    a = auto.data.ravel("F")
+    b = manual.data.ravel("F")
     count_a, count_b, count_both = np.zeros((3, L), dtype=np.int64)
     for start in range(0, a.size, _CHUNK):
         part_a, part_b = a[start : start + _CHUNK], b[start : start + _CHUNK]

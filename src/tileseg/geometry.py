@@ -5,13 +5,13 @@ Conventions used throughout the package:
 * Volumes are indexed ``data[x, y, z]`` with shape equal to ``dims``.
   The linear (disk) layout is x-fastest ("Fortran" order), matching the
   de facto layout of single-file medical volumes.
-* Label arrays the package builds or decodes are x-fastest in memory too
-  (``_labels``), so a z plane is one block that the writers cast and store
-  as it is.  Intensity arrays the package builds are not: ``harmonize``
-  sums its moments in memory order, and a C and an F copy of one volume
-  give different sums in the last bits.  They hold ``_intensity_dtype`` of
-  their source: float64 from float64, float32 from a stored type.  Each
-  value is computed in float64 and rounded once, where it is stored.
+* Every array a volume holds is x-fastest in memory too: the public
+  constructors copy into that order, and ``_adopt`` takes nothing else.  So
+  a z plane is one block that the writers cast and store as it is, and
+  every sum in memory order (``harmonize``, the moments) runs x-fastest.
+  Intensity arrays the package builds hold ``_intensity_dtype`` of their
+  source: float64 from float64, float32 from a stored type.  Each value is
+  computed in float64 and rounded once, where it is stored.
 * ``index_to_world`` maps homogeneous voxel indices to world millimetres:
   ``world = M @ [i, j, k, 1]``.
 * Resampling is pull-back: we iterate target voxels, map them through the
@@ -193,7 +193,7 @@ class _Volume:
 
     @classmethod
     def _adopt(cls, geometry: VolumeGeometry, arr: np.ndarray, *args):
-        """Wrap ``arr``, a dense array the package just built or decoded, without a copy.
+        """Wrap ``arr``, an x-fastest array the package just built or decoded, without a copy.
 
         Runs the same checks as the public constructor, then freezes ``arr``
         itself; only the constructor's copy is skipped.  An intensity array
@@ -201,21 +201,11 @@ class _Volume:
         the file bytes).  Arrays from outside (a user array, a tile view)
         go through the copying constructor.
         """
-        assert _is_dense(arr), "volumes hold dense arrays (see _flat)"
+        assert arr.flags.f_contiguous, "volumes hold x-fastest arrays"
         vol = object.__new__(cls)
         object.__setattr__(vol, "geometry", geometry)
         vol._freeze(arr, *args)
         return vol
-
-
-def _is_dense(arr: np.ndarray) -> bool:
-    """Whether ``arr`` fills one block of memory in some axis order."""
-    step = arr.itemsize
-    for stride, n in sorted(zip(arr.strides, arr.shape)):
-        if n > 1 and stride != step:
-            return False
-        step *= n
-    return True
 
 
 # element types an intensity volume holds: float64, or a NIfTI type kept as stored
@@ -228,12 +218,12 @@ class IntensityVolume(_Volume):
 
     Data is shaped ``dims``, indexed ``[x, y, z]``, and frozen after
     construction; all values must be finite.  The constructor copies
-    ``data`` into float64; arrays the package builds itself are adopted
-    without a copy (``_adopt``) after the same checks.  A volume read from
-    NIfTI keeps the file's element type (float32, int16 or uint8): each of
-    them widens to float64 exactly, so the resamplers widen corner by
-    corner and the moments sum into float64, each with the bits of a
-    float64 copy.  What the package builds from such a volume (its
+    ``data`` into float64, x-fastest; arrays the package builds itself are
+    adopted without a copy (``_adopt``) after the same checks.  A volume
+    read from NIfTI keeps the file's element type (float32, int16 or
+    uint8): each of them widens to float64 exactly, so the resamplers widen
+    corner by corner and the moments sum into float64, each with the bits
+    of a float64 copy.  What the package builds from such a volume (its
     resample, harmonized volume and tiles) is float32 (``_intensity_dtype``):
     the float64 copy's result, rounded once.
     """
@@ -242,7 +232,7 @@ class IntensityVolume(_Volume):
     data: np.ndarray
 
     def __post_init__(self):
-        self._freeze(np.array(self.data, dtype=np.float64))
+        self._freeze(np.array(self.data, dtype=np.float64, order="F"))
 
     def _freeze(self, arr: np.ndarray) -> None:
         assert arr.dtype in _INTENSITY_DTYPES
@@ -268,10 +258,10 @@ class LabelVolume(_Volume):
     When ``num_labels`` is omitted it is inferred as ``max(data) + 1``
     (never below 2).  ``data`` is held in ``_label_dtype(num_labels)``:
     uint8 up to 256 labels (the paper's 133 included), uint16 above.  The
-    constructor copies ``data`` into that type, in the caller's memory
-    order, refusing any value that is negative, above 65535 or not a whole
-    number; arrays the package builds (``_labels``, x-fastest) are adopted
-    without a copy (``_adopt``) after the same checks.
+    constructor copies ``data`` into that type, x-fastest, refusing any
+    value that is negative, above 65535 or not a whole number; arrays the
+    package builds (``_labels``) are adopted without a copy (``_adopt``)
+    after the same checks.
     """
 
     geometry: VolumeGeometry
@@ -324,7 +314,7 @@ def _labels(dims, fill: int, num_labels: int) -> np.ndarray:
 
 
 def _label_array(data, num_labels: int = 0, error=GeometryError) -> np.ndarray:
-    """A copy of ``data`` in the label type of ``num_labels`` (0: inferred).
+    """An x-fastest copy of ``data`` in the label type of ``num_labels`` (0: inferred).
 
     Raises ``error`` on a value that is negative, above 65535 or not a whole
     number.  The type is chosen for ``max(num_labels, max(data) + 1)``, so a
@@ -346,7 +336,7 @@ def _label_array(data, num_labels: int = 0, error=GeometryError) -> np.ndarray:
                 " stored as uint8 up to 256 labels and as uint16 above"
             )
     top = int(arr.max(initial=0))
-    return arr.astype(_label_dtype(max(int(num_labels), top + 1)))
+    return arr.astype(_label_dtype(max(int(num_labels), top + 1)), order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +452,8 @@ def _sweep(kernel, dims, jobs: int) -> None:
 
 
 def _flat(data: np.ndarray):
-    """A 1-D view (volumes hold dense arrays, so never a copy) and element strides."""
-    return data.ravel(order="K"), [s // data.itemsize for s in data.strides]
+    """A 1-D view (volumes hold x-fastest arrays, so never a copy) and element strides."""
+    return data.ravel(order="F"), [s // data.itemsize for s in data.strides]
 
 
 def _pullback(source: VolumeGeometry, transform, target) -> np.ndarray:
@@ -516,7 +506,7 @@ def resample_intensity(
         )
     sx, sy, sz = src.dims
     flat, (stx, sty, stz) = _flat(src.data)
-    out = np.full(target.dims, fill, dtype=dtype)
+    out = np.full(target.dims, fill, dtype=dtype, order="F")
     reach = (0.0, (sx - 1, sy - 1, sz - 1))
     terms = _plane_terms(target.dims, m)
 
@@ -608,8 +598,8 @@ def _intensity_moments(vol: IntensityVolume):
     """Intensity-weighted world centroid and per-world-axis std.
 
     Summed into float64 marginals from the voxels as stored, with no copy:
-    the bits of a float64 copy's while no axis contiguous in memory holds
-    more than numpy's 8192-element buffer.
+    the bits of a float64 copy's while the x extent, the axis contiguous in
+    memory, is at most numpy's 8192-element buffer.
     """
     w = vol.data
     # w_yz sums out x, w_xz sums out y, w_xy sums out z

@@ -82,13 +82,13 @@ _BLOCK = 1 << 16
 
 
 def _blocks(data: np.ndarray):
-    """Yield ``(part, wide)`` over ``data``'s voxels in memory order, in fixed blocks.
+    """Yield ``(part, wide)`` over ``data``'s voxels x-fastest, in fixed blocks.
 
-    ``part`` slices the block out of ``data.ravel(order="K")``, a view, and
+    ``part`` slices the block out of ``data.ravel("F")``, a view, and
     ``wide`` is the block widened to float64 in one buffer that every block
     reuses: only one block is widened at a time.
     """
-    flat = data.ravel(order="K")
+    flat = data.ravel("F")
     buf = np.empty(min(_BLOCK, flat.size))
     for start in range(0, flat.size, _BLOCK):
         part = slice(start, min(start + _BLOCK, flat.size))
@@ -121,10 +121,10 @@ def _mapped(data: np.ndarray, mean: float, std: float, fit=None) -> np.ndarray:
     """``(data - mean) / std``, then ``* beta1 + beta0`` of ``fit``, block by block.
 
     Each voxel is computed in float64 and rounded once into the output, a
-    new array in ``data``'s layout and ``_intensity_dtype``.
+    new x-fastest array in ``_intensity_dtype``.
     """
-    out = np.empty_like(data, dtype=_intensity_dtype(data.dtype))
-    dest = out.ravel(order="K")
+    out = np.empty_like(data, dtype=_intensity_dtype(data.dtype), order="F")
+    dest = out.ravel("F")
     for part, wide in _blocks(data):
         wide -= mean
         wide /= std
@@ -163,10 +163,7 @@ def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndar
         raise HarmonizeError(f"quantile_count must be >= 2, got {quantile_count}")
     if not geometry.matches(mask.geometry):
         raise HarmonizeError("volume and mask geometries differ")
-    # a copy, so it is sorted in place.  The mask is compared into C order,
-    # the registered atlas's, so the gather walks one layout; a boolean index
-    # reads in C order in any layout, so the values and their order are the same
-    values = data[np.greater(mask.data, 0, order="C")]
+    values = data.ravel("F")[mask.data.ravel("F") > 0]  # a copy, so it is sorted in place
     n = values.size
     if n == 0:
         raise HarmonizeError("mask selects no voxels")
@@ -223,7 +220,7 @@ def harmonize(
     slope and intercept to every voxel.  No z-scored or widened volume is
     built: the masked voxels are sorted in the scan's own type, and the
     output, ``((x - mean) / std) * beta1 + beta0`` in float64 rounded once,
-    is written block by block into an array of the scan's layout and
+    is written block by block into an x-fastest array in
     ``_intensity_dtype`` (float32 for a stored-type or float32 scan).
     """
     mean, std = _moments(vol.data)

@@ -17,7 +17,7 @@ fixtures where bit-exact float64 round-trips matter, and it holds the
 resume cache's tile answers.  Labels are stored as ``<u2`` whatever their
 label type, so entries written by earlier versions still read.
 
-Both writers cast and write one z plane at a time (``_planes``): a label
+Both writers cast and write one z plane at a time (``_planes``): every
 volume is x-fastest in memory (see ``geometry``), so each of its planes is
 one block, and no whole-volume copy in the stored type is ever made.
 """
@@ -147,7 +147,10 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     srow = np.array(header["srow"].tolist())
     if not np.all(np.isfinite([float(header["vox_offset"]), *spacing, *srow.ravel()])):
         raise NiftiFormatError("non-finite vox_offset, pixdim or srow in the header")
-    vox_offset = int(header["vox_offset"])
+    vox_offset = float(header["vox_offset"])
+    if not vox_offset.is_integer():
+        raise NiftiFormatError(f"vox_offset {vox_offset} is not a whole number of bytes")
+    vox_offset = int(vox_offset)
     magic = bytes(header["magic"])
 
     if magic != MAGIC:
@@ -218,9 +221,8 @@ def write_nifti(vol, path) -> None:
 
     Always little-endian, data at byte offset 352, sform carrying the
     volume's index-to-world affine.  The voxels are cast and written one z
-    plane at a time, whatever the volume's memory order.  An intensity that
-    overflows float32, in any plane, raises ``NiftiFormatError`` and leaves
-    the old file at ``path``, or none.
+    plane at a time.  An intensity that overflows float32, in any plane,
+    raises ``NiftiFormatError`` and leaves the old file at ``path``, or none.
     """
     dims = vol.dims
     if any(d > 32767 for d in dims):
@@ -254,10 +256,9 @@ def write_nifti(vol, path) -> None:
 def _planes(data: np.ndarray, dtype: np.dtype) -> Iterator[np.ndarray]:
     """The voxels of ``data`` cast to ``dtype``, one x-fastest z plane at a time.
 
-    A plane of an x-fastest array is one block, cast as it lies; a plane of
-    any other layout is gathered by the cast.  The volume is finite, so a
-    cast to a float type that makes a plane's extreme infinite overflowed
-    it: that raises ``NiftiFormatError``.
+    A plane of a volume's x-fastest array is one block, cast as it lies.
+    The volume is finite, so a cast to a float type that makes a plane's
+    extreme infinite overflowed it: that raises ``NiftiFormatError``.
     """
     for z in range(data.shape[2]):
         with np.errstate(over="ignore"):

@@ -60,12 +60,12 @@ def intensity_from_labels(
 ) -> IntensityVolume:
     """Intensity image with one distinct mean intensity per label.
 
-    C order whatever the labels' order, like every intensity array the
-    package builds (see ``geometry``).
+    x-fastest, like every volume (see ``geometry``).  The noise is drawn
+    over ``dims`` as numpy draws it (C order) and copied x-fastest once.
     """
     rng = np.random.default_rng(seed)
     levels = rng.permutation(np.linspace(20.0, 220.0, labels.num_labels))
-    data = levels.take(labels.data)
+    data = levels.take(labels.data.ravel("F")).reshape(labels.dims, order="F")
     if noise > 0.0:
-        data = data + rng.normal(0.0, noise, size=labels.dims)
+        data += np.asfortranarray(rng.normal(0.0, noise, size=labels.dims))
     return IntensityVolume._adopt(labels.geometry, data)

@@ -3,9 +3,10 @@
 The per-tile model is a black box behind a small contract: given an
 intensity tile it must return a label tile of identical dims and world
 geometry with values below ``num_labels``.  An in-process backend gets the
-tile in the atlas volume's element type: float32 for a scan read from a
-file (float32, int16 or uint8 voxels), float64 for a float64 scan built
-in memory (see ``geometry._intensity_dtype``).  Production models run as
+tile x-fastest, like every volume, in the atlas volume's element type:
+float32 for a scan read from a file (float32, int16 or uint8 voxels),
+float64 for a float64 scan built in memory (see
+``geometry._intensity_dtype``).  Production models run as
 external processes through a file-based protocol; deterministic built-in
 oracles cover testing and phantom studies.
 
@@ -119,9 +120,8 @@ class AtlasPriorOracle(SegmenterBackend):
         return out
 
     def descriptor(self):
-        # the prior's voxels as uint16 in C order, whatever its label type, so
-        # the resume-cache keys stay those of uint16 priors
-        digest = hashlib.sha256(np.ascontiguousarray(self.prior.data, dtype=np.uint16))
+        # the prior's x-fastest voxels as <u2, whatever its label type
+        digest = hashlib.sha256(self.prior.data.ravel("F").astype("<u2"))
         return f"prior:{digest.hexdigest()}:{self.num_labels}"
 
 
@@ -253,10 +253,11 @@ def _check_answer(out, tile_input: IntensityVolume, num_labels: int) -> LabelVol
 
 
 def _cache_key(tile_input: IntensityVolume, tile: TileSpec, descriptor: bytes) -> str:
-    """sha256 of the tile's input voxels in C order, the backend descriptor and the placement."""
-    data = tile_input.data
-    # hashlib reads a C-contiguous array's buffer in place; any other layout is copied
-    key = hashlib.sha256(data if data.flags.c_contiguous else data.tobytes())
+    """sha256 of the tile's input voxels, the backend descriptor and the placement.
+
+    The voxels are hashed in place, in their x-fastest order: no copy.
+    """
+    key = hashlib.sha256(tile_input.data.ravel("F"))
     key.update(descriptor)
     key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
     return key.hexdigest()

@@ -186,8 +186,9 @@ def extract_tile(vol, tile: TileSpec):
     Works for intensity and label volumes alike; the extracted geometry
     composes the parent affine with the tile-origin offset so voxel (0,0,0)
     of the tile maps to the same world point as the parent voxel at
-    ``tile.origin``.  An intensity tile is copied in the volume's memory
-    order and ``_intensity_dtype``: a float32 or float64 volume's own type.
+    ``tile.origin``.  A tile is copied x-fastest, like every volume; an
+    intensity tile holds ``_intensity_dtype``: a float32 or float64
+    volume's own type.
     """
     dims = vol.dims
     if any(o + s > d for o, s, d in zip(tile.origin, tile.size, dims)):
@@ -201,7 +202,7 @@ def extract_tile(vol, tile: TileSpec):
     )
     if isinstance(vol, LabelVolume):
         return LabelVolume(geometry, sub, vol.num_labels)
-    return IntensityVolume._adopt(geometry, sub.astype(_intensity_dtype(sub.dtype), order="K"))
+    return IntensityVolume._adopt(geometry, sub.astype(_intensity_dtype(sub.dtype), order="F"))
 
 
 def save_grid(grid: TileGrid, path) -> None:

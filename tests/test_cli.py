@@ -243,6 +243,19 @@ def test_non_finite_header_float_exits_3(tmp_path, capsys, offset, value):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_fractional_vox_offset_exits_3(tmp_path, capsys):
+    _, _, scan_path = _write_phantom(tmp_path)
+    raw = bytearray(scan_path.read_bytes())
+    struct.pack_into("<f", raw, 108, 355.9)
+    scan_path.write_bytes(bytes(raw) + bytes(4))  # enough bytes after byte 355
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out), "--backend", "constant:1",
+                 "--atlas-dims", "16,16,16", "--grid", "2,2,2", "--tile-size", "9,9,9"])
+    assert code == 3
+    assert "not a whole number of bytes" in capsys.readouterr().err
+    assert not (out / "atlas_labels.nii").exists()
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_float32_overflow_in_the_last_plane_exits_3(tmp_path, monkeypatch, capsys, order):
     # built in memory: the float32 voxels of a file cannot overflow float32

@@ -33,7 +33,7 @@ from tileseg import io as tio
 from tileseg.fusion import fuse_majority
 from tileseg.harmonize import fit_model, harmonize, standardize
 from tileseg.pipeline import PipelineConfig
-from tileseg.phantom import make_blob_phantom
+from tileseg.phantom import intensity_from_labels, make_blob_phantom
 from tileseg.segmenter import ConstantOracle, CorruptingWrapper, SegmenterBackend, segment_all
 from tileseg.tiling import build_grid, extract_tile
 
@@ -470,9 +470,8 @@ def test_flat_gather_is_bytewise_equal_to_three_index_formula(case, layout):
     rng = np.random.default_rng(31)
     img = IntensityVolume(geometry, _memory_layouts(rng.uniform(-50.0, 50.0, dims))[layout])
     lab = LabelVolume(geometry, _memory_layouts(rng.integers(0, 6, dims))[layout], 6)
-    if layout != "C":
-        # the constructors keep the source's memory order
-        assert not img.data.flags.c_contiguous and not lab.data.flags.c_contiguous
+    # the constructors copy every layout x-fastest
+    assert img.data.flags.f_contiguous and lab.data.flags.f_contiguous
     want_img, inside = _three_index_trilinear(img, t, target, background=-7.5)
     want_lab = _three_index_nearest(lab, t, target, background=3)
     coords = _source_coords(img, t, target)
@@ -766,8 +765,8 @@ def test_resampling_allocates_its_output_once(monkeypatch, resample, jobs, sourc
         values = rng.uniform(0.0, 1.0, geometry.dims)
         if source is None:
             src = IntensityVolume(geometry, values)
-        else:  # a stored type, as read_nifti keeps it
-            src = IntensityVolume._adopt(geometry, values.astype(source))
+        else:  # a stored type, as read_nifti keeps it: x-fastest
+            src = IntensityVolume._adopt(geometry, values.astype(source, order="F"))
     else:
         src = LabelVolume(geometry, rng.integers(0, 9, geometry.dims), 9)
     target = make_centered_geometry((32, 32, 512))
@@ -782,9 +781,10 @@ def test_resampling_allocates_its_output_once(monkeypatch, resample, jobs, sourc
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("resample", [resample_intensity, resample_labels])
-def test_resampling_temporaries_are_a_few_planes_per_thread(resample, jobs):
+def test_resampling_temporaries_are_a_few_planes_per_thread(monkeypatch, resample, jobs):
     # each thread sweeps one target plane at a time; a slab of several planes
     # holds each of its ~20 float64 temporaries that many times over
+    monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)  # two threads at jobs=2
     geometry = make_centered_geometry((64, 64, 24))
     rng = np.random.default_rng(36)
     if resample is resample_intensity:
@@ -811,7 +811,7 @@ def test_resample_intensity_rejects_non_finite_background():
 @pytest.mark.parametrize("code", ["f4", "i2", "u1"])
 def test_background_beyond_float32_is_refused_before_any_sweep(monkeypatch, code, background):
     geometry = make_centered_geometry((4, 4, 4))
-    src = IntensityVolume._adopt(geometry, np.ones(geometry.dims, dtype=code))  # as read
+    src = IntensityVolume._adopt(geometry, np.ones(geometry.dims, dtype=code, order="F"))  # as read
     target = make_centered_geometry((8, 8, 8))  # reaches outside the source
 
     def no_sweep(*args):
@@ -851,7 +851,7 @@ class _FailingBackend(SegmenterBackend):
 def _package_built_volumes(tmp_path) -> list:
     """One volume from each place the package builds or decodes one."""
     img = random_intensity((4, 5, 6), seed=3)
-    lab = random_labels((4, 5, 6), 4, seed=3)  # C order, like any user array
+    lab = random_labels((4, 5, 6), 4, seed=3)  # from a C-order array, like any user array
     grid = build_grid((4, 5, 6), (2, 1, 1), (3, 5, 6))
     tiles = [extract_tile(lab, t) for t in grid.tiles]
     mask = lab.with_data(np.ones(lab.dims))
@@ -892,6 +892,21 @@ def test_package_built_label_arrays_are_x_fastest(tmp_path):
         assert vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous
 
 
+def test_package_built_intensity_arrays_are_x_fastest(tmp_path):
+    volumes = [v for v in _package_built_volumes(tmp_path) if isinstance(v, IntensityVolume)]
+    img = random_intensity((4, 5, 6), seed=3)  # from a C-order array
+    tio.write_nifti(img, tmp_path / "img.nii")
+    volumes += [
+        img,
+        extract_tile(img, build_grid((4, 5, 6), (2, 1, 1), (3, 5, 6)).tiles[1]),
+        intensity_from_labels(random_labels((4, 5, 6), 4), noise=1.0),
+        tio.read_nifti(tmp_path / "img.nii")[0],
+    ]
+    assert len(volumes) == 8
+    for vol in volumes:
+        assert vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous
+
+
 @pytest.mark.parametrize(
     "view, dense",
     [
@@ -904,13 +919,17 @@ def test_package_built_label_arrays_are_x_fastest(tmp_path):
     ids=["C", "F", "x-z-y", "strided", "broadcast"],
 )
 def test_adopt_takes_dense_arrays_only(view, dense):
-    arr = view(np.zeros((4, 6, 5)))
+    # the one dense layout a volume holds is x-fastest; the constructors copy any other into it
+    arr = view(np.arange(120.0).reshape(4, 6, 5))
     g = make_centered_geometry(arr.shape)
-    if dense:
+    if dense and arr.flags.f_contiguous:
         assert IntensityVolume._adopt(g, arr).data is arr
     else:
-        with pytest.raises(AssertionError, match="dense"):
+        with pytest.raises(AssertionError, match="x-fastest"):
             IntensityVolume._adopt(g, arr)
+    for vol in (IntensityVolume(g, arr), LabelVolume(g, arr, 120)):
+        assert vol.data.flags.f_contiguous and not np.shares_memory(vol.data, arr)
+        assert np.array_equal(vol.data, arr)
 
 
 # --- Moments-based affine estimation ---
@@ -1001,8 +1020,9 @@ def test_moment_sums_are_the_marginal_sums():
     )
     rng = np.random.default_rng(37)
     moving = IntensityVolume(tilted, np.asfortranarray(rng.uniform(1.0, 10.0, tilted.dims)))
-    fixed = random_intensity((19, 23, 37), seed=38, lo=1.0, hi=10.0)
-    assert moving.data.flags.f_contiguous and fixed.data.flags.c_contiguous
+    fixed = random_intensity((19, 23, 37), seed=38, lo=1.0, hi=10.0)  # from a C-order array
+    # the marginals are summed x-fastest, whatever layout the caller's array had
+    assert moving.data.flags.f_contiguous and fixed.data.flags.f_contiguous
     c_mov, s_mov = _moments_from_marginal_sums(moving)
     c_fix, s_fix = _moments_from_marginal_sums(fixed)
     scale = s_mov / s_fix
@@ -1018,7 +1038,10 @@ ONE_PLANE = [((1.0, 1.0, 1.0), np.float64, "C", 1), ((1.0, 1.2, 0.9), np.float32
 def test_moments_reject_an_intensity_on_one_plane(spacing, dtype, order, seed):
     data = np.zeros((12, 12, 12), dtype=dtype, order=order)
     data[:, :, 0] = np.random.default_rng(seed).uniform(1.0, 1000.0, (12, 12))
-    flat = IntensityVolume._adopt(make_centered_geometry(data.shape, spacing), data)
+    g = make_centered_geometry(data.shape, spacing)
+    # a float64 user array of any layout through the constructor; a float32 scan as read
+    flat = IntensityVolume(g, data) if dtype == np.float64 else IntensityVolume._adopt(g, data)
+    assert flat.data.flags.f_contiguous
     other = random_intensity((12, 12, 12), seed=3, lo=1.0, hi=10.0)
     for moving, fixed in ((flat, other), (other, flat)):
         with pytest.raises(GeometryError, match="degenerate intensity spread"):
@@ -1027,8 +1050,13 @@ def test_moments_reject_an_intensity_on_one_plane(spacing, dtype, order, seed):
 
 @pytest.mark.parametrize("order", ["F", "C"])
 def test_moments_hold_no_copy_of_the_volume(order):
-    data = np.random.default_rng(41).uniform(1.0, 10.0, (64, 64, 48)).astype(np.float32)
-    vol = IntensityVolume._adopt(make_centered_geometry(data.shape), np.asarray(data, order=order))
+    data = np.random.default_rng(41).uniform(1.0, 10.0, (64, 64, 48))
+    g = make_centered_geometry(data.shape)
+    if order == "F":  # a float32 scan as read
+        vol = IntensityVolume._adopt(g, np.asfortranarray(data, dtype=np.float32))
+    else:  # a C-order user array, copied x-fastest by the constructor
+        vol = IntensityVolume(g, np.ascontiguousarray(data))
+    assert vol.data.flags.f_contiguous
     peak, _ = peak_alloc(lambda: estimate_affine_moments(vol, vol))
-    # a float64 copy would be 2x the float32 volume; the marginals and numpy's cast buffer ~0.2x
+    # a float64 copy of a float32 volume would be 2x it; the marginals and numpy's cast buffer ~0.2x
     assert peak < vol.data.nbytes / 4

@@ -171,6 +171,19 @@ def test_rejects_small_vox_offset(tmp_path):
         read_nifti(p)
 
 
+@pytest.mark.parametrize("offset", [355.9, 356.0])
+def test_vox_offset_must_be_a_whole_number_of_bytes(tmp_path, offset):
+    # the file holds the bytes a 356-byte offset needs; 355.9 must not read from byte 355
+    p, raw, src = _write_valid(tmp_path)
+    struct.pack_into("<f", raw, 108, offset)
+    p.write_bytes(raw[:352] + bytes(4) + raw[352:])
+    if offset == 356.0:
+        assert read_nifti(p, as_labels=True)[0].data.tobytes() == src.data.tobytes()
+    else:
+        with pytest.raises(NiftiFormatError, match=r"vox_offset 355\.89.* not a whole number of bytes"):
+            read_nifti(p)
+
+
 def test_rejects_2d_volume(tmp_path):
     p, raw, _ = _write_valid(tmp_path)
     struct.pack_into("<h", raw, 40, 2)  # dim[0]
@@ -367,7 +380,7 @@ def _volume(kind, order, seed=41):
 )
 def test_writers_encode_the_voxels_with_one_copy(tmp_path, write, offset, dtypes, kind, order):
     vol = _volume(kind, order)
-    assert vol.data.flags.f_contiguous == (order == "F")
+    assert vol.data.flags.f_contiguous  # the constructors copy any layout x-fastest
     expected = vol.data.astype(dtypes[kind]).tobytes(order="F")
     peak, _ = peak_alloc(lambda: write(vol, tmp_path / "vol"))
     assert (tmp_path / "vol").read_bytes()[offset:] == expected

@@ -322,7 +322,8 @@ def test_parse_unknown_spec():
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_cache_key_hashes_the_c_order_bytes_without_a_copy(tmp_path, order):
+def test_cache_key_hashes_the_x_fastest_bytes_without_a_copy(tmp_path, order):
+    # the user array's layout does not matter: every volume and tile is x-fastest
     geometry = make_centered_geometry((40, 36, 32))
     data = np.random.default_rng(6).uniform(0.0, 1.0, geometry.dims)
     vol = IntensityVolume(geometry, np.asfortranarray(data) if order == "F" else data)
@@ -333,29 +334,27 @@ def test_cache_key_hashes_the_c_order_bytes_without_a_copy(tmp_path, order):
     want = []
     for tile in grid.tiles:
         tile_input = extract_tile(vol, tile)
-        assert tile_input.data.flags.c_contiguous == (order == "C")
-        # the key as first defined: a hash of the C-order bytes copied out
-        key = hashlib.sha256(tile_input.data.tobytes())
+        assert tile_input.data.flags.f_contiguous
+        key = hashlib.sha256(tile_input.data.tobytes(order="F"))
         key.update(descriptor)
         key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
         want.append(key.hexdigest())
         peak, got = peak_alloc(lambda: _cache_key(tile_input, tile, descriptor))
         assert got == key.hexdigest()
-        if order == "C":
-            assert peak < tile_input.data.nbytes / 20
+        assert peak < tile_input.data.nbytes / 20
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == sorted(want)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_prior_descriptor_is_pinned(order):
-    # taken when every label volume was uint16: the prior's uint16 C-order
-    # bytes, so resume caches keyed on it still match
+    # the prior's voxels x-fastest as <u2, whatever its label type or the
+    # caller's layout, so resume caches keyed on it match across both
     data = (np.arange(120).reshape(4, 5, 6) * 7) % 11
     prior = LabelVolume(make_centered_geometry((4, 5, 6)), np.asarray(data, order=order), 11)
     assert prior.data.dtype == np.uint8
-    assert AtlasPriorOracle(prior).descriptor() == (
-        "prior:c8e2472306a4e02406cce5b65e5279fb473056ebf7f337b431f25b3581295fee:11"
-    )
+    digest = "153c7e66e3a25c288bbf3d17c753a9c480d20febb80fda62cf599672ab619b76"
+    assert hashlib.sha256(data.astype("<u2").tobytes(order="F")).hexdigest() == digest
+    assert AtlasPriorOracle(prior).descriptor() == f"prior:{digest}:11"
 
 
 @pytest.mark.parametrize("num_labels, dtype", [(4, np.uint8), (300, np.uint16)])
