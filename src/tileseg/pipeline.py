@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harmonize import HarmonizeError, harmonize as apply_harmonization, load_model
+from .harmonize import harmonize as apply_harmonization, load_model
 from . import io as tio
 from .fusion import fuse_concatenate, fuse_majority
 from .geometry import (
@@ -41,7 +41,8 @@ from .geometry import (
     resample_intensity,
     resample_labels,
 )
-from .segmenter import FAILURE_POLICIES, SegmenterBackend, parse_backend_spec, segment_all
+from .segmenter import DEFAULT_NUM_LABELS, FAILURE_POLICIES, SegmenterBackend
+from .segmenter import parse_backend_spec, segment_all
 from .tiling import TileGrid, build_grid, save_grid
 
 __all__ = [
@@ -63,6 +64,7 @@ class ConfigError(ValueError):
 _KINDS = {
     "int": numbers.Integral, "float": numbers.Real, "bool": bool,
     "str": (str, os.PathLike), "str | None": (str, os.PathLike, type(None)),
+    "str | SegmenterBackend": (str, SegmenterBackend),
 }
 
 
@@ -79,7 +81,8 @@ class PipelineConfig:
     ``"identity"``, ``"estimate"`` (moments-based, needs ``reference``, an
     atlas-space intensity volume), or a path to a 4x4 whitespace-separated
     matrix file.  ``backend`` is a spec string (``constant:...``,
-    ``prior:...``, ``external:...``) or a SegmenterBackend instance.
+    ``prior:...``, ``external:...``) or a SegmenterBackend instance with
+    ``num_labels`` labels.
     ``harmonization_model`` is a model directory; ``None`` or ``"skip"``
     (stored as ``None``) runs without harmonization.
     """
@@ -89,11 +92,11 @@ class PipelineConfig:
     atlas_dims: tuple = ATLAS_DIMS
     atlas_spacing: tuple = (1.0, 1.0, 1.0)
     harmonization_model: str | None = None
-    backend: object = "constant:0"
+    backend: str | SegmenterBackend = "constant:0"
     affine: str = "identity"
     reference: str | None = None
     fusion_mode: str = "majority"
-    num_labels: int = 133
+    num_labels: int = DEFAULT_NUM_LABELS
     jobs: int = 1
     on_tile_failure: str = "abort"
     background_fill: float = 0.0
@@ -130,6 +133,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown tile failure policy {self.on_tile_failure!r}")
         if self.num_labels < 2:
             raise ConfigError("num_labels must be >= 2")
+        if isinstance(self.backend, SegmenterBackend) and self.backend.num_labels != self.num_labels:
+            raise ConfigError(
+                f"backend has {self.backend.num_labels} labels, num_labels is {self.num_labels}"
+            )
         if self.affine == "estimate" and not self.reference:
             raise ConfigError("affine=estimate needs a reference volume path")
         if self.reference and self.affine != "estimate":
@@ -149,7 +156,7 @@ class PipelineConfig:
     def resolve_backend(self) -> SegmenterBackend:
         if isinstance(self.backend, SegmenterBackend):
             return self.backend
-        return parse_backend_spec(str(self.backend), self.num_labels)
+        return parse_backend_spec(self.backend, self.num_labels)
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(PipelineConfig))
@@ -260,10 +267,6 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
         with clock.time(stage):
             if config.harmonization_model:
                 model = load_model(config.harmonization_model)
-                if not model.mask.geometry.matches(atlas_geom, tol=1e-3):
-                    raise HarmonizeError(
-                        "harmonization model is not on the configured atlas grid"
-                    )
                 atlas_input, fit = apply_harmonization(atlas_input, model)
 
         stage = "segment"

@@ -112,12 +112,7 @@ class AtlasPriorOracle(SegmenterBackend):
         self.num_labels = prior.num_labels
 
     def segment(self, tile_input, tile):
-        out = extract_tile(self.prior, tile)
-        if out.dims != tile_input.dims:
-            raise SegmentationError(
-                f"prior tile dims {out.dims} do not match input {tile_input.dims}"
-            )
-        return out
+        return extract_tile(self.prior, tile)
 
     def descriptor(self):
         # the prior's x-fastest voxels as <u2, whatever its label type
@@ -126,27 +121,24 @@ class AtlasPriorOracle(SegmenterBackend):
 
 
 class CorruptingWrapper(SegmenterBackend):
-    """Wraps a backend and overwrites one target tile with a constant label.
+    """Wraps a backend and answers one target tile with a constant label.
 
     Reproduces the failure mode where a single sub-space model goes wrong,
-    for studying how much of the damage fusion undoes.
+    for studying how much of the damage fusion undoes.  The target tile is
+    ``ConstantOracle(corruption_label, inner.num_labels)``'s answer, so a
+    label outside ``[0, inner.num_labels)`` fails here, at construction.
     """
 
     def __init__(self, inner: SegmenterBackend, target_index: int, corruption_label: int):
-        if not 0 <= corruption_label < inner.num_labels:
-            raise SegmentationError(
-                f"corruption label {corruption_label} out of range"
-            )
         self.inner = inner
         self.target_index = int(target_index)
         self.corruption_label = int(corruption_label)
         self.num_labels = inner.num_labels
+        self._corrupt = ConstantOracle(self.corruption_label, self.num_labels)
 
     def segment(self, tile_input, tile):
-        if tile.index == self.target_index:
-            data = _labels(tile_input.dims, self.corruption_label, self.num_labels)
-            return LabelVolume._adopt(tile_input.geometry, data, self.num_labels)
-        return self.inner.segment(tile_input, tile)
+        backend = self._corrupt if tile.index == self.target_index else self.inner
+        return backend.segment(tile_input, tile)
 
     def descriptor(self):
         return (
@@ -275,8 +267,9 @@ def segment_all(
 
     Tiles are independent; with ``jobs > 1`` they run on a thread pool and
     the result is identical to the sequential run.  A failing tile aborts
-    the whole run unless ``on_tile_failure="background"``, which substitutes
-    an all-background tile and warns.
+    the whole run unless ``on_tile_failure="background"``, which warns and
+    substitutes ``ConstantOracle(0, backend.num_labels)``'s answer, an
+    all-background tile.
 
     With ``cache_dir``, each backend answer is stored there under the sha256
     of the tile input bytes, the backend descriptor and the tile placement,
@@ -316,8 +309,7 @@ def segment_all(
                     f"tile {tile.index} failed ({exc}); substituting background",
                     stacklevel=2,
                 )
-                data = _labels(tile_input.dims, 0, backend.num_labels)
-                return LabelVolume._adopt(tile_input.geometry, data, backend.num_labels)
+                return ConstantOracle(0, backend.num_labels).segment(tile_input, tile)
             raise SegmentationError(f"tile {tile.index}: {exc}") from exc
         if entry is not None:
             tio.write_raw(out, entry)

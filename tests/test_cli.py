@@ -323,7 +323,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, message):
 @pytest.mark.parametrize(
     "field, value",
     [("resume", "false"), ("grid", [2.7, 2, 2]), ("tile_size", ["12", 12, 12]),
-     ("jobs", True), ("harmonization_model", 5)],
+     ("jobs", True), ("harmonization_model", 5), ("backend", 5), ("backend", ["constant:0"]),
+     ("backend", None)],
 )
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, field, value):
     _, _, scan_path = _write_phantom(tmp_path)
@@ -704,6 +705,27 @@ def test_malformed_harmonization_meta_exits_5(tmp_path, capsys, text):
     )
     assert code == 5
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.05), (1.0, 1.0, 1.0005)])
+def test_harmonization_model_on_another_grid_exits_5(tmp_path, capsys, spacing):
+    # 5e-4 off is another grid too: harmonize matches grids within 1e-4
+    _, truth_path, scan_path = _write_phantom(tmp_path)
+    atlas = random_intensity((16, 16, 16), seed=2, spacing=spacing)
+    mask = random_labels((16, 16, 16), 2, seed=2, spacing=spacing)
+    model_dir = tmp_path / "model"
+    save_model(fit_model([atlas], [mask], 16), model_dir)
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(out_dir),
+            "--backend", f"prior:{truth_path}", "--num-labels", "4",
+            "--harmonization", str(model_dir), *_SMALL_RUN,
+        ]
+    )
+    assert code == 5
+    assert "geometries differ" in capsys.readouterr().err
+    assert (out_dir / "FAILED").read_text().startswith("stage: harmonize\n")
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from tileseg.pipeline import (
 )
 from tileseg.segmenter import (
     AtlasPriorOracle,
+    ConstantOracle,
     CorruptingWrapper,
     SegmenterBackend,
     segment_all,
@@ -70,11 +71,18 @@ def test_config_rejects_unknown_tile_failure_policy():
 @pytest.mark.parametrize(
     "field, value",
     [("grid", 3), ("tile_size", (8, 8)), ("atlas_spacing", "1,1,1"), ("jobs", "2"),
-     ("num_labels", 2.5), ("background_fill", None)],
+     ("num_labels", 2.5), ("background_fill", None), ("backend", 5),
+     ("backend", ["constant:0"]), ("backend", None)],
 )
 def test_config_rejects_wrongly_typed_values(field, value):
     with pytest.raises(ConfigError, match=field):
         PipelineConfig(**{field: value})
+
+
+def test_config_rejects_a_backend_with_another_label_count():
+    with pytest.raises(ConfigError, match="backend has 10 labels, num_labels is 133"):
+        PipelineConfig(backend=ConstantOracle(3, 10))
+    assert PipelineConfig(backend=ConstantOracle(3, 10), num_labels=10).num_labels == 10
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
