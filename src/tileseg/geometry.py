@@ -21,7 +21,11 @@ Conventions used throughout the package:
 * Resampling gathers each corner with one ``take`` at ``x*stx + y*sty +
   z*stz`` (element strides) on a flat view of the source, which is never
   copied; trilinear output is bitwise identical to the eight-corner formula
-  ``d000*gx*gy*gz + d100*fx*gy*gz + ...`` summed in that order.
+  ``d000*gx*gy*gz + d100*fx*gy*gz + ...`` summed in that order.  Trilinear
+  resampling also takes a scan file (``io.NiftiScan``): each thread copies
+  its planes into a ring that holds the planes one target plane reaches
+  (``_PlaneRing``), each plane once at any tilt, so a scan is registered
+  without being held whole.  The moments take a source band by band.
 * Resampling sweeps the target one z plane at a time, each cropped to the
   box of voxels that can reach the source; up to ``jobs`` threads take
   contiguous z ranges, at most one per usable CPU and per ``_SWEEP_VOXELS``
@@ -240,14 +244,38 @@ class IntensityVolume(_Volume):
             raise GeometryError(
                 f"data shape {arr.shape} does not match dims {self.geometry.dims}"
             )
-        # min and max propagate NaN, so this checks every voxel without a mask
-        if not np.isfinite([arr.min(), arr.max()]).all():
-            raise GeometryError("intensity data contains NaN or Inf")
+        _check_finite(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def band(self, z0: int, z1: int) -> np.ndarray:
+        """Planes ``z0 .. z1-1`` of ``data``: a view, x-fastest like the volume."""
+        return self.data[:, :, z0:z1]
+
     def with_data(self, data: np.ndarray) -> "IntensityVolume":
         return IntensityVolume(self.geometry, data)
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Refuse intensities holding a NaN or an infinity."""
+    # min and max propagate NaN, so this checks every voxel without a mask
+    if not np.isfinite([arr.min(), arr.max()]).all():
+        raise GeometryError("intensity data contains NaN or Inf")
+
+
+# bytes of planes a whole-volume pass over an intensity source takes at once
+_BAND_BYTES = 1 << 20
+
+
+def _bands(src) -> list:
+    """``(z0, z1)`` ranges that cover the planes of ``src``, ``_BAND_BYTES`` (or one plane) each."""
+    nx, ny, nz = src.dims
+    step = max(1, _BAND_BYTES // (nx * ny * src.dtype.itemsize))
+    return [(z0, min(z0 + step, nz)) for z0 in range(0, nz, step)]
 
 
 @dataclass(frozen=True)
@@ -478,8 +506,64 @@ def _corner(flat: np.ndarray, index, wx, wy, wz) -> np.ndarray:
     return product
 
 
+def _ring_planes(m: np.ndarray, dims, nz: int) -> int:
+    """Source planes one target plane's box reaches through ``m``, up to ``nz``.
+
+    The z coordinates over a target plane span ``|m[2,0]|(tx-1) +
+    |m[2,1]|(ty-1)``, so their floors differ by at most that span's
+    ceiling, and the plane above the highest floor adds one.  The rounding
+    of the coordinate sums can widen a window by one more plane; the ring
+    then grows (``_PlaneRing``).
+    """
+    tx, ty, _ = dims
+    spread = abs(m[2, 0]) * (tx - 1) + abs(m[2, 1]) * (ty - 1)
+    return int(min(math.ceil(spread) + 2, nz))
+
+
+class _PlaneRing:
+    """One sweep thread's planes of a file source: plane ``z`` in slot ``z % size``.
+
+    ``fill(lo, hi)`` reads the planes ``lo .. hi`` that the ring does not
+    hold yet, one ``band`` each, so a window that moves through the source
+    reads each plane once.  It returns the slots as one flat array,
+    x-fastest within a slot, ``size``, and the slots' stride in elements.
+    A slot is a plane and one cache line more: at a power-of-two plane
+    stride the corners of a reoriented warp, one plane apart, compete for
+    the same cache sets (a 256x256 float32 scan turned 90 degrees took
+    1.7x as long to register).  Slot
+    ``size`` repeats slot 0, so the plane above the one in the last slot
+    is the next slot on, as in a volume.  A window wider than the ring
+    (the rounding of a warp can make one a plane wider than
+    ``_ring_planes``) gets a new, wider ring.
+    """
+
+    def __init__(self, src, size: int):
+        self.src = src
+        self._allot(size)
+
+    def _allot(self, size: int) -> None:
+        nx, ny, _ = self.src.dims
+        self.plane = nx * ny
+        line = 64 // self.src.dtype.itemsize  # elements in a cache line
+        self.slots = np.empty((size + 1, self.plane + line), self.src.dtype)
+        self.held = [-1] * size
+
+    def fill(self, lo: int, hi: int):
+        if hi - lo >= len(self.held):
+            self._allot(hi - lo + 1)
+        size = len(self.held)
+        for z in range(lo, hi + 1):
+            k = z % size
+            if self.held[k] != z:
+                self.slots[k, :self.plane] = self.src.band(z, z + 1).ravel(order="F")
+                self.held[k] = z
+                if k == 0:
+                    self.slots[size] = self.slots[0]
+        return self.slots.reshape(-1), size, self.slots.shape[1]
+
+
 def resample_intensity(
-    src: IntensityVolume,
+    src,
     transform: AffineTransform,
     target: VolumeGeometry,
     background: float = 0.0,
@@ -487,6 +571,15 @@ def resample_intensity(
 ) -> IntensityVolume:
     """Pull-back trilinear resampling of ``src`` onto ``target``.
 
+    ``src`` is an :class:`IntensityVolume` or a scan file opened as
+    ``io.NiftiScan``: anything with ``geometry``, ``dims``, ``dtype`` and
+    ``band(z0, z1)``, which gives source planes ``z0 .. z1-1`` x-fastest.
+    Each target plane gathers from a window of the source planes it
+    reaches, each plane in slot ``z % slots`` of the window: all of a
+    volume's ``data``, one slot per plane, or a thread's ``_PlaneRing`` of
+    a file.  The rings of the threads together hold at most the source's
+    planes, one more each, so a warp whose target plane reaches more than
+    half of them runs one thread.
     ``transform`` maps target world coordinates into source world
     coordinates.  Target voxels that map outside the source grid (continuous
     index beyond ``[0, n-1]`` on any axis) receive ``background``.  ``jobs``
@@ -496,24 +589,45 @@ def resample_intensity(
     beyond float32 range is refused before any voxel is computed.
     """
     m = _pullback(src.geometry, transform, target)
-    dtype = _intensity_dtype(src.data.dtype)
+    dtype = _intensity_dtype(src.dtype)
     with np.errstate(over="ignore"):
         fill = dtype.type(background)
     if np.isfinite(background) and not np.isfinite(fill):
         raise GeometryError(
             f"background {background!r} does not fit the {dtype.name} output"
-            f" of a {src.data.dtype.name} source"
+            f" of a {src.dtype.name} source"
         )
     sx, sy, sz = src.dims
-    flat, (stx, sty, stz) = _flat(src.data)
+    stx, sty = 1, sx  # element strides within a plane; a window gives the plane stride
     out = np.full(target.dims, fill, dtype=dtype, order="F")
     reach = (0.0, (sx - 1, sy - 1, sz - 1))
     terms = _plane_terms(target.dims, m)
+    # a new thread's window: a volume's data as it is, or a ring of the file's planes
+    if isinstance(src, IntensityVolume):
+        whole = src.data.ravel(order="F")
+        new_window = lambda: lambda lo, hi: (whole, sz, sx * sy)
+    else:
+        size = _ring_planes(m, target.dims, sz)
+        jobs = min(jobs, max(1, sz // size))  # the rings together: at most the source
+        new_window = lambda: _PlaneRing(src, size).fill
 
     def kernel(z_range):
+        window = new_window()
         for box, (cx, cy, cz) in _planes(target.dims, m, terms, z_range, reach):
             x0, y0, z0 = np.floor(cx), np.floor(cy), np.floor(cz)
+            # the source planes the box reaches, each voxel's z0 and the one above,
+            # clipped to the source; a NaN reaches them all
+            lo = int(min(np.fmax(z0.min(), 0.0), sz - 1))
+            hi = int(max(np.fmin(z0.max() + 1.0, sz - 1), lo))
+            flat, slots, stz = window(lo, hi)
+            # whole numbers, so exact: the index into the window, where the planes
+            # from `top` on have wrapped round to slot 0
+            base = lo - lo % slots
+            top = base + slots
             i000 = x0 * stx + y0 * sty + z0 * stz
+            i000 -= base * stz
+            if hi >= top:
+                i000 -= (z0 >= top) * float(slots * stz)
             # when every voxel has all eight corners, no mask and scalar steps
             inside, dx, dy, dz = None, stx, sty, stz
             if not all(c.min() >= 0.0 and c.max() < n - 1 for c, n in zip((cx, cy, cz), src.dims)):
@@ -594,16 +708,28 @@ def resample_labels(
 # ---------------------------------------------------------------------------
 
 
-def _intensity_moments(vol: IntensityVolume):
+def _intensity_moments(vol):
     """Intensity-weighted world centroid and per-world-axis std.
 
-    Summed into float64 marginals from the voxels as stored, with no copy:
-    the bits of a float64 copy's while the x extent, the axis contiguous in
+    ``vol`` is an intensity volume or source, as for ``resample_intensity``.
+    Summed into float64 marginals from the voxels as stored, with no copy,
+    one band of planes at a time (``_bands``).  Each marginal has the bits
+    of ``vol.data.sum(axis=a, dtype=float64)`` on the whole volume: sums
+    over x and y stay within a plane, and the sum over z adds the planes
+    in order onto zeros, as numpy's reduction does.  Those are the bits of
+    a float64 copy's sums while the x extent, the axis contiguous in
     memory, is at most numpy's 8192-element buffer.
     """
-    w = vol.data
-    # w_yz sums out x, w_xz sums out y, w_xy sums out z
-    w_yz, w_xz, w_xy = (w.sum(axis=a, dtype=np.float64) for a in range(3))
+    nx, ny, nz = vol.dims
+    # w_yz sums out x, w_xz sums out y, w_xy sums out z; x-fastest, as numpy's are
+    w_yz, w_xz = np.empty((ny, nz), order="F"), np.empty((nx, nz), order="F")
+    w_xy = np.zeros((nx, ny), order="F")
+    for z0, z1 in _bands(vol):
+        band = vol.band(z0, z1)
+        band.sum(axis=0, dtype=np.float64, out=w_yz[:, z0:z1])
+        band.sum(axis=1, dtype=np.float64, out=w_xz[:, z0:z1])
+        for k in range(band.shape[2]):
+            w_xy += band[:, :, k]
     margins = w_xy.sum(axis=1), w_xy.sum(axis=0), w_xz.sum(axis=0)
     mass = margins[0].sum()
     if not mass > _DET_EPS:

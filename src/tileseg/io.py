@@ -11,6 +11,12 @@ one native-order copy of the same width), not a float64 copy.  A label
 volume is one copy of the stored voxels in its label type (uint8 up to 256
 labels, uint16 above; see ``LabelVolume``).
 
+A scan to be registered is not read whole: ``NiftiScan`` checks the header
+(with the same code as ``read_nifti``, ``_header``) and the file size,
+reads the voxels once, a band of planes at a time, to refuse a NaN or
+infinity, and then keeps only its file descriptor.  The resampler's rings
+and the moments read the planes they need with ``os.pread``.
+
 The raw format is a JSON sidecar (dims, spacing, affine, dtype) next to a
 flat little-endian binary blob in x-fastest order.  It exists for test
 fixtures where bit-exact float64 round-trips matter, and it holds the
@@ -25,6 +31,7 @@ one block, and no whole-volume copy in the stored type is ever made.
 from __future__ import annotations
 
 import json
+import math
 import os
 import uuid
 import warnings
@@ -40,12 +47,15 @@ from .geometry import (
     IntensityVolume,
     LabelVolume,
     VolumeGeometry,
+    _bands,
+    _check_finite,
     _label_array,
 )
 
 __all__ = [
     "NiftiFormatError",
     "NiftiHeaderSummary",
+    "NiftiScan",
     "read_nifti",
     "write_nifti",
     "read_raw",
@@ -128,17 +138,15 @@ def _unpack_header(raw: bytes):
     raise NiftiFormatError("header size field is not 348 in either byte order")
 
 
-def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
-    """Read a single-file NIfTI-1 volume.
+def _header(raw: bytes, file_size: int, path: Path):
+    """Check a NIfTI-1 header and the file's size; the one reading of a header.
 
-    Returns ``(IntensityVolume, NiftiHeaderSummary)`` or, with
-    ``as_labels=True``, ``(LabelVolume, NiftiHeaderSummary)``.  The world
-    affine is taken from the srow (sform) rows; if the sform is absent a
-    spacing-only diagonal affine is used and a warning is issued.
+    ``raw`` starts with the header's 348 bytes and the file holds
+    ``file_size`` bytes.  Returns ``(geometry, dtype, summary)``: ``dtype``
+    is the stored element type in the file's byte order.  A data section
+    shorter than the dims need raises ``NiftiFormatError``.
     """
-    path = Path(path)
-    blob = path.read_bytes()
-    header, endian, order_name = _unpack_header(blob)
+    header, endian, order_name = _unpack_header(raw)
 
     # as Python values: a numpy cast of a signalling NaN would warn
     dim = tuple(header["dim"].tolist())
@@ -178,22 +186,18 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     else:
         warnings.warn(
             f"{path.name}: no sform affine; falling back to spacing-only diagonal",
-            stacklevel=2,
+            stacklevel=3,
         )
         if not all(s > 0 for s in spacing):
             raise NiftiFormatError(f"no sform and non-positive pixdim {spacing}")
         affine = np.diag([*spacing, 1.0])
         srow = affine[:3, :].copy()
 
-    nvox = dims[0] * dims[1] * dims[2]
     dtype = _DTYPES[datatype].newbyteorder(endian)
-    nbytes = nvox * dtype.itemsize
-    have = max(len(blob) - vox_offset, 0)
+    nbytes = dims[0] * dims[1] * dims[2] * dtype.itemsize
+    have = max(file_size - vox_offset, 0)
     if have < nbytes:
         raise NiftiFormatError(f"truncated data section: need {nbytes} bytes, have {have}")
-    # a read-only view of the file bytes
-    arr = np.frombuffer(blob, dtype, count=nvox, offset=vox_offset)
-    arr = arr.reshape(dims, order="F")
 
     geometry = VolumeGeometry(dims, spacing, AffineTransform(affine))
     summary = NiftiHeaderSummary(
@@ -204,6 +208,23 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
         vox_offset=vox_offset,
         byte_order=order_name,
     )
+    return geometry, dtype, summary
+
+
+def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
+    """Read a single-file NIfTI-1 volume.
+
+    Returns ``(IntensityVolume, NiftiHeaderSummary)`` or, with
+    ``as_labels=True``, ``(LabelVolume, NiftiHeaderSummary)``.  The world
+    affine is taken from the srow (sform) rows; if the sform is absent a
+    spacing-only diagonal affine is used and a warning is issued.
+    """
+    path = Path(path)
+    blob = path.read_bytes()
+    geometry, dtype, summary = _header(blob, len(blob), path)
+    # a read-only view of the file bytes
+    arr = np.frombuffer(blob, dtype, count=math.prod(geometry.dims), offset=summary.vox_offset)
+    arr = arr.reshape(geometry.dims, order="F")
     if as_labels:
         vol = LabelVolume._adopt(
             geometry, _label_array(arr, num_labels or 0, NiftiFormatError), num_labels or 0
@@ -214,6 +235,60 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
             arr = arr.astype(dtype.newbyteorder("="))
         vol = IntensityVolume._adopt(geometry, arr)
     return vol, summary
+
+
+class NiftiScan:
+    """An intensity NIfTI-1 file read a band of z planes at a time.
+
+    Opening it reads and checks the header as ``read_nifti`` does, file
+    size included, then reads a float scan's voxels once, 1 MB of planes
+    at a time (``geometry._bands``), to refuse a NaN or infinity as an
+    ``IntensityVolume`` does (``GeometryError``).  Only the header and the
+    file descriptor stay held.  ``band(z0, z1)`` reads planes ``z0 ..
+    z1-1`` with ``os.pread`` into a new x-fastest array in native byte
+    order, so threads may read at once; ``resample_intensity`` (one plane
+    at a time, into a ring per thread) and the moments take their planes
+    this way.  Close it, or use it as a context manager.
+    """
+
+    def __init__(self, path):
+        path = Path(path)
+        self._fd = os.open(path, os.O_RDONLY)
+        try:
+            raw = os.pread(self._fd, HEADER_SIZE, 0)
+            self.geometry, self._stored, self.summary = _header(
+                raw, os.fstat(self._fd).st_size, path
+            )
+            self.dims = self.geometry.dims
+            self.dtype = self._stored.newbyteorder("=")
+            if self.dtype.kind == "f":
+                for z0, z1 in _bands(self):
+                    _check_finite(self.band(z0, z1))
+        except BaseException:
+            self.close()
+            raise
+
+    def band(self, z0: int, z1: int) -> np.ndarray:
+        """Planes ``z0 .. z1-1``, shaped ``(nx, ny, z1 - z0)``, x-fastest."""
+        nx, ny, _ = self.dims
+        plane = nx * ny * self._stored.itemsize
+        size = (z1 - z0) * plane
+        raw = os.pread(self._fd, size, self.summary.vox_offset + z0 * plane)
+        if len(raw) != size:
+            raise NiftiFormatError(f"short read: planes {z0}-{z1 - 1} need {size} bytes, got {len(raw)}")
+        arr = np.frombuffer(raw, self._stored).reshape((nx, ny, z1 - z0), order="F")
+        return arr if self._stored.isnative else arr.astype(self.dtype)
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def write_nifti(vol, path) -> None:

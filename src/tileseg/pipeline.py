@@ -5,6 +5,14 @@ harmonize (optional), tile, segment, fuse, map back to native space,
 write.  Every merge point is a deterministic reduction, so outputs are
 bitwise identical for any parallelism degree.
 
+The read stage does not load the scan.  It opens it as an
+``io.NiftiScan``: header, file size and a pass over the voxels that
+refuses a NaN or infinity, so a bad scan fails in ``read`` before any
+output.  Register then reads the scan planes each target plane reaches
+from the open file into a ring per thread, each plane once at any tilt
+(see ``resample_intensity``), and closes it; after that only the scan's
+grid is needed.
+
 The affine convention matches the resamplers: the "forward" transform is
 the pull-back map used when resampling the native scan onto the atlas
 grid, i.e. it takes atlas world coordinates into native world
@@ -33,7 +41,6 @@ from .fusion import fuse_concatenate, fuse_majority
 from .geometry import (
     ATLAS_DIMS,
     AffineTransform,
-    IntensityVolume,
     LabelVolume,
     VolumeGeometry,
     estimate_affine_moments,
@@ -41,7 +48,7 @@ from .geometry import (
     resample_intensity,
     resample_labels,
 )
-from .segmenter import DEFAULT_NUM_LABELS, FAILURE_POLICIES, SegmenterBackend
+from .segmenter import AtlasPriorOracle, DEFAULT_NUM_LABELS, FAILURE_POLICIES, SegmenterBackend
 from .segmenter import parse_backend_spec, segment_all
 from .tiling import TileGrid, build_grid, save_grid
 
@@ -154,9 +161,25 @@ class PipelineConfig:
         return grid
 
     def resolve_backend(self) -> SegmenterBackend:
-        if isinstance(self.backend, SegmenterBackend):
-            return self.backend
-        return parse_backend_spec(self.backend, self.num_labels)
+        """The backend; a prior backend's prior must lie on the atlas grid."""
+        backend = self.backend
+        if not isinstance(backend, SegmenterBackend):
+            backend = parse_backend_spec(backend, self.num_labels)
+        if isinstance(backend, AtlasPriorOracle):
+            # the tolerance of segment_tile's check of each answer's grid
+            prior, atlas = backend.prior.geometry, self.atlas_geometry()
+            if not prior.matches(atlas, tol=1e-6):
+                raise ConfigError(
+                    f"prior backend's grid ({_grid_text(prior)}) is not the atlas grid"
+                    f" ({_grid_text(atlas)})"
+                )
+        return backend
+
+
+def _grid_text(geometry: VolumeGeometry) -> str:
+    spacing = ", ".join(f"{s:g}" for s in geometry.spacing)
+    origin = ", ".join(f"{o:g}" for o in geometry.index_to_world.offset)
+    return f"dims {geometry.dims}, spacing ({spacing}), origin ({origin})"
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(PipelineConfig))
@@ -214,7 +237,7 @@ class _StageClock:
             self.stages.append({"name": name, "seconds": time.perf_counter() - t0})
 
 
-def _forward_transform(config: PipelineConfig, scan: IntensityVolume):
+def _forward_transform(config: PipelineConfig, scan: tio.NiftiScan):
     if config.affine == "identity":
         return AffineTransform.identity()
     if config.affine == "estimate":
@@ -249,18 +272,15 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
 
         stage = "read"
         with clock.time(stage):
-            scan, _ = tio.read_nifti(input_scan)
+            scan = tio.NiftiScan(input_scan)
 
         stage = "register"
-        with clock.time(stage):
+        with scan, clock.time(stage):
             forward = _forward_transform(config, scan)
             atlas_input = resample_intensity(
                 scan, forward, atlas_geom, background=config.background_fill,
                 jobs=config.jobs,
             )
-        # from here on only the scan's grid is needed
-        native_geometry = scan.geometry
-        del scan
 
         stage = "harmonize"
         fit = None
@@ -292,7 +312,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
         stage = "unregister"
         with clock.time(stage):
             native_labels = resample_labels(
-                fused, forward.inverse(), native_geometry, jobs=config.jobs
+                fused, forward.inverse(), scan.geometry, jobs=config.jobs
             )
 
         stage = "write"

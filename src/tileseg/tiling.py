@@ -36,6 +36,7 @@ __all__ = [
     "coverage_map",
     "extract_tile",
     "axis_origins",
+    "MAX_TILES",
     "save_grid",
     "load_grid",
 ]
@@ -73,11 +74,17 @@ class TileSpec:
         return tuple(slice(o, o + s) for o, s in zip(self.origin, self.size))
 
 
+# tiles in one grid, at most.  Each tile is one backend call and one vote layer, and
+# laying out 4 M tiles took 28 s, so a larger count is refused before any origin is
+MAX_TILES = 4096
+
+
 def axis_origins(extent: int, k: int, size: int) -> list[int]:
     """Evenly spaced tile origins along one axis.
 
     ``origin_j = round(j * (extent - size) / (k - 1))`` for j in 0..k-1;
     a single tile sits at 0.  Raises when the axis cannot be covered.
+    Beyond ``extent - size + 1`` tiles the origins repeat.
     """
     if size > extent:
         raise TilingError(f"tile size {size} exceeds axis extent {extent}")
@@ -154,10 +161,16 @@ class TileGrid:
 
 
 def build_grid(atlas_dims, grid, tile_size) -> TileGrid:
-    """Lay out ``grid = (kx, ky, kz)`` tiles of ``tile_size`` over ``atlas_dims``."""
+    """Lay out ``grid = (kx, ky, kz)`` tiles of ``tile_size`` over ``atlas_dims``.
+
+    Raises ``TilingError`` for a layout ``axis_origins`` refuses, or for
+    more than ``MAX_TILES`` tiles in all.
+    """
     atlas_dims = tuple(int(v) for v in atlas_dims)
     grid = tuple(int(v) for v in grid)
     tile_size = tuple(int(v) for v in tile_size)
+    if math.prod(max(k, 1) for k in grid) > MAX_TILES:
+        raise TilingError(f"grid {grid} exceeds the limit of {MAX_TILES} tiles")
     per_axis = [
         axis_origins(atlas_dims[a], grid[a], tile_size[a]) for a in range(3)
     ]

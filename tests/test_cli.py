@@ -550,6 +550,61 @@ def test_mismatched_harmonization_args_exit_2(tmp_path):
 _SMALL_RUN = ["--atlas-dims", "16,16,16", "--grid", "2,2,2", "--tile-size", "9,9,9"]
 
 
+def _label_files(out):
+    return sorted(p.name for p in out.glob("*.nii")) if out.exists() else []
+
+
+def test_nan_in_a_scan_plane_no_atlas_voxel_reaches_exits_4(tmp_path, capsys):
+    # the atlas reaches scan planes 4..19 of 24; plane 0 is still read and checked
+    truth, truth_path, _ = _write_phantom(tmp_path)
+    scan = intensity_from_labels(make_blob_phantom(make_centered_geometry((16, 16, 24)), 4, seed=2))
+    scan_path = tmp_path / "tall.nii"
+    tio.write_nifti(scan, scan_path)
+    raw = bytearray(scan_path.read_bytes())
+    struct.pack_into("<f", raw, 352 + 4 * (3 + 16 * 3), float("nan"))  # voxel (3, 3, 0)
+    scan_path.write_bytes(raw)
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--backend", f"prior:{truth_path}", "--num-labels", "4", *_SMALL_RUN])
+    assert code == 4
+    assert "NaN or Inf" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("stage: read")
+    assert _label_files(out) == []
+
+
+def test_scan_truncated_by_one_byte_exits_3(tmp_path, capsys):
+    _, truth_path, scan_path = _write_phantom(tmp_path)
+    scan_path.write_bytes(scan_path.read_bytes()[:-1])
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--backend", f"prior:{truth_path}", "--num-labels", "4", *_SMALL_RUN])
+    assert code == 3
+    assert "truncated data section" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("stage: read")
+    assert _label_files(out) == [] and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("policy", ["abort", "background"])
+def test_prior_on_another_grid_exits_2(tmp_path, capsys, policy):
+    _, truth_path, scan_path = _write_phantom(tmp_path, dims=(20, 20, 20))
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--backend", f"prior:{truth_path}", "--num-labels", "4",
+                 "--on-tile-failure", policy, *_SMALL_RUN])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "prior backend's grid (dims (20, 20, 20)" in err
+    assert "is not the atlas grid (dims (16, 16, 16)" in err
+    assert _label_files(out) == []
+
+
+@pytest.mark.parametrize("grid", ["1000000,2,2", "1099511627776,2,2"])
+def test_runaway_grid_count_exits_6(capsys, grid):
+    code = main(["grid-info", "--grid", grid, "--tile-size", "9,9,9", "--atlas-dims", "16,16,16"])
+    assert code == 6
+    assert "exceeds the limit of 4096" in capsys.readouterr().err
+
+
 def test_non_numeric_affine_file_exits_2(tmp_path, capsys):
     _, truth_path, scan_path = _write_phantom(tmp_path)
     bad = tmp_path / "affine.txt"

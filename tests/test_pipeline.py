@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 import tileseg
+import tileseg.geometry as geometry_module
 from tileseg import io as tio
 from tileseg.cli import main
 from tileseg.fusion import fuse_majority
@@ -21,7 +23,9 @@ from tileseg.geometry import (
     LabelVolume,
     VolumeGeometry,
     compose,
+    estimate_affine_moments,
     make_centered_geometry,
+    resample_intensity,
     resample_labels,
 )
 from tileseg.harmonize import fit_model, save_model
@@ -42,7 +46,7 @@ from tileseg.segmenter import (
     segment_all,
 )
 from tileseg.tiling import build_grid, coverage_map, extract_tile
-from conftest import random_labels
+from conftest import peak_alloc, random_labels
 
 
 # --- configuration ---
@@ -713,3 +717,208 @@ def test_run_estimated_affine_on_translated_phantom(tmp_path):
     result = run(config, scan_path)
     npt.assert_array_equal(result.fused.data, truth.data)
     assert result.native_labels.dims == DIMS
+
+
+# --- a prior backend on another grid ---
+
+
+@pytest.mark.parametrize("policy", ["abort", "background"])
+@pytest.mark.parametrize(
+    "dims, spacing, text",
+    [((20, 20, 20), 1.0, "dims (20, 20, 20), spacing (1, 1, 1)"),
+     (DIMS, 2.5, "dims (24, 24, 24), spacing (2.5, 2.5, 2.5)")],
+    ids=["dims", "spacing"],
+)
+def test_prior_on_another_grid_fails_before_the_scan_is_read(tmp_path, policy, dims, spacing, text):
+    # under "background" every tile used to be substituted and the run exited 0
+    truth, _ = _phantom_case(tmp_path)
+    geometry = make_centered_geometry(dims, (spacing,) * 3)
+    prior = LabelVolume(geometry, np.ones(dims, dtype=np.uint8), truth.num_labels)
+    config = _base_config(tmp_path, truth, backend=AtlasPriorOracle(prior), on_tile_failure=policy)
+    with pytest.raises(ConfigError) as info:
+        run(config, tmp_path / "absent.nii")  # never read
+    message = str(info.value)
+    assert f"prior backend's grid ({text}, origin" in message
+    assert "is not the atlas grid (dims (24, 24, 24), spacing (1, 1, 1), origin (-11.5, -11.5, -11.5))" in message
+    out_dir = tmp_path / "out"
+    assert (out_dir / "FAILED").read_text().startswith("stage: setup")
+    assert not (out_dir / "atlas_labels.nii").exists()
+
+
+# --- the scan, read from its file a band of planes at a time ---
+
+
+def _tilted_case(tmp_path, angle=0.4, dims=(20, 18, 96)):
+    """A scan file and the affine file of a tilt about x: each atlas plane reaches many scan planes."""
+    truth, _ = _phantom_case(tmp_path)
+    scan = intensity_from_labels(make_blob_phantom(make_centered_geometry(dims), 5, seed=6), seed=6)
+    scan_path = tmp_path / "tall.nii"
+    tio.write_nifti(scan, scan_path)
+    c, s = np.cos(angle), np.sin(angle)
+    tilt = AffineTransform.from_linear_translation([[1, 0, 0], [0, c, -s], [0, s, c]], (0.5, -1.0, 2.0))
+    affine_path = tmp_path / "tilt.txt"
+    save_affine(tilt, affine_path)
+    return truth, scan_path, affine_path
+
+
+def _two_threads(monkeypatch):
+    """At ``jobs=2`` the sweep runs two threads, whatever the host and the target size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)
+
+
+def _record_reads(monkeypatch):
+    """``(z0, z1, thread)`` of every band read from a scan file."""
+    calls = []
+    band = tio.NiftiScan.band
+
+    def recording(self, z0, z1):
+        calls.append((z0, z1, threading.get_ident()))
+        return band(self, z0, z1)
+
+    monkeypatch.setattr(tio.NiftiScan, "band", recording)
+    return calls
+
+
+def _threads_reading_each_plane_once(reads):
+    """The threads that read ``reads``, each a single plane, none twice by one thread."""
+    assert all(z1 == z0 + 1 for z0, z1, _ in reads)
+    planes = {}
+    for z0, _, thread in reads:
+        planes.setdefault(thread, []).append(z0)
+    assert all(len(zs) == len(set(zs)) for zs in planes.values())
+    return len(planes)
+
+
+def test_run_from_a_file_is_the_same_at_any_jobs_on_a_tilted_warp(tmp_path, monkeypatch):
+    _two_threads(monkeypatch)
+    truth, scan_path, affine_path = _tilted_case(tmp_path)
+    blobs = {}
+    for jobs in (1, 2):
+        out_dir = tmp_path / f"out_j{jobs}"
+        with monkeypatch.context() as patch:
+            reads, windows = _record_reads(patch), []
+            fill = geometry_module._PlaneRing.fill
+            patch.setattr(geometry_module._PlaneRing, "fill",
+                          lambda ring, lo, hi: windows.append(hi - lo + 1) or fill(ring, lo, hi))
+            run(_base_config(tmp_path, truth, affine=str(affine_path), jobs=jobs,
+                             output_dir=str(out_dir)), scan_path)
+        # the read stage checks all 96 planes in one band; in register a target plane
+        # reaches up to a dozen planes, and each thread reads each plane once
+        assert reads[0][:2] == (0, 96)
+        assert 8 <= max(windows) < 96
+        assert _threads_reading_each_plane_once(reads[1:]) == jobs
+        blobs[jobs] = [(out_dir / name).read_bytes() for name in ("atlas_labels.nii", "native_labels.nii")]
+    assert blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("angle, nz", [(0.4, 96), (np.pi / 2, 24)], ids=["tilted", "reoriented"])
+def test_register_from_the_file_is_bitwise_the_in_memory_resample(tmp_path, monkeypatch, angle, nz):
+    _two_threads(monkeypatch)
+    _, scan_path, affine_path = _tilted_case(tmp_path, angle, (20, 18, nz))
+    target = make_centered_geometry(DIMS)
+    forward = load_affine(affine_path)
+    volume, _ = tio.read_nifti(scan_path)
+    want = resample_intensity(volume, forward, target)
+    for jobs in (1, 2):
+        with tio.NiftiScan(scan_path) as scan, monkeypatch.context() as patch:
+            reads = _record_reads(patch)
+            got = resample_intensity(scan, forward, target, jobs=jobs)
+        assert got.data.dtype == np.float32
+        assert got.data.tobytes("F") == want.data.tobytes("F")
+        threads = _threads_reading_each_plane_once(reads)
+        if nz == 96:  # a ring of the dozen planes a target plane reaches, per thread
+            assert threads == jobs
+        else:  # at 90 degrees a target plane reaches every plane: one ring, one thread
+            assert threads == 1
+    reference = intensity_from_labels(make_blob_phantom(target, 5, seed=7), seed=7)
+    with tio.NiftiScan(scan_path) as scan:
+        est = estimate_affine_moments(scan, reference)
+    assert est.matrix.tobytes() == estimate_affine_moments(volume, reference).matrix.tobytes()
+
+
+def test_a_window_wider_than_the_ring_gets_a_wider_ring(tmp_path, monkeypatch):
+    # the rounding of a warp can widen a window past `_ring_planes`; rings of
+    # one plane make every window wider
+    monkeypatch.setattr(geometry_module, "_ring_planes", lambda m, dims, nz: 1)
+    _, scan_path, affine_path = _tilted_case(tmp_path)
+    target = make_centered_geometry(DIMS)
+    forward = load_affine(affine_path)
+    want = resample_intensity(tio.read_nifti(scan_path)[0], forward, target)
+    with tio.NiftiScan(scan_path) as scan:
+        got = resample_intensity(scan, forward, target)
+    assert got.data.tobytes("F") == want.data.tobytes("F")
+
+
+def test_plane_ring_puts_plane_z_in_slot_z_mod_size():
+    geometry = make_centered_geometry((3, 2, 10))
+    volume = tileseg.IntensityVolume(geometry, np.arange(60.0).reshape(geometry.dims, order="F"))
+    reads = []
+
+    class Source:
+        dims, dtype = volume.dims, volume.dtype
+
+        def band(self, z0, z1):
+            reads.append(z0)
+            return volume.band(z0, z1)
+
+    ring = geometry_module._PlaneRing(Source(), 3)
+    for lo, hi in [(0, 2), (1, 3), (2, 4), (4, 6), (3, 5), (0, 5)]:
+        flat, size, stride = ring.fill(lo, hi)
+        slots = flat.reshape(size + 1, stride)
+        for z in range(lo, hi + 1):
+            npt.assert_array_equal(slots[z % size, :6], volume.data[:, :, z].ravel(order="F"))
+        npt.assert_array_equal(slots[size], slots[0])  # the plane above the last slot's
+    # plane 6 took plane 3's slot, and the window of six planes a new ring of six
+    assert reads == [0, 1, 2, 3, 4, 5, 6, 3, 0, 1, 2, 3, 4, 5]
+    assert size == 6 and stride == 6 + 8  # a plane and a cache line of float64
+
+
+def test_big_endian_scan_gives_the_little_endian_outputs(tmp_path):
+    truth, scan_path, affine_path = _tilted_case(tmp_path)
+    raw = scan_path.read_bytes()
+    header = np.frombuffer(raw[:348], tio._HEADER.newbyteorder("<")).astype(tio._HEADER.newbyteorder(">"))
+    big_path = tmp_path / "big.nii"
+    big_path.write_bytes(header.tobytes() + raw[348:352]
+                         + np.frombuffer(raw[352:], "<f4").astype(">f4").tobytes())
+    assert tio.read_nifti(big_path)[1].byte_order == "big"
+    blobs = []
+    for name, path in (("little", scan_path), ("big", big_path)):
+        out_dir = tmp_path / name
+        run(_base_config(tmp_path, truth, affine=str(affine_path), output_dir=str(out_dir)), path)
+        blobs.append([(out_dir / n).read_bytes() for n in ("atlas_labels.nii", "native_labels.nii")])
+    assert blobs[0] == blobs[1]
+
+
+def test_scan_truncated_after_it_was_opened_is_a_format_error(tmp_path):
+    _, scan_path, _ = _tilted_case(tmp_path)
+    with tio.NiftiScan(scan_path) as scan:
+        scan_path.write_bytes(scan_path.read_bytes()[:-1])
+        assert scan.band(0, 2).shape == (20, 18, 2)
+        with pytest.raises(tio.NiftiFormatError, match="short read"):
+            scan.band(94, 96)
+
+
+@pytest.mark.parametrize("angle, nz", [(0.2, 512), (np.pi / 2, 96)], ids=["tilted", "reoriented"])
+def test_read_and_register_hold_a_few_planes_of_the_scan(tmp_path, monkeypatch, angle, nz):
+    _two_threads(monkeypatch)
+    dims = (64, 64, nz)  # 16 kB planes
+    rng = np.random.default_rng(8)
+    scan_path = tmp_path / "scan.nii"
+    tio.write_nifti(tileseg.IntensityVolume(make_centered_geometry(dims), rng.uniform(1.0, 2.0, dims)), scan_path)
+    scan_bytes = scan_path.stat().st_size - 352
+    c, s = np.cos(angle), np.sin(angle)
+    tilt = AffineTransform.from_linear_translation([[1, 0, 0], [0, c, -s], [0, s, c]], (0, 0, 0))
+    target = make_centered_geometry((96, 96, 64))
+    plane = 96 * 96 * np.dtype(np.float64).itemsize
+    for jobs in (1, 2):
+        def read_and_register():
+            with tio.NiftiScan(scan_path) as scan:
+                return resample_intensity(scan, tilt, target, jobs=jobs)
+
+        peak, out = peak_alloc(read_and_register)
+        if nz == 512:  # of an 8 MB scan, each thread holds the 21 planes a target plane reaches
+            assert peak < out.data.nbytes + 24 * jobs * plane
+            assert peak < scan_bytes
+        else:  # a target plane reaches every plane: one thread holds them, once
+            assert peak < out.data.nbytes + scan_bytes + 24 * plane

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import apply_affine, random_intensity, random_labels
 from tileseg.geometry import ATLAS_DIMS
 from tileseg.tiling import (
+    MAX_TILES,
     TileGrid,
     TileSpec,
     TilingError,
@@ -193,6 +196,22 @@ def test_axis_origins_errors():
         axis_origins(10, 0, 5)
     with pytest.raises(TilingError, match="coverage impossible"):
         axis_origins(10, 2, 4)
+
+
+@pytest.mark.parametrize("grid", [(10**6, 2, 2), (2**40, 2, 2), (2, 2**40, 1), (2**40, -1, 2), (16, 16, 17)])
+def test_runaway_grid_counts_are_refused_at_once(grid):
+    # beyond extent - size + 1 tiles the origins repeat; (10**6, 2, 2) once took 28 s
+    start = time.perf_counter()
+    with pytest.raises(TilingError, match=f"exceeds the limit of {MAX_TILES}"):
+        build_grid((16, 16, 16), grid, (9, 9, 9))
+    assert time.perf_counter() - start < 0.2
+
+
+def test_grid_of_max_tiles_is_laid_out():
+    # repeated origins stay allowed up to the cap (16 tiles over 8 distinct origins here)
+    grid = build_grid((16, 16, 16), (16, 16, 16), (9, 9, 9))
+    assert grid.k == MAX_TILES == 4096
+    assert len({t.origin for t in grid.tiles}) == 8**3
 
 
 def test_tilespec_validation():
