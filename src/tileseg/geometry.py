@@ -20,12 +20,16 @@ Conventions used throughout the package:
   coordinates into *source* world coordinates.
 * Resampling gathers each corner with one ``take`` at ``x*stx + y*sty +
   z*stz`` (element strides) on a flat view of the source, which is never
-  copied; trilinear output is bitwise identical to the eight-corner formula
-  ``d000*gx*gy*gz + d100*fx*gy*gz + ...`` summed in that order.  Trilinear
-  resampling also takes a scan file (``io.NiftiScan``): each thread copies
-  its planes into a ring that holds the planes one target plane reaches
-  (``_PlaneRing``), each plane once at any tilt, so a scan is registered
-  without being held whole.  The moments take a source band by band.
+  copied.  Trilinear output is seven float64 lerps ``a + f*(b - a)``, four
+  along x, two along y and one along z.  Against the eight-corner sum
+  ``d000*gx*gy*gz + ...`` a float64 output changes in its last bits (at most
+  ~1e-15 relative); float32 outputs were byte-identical on the benchmark
+  warp, but a value within an ulp of a float32 rounding boundary can round
+  the other way.  Trilinear resampling also takes a scan file
+  (``io.NiftiScan``): each thread copies its planes into a ring that holds
+  the planes one target plane reaches (``_PlaneRing``), each plane once at
+  any tilt, so a scan is registered without being held whole.  The moments
+  take a source band by band.
 * Resampling sweeps the target one z plane at a time, each cropped to the
   box of voxels that can reach the source; up to ``jobs`` threads take
   contiguous z ranges, at most one per usable CPU and per ``_SWEEP_VOXELS``
@@ -42,6 +46,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -460,9 +465,7 @@ def _sweep(kernel, dims, jobs: int) -> None:
     time, and writes only its own planes, so one plane of temporaries is in
     flight per thread.  Threads beyond the usable CPUs cannot run at once;
     each would only add its plane of temporaries and its malloc arena.  The
-    calling thread takes the first range: a pool thread allocates from its
-    own fresh malloc arena, and at ``jobs=2`` a second pool thread raised a
-    benchmark scan's peak RSS by 11 MB.
+    calling thread takes the first range (``_concurrently``).
     """
     if hasattr(os, "sched_getaffinity"):
         ncpu = len(os.sched_getaffinity(0))
@@ -471,10 +474,19 @@ def _sweep(kernel, dims, jobs: int) -> None:
     nz = dims[2]
     threads = max(1, min(jobs, nz, ncpu, math.prod(dims) // _SWEEP_VOXELS))
     cuts = [nz * i // threads for i in range(threads + 1)]
-    first, *rest = zip(cuts, cuts[1:])
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        others = [pool.submit(kernel, r) for r in rest]
-        kernel(first)
+    _concurrently([functools.partial(kernel, r) for r in zip(cuts, cuts[1:])])
+
+
+def _concurrently(tasks) -> None:
+    """Call all of ``tasks`` at once: the first on the calling thread, the rest on a pool.
+
+    A pool thread allocates from its own fresh malloc arena, and at
+    ``jobs=2`` a second pool thread raised a benchmark scan's peak RSS by 11 MB.
+    """
+    first, *rest = tasks
+    with ThreadPoolExecutor(max(1, len(rest))) as pool:
+        others = [pool.submit(task) for task in rest]
+        first()
         for future in others:
             future.result()
 
@@ -498,12 +510,12 @@ def _pullback(source: VolumeGeometry, transform, target) -> np.ndarray:
     )
 
 
-def _corner(flat: np.ndarray, index, wx, wy, wz) -> np.ndarray:
-    """``flat[index] * wx * wy * wz`` in float64, the products made in place."""
-    product = flat.take(index) * wx
-    product *= wy
-    product *= wz
-    return product
+def _lerp(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``a + f * (b - a)``, written into ``a``; ``b`` is overwritten."""
+    b -= a
+    b *= f
+    a += b
+    return a
 
 
 def _ring_planes(m: np.ndarray, dims, nz: int) -> int:
@@ -613,6 +625,12 @@ def resample_intensity(
 
     def kernel(z_range):
         window = new_window()
+
+        def at(buf, index):
+            """``flat[index]`` of the plane's window, widened into ``buf``."""
+            np.copyto(buf, flat.take(index))
+            return buf
+
         for box, (cx, cy, cz) in _planes(target.dims, m, terms, z_range, reach):
             x0, y0, z0 = np.floor(cx), np.floor(cy), np.floor(cz)
             # the source planes the box reaches, each voxel's z0 and the one above,
@@ -635,7 +653,8 @@ def resample_intensity(
                 for c, n in zip((cx, cy, cz), src.dims):
                     inside &= (c >= 0.0) & (c <= n - 1)
                 # outside voxels gather voxel 0 and get `background` below; the step
-                # to the upper neighbour is 0 on the last plane, where its weight is 0
+                # to the upper neighbour is 0 on the last plane, where b - a is 0 and
+                # a lerp returns a
                 i000 = np.where(inside, i000, 0.0)
                 dx = (inside & (cx < sx - 1)) * stx
                 dy = (inside & (cy < sy - 1)) * sty
@@ -643,19 +662,16 @@ def resample_intensity(
             i000 = i000.astype(np.intp)
             i100, i010 = i000 + dx, i000 + dy
             i110 = i100 + dy
-            # fractions and their complements overwrite the coordinates and
-            # their floors, which are not read again
+            # the fractions overwrite the coordinates; the floors, not read again,
+            # and one more plane take the gathers, widened to float64, and the lerps
+            # a + f*(b - a), run in place: four along x, two along y, one along z
             fx, fy, fz = (np.subtract(c, c0, out=c) for c, c0 in ((cx, x0), (cy, y0), (cz, z0)))
-            gx, gy, gz = (np.subtract(1.0, f, out=c0) for f, c0 in ((fx, x0), (fy, y0), (fz, z0)))
-            # corner by corner, in the order and grouping of d000*gx*gy*gz + d100*fx*gy*gz + ...
-            val = _corner(flat, i000, gx, gy, gz)
-            val += _corner(flat, i100, fx, gy, gz)
-            val += _corner(flat, i010, gx, fy, gz)
-            val += _corner(flat, i000 + dz, gx, gy, fz)
-            val += _corner(flat, i110, fx, fy, gz)
-            val += _corner(flat, i100 + dz, fx, gy, fz)
-            val += _corner(flat, i010 + dz, gx, fy, fz)
-            val += _corner(flat, i110 + dz, fx, fy, fz)
+            step = np.empty_like(x0)
+            below = _lerp(_lerp(at(x0, i000), at(step, i100), fx),
+                          _lerp(at(y0, i010), at(step, i110), fx), fy)
+            above = _lerp(_lerp(at(y0, i000 + dz), at(step, i100 + dz), fx),
+                          _lerp(at(z0, i010 + dz), at(step, i110 + dz), fx), fy)
+            val = _lerp(below, above, fz)
             out[box] = val if inside is None else np.where(inside, val, background)
 
     _sweep(kernel, target.dims, jobs)

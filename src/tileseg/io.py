@@ -66,6 +66,7 @@ __all__ = [
 HEADER_SIZE = 348
 VOX_OFFSET = 352
 MAGIC = b"n+1\x00"
+MAX_DIM = 32767  # the header's dims are int16
 
 DT_INT16 = 4
 DT_FLOAT32 = 16
@@ -300,7 +301,7 @@ def write_nifti(vol, path) -> None:
     raises ``NiftiFormatError`` and leaves the old file at ``path``, or none.
     """
     dims = vol.dims
-    if any(d > 32767 for d in dims):
+    if max(dims) > MAX_DIM:
         raise NiftiFormatError(f"dims {dims} overflow the int16 header fields")
     if isinstance(vol, LabelVolume):
         if int(vol.data.max(initial=0)) > 32767:

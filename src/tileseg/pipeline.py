@@ -80,6 +80,14 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
+def _float(value: numbers.Real, name: str) -> float:
+    """``float(value)``; a whole number beyond the float range is a ``ConfigError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a full run needs besides the input scan.
@@ -122,14 +130,17 @@ class PipelineConfig:
                 triple = ()
             if len(triple) != 3 or not all(_is_a(v, kind) for v in triple):
                 raise ConfigError(f"{name} must be three numbers, got {value!r}")
-            convert = int if kind is numbers.Integral else float
+            convert = int if kind is numbers.Integral else lambda v: _float(v, name)
             object.__setattr__(self, name, tuple(convert(v) for v in triple))
+        if max(self.atlas_dims) > tio.MAX_DIM:  # the atlas labels are a NIfTI file
+            raise ConfigError(f"atlas_dims {self.atlas_dims} exceed the NIfTI limit of {tio.MAX_DIM}")
         if self.harmonization_model == "skip":
             object.__setattr__(self, "harmonization_model", None)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in _KINDS and not _is_a(value, _KINDS[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        object.__setattr__(self, "background_fill", _float(self.background_fill, "background_fill"))
         if not math.isfinite(self.background_fill):
             raise ConfigError(f"background_fill must be finite, got {self.background_fill!r}")
         if self.jobs < 1:

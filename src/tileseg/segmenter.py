@@ -34,14 +34,13 @@ import string
 import subprocess
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume, _labels
+from .geometry import IntensityVolume, LabelVolume, _concurrently, _labels
 from .tiling import TileGrid, TileSpec, extract_tile
 
 __all__ = [
@@ -191,13 +190,14 @@ class ExternalProcessBackend(SegmenterBackend):
                 )
             )
             paths = {"input": str(input_path), "output": str(output_path), "spec": str(spec_path)}
+            # stdout is never read; stderr is quoted, whatever bytes it holds
             proc = subprocess.run(
-                [arg.format(**paths) for arg in self._args], capture_output=True, text=True
+                [arg.format(**paths) for arg in self._args],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             )
             if proc.returncode != 0:
-                raise SegmentationError(
-                    f"backend exited {proc.returncode}: {proc.stderr.strip()[:500]}"
-                )
+                stderr = proc.stderr.decode(errors="replace").strip()
+                raise SegmentationError(f"backend exited {proc.returncode}: {stderr[:500]}")
             if not output_path.exists():
                 raise SegmentationError("backend wrote no output file")
             try:
@@ -265,11 +265,12 @@ def segment_all(
 ) -> list[LabelVolume]:
     """Segment every tile of ``atlas_vol``, in fixed grid order.
 
-    Tiles are independent; with ``jobs > 1`` they run on a thread pool and
-    the result is identical to the sequential run.  A failing tile aborts
-    the whole run unless ``on_tile_failure="background"``, which warns and
-    substitutes ``ConstantOracle(0, backend.num_labels)``'s answer, an
-    all-background tile.
+    Tiles are independent.  The calling thread and ``jobs - 1`` pool
+    threads take them one at a time, in grid order; the result is identical
+    to the sequential run.  A failing tile aborts the whole run (no thread
+    takes another tile, and the first failed tile in grid order is named)
+    unless ``on_tile_failure="background"``, which warns and substitutes
+    ``ConstantOracle(0, backend.num_labels)``'s answer, an all-background tile.
 
     With ``cache_dir``, each backend answer is stored there under the sha256
     of the tile input bytes, the backend descriptor and the tile placement,
@@ -315,10 +316,26 @@ def segment_all(
             tio.write_raw(out, entry)
         return out
 
-    if jobs <= 1:
-        return [run_one(t) for t in grid.tiles]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_one, grid.tiles))
+    # one iterator for all the threads, in grid order; its next() is atomic,
+    # so each tile is taken once
+    tiles = iter(enumerate(grid.tiles))
+    results: list = [None] * grid.k
+
+    def work():
+        for i, tile in tiles:
+            try:
+                results[i] = run_one(tile)
+            except BaseException as exc:
+                results[i] = exc
+                for _ in tiles:  # no thread takes another tile
+                    pass
+
+    _concurrently([work] * max(1, min(jobs, grid.k)))
+    # every tile before a failed one was taken, so this is the first failure in grid order
+    for out in results:
+        if isinstance(out, BaseException):
+            raise out
+    return results
 
 
 def parse_backend_spec(spec: str, num_labels: int = DEFAULT_NUM_LABELS) -> SegmenterBackend:

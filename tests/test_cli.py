@@ -1,10 +1,13 @@
 import argparse
 import dataclasses
+import itertools
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -810,3 +813,99 @@ def test_every_run_flag_is_a_pipeline_config_field():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "input", "config"}
     assert dests <= {f.name for f in dataclasses.fields(PipelineConfig)}
+
+
+@pytest.mark.parametrize("status", [0, 1])
+def test_external_backend_bytes_are_not_decoded_as_text(tmp_path, capsys, status):
+    # a backend that prints a byte no UTF-8 text holds, to stdout and stderr
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    stub = tmp_path / "stub.py"
+    stub.write_text(textwrap.dedent(f"""
+        import json, sys
+        from tileseg import io as tio
+        from tileseg.geometry import LabelVolume
+
+        inp, out, spec = sys.argv[1:4]
+        doc = json.loads(open(spec).read())
+        tile_in, _ = tio.read_nifti(inp)
+        prior, _ = tio.read_nifti({str(truth_path)!r}, as_labels=True, num_labels=4)
+        box = tuple(slice(o, o + s) for o, s in zip(doc["origin"], doc["size"]))
+        tio.write_nifti(LabelVolume(tile_in.geometry, prior.data[box], 4), out)
+        sys.stdout.buffer.write(b"progress \\xff\\n")
+        sys.stderr.buffer.write(b"model says \\xff\\n")
+        sys.exit({status})
+    """))
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out), "--num-labels", "4",
+                 "--backend", f"external:{sys.executable} {stub} {{input}} {{output}} {{spec}}",
+                 *_SMALL_RUN])
+    err = capsys.readouterr().err
+    if status == 0:
+        assert code == 0, err
+        native, _ = tio.read_nifti(out / "native_labels.nii", as_labels=True)
+        npt.assert_array_equal(native.data, truth.data)
+    else:
+        assert code == 7
+        assert "tile 0: backend exited 1: model says \ufffd" in err
+        assert _label_files(out) == []
+
+
+@pytest.mark.parametrize(
+    "field, value, code",
+    [pytest.param("atlas_spacing", [10**400, 1, 1], 2, id="spacing-1e400"),
+     pytest.param("background_fill", 10**400, 2, id="fill-1e400"),
+     pytest.param("atlas_dims", [10**400, 16, 16], 2, id="dims-1e400"),
+     pytest.param("atlas_dims", [32768, 16, 16], 2, id="dims-beyond-int16"),
+     pytest.param("background_fill", 10**30, 0, id="fill-1e30"),
+     pytest.param("background_fill", 10**39, 4, id="fill-beyond-float32")],
+)
+def test_config_number_out_of_range_exits_with_its_code(tmp_path, capsys, field, value, code):
+    _, truth_path, scan_path = _write_phantom(tmp_path)
+    doc = {"atlas_dims": [16, 16, 16], "grid": [2, 2, 2], "tile_size": [9, 9, 9],
+           "backend": f"prior:{truth_path}", "num_labels": 4, field: value}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--config", str(tmp_path / "config.json")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert field.split("_")[0] in err or "background" in err
+        assert _label_files(out) == []
+
+
+# odd values for every config key; "{missing}" and "{directory}" become paths
+_ODD_VALUES = [
+    None, True, False, -1, 0, 10**30, 10**400, math.nan, math.inf, -math.inf, "", [], {},
+    [2, 2], [2, 2, 2, 2], [[2, 2, 2]], {"grid": [2, 2, 2]}, [10**30] * 3, [math.nan] * 3,
+    "{missing}", "{directory}",
+]
+
+
+def test_config_fuzz_exits_with_a_documented_code(tmp_path, capsys):
+    # each config key takes each odd value in turn, on a run that succeeds without it
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    (tmp_path / "directory").mkdir()
+    base = {"atlas_dims": [16, 16, 16], "grid": [2, 2, 2], "tile_size": [9, 9, 9],
+            "backend": f"prior:{truth_path}", "num_labels": 4}
+    codes = set(_readme_exit_codes())
+    failures = []
+    for n, (field, value) in enumerate(itertools.product(
+        (f.name for f in dataclasses.fields(PipelineConfig)), _ODD_VALUES
+    )):
+        if field == "jobs" and isinstance(value, (int, float)) and value > 2:
+            continue  # a thread count, not a check: never start many threads
+        if value in ("{missing}", "{directory}"):
+            value = str(tmp_path / value.strip("{}"))
+        config, out = tmp_path / f"config{n}.json", tmp_path / f"out{n}"
+        config.write_text(json.dumps({**base, field: value}))
+        try:
+            code = main(["run", "--input", str(scan_path), "--output", str(out),
+                         "--config", str(config)])
+        except Exception as exc:  # main lets an unmapped error out, traceback and all
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code not in codes or "Traceback" in err or code != 0 and _label_files(out):
+            failures.append((field, value, code, err[-200:]))
+    assert failures == []
+

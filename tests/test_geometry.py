@@ -387,10 +387,20 @@ def _source_coords(src, t, target):
     return [m[a, 0] * xi + m[a, 1] * yi + m[a, 2] * zi + m[a, 3] for a in range(3)]
 
 
-def _three_index_trilinear(src, t, target, background):
+def _lerp(a, b, f):
+    return a + f * (b - a)
+
+
+def _three_index_corners(src, t, target):
+    """What both three-index trilinear oracles read, per target voxel.
+
+    Whether the voxel is inside, a reader ``d(x, y, z)`` of the source in
+    float64, the lower and upper corner indices (the upper clipped to the
+    grid) and the fractions.
+    """
     cx, cy, cz = _source_coords(src, t, target)
     sx, sy, sz = src.dims
-    data = src.data
+    data = src.data.astype(np.float64)
     inside = (
         (cx >= 0.0) & (cx <= sx - 1)
         & (cy >= 0.0) & (cy <= sy - 1)
@@ -405,16 +415,30 @@ def _three_index_trilinear(src, t, target, background):
     fx = np.clip(cx - x0, 0.0, 1.0)
     fy = np.clip(cy - y0, 0.0, 1.0)
     fz = np.clip(cz - z0, 0.0, 1.0)
+    return inside, lambda x, y, z: data[x, y, z], (x0, y0, z0), (x1, y1, z1), (fx, fy, fz)
+
+
+def _three_index_trilinear(src, t, target, background):
+    """Trilinear in lerp form ``a + f*(b - a)``: four lerps along x, two along y, one along z."""
+    inside, d, (x0, y0, z0), (x1, y1, z1), (fx, fy, fz) = _three_index_corners(src, t, target)
+    c0 = _lerp(_lerp(d(x0, y0, z0), d(x1, y0, z0), fx), _lerp(d(x0, y1, z0), d(x1, y1, z0), fx), fy)
+    c1 = _lerp(_lerp(d(x0, y0, z1), d(x1, y0, z1), fx), _lerp(d(x0, y1, z1), d(x1, y1, z1), fx), fy)
+    return np.where(inside, _lerp(c0, c1, fz), background), inside
+
+
+def _eight_corner_trilinear(src, t, target, background):
+    """Trilinear as the eight-corner sum ``d000*gx*gy*gz + d100*fx*gy*gz + ...``."""
+    inside, d, (x0, y0, z0), (x1, y1, z1), (fx, fy, fz) = _three_index_corners(src, t, target)
     gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
     val = (
-        data[x0, y0, z0] * gx * gy * gz
-        + data[x1, y0, z0] * fx * gy * gz
-        + data[x0, y1, z0] * gx * fy * gz
-        + data[x0, y0, z1] * gx * gy * fz
-        + data[x1, y1, z0] * fx * fy * gz
-        + data[x1, y0, z1] * fx * gy * fz
-        + data[x0, y1, z1] * gx * fy * fz
-        + data[x1, y1, z1] * fx * fy * fz
+        d(x0, y0, z0) * gx * gy * gz
+        + d(x1, y0, z0) * fx * gy * gz
+        + d(x0, y1, z0) * gx * fy * gz
+        + d(x0, y0, z1) * gx * gy * fz
+        + d(x1, y1, z0) * fx * fy * gz
+        + d(x1, y0, z1) * fx * gy * fz
+        + d(x0, y1, z1) * gx * fy * fz
+        + d(x1, y1, z1) * fx * fy * fz
     )
     return np.where(inside, val, background), inside
 
@@ -511,7 +535,7 @@ def test_resample_labels_keeps_the_label_type(num_labels, dtype):
 
 
 def _uncropped_trilinear(src, t, target, background):
-    """The trilinear kernel as it ran before cropping, over the whole target at once."""
+    """The trilinear kernel over the whole target at once: flat gathers, lerp form."""
     cx, cy, cz = _source_coords(src, t, target)
     sx, sy, sz = src.dims
     flat = src.data.ravel(order="K")
@@ -524,19 +548,17 @@ def _uncropped_trilinear(src, t, target, background):
     dx = (inside & (cx < sx - 1)) * stx
     dy = (inside & (cy < sy - 1)) * sty
     dz = (inside & (cz < sz - 1)) * stz
-    i100, i010 = i000 + dx, i000 + dy
-    i110 = i100 + dy
     fx, fy, fz = cx - x0, cy - y0, cz - z0
-    gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
-    val = flat.take(i000) * gx * gy * gz
-    val += flat.take(i100) * fx * gy * gz
-    val += flat.take(i010) * gx * fy * gz
-    val += flat.take(i000 + dz) * gx * gy * fz
-    val += flat.take(i110) * fx * fy * gz
-    val += flat.take(i100 + dz) * fx * gy * fz
-    val += flat.take(i010 + dz) * gx * fy * fz
-    val += flat.take(i110 + dz) * fx * fy * fz
-    return np.where(inside, val, background), inside
+
+    def d(i):
+        return flat.take(i).astype(np.float64)
+
+    def along_x(i):
+        return _lerp(d(i), d(i + dx), fx)
+
+    c0 = _lerp(along_x(i000), along_x(i000 + dy), fy)
+    c1 = _lerp(along_x(i000 + dz), along_x(i000 + dy + dz), fy)
+    return np.where(inside, _lerp(c0, c1, fz), background), inside
 
 
 def _uncropped_nearest(src, t, target, background):
@@ -624,6 +646,50 @@ def test_cropped_threaded_sweep_is_bytewise_equal_to_uncropped_kernel(monkeypatc
     assert got_img.data.tobytes() == want_img.tobytes()
     assert got_lab.data.dtype == np.uint8  # 6 labels
     assert got_lab.data.tobytes() == want_lab.astype(got_lab.data.dtype).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", sorted(_CROP_CASES))
+def test_lerp_agrees_with_the_eight_corner_formula(case, dtype):
+    # the lerp form moves a float64 value in its last bits only; the output is
+    # the lerp's float64 value, rounded once to the source's output type
+    geometry, target, t = _CROP_CASES[case]
+    values = np.random.default_rng(38).uniform(-50.0, 50.0, geometry.dims)
+    img = IntensityVolume._adopt(geometry, values.astype(dtype, order="F"))
+    lerp, _ = _three_index_trilinear(img, t, target, background=-7.5)
+    corners, _ = _eight_corner_trilinear(img, t, target, background=-7.5)
+    npt.assert_allclose(lerp, corners, rtol=1e-12, atol=1e-12)
+    got = resample_intensity(img, t, target, background=-7.5)
+    assert got.data.dtype == dtype
+    assert got.data.tobytes() == lerp.astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lerp_on_the_last_planes_returns_its_lower_corner(dtype):
+    # target index 1 lands exactly on the source's last plane on each axis, where
+    # the step to the upper neighbour is 0: each lerp there is a + f*0, a itself
+    dims, spacing = (5, 4, 6), (0.5, 0.25, 0.75)
+    source = VolumeGeometry(dims, (1.0, 1.0, 1.0), AffineTransform.identity())
+    offset = [n - 1 - s for n, s in zip(dims, spacing)]
+    target = VolumeGeometry(
+        (2, 2, 2), spacing, AffineTransform.from_linear_translation(np.diag(spacing), offset)
+    )
+    values = np.random.default_rng(39).uniform(-50.0, 50.0, dims)
+    img = IntensityVolume._adopt(source, values.astype(dtype, order="F"))
+    t = AffineTransform.identity()
+    coords = _source_coords(img, t, target)
+    assert all(np.all(np.take(c, 1, axis=a) == n - 1) for a, (c, n) in enumerate(zip(coords, dims)))
+    want, inside = _three_index_trilinear(img, t, target, background=0.0)
+    assert inside.all()
+    got = resample_intensity(img, t, target).data
+    assert got.tobytes() == want.astype(dtype).tobytes()
+    d = img.data.astype(np.float64)
+    # the last corner on all three axes; bilinear in y and z on the last x
+    # plane (fy = 0.75, fz = 0.25); linear in x on the last y and z planes (fx = 0.5)
+    assert got[1, 1, 1] == d[-1, -1, -1]
+    along_y = [_lerp(d[-1, -2, z], d[-1, -1, z], 0.75) for z in (-2, -1)]
+    assert got[1, 0, 0] == dtype(_lerp(*along_y, 0.25))
+    assert got[0, 1, 1] == dtype(_lerp(d[-2, -1, -1], d[-1, -1, -1], 0.5))
 
 
 def _plane_box(m, dims, z, lo, hi):

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
 import textwrap
+import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +20,7 @@ from tileseg.segmenter import (
     CorruptingWrapper,
     ExternalProcessBackend,
     SegmentationError,
+    SegmenterBackend,
     _cache_key,
     parse_backend_spec,
     segment_all,
@@ -82,6 +86,84 @@ def test_parallel_matches_sequential():
     assert len(seq) == len(par)
     for a, b in zip(seq, par):
         npt.assert_array_equal(a.data, b.data)
+
+
+class _MeetingOracle(SegmenterBackend):
+    """The prior's answers, noting each calling thread; its first two calls wait for each other.
+
+    A thread that makes the first call cannot make the second, so two
+    threads must take tiles, or the wait times out and the tile fails.
+    """
+
+    def __init__(self, prior):
+        self.inner = AtlasPriorOracle(prior)
+        self.num_labels = prior.num_labels
+        self.threads = set()
+        self.meet = threading.Barrier(2, timeout=30)
+        self.calls = itertools.count()
+
+    def segment(self, tile_input, tile):
+        self.threads.add(threading.get_ident())
+        if next(self.calls) < 2:
+            self.meet.wait()
+        return self.inner.segment(tile_input, tile)
+
+
+def test_segment_all_runs_tiles_on_the_calling_thread_too():
+    vol = random_intensity(DIMS, seed=4)
+    prior = random_labels(DIMS, 6, seed=5)
+    backend = _MeetingOracle(prior)
+    outs = {2: segment_all(backend, vol, GRID, jobs=2)}
+    assert len(backend.threads) == 2 and threading.get_ident() in backend.threads
+    outs[3] = segment_all(AtlasPriorOracle(prior), vol, GRID, jobs=3)
+    want = [o.data.tobytes() for o in segment_all(AtlasPriorOracle(prior), vol, GRID, jobs=1)]
+    for jobs, got in outs.items():
+        assert [o.data.tobytes() for o in got] == want, jobs
+
+
+class _CountingOracle(ConstantOracle):
+    """Labels each tile with its index, noting each call (``list.append`` is atomic)."""
+
+    def __init__(self, num_labels):
+        super().__init__(0, num_labels)
+        object.__setattr__(self, "calls", [])
+
+    def segment(self, tile_input, tile):
+        self.calls.append(tile.index)
+        return ConstantOracle(tile.index, self.num_labels).segment(tile_input, tile)
+
+
+def test_segment_all_threads_take_each_tile_once():
+    # more threads than cores, switching as often as the interpreter allows
+    grid = build_grid(DIMS, (8, 8, 8), (1, 1, 1))
+    vol = random_intensity(DIMS, seed=4)
+    backend = _CountingOracle(grid.k)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outs = segment_all(backend, vol, grid, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(backend.calls) == [t.index for t in grid.tiles]
+    assert [int(o.data.max()) for o in outs] == [t.index for t in grid.tiles]
+
+
+class _FailingOracle(ConstantOracle):
+    """Fails tiles 3 and 5; tile 3 only after tile 5 has failed on the other thread."""
+
+    def segment(self, tile_input, tile):
+        if tile.index == 3:
+            time.sleep(0.3)
+        if tile.index in (3, 5):
+            raise RuntimeError(f"no answer for tile {tile.index}")
+        return super().segment(tile_input, tile)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_abort_raises_the_first_failed_tile_in_grid_order(jobs):
+    vol = random_intensity(DIMS, seed=4)
+    with pytest.raises(SegmentationError, match="^tile 3: no answer for tile 3$"):
+        segment_all(_FailingOracle(0, 4), vol, GRID, jobs=jobs)
 
 
 def test_segment_all_rejects_dim_mismatch():
