@@ -241,9 +241,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # run, tile, fuse and evaluate take a label count; a user error, not a geometry one
-        if getattr(args, "num_labels", None) is not None and args.num_labels < 2:
-            raise ConfigError(f"--num-labels must be at least 2, got {args.num_labels}")
+        # run, tile, fuse and evaluate take a label count, bound by the int16 label files
+        n = getattr(args, "num_labels", None)
+        if n is not None and not 2 <= n <= tio.MAX_LABELS:
+            bound = "at least 2" if n < 2 else f"at most {tio.MAX_LABELS}"
+            raise ConfigError(f"--num-labels must be {bound}, got {n}")
         return _COMMANDS[args.command](args)
     except Exception as exc:
         for exc_type, code in EXIT_CODES:

@@ -46,7 +46,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -82,6 +81,14 @@ def _as_triple(value, name: str, kind=int) -> tuple:
     if len(t) != 3:
         raise GeometryError(f"{name} must have exactly 3 components, got {value!r}")
     return t
+
+
+def _float(value, name: str, error=GeometryError) -> float:
+    """``float(value)``; a whole number beyond the float range is an ``error``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must be within the float range, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -461,11 +468,11 @@ def _sweep(kernel, dims, jobs: int) -> None:
     """Run ``kernel(z_range)`` over the z planes of ``dims``, split into contiguous ranges.
 
     There are ``min(jobs, nz, usable CPUs, voxels // _SWEEP_VOXELS)``
-    ranges, at least one.  Each runs on its own thread, one plane at a
-    time, and writes only its own planes, so one plane of temporaries is in
-    flight per thread.  Threads beyond the usable CPUs cannot run at once;
-    each would only add its plane of temporaries and its malloc arena.  The
-    calling thread takes the first range (``_concurrently``).
+    ranges, at least one, and as many threads, the calling thread among
+    them (``_each``).  Each range runs one plane at a time and writes only
+    its own planes, so one plane of temporaries is in flight per thread.
+    Threads beyond the usable CPUs cannot run at once; each would only add
+    its plane of temporaries and its malloc arena.
     """
     if hasattr(os, "sched_getaffinity"):
         ncpu = len(os.sched_getaffinity(0))
@@ -474,26 +481,39 @@ def _sweep(kernel, dims, jobs: int) -> None:
     nz = dims[2]
     threads = max(1, min(jobs, nz, ncpu, math.prod(dims) // _SWEEP_VOXELS))
     cuts = [nz * i // threads for i in range(threads + 1)]
-    _concurrently([functools.partial(kernel, r) for r in zip(cuts, cuts[1:])])
+    _each(kernel, list(zip(cuts, cuts[1:])), threads)
 
 
-def _concurrently(tasks) -> None:
-    """Call all of ``tasks`` at once: the first on the calling thread, the rest on a pool.
+def _each(fn, items, jobs: int) -> list:
+    """``[fn(item) for item in items]``, on ``min(jobs, len(items))`` threads at once.
 
-    A pool thread allocates from its own fresh malloc arena, and at
-    ``jobs=2`` a second pool thread raised a benchmark scan's peak RSS by 11 MB.
+    The calling thread and the pool threads take the next item from one
+    shared iterator, so each item runs once, and the results keep item
+    order.  Once a call raises, no thread takes another item, and the first
+    failure in item order is raised: every item before it was taken, so it
+    ran.  A pool thread allocates from its own fresh malloc arena (at
+    ``jobs=2`` a second one raised a benchmark scan's peak RSS by 11 MB).
     """
-    first, *rest = tasks
-    with ThreadPoolExecutor(max(1, len(rest))) as pool:
-        others = [pool.submit(task) for task in rest]
-        first()
-        for future in others:
-            future.result()
+    results, failures = [None] * len(items), {}
+    todo = iter(enumerate(items))  # its next() is atomic
 
+    def work():  # raises nothing, so leaving the pool's block is the join
+        for i, item in todo:
+            try:
+                results[i] = fn(item)
+            except BaseException as exc:
+                failures[i] = exc
+                for _ in todo:  # no thread takes another item
+                    pass
 
-def _flat(data: np.ndarray):
-    """A 1-D view (volumes hold x-fastest arrays, so never a copy) and element strides."""
-    return data.ravel(order="F"), [s // data.itemsize for s in data.strides]
+    threads = min(jobs, len(items))
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        for _ in range(threads - 1):
+            pool.submit(work)
+        work()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _pullback(source: VolumeGeometry, transform, target) -> np.ndarray:
@@ -598,8 +618,10 @@ def resample_intensity(
     threads split the target's z planes; the output is the same bit for bit.
     Each voxel is computed in float64 and stored in ``_intensity_dtype`` of
     the source: float32 for a stored type, so a finite ``background``
-    beyond float32 range is refused before any voxel is computed.
+    beyond float32 range is refused before any voxel is computed, as is a
+    number beyond the float range.
     """
+    background = _float(background, "background")
     m = _pullback(src.geometry, transform, target)
     dtype = _intensity_dtype(src.dtype)
     with np.errstate(over="ignore"):
@@ -694,7 +716,9 @@ def resample_labels(
     m = _pullback(src.geometry, transform, target)
     if not 0 <= background < src.num_labels:
         raise GeometryError(f"background {background} out of label range")
-    flat, (stx, sty, stz) = _flat(src.data)
+    sx, sy, _ = src.dims
+    flat = src.data.ravel(order="F")  # a view: volumes hold x-fastest arrays
+    stx, sty, stz = 1, sx, sx * sy
     out = _labels(target.dims, background, src.num_labels)
     fill = out.dtype.type(background)
     reach = (-0.5, tuple(n - 0.5 for n in src.dims))

@@ -52,9 +52,9 @@ class RegressionFit:
 class HarmonizationModel:
     """Reference sorted-intensity profile plus the mask that produced it.
 
-    ``mean_sorted`` is non-increasing of length ``quantile_count``; ``mask``
-    is a binary label volume on the grid all harmonized scans share (the
-    union of the atlas masks).
+    ``mean_sorted`` is finite and non-increasing, of length
+    ``quantile_count``; ``mask`` is a binary label volume on the grid all
+    harmonized scans share (the union of the atlas masks).
     """
 
     mean_sorted: np.ndarray
@@ -65,8 +65,8 @@ class HarmonizationModel:
         v = np.array(self.mean_sorted, dtype=np.float64)
         if v.ndim != 1 or v.size < 2:
             raise HarmonizeError("mean_sorted must be a vector of length >= 2")
-        if np.any(np.diff(v) > 1e-12):
-            raise HarmonizeError("mean_sorted must be non-increasing")
+        if not np.isfinite(v).all() or np.any(np.diff(v) > 1e-12):  # a NaN compares False
+            raise HarmonizeError("mean_sorted must be finite and non-increasing")
         if int(self.quantile_count) != v.size:
             raise HarmonizeError("quantile_count must equal len(mean_sorted)")
         if not np.any(self.mask.data):

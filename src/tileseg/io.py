@@ -67,6 +67,7 @@ HEADER_SIZE = 348
 VOX_OFFSET = 352
 MAGIC = b"n+1\x00"
 MAX_DIM = 32767  # the header's dims are int16
+MAX_LABELS = 32768  # label files are int16: labels 0 .. 32767
 
 DT_INT16 = 4
 DT_FLOAT32 = 16
@@ -304,7 +305,7 @@ def write_nifti(vol, path) -> None:
     if max(dims) > MAX_DIM:
         raise NiftiFormatError(f"dims {dims} overflow the int16 header fields")
     if isinstance(vol, LabelVolume):
-        if int(vol.data.max(initial=0)) > 32767:
+        if int(vol.data.max(initial=0)) >= MAX_LABELS:
             raise NiftiFormatError("label values exceed int16 range")
         datatype, dtype = DT_INT16, np.dtype("<i2")
     else:

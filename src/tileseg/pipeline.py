@@ -43,6 +43,7 @@ from .geometry import (
     AffineTransform,
     LabelVolume,
     VolumeGeometry,
+    _float,
     estimate_affine_moments,
     make_centered_geometry,
     resample_intensity,
@@ -78,14 +79,6 @@ _KINDS = {
 def _is_a(value, kind) -> bool:
     """``isinstance``, except that a bool is no number (``True`` is an int)."""
     return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-
-
-def _float(value: numbers.Real, name: str) -> float:
-    """``float(value)``; a whole number beyond the float range is a ``ConfigError``."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ class PipelineConfig:
                 triple = ()
             if len(triple) != 3 or not all(_is_a(v, kind) for v in triple):
                 raise ConfigError(f"{name} must be three numbers, got {value!r}")
-            convert = int if kind is numbers.Integral else lambda v: _float(v, name)
+            convert = int if kind is numbers.Integral else lambda v: _float(v, name, ConfigError)
             object.__setattr__(self, name, tuple(convert(v) for v in triple))
         if max(self.atlas_dims) > tio.MAX_DIM:  # the atlas labels are a NIfTI file
             raise ConfigError(f"atlas_dims {self.atlas_dims} exceed the NIfTI limit of {tio.MAX_DIM}")
@@ -140,7 +133,8 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type in _KINDS and not _is_a(value, _KINDS[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        object.__setattr__(self, "background_fill", _float(self.background_fill, "background_fill"))
+        fill = _float(self.background_fill, "background_fill", ConfigError)
+        object.__setattr__(self, "background_fill", fill)
         if not math.isfinite(self.background_fill):
             raise ConfigError(f"background_fill must be finite, got {self.background_fill!r}")
         if self.jobs < 1:
@@ -149,8 +143,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.on_tile_failure not in FAILURE_POLICIES:
             raise ConfigError(f"unknown tile failure policy {self.on_tile_failure!r}")
-        if self.num_labels < 2:
-            raise ConfigError("num_labels must be >= 2")
+        if not 2 <= self.num_labels <= tio.MAX_LABELS:  # the label outputs are int16 files
+            raise ConfigError(f"num_labels must be 2 .. {tio.MAX_LABELS}, got {self.num_labels}")
         if isinstance(self.backend, SegmenterBackend) and self.backend.num_labels != self.num_labels:
             raise ConfigError(
                 f"backend has {self.backend.num_labels} labels, num_labels is {self.num_labels}"
@@ -238,9 +232,11 @@ class RunResult:
 class _StageClock:
     def __init__(self):
         self.stages = []
+        self.stage = "setup"  # the stage entered last, which a FAILED marker names
 
     @contextlib.contextmanager
     def time(self, name):
+        self.stage = name
         t0 = time.perf_counter()
         try:
             yield
@@ -273,7 +269,6 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
     outputs = (atlas_path, native_path, out_dir / "report.json")
     marker = out_dir / "FAILED"
     clock = _StageClock()
-    stage = "setup"
     try:
         for path in (marker, *outputs):
             path.unlink(missing_ok=True)
@@ -281,27 +276,23 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
         grid = config.build_grid()
         backend = config.resolve_backend()
 
-        stage = "read"
-        with clock.time(stage):
+        with clock.time("read"):
             scan = tio.NiftiScan(input_scan)
 
-        stage = "register"
-        with scan, clock.time(stage):
+        with scan, clock.time("register"):
             forward = _forward_transform(config, scan)
             atlas_input = resample_intensity(
                 scan, forward, atlas_geom, background=config.background_fill,
                 jobs=config.jobs,
             )
 
-        stage = "harmonize"
         fit = None
-        with clock.time(stage):
+        with clock.time("harmonize"):
             if config.harmonization_model:
                 model = load_model(config.harmonization_model)
                 atlas_input, fit = apply_harmonization(atlas_input, model)
 
-        stage = "segment"
-        with clock.time(stage):
+        with clock.time("segment"):
             tile_segs = segment_all(
                 backend, atlas_input, grid, jobs=config.jobs,
                 on_tile_failure=config.on_tile_failure,
@@ -309,8 +300,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
             )
         del atlas_input
 
-        stage = "fuse"
-        with clock.time(stage):
+        with clock.time("fuse"):
             if config.fusion_mode == "majority":
                 result = fuse_majority(tile_segs, grid, num_labels=backend.num_labels)
                 fused = result.fused
@@ -320,14 +310,12 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 tie_count = 0
         del tile_segs
 
-        stage = "unregister"
-        with clock.time(stage):
+        with clock.time("unregister"):
             native_labels = resample_labels(
                 fused, forward.inverse(), scan.geometry, jobs=config.jobs
             )
 
-        stage = "write"
-        with clock.time(stage):
+        with clock.time("write"):
             tio.write_nifti(fused, atlas_path)
             tio.write_nifti(native_labels, native_path)
             save_grid(grid, out_dir / "grid.json")
@@ -360,7 +348,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
     except Exception as exc:
         for path in outputs:
             path.unlink(missing_ok=True)
-        tio.write_atomic(marker, (f"stage: {stage}\nerror: {exc}\n".encode(),))
+        tio.write_atomic(marker, (f"stage: {clock.stage}\nerror: {exc}\n".encode(),))
         raise
     return RunResult(
         native_labels_path=str(native_path),

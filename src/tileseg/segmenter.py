@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume, _concurrently, _labels
+from .geometry import IntensityVolume, LabelVolume, _each, _labels
 from .tiling import TileGrid, TileSpec, extract_tile
 
 __all__ = [
@@ -265,11 +265,12 @@ def segment_all(
 ) -> list[LabelVolume]:
     """Segment every tile of ``atlas_vol``, in fixed grid order.
 
-    Tiles are independent.  The calling thread and ``jobs - 1`` pool
-    threads take them one at a time, in grid order; the result is identical
-    to the sequential run.  A failing tile aborts the whole run (no thread
-    takes another tile, and the first failed tile in grid order is named)
-    unless ``on_tile_failure="background"``, which warns and substitutes
+    Tiles are independent: ``geometry._each`` runs ``run_one`` on each, in
+    grid order on ``min(jobs, k)`` threads, the calling thread among them,
+    and the result is identical to the sequential run.
+    A failing tile aborts the whole run (no thread takes another tile, and
+    the first failed tile in grid order is named) unless
+    ``on_tile_failure="background"``, which warns and substitutes
     ``ConstantOracle(0, backend.num_labels)``'s answer, an all-background tile.
 
     With ``cache_dir``, each backend answer is stored there under the sha256
@@ -316,26 +317,7 @@ def segment_all(
             tio.write_raw(out, entry)
         return out
 
-    # one iterator for all the threads, in grid order; its next() is atomic,
-    # so each tile is taken once
-    tiles = iter(enumerate(grid.tiles))
-    results: list = [None] * grid.k
-
-    def work():
-        for i, tile in tiles:
-            try:
-                results[i] = run_one(tile)
-            except BaseException as exc:
-                results[i] = exc
-                for _ in tiles:  # no thread takes another tile
-                    pass
-
-    _concurrently([work] * max(1, min(jobs, grid.k)))
-    # every tile before a failed one was taken, so this is the first failure in grid order
-    for out in results:
-        if isinstance(out, BaseException):
-            raise out
-    return results
+    return _each(run_one, grid.tiles, jobs)
 
 
 def parse_backend_spec(spec: str, num_labels: int = DEFAULT_NUM_LABELS) -> SegmenterBackend:

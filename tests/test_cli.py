@@ -19,7 +19,8 @@ from tileseg import io as tio
 import tileseg
 from tileseg.cli import EXIT_CODES, build_parser, main
 from tileseg.geometry import (
-    AffineTransform, IntensityVolume, VolumeGeometry, compose, make_centered_geometry,
+    AffineTransform, IntensityVolume, LabelVolume, VolumeGeometry, compose,
+    make_centered_geometry,
 )
 from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
@@ -909,3 +910,183 @@ def test_config_fuzz_exits_with_a_documented_code(tmp_path, capsys):
             failures.append((field, value, code, err[-200:]))
     assert failures == []
 
+
+
+def _tile_fuse_evaluate_argv(tmp_path, truth_path, out):
+    tiles_dir = tmp_path / "tiles"
+    assert main(["tile", "--input", str(truth_path), "--output", str(tiles_dir), "--labels",
+                 "--grid", "2,2,2", "--tile-size", "9,9,9"]) == 0
+    return {
+        "tile": ["tile", "--input", str(truth_path), "--output", str(out), "--labels",
+                 "--grid", "2,2,2", "--tile-size", "9,9,9"],
+        "fuse": ["fuse", "--tiles", str(tiles_dir), "--output", str(out)],
+        "evaluate": ["evaluate", "--auto", str(truth_path), "--manual", str(truth_path),
+                     "--output", str(out)],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, num_labels, backend",
+    [("run", 1000000, "constant:0"), ("run", 70000, "constant:66000"),
+     ("run", 50000, "constant:40000"), ("run-config", 50000, "constant:40000"),
+     ("tile", 32769, None), ("fuse", 32769, None), ("evaluate", 32769, None)],
+)
+def test_label_count_beyond_the_int16_files_exits_2_before_any_stage(
+    tmp_path, capsys, command, num_labels, backend
+):
+    # both label outputs are int16 NIfTI files, so labels run 0 .. 32767
+    _, truth_path, scan_path = _write_phantom(tmp_path)
+    out = tmp_path / "out"
+    run_argv = ["run", "--input", str(scan_path), "--output", str(out), "--backend", backend,
+                *_SMALL_RUN]
+    if command == "run":
+        argv = [*run_argv, "--num-labels", str(num_labels)]
+    elif command == "run-config":
+        (tmp_path / "config.json").write_text(json.dumps({"num_labels": num_labels}))
+        argv = [*run_argv, "--config", str(tmp_path / "config.json")]
+    else:
+        argv = [*_tile_fuse_evaluate_argv(tmp_path, truth_path, out)[command],
+                "--num-labels", str(num_labels)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if command == "run-config":
+        assert f"num_labels must be 2 .. 32768, got {num_labels}" in err
+    else:
+        assert f"--num-labels must be at most 32768, got {num_labels}" in err
+    assert not out.exists()
+
+
+def test_label_count_at_the_int16_limit_runs(tmp_path, capsys):
+    _, _, scan_path = _write_phantom(tmp_path)
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--num-labels", "32768", "--backend", "constant:32767", *_SMALL_RUN])
+    assert code == 0, capsys.readouterr().err
+    for name in ("atlas_labels.nii", "native_labels.nii"):
+        labels, _ = tio.read_nifti(out / name, as_labels=True)
+        assert np.all(labels.data == 32767)
+    assert json.loads((out / "report.json").read_text())["num_labels"] == 32768
+
+
+def _model_for(tmp_path, truth, scan_path, mask=None):
+    if mask is None:
+        mask = truth.with_data((truth.data > 0).astype(np.uint16))
+    model_dir = tmp_path / "model"
+    save_model(fit_model([tio.read_nifti(scan_path)[0]], [mask], 16), model_dir)
+    return model_dir
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_harmonization_profile_exits_5(tmp_path, capsys, value):
+    # NaN compares False, so a non-increasing check alone lets it through
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    model_dir = _model_for(tmp_path, truth, scan_path)
+    profile = np.fromfile(model_dir / "mean_sorted.bin", dtype="<f8")
+    profile[5] = value
+    (model_dir / "mean_sorted.bin").write_bytes(profile.astype("<f8").tobytes())
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--backend", f"prior:{truth_path}", "--num-labels", "4",
+                 "--harmonization", str(model_dir), *_SMALL_RUN])
+    assert code == 5
+    assert "mean_sorted must be finite and non-increasing" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("stage: harmonize\n")
+    assert _label_files(out) == []
+
+
+def test_scan_constant_inside_the_model_mask_exits_5(tmp_path, capsys):
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    box = (slice(4, 12),) * 3
+    inside = np.zeros(truth.dims, dtype=np.uint16)
+    inside[box] = 1
+    model_dir = _model_for(tmp_path, truth, scan_path, truth.with_data(inside))
+    scan = tio.read_nifti(scan_path)[0]
+    data = np.array(scan.data)
+    data[box] = 5.0  # the scan varies, but not where the model looks
+    tio.write_nifti(IntensityVolume(scan.geometry, data), scan_path)
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--backend", f"prior:{truth_path}", "--num-labels", "4",
+                 "--harmonization", str(model_dir), *_SMALL_RUN])
+    assert code == 5
+    assert "zero intensity variance inside the mask" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("stage: harmonize\n")
+
+
+def test_run_with_a_model_prints_the_fit(tmp_path, capsys):
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    model_dir = _model_for(tmp_path, truth, scan_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["run", "--input", str(scan_path), "--output", str(out),
+                 "--backend", f"prior:{truth_path}", "--num-labels", "4",
+                 "--harmonization", str(model_dir), *_SMALL_RUN])
+    assert code == 0
+    fit = json.loads((out / "report.json").read_text())["harmonization"]
+    line = f"harmonization beta1={fit['beta1']:.6g} beta0={fit['beta0']:.6g}\n"
+    assert line in capsys.readouterr().out
+
+
+def test_fit_harmonization_with_a_mask_off_the_atlas_grid_exits_5(tmp_path, capsys):
+    tio.write_nifti(random_intensity((8, 8, 8), seed=1), tmp_path / "atlas.nii")
+    tio.write_nifti(random_labels((8, 8, 8), 2, seed=1, spacing=(1.0, 1.0, 2.0)),
+                    tmp_path / "mask.nii")
+    code = main(["fit-harmonization", "--atlases", str(tmp_path / "atlas.nii"),
+                 "--masks", str(tmp_path / "mask.nii"), "--output", str(tmp_path / "model")])
+    assert code == 5
+    assert "atlas mask is not on the common grid" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
+
+
+def test_external_backend_output_of_the_wrong_dims_exits_7(tmp_path, capsys):
+    _, _, scan_path = _write_phantom(tmp_path)
+    stub = tmp_path / "stub.py"
+    stub.write_text(textwrap.dedent("""
+        import sys
+        import numpy as np
+        from tileseg import io as tio
+        from tileseg.geometry import LabelVolume, make_centered_geometry
+
+        geometry = make_centered_geometry((2, 2, 2))
+        tio.write_nifti(LabelVolume(geometry, np.zeros((2, 2, 2), np.uint8), 4), sys.argv[2])
+    """))
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out), "--num-labels", "4",
+                 "--backend", f"external:{sys.executable} {stub} {{input}} {{output}}",
+                 *_SMALL_RUN])
+    assert code == 7
+    assert "tile 0: backend output dims (2, 2, 2) != tile dims (9, 9, 9)" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("stage: segment\n")
+    assert _label_files(out) == []
+
+
+def test_scan_without_sform_and_with_a_non_positive_pixdim_exits_3(tmp_path, capsys):
+    _, _, scan_path = _write_phantom(tmp_path)
+    raw = bytearray(scan_path.read_bytes())
+    struct.pack_into("<h", raw, 254, 0)  # sform_code
+    struct.pack_into("<f", raw, 80, 0.0)  # pixdim[1], the x spacing
+    scan_path.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="no sform affine"):
+        code = main(["run", "--input", str(scan_path), "--output", str(out),
+                     "--backend", "constant:0", *_SMALL_RUN])
+    assert code == 3
+    assert "no sform and non-positive pixdim (0.0, 1.0, 1.0)" in capsys.readouterr().err
+    assert (out / "FAILED").read_text().startswith("stage: read\n")
+
+
+def test_evaluate_without_num_labels_takes_the_larger_inferred_count(tmp_path, capsys):
+    truth, truth_path, _ = _write_phantom(tmp_path)  # labels 0 .. 3
+    data = np.array(truth.data)
+    data[0, 0, 0] = 5
+    manual_path = tmp_path / "manual.nii"
+    tio.write_nifti(LabelVolume(truth.geometry, data, 6), manual_path)
+    argv = ["evaluate", "--auto", str(truth_path), "--manual", str(manual_path)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    inferred = capsys.readouterr().out
+    assert main([*argv, "--num-labels", "6"]) == 0
+    assert inferred == capsys.readouterr().out
+    assert "labels evaluated: 4" in inferred

@@ -1,6 +1,8 @@
 import itertools
 import os
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -20,6 +22,7 @@ from tileseg.geometry import (
     VolumeGeometry,
     _BOX_BLOCK,
     _boxes,
+    _each,
     _pullback,
     _sweep,
     compose,
@@ -252,6 +255,13 @@ def test_resample_labels_identity_is_exact():
     out = resample_labels(lab, AffineTransform.identity(), lab.geometry)
     npt.assert_array_equal(out.data, lab.data)
     assert out.num_labels == lab.num_labels
+
+
+@pytest.mark.parametrize("background", [-1, 7, 1000])
+def test_resample_labels_refuses_a_background_out_of_label_range(background):
+    lab = random_labels((8, 8, 8), 7, seed=3)
+    with pytest.raises(GeometryError, match=f"^background {background} out of label range$"):
+        resample_labels(lab, AffineTransform.identity(), lab.geometry, background=background)
 
 
 def _shift_oracle(data, background=0.0):
@@ -777,6 +787,37 @@ def test_sweep_threads_are_capped_by_target_voxels(monkeypatch, dims, jobs, thre
     assert sorted(ranges)[0][0] == 0 and sorted(ranges)[-1][1] == dims[2]
 
 
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_each_keeps_item_order_on_the_calling_thread_and_the_pool(jobs):
+    threads = set()
+
+    def fn(i):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)  # long enough for every pool thread to take an item
+        return 10 * i
+
+    assert _each(fn, range(7), jobs) == [10 * i for i in range(7)]
+    assert len(threads) == jobs and threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_each_takes_no_item_after_a_failure_and_raises_the_first_in_item_order(jobs):
+    # item 2 fails late, item 3 (on another thread when jobs > 1) at once
+    calls = []
+
+    def fn(i):
+        calls.append(i)  # list.append is atomic
+        if i == 2:
+            time.sleep(0.2)
+        if i in (2, 3):
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^item 2$"):
+        _each(fn, range(1000), jobs)
+    assert sorted(calls)[:3] == [0, 1, 2] and len(calls) < 50
+
+
 @pytest.mark.parametrize("case", sorted(_CROP_CASES))
 def test_sweep_beyond_the_usable_cpus_is_bytewise_equal(monkeypatch, case):
     # a host with few CPUs caps the threads, and so does a small target;
@@ -892,6 +933,20 @@ def test_background_beyond_float32_is_refused_before_any_sweep(monkeypatch, code
     wide = IntensityVolume(geometry, src.data)
     out = resample_intensity(wide, AffineTransform.identity(), target, background=background)
     assert out.data.dtype == np.float64 and out.data[0, 0, 0] == background
+
+
+@pytest.mark.parametrize("code", ["f8", "f4"])
+def test_background_is_taken_as_a_float(code):
+    # 10**30 is beyond int64, and 10**400 beyond the float range
+    geometry = make_centered_geometry((4, 4, 4))
+    src = IntensityVolume._adopt(geometry, np.ones(geometry.dims, dtype=code, order="F"))
+    target = make_centered_geometry((8, 8, 8))  # reaches outside the source
+    out = resample_intensity(src, AffineTransform.identity(), target, background=10**30)
+    want = resample_intensity(src, AffineTransform.identity(), target, background=1e30)
+    assert out.data.tobytes() == want.data.tobytes()
+    assert out.data[0, 0, 0] == out.data.dtype.type(1e30)
+    with pytest.raises(GeometryError, match="^background must be within the float range"):
+        resample_intensity(src, AffineTransform.identity(), target, background=10**400)
 
 
 def test_user_arrays_are_copied():

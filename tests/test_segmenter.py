@@ -226,6 +226,21 @@ def test_segment_tile_rejects_out_of_range_output():
         segment_tile(_HotLabelBackend(0, 4), vol, tile)
 
 
+class _IntensityBackend(ConstantOracle):
+    """Answers with the tile's intensities, on the tile's grid: no label volume."""
+
+    def segment(self, tile_input, tile):
+        return tile_input
+
+
+def test_a_non_label_answer_fails_the_tile():
+    vol, tile = _one_tile_case()
+    with pytest.raises(SegmentationError, match="non-label volume"):
+        segment_tile(_IntensityBackend(0, 4), vol, tile)
+    with pytest.raises(SegmentationError, match="^tile 0: backend returned a non-label volume$"):
+        segment_all(_IntensityBackend(0, 4), random_intensity(DIMS), GRID)
+
+
 # --- external process protocol ---
 
 
