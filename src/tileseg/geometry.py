@@ -18,7 +18,7 @@ Conventions used throughout the package:
   given world-to-world transform into the source volume, and interpolate.
   The transform handed to a resampler therefore maps *target* world
   coordinates into *source* world coordinates.
-* Resampling gathers each corner with one ``take`` at ``x*stx + y*sty +
+* Resampling gathers each corner with one ``take`` at ``x + y*sty +
   z*stz`` (element strides) on a flat view of the source, which is never
   copied.  Trilinear output is seven float64 lerps ``a + f*(b - a)``, four
   along x, two along y and one along z.  Against the eight-corner sum
@@ -632,7 +632,7 @@ def resample_intensity(
             f" of a {src.dtype.name} source"
         )
     sx, sy, sz = src.dims
-    stx, sty = 1, sx  # element strides within a plane; a window gives the plane stride
+    sty = sx  # the y stride in elements (x's is 1); a window gives the plane stride
     out = np.full(target.dims, fill, dtype=dtype, order="F")
     reach = (0.0, (sx - 1, sy - 1, sz - 1))
     terms = _plane_terms(target.dims, m)
@@ -664,12 +664,12 @@ def resample_intensity(
             # from `top` on have wrapped round to slot 0
             base = lo - lo % slots
             top = base + slots
-            i000 = x0 * stx + y0 * sty + z0 * stz
+            i000 = x0 + y0 * sty + z0 * stz
             i000 -= base * stz
             if hi >= top:
                 i000 -= (z0 >= top) * float(slots * stz)
             # when every voxel has all eight corners, no mask and scalar steps
-            inside, dx, dy, dz = None, stx, sty, stz
+            inside, dx, dy, dz = None, 1, sty, stz
             if not all(c.min() >= 0.0 and c.max() < n - 1 for c, n in zip((cx, cy, cz), src.dims)):
                 inside = np.ones(cx.shape, dtype=bool)
                 for c, n in zip((cx, cy, cz), src.dims):
@@ -678,7 +678,7 @@ def resample_intensity(
                 # to the upper neighbour is 0 on the last plane, where b - a is 0 and
                 # a lerp returns a
                 i000 = np.where(inside, i000, 0.0)
-                dx = (inside & (cx < sx - 1)) * stx
+                dx = inside & (cx < sx - 1)
                 dy = (inside & (cy < sy - 1)) * sty
                 dz = (inside & (cz < sz - 1)) * stz
             i000 = i000.astype(np.intp)
@@ -718,7 +718,7 @@ def resample_labels(
         raise GeometryError(f"background {background} out of label range")
     sx, sy, _ = src.dims
     flat = src.data.ravel(order="F")  # a view: volumes hold x-fastest arrays
-    stx, sty, stz = 1, sx, sx * sy
+    sty, stz = sx, sx * sy
     out = _labels(target.dims, background, src.num_labels)
     fill = out.dtype.type(background)
     reach = (-0.5, tuple(n - 0.5 for n in src.dims))
@@ -731,7 +731,7 @@ def resample_labels(
                 np.ceil(np.subtract(c, 0.5, out=c), out=c)  # round half toward -inf
                 inside &= (c >= 0.0) & (c < n)
             # a non-finite coordinate must not reach the integer cast: voxel 0 instead
-            index = np.where(inside, rx * stx + ry * sty + rz * stz, 0.0).astype(np.intp)
+            index = np.where(inside, rx + ry * sty + rz * stz, 0.0).astype(np.intp)
             # (v - b) * inside + b, exact in unsigned wraparound: v inside, b outside
             labels = flat.take(index)
             labels -= fill

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_QUANTILES = 1024
+MAX_QUANTILES = 1 << 20  # a profile of 8 MB
 
 
 class HarmonizeError(ValueError):
@@ -159,8 +160,8 @@ def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndar
     ``(v - mean) / std`` is monotone in floating point, so this gives the
     bits of sorting the z-scored volume.
     """
-    if quantile_count < 2:
-        raise HarmonizeError(f"quantile_count must be >= 2, got {quantile_count}")
+    if not 2 <= quantile_count <= MAX_QUANTILES:
+        raise HarmonizeError(f"quantile_count must be in [2, {MAX_QUANTILES}], got {quantile_count}")
     if not geometry.matches(mask.geometry):
         raise HarmonizeError("volume and mask geometries differ")
     values = data.ravel("F")[mask.data.ravel("F") > 0]  # a copy, so it is sorted in place
@@ -260,10 +261,13 @@ def load_model(directory) -> HarmonizationModel:
     try:
         meta = json.loads((directory / "meta.json").read_text())
         mask_dims, quantile_count = meta["mask_dims"], int(meta["quantile_count"])
+        mask_spacing = np.array(meta["mask_spacing"], dtype=np.float64).reshape(3)
     except (ValueError, KeyError, TypeError) as exc:
         raise HarmonizeError(f"model metadata in {directory} is malformed: {exc!r}") from exc
     mean_sorted = np.fromfile(directory / "mean_sorted.bin", dtype="<f8")
     mask, _ = tio.read_nifti(directory / "mask.nii", as_labels=True, num_labels=2)
     if list(mask.dims) != mask_dims:
         raise HarmonizeError("model mask dims disagree with metadata")
+    if not np.allclose(mask.geometry.spacing, mask_spacing, atol=1e-4):
+        raise HarmonizeError("model mask spacing disagrees with metadata")
     return HarmonizationModel(mean_sorted, mask, quantile_count)

@@ -5,17 +5,17 @@ name.  The reader accepts either byte order (detected from the 348
 header-size field) and the uint8 / int16 / float32 datatypes; the writer
 always emits little-endian files with float32 intensities or int16
 labels.  Scale fields (scl_slope/scl_inter) are not applied; the data
-section is decoded as stored, and an intensity volume keeps it as stored:
-its voxels are a read-only view of the file bytes (a big-endian file gets
-one native-order copy of the same width), not a float64 copy.  A label
-volume is one copy of the stored voxels in its label type (uint8 up to 256
-labels, uint16 above; see ``LabelVolume``).
+section is decoded as stored, by ``NiftiScan.band`` alone, and an
+intensity volume keeps it as stored: its voxels are a read-only view of
+the bytes read (a big-endian file gets one native-order copy of the same
+width), not a float64 copy.  A label volume is one copy of the stored
+voxels in its label type (uint8 up to 256 labels, uint16 above; see
+``LabelVolume``).
 
-A scan to be registered is not read whole: ``NiftiScan`` checks the header
-(with the same code as ``read_nifti``, ``_header``) and the file size,
-reads the voxels once, a band of planes at a time, to refuse a NaN or
-infinity, and then keeps only its file descriptor.  The resampler's rings
-and the moments read the planes they need with ``os.pread``.
+``read_nifti`` reads a file as one band of a ``NiftiScan``.  A scan to be
+registered is not read whole: a ``NiftiScan`` holds its header and file
+descriptor, ``check_finite`` reads its voxels once, a band of planes at a
+time, and the resampler's rings and the moments read the planes they need.
 
 The raw format is a JSON sidecar (dims, spacing, affine, dtype) next to a
 flat little-endian binary blob in x-fastest order.  It exists for test
@@ -31,7 +31,6 @@ one block, and no whole-volume copy in the stored type is ever made.
 from __future__ import annotations
 
 import json
-import math
 import os
 import uuid
 import warnings
@@ -122,10 +121,7 @@ class NiftiFormatError(ValueError):
 class NiftiHeaderSummary:
     """The header fields this package reads and honors."""
 
-    dims: tuple
     datatype_code: str
-    spacing: tuple
-    srow: np.ndarray  # 3x4, world affine rows as stored
     vox_offset: int
     byte_order: str  # "little" | "big"
 
@@ -193,7 +189,6 @@ def _header(raw: bytes, file_size: int, path: Path):
         if not all(s > 0 for s in spacing):
             raise NiftiFormatError(f"no sform and non-positive pixdim {spacing}")
         affine = np.diag([*spacing, 1.0])
-        srow = affine[:3, :].copy()
 
     dtype = _DTYPES[datatype].newbyteorder(endian)
     nbytes = dims[0] * dims[1] * dims[2] * dtype.itemsize
@@ -202,14 +197,7 @@ def _header(raw: bytes, file_size: int, path: Path):
         raise NiftiFormatError(f"truncated data section: need {nbytes} bytes, have {have}")
 
     geometry = VolumeGeometry(dims, spacing, AffineTransform(affine))
-    summary = NiftiHeaderSummary(
-        dims=dims,
-        datatype_code=dtype.name,
-        spacing=spacing,
-        srow=srow,
-        vox_offset=vox_offset,
-        byte_order=order_name,
-    )
+    summary = NiftiHeaderSummary(dtype.name, vox_offset, order_name)
     return geometry, dtype, summary
 
 
@@ -221,36 +209,24 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     affine is taken from the srow (sform) rows; if the sform is absent a
     spacing-only diagonal affine is used and a warning is issued.
     """
-    path = Path(path)
-    blob = path.read_bytes()
-    geometry, dtype, summary = _header(blob, len(blob), path)
-    # a read-only view of the file bytes
-    arr = np.frombuffer(blob, dtype, count=math.prod(geometry.dims), offset=summary.vox_offset)
-    arr = arr.reshape(geometry.dims, order="F")
+    with NiftiScan(path) as scan:
+        arr = scan.band(0, scan.dims[2])
     if as_labels:
-        vol = LabelVolume._adopt(
-            geometry, _label_array(arr, num_labels or 0, NiftiFormatError), num_labels or 0
-        )
-    else:
-        # kept as stored; labels above are copied once into their label type
-        if not dtype.isnative:
-            arr = arr.astype(dtype.newbyteorder("="))
-        vol = IntensityVolume._adopt(geometry, arr)
-    return vol, summary
+        arr = _label_array(arr, num_labels or 0, NiftiFormatError)
+        return LabelVolume._adopt(scan.geometry, arr, num_labels or 0), scan.summary
+    return IntensityVolume._adopt(scan.geometry, arr), scan.summary
 
 
 class NiftiScan:
-    """An intensity NIfTI-1 file read a band of z planes at a time.
+    """A NIfTI-1 file read a band of z planes at a time.
 
-    Opening it reads and checks the header as ``read_nifti`` does, file
-    size included, then reads a float scan's voxels once, 1 MB of planes
-    at a time (``geometry._bands``), to refuse a NaN or infinity as an
-    ``IntensityVolume`` does (``GeometryError``).  Only the header and the
-    file descriptor stay held.  ``band(z0, z1)`` reads planes ``z0 ..
+    Opening it checks the header and the file size; only the header and
+    the file descriptor stay held.  ``band(z0, z1)`` reads planes ``z0 ..
     z1-1`` with ``os.pread`` into a new x-fastest array in native byte
-    order, so threads may read at once; ``resample_intensity`` (one plane
-    at a time, into a ring per thread) and the moments take their planes
-    this way.  Close it, or use it as a context manager.
+    order, so threads may read at once; ``read_nifti`` (all planes),
+    ``resample_intensity`` (a ring per thread), the moments and
+    ``check_finite`` take their planes this way.  Close it, or use it as a
+    context manager.
     """
 
     def __init__(self, path):
@@ -263,12 +239,15 @@ class NiftiScan:
             )
             self.dims = self.geometry.dims
             self.dtype = self._stored.newbyteorder("=")
-            if self.dtype.kind == "f":
-                for z0, z1 in _bands(self):
-                    _check_finite(self.band(z0, z1))
         except BaseException:
             self.close()
             raise
+
+    def check_finite(self) -> None:
+        """Refuse a NaN or infinity as an ``IntensityVolume`` does, 1 MB of planes at a time."""
+        if self.dtype.kind == "f":
+            for z0, z1 in _bands(self):
+                _check_finite(self.band(z0, z1))
 
     def band(self, z0: int, z1: int) -> np.ndarray:
         """Planes ``z0 .. z1-1``, shaped ``(nx, ny, z1 - z0)``, x-fastest."""

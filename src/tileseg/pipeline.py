@@ -6,8 +6,8 @@ write.  Every merge point is a deterministic reduction, so outputs are
 bitwise identical for any parallelism degree.
 
 The read stage does not load the scan.  It opens it as an
-``io.NiftiScan``: header, file size and a pass over the voxels that
-refuses a NaN or infinity, so a bad scan fails in ``read`` before any
+``io.NiftiScan`` (header and file size) and checks its values, a band of
+planes at a time, so a NaN or infinity fails in ``read`` before any
 output.  Register then reads the scan planes each target plane reaches
 from the open file into a ring per thread, each plane once at any tilt
 (see ``resample_intensity``), and closes it; after that only the scan's
@@ -194,7 +194,7 @@ def load_config(path, **overrides) -> PipelineConfig:
     """Load a JSON config file mirroring PipelineConfig; kwargs override."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, an over-long integer, undecodable text
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -278,6 +278,11 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
 
         with clock.time("read"):
             scan = tio.NiftiScan(input_scan)
+            try:
+                scan.check_finite()
+            except BaseException:
+                scan.close()
+                raise
 
         with scan, clock.time("register"):
             forward = _forward_transform(config, scan)

@@ -911,6 +911,18 @@ def test_config_fuzz_exits_with_a_documented_code(tmp_path, capsys):
     assert failures == []
 
 
+@pytest.mark.parametrize(
+    "text", [b'{"num_labels": 1' + b"0" * 5000 + b"}", b"\xff\xfe{}"], ids=["5001-digits", "utf16-bom"]
+)
+def test_config_file_json_cannot_read_exits_2(tmp_path, capsys, text):
+    _, _, scan_path = _write_phantom(tmp_path)
+    (tmp_path / "config.json").write_bytes(text)
+    assert main(["run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+                 "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert "is not valid JSON" in err and "Traceback" not in err
+
+
 
 def _tile_fuse_evaluate_argv(tmp_path, truth_path, out):
     tiles_dir = tmp_path / "tiles"
@@ -1037,6 +1049,18 @@ def test_fit_harmonization_with_a_mask_off_the_atlas_grid_exits_5(tmp_path, caps
                  "--masks", str(tmp_path / "mask.nii"), "--output", str(tmp_path / "model")])
     assert code == 5
     assert "atlas mask is not on the common grid" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
+
+
+def test_fit_harmonization_with_too_many_quantiles_exits_5(tmp_path, capsys):
+    # refused before the profile's positions are allocated: 10**13 of them are 73 TiB
+    tio.write_nifti(random_intensity((8, 8, 8), seed=1), tmp_path / "atlas.nii")
+    tio.write_nifti(random_labels((8, 8, 8), 2, seed=1), tmp_path / "mask.nii")
+    code = main(["fit-harmonization", "--atlases", str(tmp_path / "atlas.nii"),
+                 "--masks", str(tmp_path / "mask.nii"), "--quantiles", "10000000000000",
+                 "--output", str(tmp_path / "model")])
+    assert code == 5
+    assert "quantile_count must be in [2, 1048576]" in capsys.readouterr().err
     assert not (tmp_path / "model").exists()
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -309,6 +311,23 @@ def test_load_model_rejects_tampered_dims(tmp_path):
     meta_path.write_text(meta_path.read_text().replace("4", "5"))
     with pytest.raises(HarmonizeError, match="dims"):
         load_model(tmp_path / "model")
+
+
+@pytest.mark.parametrize(
+    "spacing, error",
+    [([1.0, 1.0, 1.001], "spacing disagrees"), ([1.0, 1.0], "malformed"), (["x", 1, 1], "malformed")],
+)
+def test_load_model_rejects_tampered_spacing(tmp_path, spacing, error):
+    vol = random_intensity((4, 4, 4))
+    save_model(fit_model([vol], [_full_mask(vol.geometry)], quantile_count=8), tmp_path / "model")
+    meta_path = tmp_path / "model" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "mask_spacing": spacing}))
+    with pytest.raises(HarmonizeError, match=error):
+        load_model(tmp_path / "model")
+    # within the grid tolerance of `VolumeGeometry.matches`, it loads
+    meta_path.write_text(json.dumps({**meta, "mask_spacing": [1.0, 1.0, 1.00005]}))
+    assert load_model(tmp_path / "model").mask.geometry.spacing == (1.0, 1.0, 1.0)
 
 
 # --- memory and bitwise contracts ---

@@ -899,6 +899,20 @@ def test_scan_truncated_after_it_was_opened_is_a_format_error(tmp_path):
             scan.band(94, 96)
 
 
+def test_a_nan_scan_fails_in_read_and_its_file_is_closed(tmp_path, monkeypatch):
+    truth, scan_path, _ = _tilted_case(tmp_path)
+    raw = bytearray(scan_path.read_bytes())
+    raw[-4:] = np.array(np.nan, "<f4").tobytes()  # the last voxel
+    scan_path.write_bytes(raw)
+    scans = []
+    init = tio.NiftiScan.__init__
+    monkeypatch.setattr(tio.NiftiScan, "__init__", lambda scan, path: init(scan, path) or scans.append(scan))
+    with pytest.raises(GeometryError, match="NaN or Inf"):
+        run(_base_config(tmp_path, truth), scan_path)
+    assert (tmp_path / "out" / "FAILED").read_text().startswith("stage: read")
+    assert len(scans) == 1 and scans[0]._fd == -1
+
+
 @pytest.mark.parametrize("angle, nz", [(0.2, 512), (np.pi / 2, 96)], ids=["tilted", "reoriented"])
 def test_read_and_register_hold_a_few_planes_of_the_scan(tmp_path, monkeypatch, angle, nz):
     _two_threads(monkeypatch)

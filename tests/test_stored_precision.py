@@ -101,6 +101,8 @@ def test_read_keeps_the_stored_type_read_only(tmp_path, code, endian):
     with pytest.raises(ValueError):
         vol.data[0, 0, 0] = 1
     assert np.array_equal(vol.data, values)
+    with tio.NiftiScan(path) as scan:  # the one decoder, all planes as one band
+        assert _same(scan.band(0, DIMS[2]), vol.data)
     # tiles hold the rule's float32: the widened volume's tiles rounded once
     wide = IntensityVolume(vol.geometry, vol.data)
     assert wide.data.dtype == np.float64
