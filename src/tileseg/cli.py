@@ -76,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     p.add_argument("--atlas-spacing", type=_float_triple, default=None, help="atlas voxel mm")
     p.add_argument("--backend", default=None, help="constant:<l> | prior:<nii> | external:<cmd>")
-    p.add_argument("--affine", default=None, help="identity | estimate | <matrix file>")
-    p.add_argument("--reference", default=None, help="atlas-space volume for --affine estimate")
+    p.add_argument("--affine", default=None, help="identity | estimate:<reference nii> | <matrix file>")
     p.add_argument("--harmonization", dest="harmonization_model", help="model dir, or 'skip'")
     p.add_argument("--fusion", dest="fusion_mode", choices=["majority", "concat"], default=None)
     p.add_argument("--jobs", type=int, default=None)

@@ -161,10 +161,6 @@ class VolumeGeometry:
             raise GeometryError(f"dims must be strictly positive, got {dims}")
         if any(s <= 0 for s in spacing):
             raise GeometryError(f"spacing must be strictly positive, got {spacing}")
-        if not isinstance(self.index_to_world, AffineTransform):
-            object.__setattr__(
-                self, "index_to_world", AffineTransform(self.index_to_world)
-            )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
 
@@ -516,10 +512,8 @@ def _each(fn, items, jobs: int) -> list:
     return results
 
 
-def _pullback(source: VolumeGeometry, transform, target) -> np.ndarray:
+def _pullback(source: VolumeGeometry, transform: AffineTransform, target) -> np.ndarray:
     """Check a resample request; return its target-index -> source-index matrix."""
-    if not isinstance(transform, AffineTransform):
-        transform = AffineTransform(transform)
     if not isinstance(target, VolumeGeometry):
         raise GeometryError("target must be a VolumeGeometry")
     # target index -> target world -> source world -> source index

@@ -86,9 +86,10 @@ class PipelineConfig:
     """Everything a full run needs besides the input scan.
 
     ``affine`` selects how the forward transform is obtained: the literal
-    ``"identity"``, ``"estimate"`` (moments-based, needs ``reference``, an
-    atlas-space intensity volume), or a path to a 4x4 whitespace-separated
-    matrix file.  ``backend`` is a spec string (``constant:...``,
+    ``"identity"``, ``"estimate:<path>"`` (moments-based, against the
+    atlas-space intensity volume at ``<path>``), or a path to a 4x4
+    whitespace-separated matrix file.  ``atlas_spacing`` is finite and
+    positive.  ``backend`` is a spec string (``constant:...``,
     ``prior:...``, ``external:...``) or a SegmenterBackend instance with
     ``num_labels`` labels.
     ``harmonization_model`` is a model directory; ``None`` or ``"skip"``
@@ -102,12 +103,10 @@ class PipelineConfig:
     harmonization_model: str | None = None
     backend: str | SegmenterBackend = "constant:0"
     affine: str = "identity"
-    reference: str | None = None
     fusion_mode: str = "majority"
     num_labels: int = DEFAULT_NUM_LABELS
     jobs: int = 1
     on_tile_failure: str = "abort"
-    background_fill: float = 0.0
     resume: bool = False
     output_dir: str = "tileseg_out"
 
@@ -125,6 +124,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be three numbers, got {value!r}")
             convert = int if kind is numbers.Integral else lambda v: _float(v, name, ConfigError)
             object.__setattr__(self, name, tuple(convert(v) for v in triple))
+        if not all(math.isfinite(s) and s > 0 for s in self.atlas_spacing):
+            raise ConfigError(f"atlas_spacing must be finite and positive, got {self.atlas_spacing}")
         if max(self.atlas_dims) > tio.MAX_DIM:  # the atlas labels are a NIfTI file
             raise ConfigError(f"atlas_dims {self.atlas_dims} exceed the NIfTI limit of {tio.MAX_DIM}")
         if self.harmonization_model == "skip":
@@ -133,10 +134,6 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type in _KINDS and not _is_a(value, _KINDS[f.type]):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        fill = _float(self.background_fill, "background_fill", ConfigError)
-        object.__setattr__(self, "background_fill", fill)
-        if not math.isfinite(self.background_fill):
-            raise ConfigError(f"background_fill must be finite, got {self.background_fill!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if self.fusion_mode not in ("majority", "concat"):
@@ -149,10 +146,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"backend has {self.backend.num_labels} labels, num_labels is {self.num_labels}"
             )
-        if self.affine == "estimate" and not self.reference:
-            raise ConfigError("affine=estimate needs a reference volume path")
-        if self.reference and self.affine != "estimate":
-            raise ConfigError(f"reference is read only by affine=estimate, not {self.affine!r}")
+        mode, _, reference = str(self.affine).partition(":")
+        if mode == "estimate" and not reference:
+            raise ConfigError("affine=estimate needs a reference volume path: estimate:<path>")
 
     def atlas_geometry(self) -> VolumeGeometry:
         return make_centered_geometry(self.atlas_dims, self.atlas_spacing)
@@ -247,9 +243,9 @@ class _StageClock:
 def _forward_transform(config: PipelineConfig, scan: tio.NiftiScan):
     if config.affine == "identity":
         return AffineTransform.identity()
-    if config.affine == "estimate":
-        reference, _ = tio.read_nifti(config.reference)
-        return estimate_affine_moments(scan, reference)
+    mode, _, reference = str(config.affine).partition(":")
+    if mode == "estimate":
+        return estimate_affine_moments(scan, tio.read_nifti(reference)[0])
     return load_affine(config.affine)
 
 
@@ -286,10 +282,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
 
         with scan, clock.time("register"):
             forward = _forward_transform(config, scan)
-            atlas_input = resample_intensity(
-                scan, forward, atlas_geom, background=config.background_fill,
-                jobs=config.jobs,
-            )
+            atlas_input = resample_intensity(scan, forward, atlas_geom, jobs=config.jobs)
 
         fit = None
         with clock.time("harmonize"):

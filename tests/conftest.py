@@ -4,6 +4,7 @@ import hypothesis
 import numpy as np
 
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
+from tileseg.segmenter import SegmenterBackend
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -39,6 +40,28 @@ def float32_nifti(path, dims, value):
 
 # values a uint16 label copy would change, and the reason each is refused
 NOT_LABELS = [(70000, "above 65535"), (2.7, "not a whole number"), (float("nan"), "not a whole number")]
+
+
+class NearestLevel(SegmenterBackend):
+    """A backend that reads its input: each voxel gets the label of the nearest level.
+
+    ``levels[l]`` is label ``l``'s intensity in the units the tiles arrive
+    in; ``fitted`` takes them as each label's mean over an atlas-space scan.
+    """
+
+    def __init__(self, levels):
+        self.levels = np.asarray(levels, dtype=np.float64)
+        self.num_labels = self.levels.size
+
+    @classmethod
+    def fitted(cls, scan, labels):
+        flat = labels.data.ravel("F")
+        sums = np.bincount(flat, weights=scan.data.ravel("F"), minlength=labels.num_labels)
+        return cls(sums / np.bincount(flat, minlength=labels.num_labels))
+
+    def segment(self, tile_input, tile):
+        nearest = np.abs(tile_input.data[..., None] - self.levels).argmin(axis=-1)
+        return LabelVolume(tile_input.geometry, nearest, self.num_labels)
 
 
 def peak_alloc(fn):

@@ -343,46 +343,6 @@ def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
-def test_non_finite_background_fill_exits_2(tmp_path, capsys):
-    # the atlas reaches outside the scan, so a NaN fill would reach the output
-    _, _, scan_path = _write_phantom(tmp_path, dims=(20, 20, 20))
-    config_path = tmp_path / "config.json"
-    config_path.write_text(
-        '{"background_fill": NaN, "atlas_dims": [24, 24, 24], "grid": [2, 2, 2], '
-        '"tile_size": [12, 12, 12], "num_labels": 4}'
-    )
-    code = main(
-        [
-            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
-            "--config", str(config_path),
-        ]
-    )
-    assert code == 2
-    assert "background_fill must be finite" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_background_fill_beyond_float32_exits_4(tmp_path, capsys):
-    # a float32 scan registers into float32, which cannot hold a finite 1e39
-    _, truth_path, scan_path = _write_phantom(tmp_path, dims=(20, 20, 20))
-    config_path = tmp_path / "config.json"
-    config_path.write_text(
-        '{"background_fill": 1e39, "atlas_dims": [24, 24, 24], "grid": [2, 2, 2], '
-        '"tile_size": [12, 12, 12], "num_labels": 4}'
-    )
-    out = tmp_path / "out"
-    code = main(
-        ["run", "--input", str(scan_path), "--output", str(out), "--config", str(config_path)]
-    )
-    assert code == 4
-    err = capsys.readouterr().err
-    assert "background 1e+39 does not fit the float32 output of a float32 source" in err
-    assert "Traceback" not in err
-    assert (out / "FAILED").read_text().startswith("stage: register\n")
-    assert not (out / "atlas_labels.nii").exists()
-
-
 @pytest.mark.parametrize("value", ["1", "0", "-3"])
 @pytest.mark.parametrize("command", ["run", "tile", "fuse", "evaluate"])
 def test_label_count_below_2_exits_2(tmp_path, capsys, command, value):
@@ -651,7 +611,7 @@ def _estimate_case(tmp_path):
     config = dict(
         atlas_dims=dims, grid=(2, 2, 2), tile_size=(14, 14, 14),
         backend=f"prior:{paths['truth']}", num_labels=5,
-        affine="estimate", reference=str(paths["reference"]),
+        affine=f"estimate:{paths['reference']}",
     )
     argv = [
         "run", "--input", str(paths["scan"]), "--backend", config["backend"], "--num-labels", "5",
@@ -663,8 +623,7 @@ def _estimate_case(tmp_path):
 def test_run_estimated_affine_matches_the_python_run(tmp_path):
     argv, config, paths = _estimate_case(tmp_path)
     out = tmp_path / "cli"
-    flags = ["--affine", "estimate", "--reference", str(paths["reference"])]
-    assert main([*argv, "--output", str(out), *flags]) == 0
+    assert main([*argv, "--output", str(out), "--affine", f"estimate:{paths['reference']}"]) == 0
     result = run(PipelineConfig(**config, output_dir=str(tmp_path / "api")), paths["scan"])
     truth, _ = tio.read_nifti(paths["truth"], as_labels=True)
     npt.assert_array_equal(result.fused.data, truth.data)
@@ -676,19 +635,34 @@ def test_estimate_without_reference_exits_2(tmp_path, capsys):
     argv, _, _ = _estimate_case(tmp_path)
     assert main([*argv, "--output", str(tmp_path / "out"), "--affine", "estimate"]) == 2
     assert "needs a reference" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("affine", [None, "identity"])
 def test_reference_without_estimate_exits_2(tmp_path, capsys, affine):
+    # the reference is spelled inside --affine; there is no flag for a stray one
     argv, _, paths = _estimate_case(tmp_path)
     flags = ["--reference", str(paths["reference"])] + (["--affine", affine] if affine else [])
-    assert main([*argv, "--output", str(tmp_path / "out"), *flags]) == 2
-    assert "read only by affine=estimate" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(tmp_path / "out"), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reference" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("background_fill", 0.0), ("reference", "reference.nii")])
+def test_a_removed_config_key_exits_2(tmp_path, capsys, key, value):
+    # neither is a PipelineConfig field: the fill is the resampler's 0, the reference is in affine
+    argv, _, _ = _estimate_case(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out), "--config", str(tmp_path / "config.json")]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_with_missing_reference_exits_3(tmp_path):
     argv, _, _ = _estimate_case(tmp_path)
-    flags = ["--affine", "estimate", "--reference", str(tmp_path / "absent.nii")]
+    flags = ["--affine", f"estimate:{tmp_path / 'absent.nii'}"]
     assert main([*argv, "--output", str(tmp_path / "out"), *flags]) == 3
 
 
@@ -696,7 +670,7 @@ def test_estimate_with_all_zero_reference_exits_4(tmp_path, capsys):
     argv, _, paths = _estimate_case(tmp_path)
     zero = IntensityVolume(make_centered_geometry((24, 24, 24)), np.zeros((24, 24, 24)))
     tio.write_nifti(zero, paths["reference"])
-    flags = ["--affine", "estimate", "--reference", str(paths["reference"])]
+    flags = ["--affine", f"estimate:{paths['reference']}"]
     assert main([*argv, "--output", str(tmp_path / "out"), *flags]) == 4
     assert "zero total intensity" in capsys.readouterr().err
 
@@ -710,7 +684,7 @@ def test_estimate_on_a_one_plane_scan_exits_4(tmp_path, capsys):
     tio.write_nifti(random_intensity((12, 12, 12), seed=3, lo=1.0, hi=10.0), tmp_path / "ref.nii")
     code = main([
         "run", "--input", str(tmp_path / "flat.nii"), "--output", str(tmp_path / "out"),
-        "--affine", "estimate", "--reference", str(tmp_path / "ref.nii"),
+        "--affine", f"estimate:{tmp_path / 'ref.nii'}",
         "--atlas-dims", "12,12,12", "--grid", "2,2,2", "--tile-size", "7,7,7",
     ])
     assert code == 4
@@ -857,8 +831,10 @@ def test_external_backend_bytes_are_not_decoded_as_text(tmp_path, capsys, status
      pytest.param("background_fill", 10**400, 2, id="fill-1e400"),
      pytest.param("atlas_dims", [10**400, 16, 16], 2, id="dims-1e400"),
      pytest.param("atlas_dims", [32768, 16, 16], 2, id="dims-beyond-int16"),
-     pytest.param("background_fill", 10**30, 0, id="fill-1e30"),
-     pytest.param("background_fill", 10**39, 4, id="fill-beyond-float32")],
+     pytest.param("atlas_spacing", [0, 1, 1], 2, id="spacing-zero"),
+     pytest.param("atlas_spacing", [-1, 1, 1], 2, id="spacing-negative"),
+     pytest.param("atlas_spacing", [math.nan, 1, 1], 2, id="spacing-nan"),
+     pytest.param("atlas_spacing", [1, math.inf, 1], 2, id="spacing-inf")],
 )
 def test_config_number_out_of_range_exits_with_its_code(tmp_path, capsys, field, value, code):
     _, truth_path, scan_path = _write_phantom(tmp_path)
@@ -873,6 +849,7 @@ def test_config_number_out_of_range_exits_with_its_code(tmp_path, capsys, field,
     if code:
         assert field.split("_")[0] in err or "background" in err
         assert _label_files(out) == []
+        assert not out.exists()  # refused with the config, before the output directory
 
 
 # odd values for every config key; "{missing}" and "{directory}" become paths
@@ -1114,3 +1091,58 @@ def test_evaluate_without_num_labels_takes_the_larger_inferred_count(tmp_path, c
     assert main([*argv, "--num-labels", "6"]) == 0
     assert inferred == capsys.readouterr().out
     assert "labels evaluated: 4" in inferred
+
+
+# --- CLI paths of their own: flag parsing, the tile grid, the atlas spacing ---
+
+
+@pytest.mark.parametrize("spacing", ["0,1,1", "-1,1,1", "nan,1,1", "1,inf,1"])
+def test_atlas_spacing_flag_out_of_range_exits_2(tmp_path, capsys, spacing):
+    # each used to fail in setup with a geometry message that did not name it (exit 4)
+    _, _, scan_path = _write_phantom(tmp_path)
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out), "--num-labels", "4",
+                 f"--atlas-spacing={spacing}", *_SMALL_RUN])
+    assert code == 2
+    assert "atlas_spacing must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_atlas_spacing_writes_atlas_labels_on_that_spacing(tmp_path):
+    truth, _, scan_path = _write_phantom(tmp_path)
+    out = tmp_path / "out"
+    code = main(["run", "--input", str(scan_path), "--output", str(out), "--num-labels", "4",
+                 "--backend", "constant:2", "--atlas-spacing", "2,2,2", *_SMALL_RUN])
+    assert code == 0
+    atlas, _ = tio.read_nifti(out / "atlas_labels.nii", as_labels=True)
+    assert atlas.dims == (16, 16, 16)
+    assert atlas.geometry.spacing == (2.0, 2.0, 2.0)
+    native, _ = tio.read_nifti(out / "native_labels.nii", as_labels=True)
+    assert native.geometry.matches(truth.geometry)
+    assert set(np.unique(native.data).tolist()) == {2}  # the scan lies inside the wider atlas
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--tile-size", "--atlas-dims"])
+def test_a_malformed_triple_exits_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["grid-info", flag, "3,3"])
+    assert exc.value.code == 2
+    assert "expected 3 comma-separated values: '3,3'" in capsys.readouterr().err
+
+
+def test_tile_with_other_atlas_dims_than_the_input_exits_6(tmp_path, capsys):
+    _, truth_path, _ = _write_phantom(tmp_path)
+    tiles_dir = tmp_path / "tiles"
+    code = main(["tile", "--input", str(truth_path), "--output", str(tiles_dir), "--labels",
+                 "--atlas-dims", "18,16,16", "--grid", "2,2,2", "--tile-size", "10,9,9"])
+    assert code == 6
+    assert "input dims (16, 16, 16) do not match grid (18, 16, 16)" in capsys.readouterr().err
+    assert not tiles_dir.exists()
+
+
+def test_external_backend_without_a_template_exits_7(tmp_path, capsys):
+    _, _, scan_path = _write_phantom(tmp_path)
+    code = main(["run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+                 "--num-labels", "4", "--backend", "external:", *_SMALL_RUN])
+    assert code == 7
+    assert "external backend needs a command template" in capsys.readouterr().err

@@ -75,7 +75,7 @@ def test_config_rejects_unknown_tile_failure_policy():
 @pytest.mark.parametrize(
     "field, value",
     [("grid", 3), ("tile_size", (8, 8)), ("atlas_spacing", "1,1,1"), ("jobs", "2"),
-     ("num_labels", 2.5), ("background_fill", None), ("backend", 5),
+     ("num_labels", 2.5), ("affine", None), ("backend", 5),
      ("backend", ["constant:0"]), ("backend", None)],
 )
 def test_config_rejects_wrongly_typed_values(field, value):
@@ -89,22 +89,19 @@ def test_config_rejects_a_backend_with_another_label_count():
     assert PipelineConfig(backend=ConstantOracle(3, 10), num_labels=10).num_labels == 10
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_config_rejects_non_finite_background_fill(value):
-    with pytest.raises(ConfigError, match="background_fill must be finite"):
-        PipelineConfig(background_fill=value)
-
-
 def test_config_estimate_needs_reference():
-    with pytest.raises(ConfigError, match="reference"):
-        PipelineConfig(affine="estimate")
+    for affine in ("estimate", "estimate:"):
+        with pytest.raises(ConfigError, match="needs a reference"):
+            PipelineConfig(affine=affine)
 
 
 @pytest.mark.parametrize("affine", ["identity", "affine.txt"])
-def test_config_reference_needs_estimate(affine):
-    # any other affine would ignore the reference without a word
-    with pytest.raises(ConfigError, match="read only by affine=estimate"):
-        PipelineConfig(affine=affine, reference="reference.nii")
+def test_config_reference_needs_estimate(tmp_path, affine):
+    # the reference is spelled inside affine, so a stray one is an unknown key
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"affine": affine, "reference": "reference.nii"}))
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['reference'\]"):
+        load_config(path)
 
 
 def test_config_concat_needs_partition_grid():
@@ -711,9 +708,7 @@ def test_run_estimated_affine_on_translated_phantom(tmp_path):
     reference_path = tmp_path / "reference.nii"
     tio.write_nifti(intensity_from_labels(truth, seed=4), reference_path)
 
-    config = _base_config(
-        tmp_path, truth, affine="estimate", reference=str(reference_path)
-    )
+    config = _base_config(tmp_path, truth, affine=f"estimate:{reference_path}")
     result = run(config, scan_path)
     npt.assert_array_equal(result.fused.data, truth.data)
     assert result.native_labels.dims == DIMS
