@@ -4,27 +4,33 @@ Every atlas voxel receives one vote from each tile whose box contains it;
 the fused label maximizes the vote count, with ties broken toward the
 smallest label value (which favors background at uncertain boundaries).
 
+The vote is taken while the answers arrive (``StreamingVote``), so no
+more than the parts of the regions still waiting for a tile are held.
 Each of the grid's regions (``TileGrid.regions``) is covered by one fixed
-set of K tiles.  A region with K = 1 is a copy of that tile, so an abutting
-partition is reassembled without voting.  Otherwise the K tile slices are
-stacked, sorted along the tile axis, and the mode is read from the run
-lengths: the first position that reaches the longest run holds the
-smallest winning label.  The winner is a plain min-reduce over the stack
-or'ed with ``at_top - 1`` in the label type: zero on the longest runs,
-all ones (the type's maximum) elsewhere, so no per-voxel select is made.
-The cost grows with the votes cast, not with the label count.
+set of K tiles.  A region with K = 1 is a copy of that tile, made as the
+tile arrives, so an abutting partition is reassembled without voting.
+Otherwise each tile's part is kept x-fastest until the region's last part
+arrives; then the K parts are stacked, sorted along the tile axis, and
+the mode is read from the run lengths: the first position that reaches
+the longest run holds the smallest winning label.  The winner is a plain
+min-reduce over the stack or'ed with ``at_top - 1`` in the label type:
+zero on the longest runs, all ones (the type's maximum) elsewhere, so no
+per-voxel select is made.  The cost grows with the votes cast, not with
+the label count.  ``fuse_majority`` on a list of answers feeds them all
+to one vote and finishes it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import AffineTransform, LabelVolume, VolumeGeometry, _labels, compose
-from .tiling import TileGrid, coverage_map
+from .tiling import TileGrid, TileSpec, coverage_map
 
-__all__ = ["FusionError", "FusionResult", "fuse_majority", "fuse_concatenate"]
+__all__ = ["FusionError", "FusionResult", "StreamingVote", "fuse_majority", "fuse_concatenate"]
 
 
 class FusionError(ValueError):
@@ -46,33 +52,16 @@ class FusionResult:
         return coverage_map(self.grid)
 
 
-def _atlas_geometry_from_tiles(tile_segs, grid: TileGrid) -> VolumeGeometry:
-    """Recover the atlas geometry the tiles were extracted from."""
-    first = tile_segs[0]
-    origin = grid.tiles[0].origin
-    back = AffineTransform.translation([-o for o in origin])
-    atlas_i2w = compose(first.geometry.index_to_world, back)
-    geometry = VolumeGeometry(grid.atlas_dims, first.geometry.spacing, atlas_i2w)
-    for seg, tile in zip(tile_segs, grid.tiles):
+def _atlas_geometry(geometries, grid: TileGrid) -> VolumeGeometry:
+    """Recover the atlas geometry from the first tile's answer; check the others against it."""
+    back = AffineTransform.translation([-o for o in grid.tiles[0].origin])
+    atlas_i2w = compose(geometries[0].index_to_world, back)
+    geometry = VolumeGeometry(grid.atlas_dims, geometries[0].spacing, atlas_i2w)
+    for got, tile in zip(geometries, grid.tiles):
         expected = compose(geometry.index_to_world, AffineTransform.translation(tile.origin))
-        if not np.allclose(seg.geometry.index_to_world.matrix, expected.matrix, atol=1e-4):
+        if not np.allclose(got.index_to_world.matrix, expected.matrix, atol=1e-4):
             raise FusionError(f"tile {tile.index} geometry is inconsistent with the grid")
     return geometry
-
-
-def _validate(tile_segs, grid: TileGrid, num_labels):
-    if len(tile_segs) != grid.k:
-        raise FusionError(f"got {len(tile_segs)} tiles for a grid of {grid.k}")
-    if num_labels is None:
-        num_labels = max(seg.num_labels for seg in tile_segs)
-    for seg, tile in zip(tile_segs, grid.tiles):
-        if seg.dims != tile.size:
-            raise FusionError(
-                f"tile {tile.index} dims {seg.dims} do not match size {tile.size}"
-            )
-        if int(seg.data.max(initial=0)) >= num_labels:
-            raise FusionError(f"tile {tile.index} holds labels >= {num_labels}")
-    return int(num_labels)
 
 
 def _sorting_network(n: int) -> list[tuple[int, int]]:
@@ -96,63 +85,129 @@ def _sorting_network(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def fuse_majority(
-    tile_segs: list[LabelVolume],
-    grid: TileGrid,
-    num_labels: int | None = None,
-) -> FusionResult:
-    """Per-voxel majority vote over the covering tiles.
+class StreamingVote:
+    """The majority vote over ``grid``'s tiles, taken as their answers arrive.
 
-    Returns the fused atlas-space label volume, the number of voxels where
-    the top vote count was shared by several labels, and the grid, whose
-    per-voxel vote count ``coverage_used`` is built only when read.  The
-    fused map and the vote stacks are in the label type of ``num_labels``
-    (one byte per vote up to 256 labels), whatever the types of the tiles,
-    and x-fastest: each covering part is copied once into its row of the
-    stack, in F order.
+    ``add(tile, seg)`` takes each tile's answer once, in any order and from
+    any thread.  It copies the tile's K = 1 regions into the fused map and
+    keeps an x-fastest copy, in the label type of ``num_labels``, of its
+    part of every other region; the thread that adds a region's last part
+    votes it.  Only the regions' bookkeeping and the tie sum are locked.
+    ``finish()`` checks that every tile arrived and returns the
+    ``FusionResult``, its geometry derived from the first tile's answer.
     """
-    L = _validate(tile_segs, grid, num_labels)
-    geometry = _atlas_geometry_from_tiles(tile_segs, grid)
-    fused = _labels(grid.atlas_dims, 0, L)
-    # holds the 0-based run lengths (up to K - 1) and the at-top counts (up to K)
-    run_dtype = np.min_scalar_type(grid.k)
 
-    ties = 0
-    for box, covering in grid.regions():
-        k = len(covering)
-        parts = [
-            tile_segs[i].data[
-                tuple(slice(b.start - o, b.stop - o) for b, o in zip(box, grid.tiles[i].origin))
-            ]
-            for i in covering
-        ]
-        if k == 1:
-            fused[box] = parts[0]
-            continue
-        # one x-fastest copy of each part, cast into L's type (its values are below L)
-        stack = np.empty((k, parts[0].size), dtype=fused.dtype)
-        for row, part in zip(stack, parts):
-            np.copyto(row.reshape(part.shape, order="F"), part, casting="same_kind")
+    def __init__(self, grid: TileGrid, num_labels: int):
+        self.grid = grid
+        self.num_labels = int(num_labels)
+        self._fused = _labels(grid.atlas_dims, 0, self.num_labels)
+        # holds the 0-based run lengths (up to K - 1) and the at-top counts (up to K)
+        self._run_dtype = np.min_scalar_type(grid.k)
+        self._position = {tile: i for i, tile in enumerate(grid.tiles)}
+        self._geometries = [None] * grid.k
+        self._ties = 0
+        self._lock = threading.Lock()
+        # per region, its box and the parts received so far (None once voted);
+        # per tile, its regions and its row in each
+        self._regions, self._parts = [], []
+        self._rows = [[] for _ in grid.tiles]
+        for r, (box, covering) in enumerate(grid.regions()):
+            self._regions.append((box, len(covering)))
+            self._parts.append({})
+            for row, i in enumerate(covering):
+                self._rows[i].append((r, row))
+
+    def add(self, tile: TileSpec, seg: LabelVolume) -> None:
+        i = self._position.get(tile)
+        if i is None or self._geometries[i] is not None:
+            raise FusionError(f"tile {tile.index} is not in the grid or was added twice")
+        if seg.dims != tile.size:
+            raise FusionError(f"tile {tile.index} dims {seg.dims} do not match size {tile.size}")
+        if int(seg.data.max(initial=0)) >= self.num_labels:
+            raise FusionError(f"tile {tile.index} holds labels >= {self.num_labels}")
+        self._geometries[i] = seg.geometry
+        for r, row in self._rows[i]:
+            box, k = self._regions[r]
+            part = seg.data[tuple(slice(b.start - o, b.stop - o) for b, o in zip(box, tile.origin))]
+            if k == 1:
+                self._fused[box] = part
+                continue
+            # an x-fastest copy, cast into the fused type (its values are below num_labels)
+            flat = np.empty(part.size, dtype=self._fused.dtype)
+            np.copyto(flat.reshape(part.shape, order="F"), part, casting="same_kind")
+            with self._lock:
+                parts = self._parts[r]
+                parts[row] = flat
+                if len(parts) < k:
+                    continue
+                self._parts[r] = None
+            self._vote(box, part.shape, [parts.pop(j) for j in range(k)])
+
+    def _vote(self, box, shape, rows) -> None:
+        """Vote one region from its K rows, in covering order."""
+        stack = np.stack(rows)
+        rows.clear()  # the parts go before the kernel's temporaries come
         low = np.empty_like(stack[0])
-        for i, j in _sorting_network(k):
+        for i, j in _sorting_network(len(stack)):
             np.minimum(stack[i], stack[j], out=low)
             np.maximum(stack[i], stack[j], out=stack[j])
             stack[i] = low
-        runs = np.zeros(stack.shape, dtype=run_dtype)
-        for j in range(1, k):
+        runs = np.zeros(stack.shape, dtype=self._run_dtype)
+        for j in range(1, len(stack)):
             np.multiply(runs[j - 1] + 1, stack[j] == stack[j - 1], out=runs[j])
         at_top = runs == runs.max(axis=0)
         # 0 on the longest runs and all ones (the type's maximum) elsewhere
         top = at_top.astype(stack.dtype)
         top -= 1
         top |= stack
-        fused[box] = top.min(axis=0).reshape(parts[0].shape, order="F")
-        ties += int(np.count_nonzero(at_top.sum(axis=0, dtype=run_dtype) > 1))
+        self._fused[box] = top.min(axis=0).reshape(shape, order="F")
+        ties = int(np.count_nonzero(at_top.sum(axis=0, dtype=self._run_dtype) > 1))
+        with self._lock:
+            self._ties += ties
 
-    return FusionResult(fused=LabelVolume._adopt(geometry, fused, L), tie_count=ties, grid=grid)
+    def finish(self) -> FusionResult:
+        got = self.grid.k - self._geometries.count(None)
+        if got != self.grid.k:
+            raise FusionError(f"got {got} tiles for a grid of {self.grid.k}")
+        geometry = _atlas_geometry(self._geometries, self.grid)
+        fused = LabelVolume._adopt(geometry, self._fused, self.num_labels)
+        return FusionResult(fused=fused, tie_count=self._ties, grid=self.grid)
 
 
-def fuse_concatenate(tile_segs: list[LabelVolume], grid: TileGrid) -> LabelVolume:
+def fuse_majority(
+    tile_segs: list[LabelVolume] | StreamingVote,
+    grid: TileGrid,
+    num_labels: int | None = None,
+) -> FusionResult:
+    """Per-voxel majority vote over the covering tiles.
+
+    ``tile_segs`` is the k answers in grid order, fed here to one
+    ``StreamingVote`` in the label type of ``num_labels`` (by default the
+    largest of the answers' counts), or a ``StreamingVote`` on ``grid``
+    already fed every answer, which is finished as it is.
+
+    Returns the fused atlas-space label volume, the number of voxels where
+    the top vote count was shared by several labels, and the grid, whose
+    per-voxel vote count ``coverage_used`` is built only when read.  The
+    fused map and the vote stacks are in the label type of ``num_labels``
+    (one byte per vote up to 256 labels), whatever the types of the tiles.
+    """
+    vote = tile_segs
+    if isinstance(vote, StreamingVote):
+        if vote.grid != grid:
+            raise FusionError("the vote was taken on another grid")
+        return vote.finish()
+    if len(tile_segs) != grid.k:
+        raise FusionError(f"got {len(tile_segs)} tiles for a grid of {grid.k}")
+    if num_labels is None:
+        num_labels = max(seg.num_labels for seg in tile_segs)
+    vote = StreamingVote(grid, num_labels)
+    for tile, seg in zip(grid.tiles, tile_segs):
+        vote.add(tile, seg)
+    return vote.finish()
+
+
+def fuse_concatenate(tile_segs: list[LabelVolume] | StreamingVote, grid: TileGrid) -> LabelVolume:
     """Reassemble an exact partition; every region is one tile's copy."""
     if not grid.is_partition():
         raise FusionError("concatenation needs a non-overlapped partition grid")

@@ -80,6 +80,9 @@ class HarmonizationModel:
 # voxels per block of the moments and of the output: one float64 buffer of
 # this many voxels is the only float64 array harmonize builds at atlas scale
 _BLOCK = 1 << 16
+# voxels per chunk of the profile's gather of the masked voxels: its index
+# temporary is 64 KiB
+_GATHER = 1 << 13
 
 
 def _blocks(data: np.ndarray):
@@ -164,10 +167,17 @@ def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndar
         raise HarmonizeError(f"quantile_count must be in [2, {MAX_QUANTILES}], got {quantile_count}")
     if not geometry.matches(mask.geometry):
         raise HarmonizeError("volume and mask geometries differ")
-    values = data.ravel("F")[mask.data.ravel("F") > 0]  # a copy, so it is sorted in place
-    n = values.size
+    flat, keep = data.ravel("F"), mask.data.ravel("F")
+    n = np.count_nonzero(keep)
     if n == 0:
         raise HarmonizeError("mask selects no voxels")
+    # the masked voxels x-fastest, gathered chunk by chunk (no atlas-sized bool);
+    # labels are unsigned, so nonzero is > 0, and the picked indices are in range
+    values, at = np.empty(n, data.dtype), 0
+    for start in range(0, flat.size, _GATHER):
+        picked = np.flatnonzero(keep[start : start + _GATHER])
+        np.take(flat[start : start + _GATHER], picked, out=values[at : at + picked.size], mode="clip")
+        at += picked.size
     values.sort()
     positions = np.linspace(0.0, n - 1.0, quantile_count)
     # np.interp over all n ranks reads only the two that bracket each

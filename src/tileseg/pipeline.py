@@ -5,6 +5,11 @@ harmonize (optional), tile, segment, fuse, map back to native space,
 write.  Every merge point is a deterministic reduction, so outputs are
 bitwise identical for any parallelism degree.
 
+Segment hands each tile's answer, as it lands, to a
+``fusion.StreamingVote``, which votes each region once its covering tiles
+have answered, so no stage holds all the answers; fuse finishes that vote
+(``fuse_majority``, or ``fuse_concatenate`` for a partition).
+
 The read stage does not load the scan.  It opens it as an
 ``io.NiftiScan`` (header and file size) and checks its values, a band of
 planes at a time, so a NaN or infinity fails in ``read`` before any
@@ -37,7 +42,7 @@ import numpy as np
 
 from .harmonize import harmonize as apply_harmonization, load_model
 from . import io as tio
-from .fusion import fuse_concatenate, fuse_majority
+from .fusion import StreamingVote, fuse_concatenate, fuse_majority
 from .geometry import (
     ATLAS_DIMS,
     AffineTransform,
@@ -291,22 +296,24 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 atlas_input, fit = apply_harmonization(atlas_input, model)
 
         with clock.time("segment"):
-            tile_segs = segment_all(
+            vote = StreamingVote(grid, backend.num_labels)
+            segment_all(
                 backend, atlas_input, grid, jobs=config.jobs,
                 on_tile_failure=config.on_tile_failure,
                 cache_dir=out_dir / "work" / "tiles" if config.resume else None,
+                on_tile=vote.add,
             )
         del atlas_input
 
         with clock.time("fuse"):
             if config.fusion_mode == "majority":
-                result = fuse_majority(tile_segs, grid, num_labels=backend.num_labels)
+                result = fuse_majority(vote, grid)
                 fused = result.fused
                 tie_count = result.tie_count
             else:
-                fused = fuse_concatenate(tile_segs, grid)
+                fused = fuse_concatenate(vote, grid)
                 tie_count = 0
-        del tile_segs
+        del vote
 
         with clock.time("unregister"):
             native_labels = resample_labels(

@@ -262,12 +262,17 @@ def segment_all(
     jobs: int = 1,
     on_tile_failure: str = "abort",
     cache_dir=None,
-) -> list[LabelVolume]:
+    on_tile=None,
+) -> list[LabelVolume] | None:
     """Segment every tile of ``atlas_vol``, in fixed grid order.
 
     Tiles are independent: ``geometry._each`` runs ``run_one`` on each, in
     grid order on ``min(jobs, k)`` threads, the calling thread among them,
-    and the result is identical to the sequential run.
+    and the result is identical to the sequential run.  The answers are
+    returned in grid order; with ``on_tile``, each answer is instead handed
+    to ``on_tile(tile, answer)`` on the thread that made it, as it lands
+    (``fusion.StreamingVote.add`` votes it), none is held and None is
+    returned.
     A failing tile aborts the whole run (no thread takes another tile, and
     the first failed tile in grid order is named) unless
     ``on_tile_failure="background"``, which warns and substitutes
@@ -294,7 +299,7 @@ def segment_all(
             orphan.unlink(missing_ok=True)
         descriptor = backend.descriptor().encode()
 
-    def run_one(tile: TileSpec) -> LabelVolume:
+    def answer(tile: TileSpec) -> LabelVolume:
         tile_input = extract_tile(atlas_vol, tile)
         entry = None
         if cache_dir is not None:
@@ -317,7 +322,13 @@ def segment_all(
             tio.write_raw(out, entry)
         return out
 
-    return _each(run_one, grid.tiles, jobs)
+    def run_one(tile: TileSpec):
+        if on_tile is None:
+            return answer(tile)
+        on_tile(tile, answer(tile))
+
+    answers = _each(run_one, grid.tiles, jobs)
+    return answers if on_tile is None else None
 
 
 def parse_backend_spec(spec: str, num_labels: int = DEFAULT_NUM_LABELS) -> SegmenterBackend:

@@ -47,20 +47,25 @@ class NearestLevel(SegmenterBackend):
 
     ``levels[l]`` is label ``l``'s intensity in the units the tiles arrive
     in; ``fitted`` takes them as each label's mean over an atlas-space scan.
+    With ``bias``, each tile errs on its own, as one sub-space network
+    would: its levels are shifted by a normal draw of that std, seeded by
+    the tile's index.
     """
 
-    def __init__(self, levels):
+    def __init__(self, levels, bias=0.0):
         self.levels = np.asarray(levels, dtype=np.float64)
         self.num_labels = self.levels.size
+        self.bias = bias
 
     @classmethod
-    def fitted(cls, scan, labels):
+    def fitted(cls, scan, labels, bias=0.0):
         flat = labels.data.ravel("F")
         sums = np.bincount(flat, weights=scan.data.ravel("F"), minlength=labels.num_labels)
-        return cls(sums / np.bincount(flat, minlength=labels.num_labels))
+        return cls(sums / np.bincount(flat, minlength=labels.num_labels), bias)
 
     def segment(self, tile_input, tile):
-        nearest = np.abs(tile_input.data[..., None] - self.levels).argmin(axis=-1)
+        levels = self.levels + np.random.default_rng(tile.index).normal(0.0, self.bias)
+        nearest = np.abs(tile_input.data[..., None] - levels).argmin(axis=-1)
         return LabelVolume(tile_input.geometry, nearest, self.num_labels)
 
 

@@ -1,11 +1,26 @@
+import sys
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import random_intensity, random_labels
 from test_acceptance import _dense_vote_oracle
-from tileseg.fusion import FusionError, _sorting_network, fuse_concatenate, fuse_majority
-from tileseg.geometry import LabelVolume, make_centered_geometry
+from tileseg.fusion import (
+    FusionError,
+    StreamingVote,
+    _sorting_network,
+    fuse_concatenate,
+    fuse_majority,
+)
+from tileseg.geometry import (
+    AffineTransform,
+    LabelVolume,
+    VolumeGeometry,
+    compose,
+    make_centered_geometry,
+)
 from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper, segment_all
 from tileseg.tiling import (
     TileGrid,
@@ -361,3 +376,117 @@ def test_the_coverage_map_is_built_only_when_read(monkeypatch):
     assert built == []
     npt.assert_array_equal(result.coverage_used.reshape(-1), [3, 3])
     assert built == [grid]
+
+
+# --- the vote taken as the answers arrive ---
+
+
+def _noisy_answers(dims, grid, num_labels, seed):
+    """Each tile's box of a prior, with a fifth of its voxels relabelled at random."""
+    prior = random_labels(dims, num_labels, seed=seed)
+    rng = np.random.default_rng(seed)
+    segs = []
+    for tile in grid.tiles:
+        answer = extract_tile(prior, tile)
+        data = answer.data.copy()
+        flip = rng.random(data.shape) < 0.2
+        data[flip] = rng.integers(0, num_labels, size=int(flip.sum()))
+        segs.append(answer.with_data(data))
+    return segs
+
+
+def _same_result(got, want):
+    assert got.fused.data.tobytes("F") == want.fused.data.tobytes("F")
+    assert got.fused.num_labels == want.fused.num_labels
+    assert got.tie_count == want.tie_count
+    assert got.fused.geometry.index_to_world.matrix.tobytes() == (
+        want.fused.geometry.index_to_world.matrix.tobytes()
+    )
+    assert got.fused.geometry.spacing == want.fused.geometry.spacing
+
+
+# the paper's 3x3x3 overlap, uneven cuts, and an abutting partition
+STREAM_LAYOUTS = [
+    ((18, 20, 16), (3, 3, 3), (10, 11, 9)),
+    ((7, 9, 5), (2, 3, 2), (4, 9, 3)),
+    ((12, 10, 8), (2, 2, 2), (6, 5, 4)),
+]
+
+
+@pytest.mark.parametrize("dims, counts, size", STREAM_LAYOUTS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_streaming_vote_in_any_order_is_the_list_vote(dims, counts, size, seed):
+    grid = build_grid(dims, counts, size)
+    segs = _noisy_answers(dims, grid, 5, seed)
+    want = fuse_majority(segs, grid)
+    order = np.random.default_rng(seed).permutation(grid.k)
+    vote = StreamingVote(grid, 5)
+    for i in order:
+        vote.add(grid.tiles[i], segs[i])
+    _same_result(fuse_majority(vote, grid), want)
+    if not grid.is_partition():
+        assert want.tie_count > 0
+
+
+@pytest.mark.parametrize("dims, counts, size", STREAM_LAYOUTS)
+def test_streaming_vote_fed_from_many_threads_is_the_list_vote(dims, counts, size):
+    # more threads than cores, switching as often as the interpreter allows: a
+    # region voted twice or never, or a lost tie update, changes the result
+    grid = build_grid(dims, counts, size)
+    segs = _noisy_answers(dims, grid, 5, seed=3)
+    want = fuse_majority(segs, grid)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(grid.k)
+            vote = StreamingVote(grid, 5)
+            start = threading.Barrier(4)
+
+            def feed(share):
+                start.wait()
+                for i in share:
+                    vote.add(grid.tiles[i], segs[i])
+
+            threads = [threading.Thread(target=feed, args=(order[t::4],)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            _same_result(vote.finish(), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_streaming_vote_takes_the_geometry_from_tile_0_not_the_first_to_arrive():
+    # answers may disagree in their last bits within the check's tolerance; the
+    # atlas geometry is tile 0's, whichever tile lands first
+    dims = (18, 20, 16)
+    grid = build_grid(dims, (3, 3, 3), (10, 11, 9))
+    segs = _noisy_answers(dims, grid, 5, seed=4)
+    last = segs[-1].geometry
+    nudged = compose(AffineTransform.translation((3e-6, 0.0, 0.0)), last.index_to_world)
+    segs[-1] = LabelVolume(VolumeGeometry(last.dims, last.spacing, nudged), segs[-1].data, 5)
+    want = fuse_majority(segs, grid)
+    vote = StreamingVote(grid, 5)
+    for i in reversed(range(grid.k)):
+        vote.add(grid.tiles[i], segs[i])
+    _same_result(vote.finish(), want)
+    from_last = compose(nudged, AffineTransform.translation([-o for o in grid.tiles[-1].origin]))
+    assert from_last.matrix.tobytes() != want.fused.geometry.index_to_world.matrix.tobytes()
+
+
+def test_streaming_vote_refuses_a_missing_or_repeated_tile():
+    segs, grid = _stacked_tiles([[5, 5], [5, 7], [7, 5]], num_labels=8)
+    vote = StreamingVote(grid, 8)
+    vote.add(grid.tiles[0], segs[0])
+    with pytest.raises(FusionError, match="added twice"):
+        vote.add(grid.tiles[0], segs[0])
+    vote.add(grid.tiles[2], segs[2])
+    with pytest.raises(FusionError, match="got 2 tiles for a grid of 3"):
+        vote.finish()
+    other = build_grid((2, 1, 1), (1, 1, 1), (2, 1, 1))
+    with pytest.raises(FusionError, match="another grid"):
+        fuse_majority(vote, other)
+

@@ -379,6 +379,19 @@ def test_harmonize_holds_few_volume_sized_arrays():
 
 
 
+def test_the_profile_gathers_the_masked_values_without_a_volume_sized_mask():
+    # the masked float32 values are the one volume-sized array: a bool mask of
+    # the volume would add a quarter of their bytes
+    geometry = make_centered_geometry((128, 128, 64))  # 1 Mi voxels
+    data = np.random.default_rng(23).normal(50.0, 10.0, geometry.dims).astype(np.float32)
+    vol = IntensityVolume(geometry, data)
+    mask = _full_mask(geometry)
+    sorted_intensities(vol, mask, 1024)  # first calls of numpy routines allocate once
+    peak, got = peak_alloc(lambda: sorted_intensities(vol, mask, 1024))
+    assert peak < 1.05 * vol.data.nbytes
+    assert got.tobytes() == _full_interpolation(data.ravel().astype(np.float64), 1024).tobytes()
+
+
 def test_harmonize_of_a_float32_volume_builds_no_float64_copy(tmp_path):
     # the masked values in float32, then the float32 output: a float64
     # widening of the volume alone would weigh 2x its float32 bytes

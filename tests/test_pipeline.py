@@ -16,7 +16,7 @@ import tileseg
 import tileseg.geometry as geometry_module
 from tileseg import io as tio
 from tileseg.cli import main
-from tileseg.fusion import fuse_majority
+from tileseg.fusion import StreamingVote, fuse_majority
 from tileseg.geometry import (
     AffineTransform,
     GeometryError,
@@ -42,6 +42,7 @@ from tileseg.segmenter import (
     AtlasPriorOracle,
     ConstantOracle,
     CorruptingWrapper,
+    SegmentationError,
     SegmenterBackend,
     segment_all,
 )
@@ -492,6 +493,54 @@ def test_resume_retries_a_substituted_tile(tmp_path):
     assert len(_cache_entries(tmp_path)) == 8
 
 
+def _voted_tiles(monkeypatch):
+    """The indices of the answers ``StreamingVote.add`` takes, in arrival order."""
+    voted, add = [], StreamingVote.add
+    monkeypatch.setattr(
+        StreamingVote, "add", lambda vote, tile, seg: voted.append(tile.index) or add(vote, tile, seg)
+    )
+    return voted
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_abort_fails_the_run_on_the_tile_and_votes_no_later_tile(tmp_path, monkeypatch, jobs):
+    truth, scan_path = _phantom_case(tmp_path)
+    voted = _voted_tiles(monkeypatch)
+    config = _base_config(tmp_path, truth, backend=_FailingTile(truth, target_index=3), jobs=jobs)
+    with pytest.raises(SegmentationError, match="^tile 3: simulated backend failure$"):
+        run(config, scan_path)
+    out_dir = tmp_path / "out"
+    assert (out_dir / "FAILED").read_text() == (
+        "stage: segment\nerror: tile 3: simulated backend failure\n"
+    )
+    assert not any((out_dir / name).exists() for name in ("atlas_labels.nii", "report.json"))
+    assert 3 not in voted
+    if jobs == 1:  # no thread takes a tile after the failed one
+        assert voted == [0, 1, 2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_answers_read_from_the_cache_are_voted_like_fresh_ones(tmp_path, monkeypatch, jobs):
+    # a corrupted tile makes the overlap vote and tie; half of the answers come
+    # from the cache in the second resumed run, the other half from the backend
+    truth, scan_path = _phantom_case(tmp_path)
+    backend = CorruptingWrapper(AtlasPriorOracle(truth), target_index=5, corruption_label=1)
+    fresh = run(_base_config(tmp_path, truth, backend=backend, jobs=jobs,
+                             output_dir=str(tmp_path / "fresh")), scan_path)
+    assert fresh.report["fusion"]["tie_count"] > 0
+    config = _base_config(tmp_path, truth, backend=backend, jobs=jobs, resume=True)
+    run(config, scan_path)
+    for entry in _cache_entries(tmp_path)[::2]:
+        entry.unlink()
+    calls, segment = [], backend.segment
+    backend.segment = lambda tile_input, tile: calls.append(tile.index) or segment(tile_input, tile)
+    voted = _voted_tiles(monkeypatch)
+    resumed = run(config, scan_path)
+    assert len(calls) == 4 and sorted(voted) == list(range(8))
+    assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
+    assert resumed.report["fusion"] == fresh.report["fusion"]
+
+
 # An `external:` backend that answers tile i with answers/tile_<i>.nii, logs
 # each call to $CALLS_LOG and, for tile $KILL_AT, SIGKILLs the run that started it.
 _KILLING_BACKEND = r"""
@@ -763,24 +812,37 @@ def _two_threads(monkeypatch):
 
 
 def _record_reads(monkeypatch):
-    """``(z0, z1, thread)`` of every band read from a scan file."""
-    calls = []
-    band = tio.NiftiScan.band
+    """``(z0, z1, ring)`` of every band read from a scan file.
+
+    ``ring`` is the ``_PlaneRing`` whose ``fill`` read the band, None for a
+    read outside a ring.  One thread can fill two rings, one per z range it
+    takes, so reads are told apart by ring, not by thread.
+    """
+    calls, filling = [], threading.local()
+    band, fill = tio.NiftiScan.band, geometry_module._PlaneRing.fill
 
     def recording(self, z0, z1):
-        calls.append((z0, z1, threading.get_ident()))
+        calls.append((z0, z1, getattr(filling, "ring", None)))
         return band(self, z0, z1)
 
+    def ring_fill(ring, lo, hi):
+        filling.ring = ring
+        try:
+            return fill(ring, lo, hi)
+        finally:
+            filling.ring = None
+
     monkeypatch.setattr(tio.NiftiScan, "band", recording)
+    monkeypatch.setattr(geometry_module._PlaneRing, "fill", ring_fill)
     return calls
 
 
-def _threads_reading_each_plane_once(reads):
-    """The threads that read ``reads``, each a single plane, none twice by one thread."""
-    assert all(z1 == z0 + 1 for z0, z1, _ in reads)
+def _rings_reading_each_plane_once(reads):
+    """The plane rings that read ``reads``, each a single plane, none twice by one ring."""
+    assert all(z1 == z0 + 1 and ring is not None for z0, z1, ring in reads)
     planes = {}
-    for z0, _, thread in reads:
-        planes.setdefault(thread, []).append(z0)
+    for z0, _, ring in reads:
+        planes.setdefault(ring, []).append(z0)
     assert all(len(zs) == len(set(zs)) for zs in planes.values())
     return len(planes)
 
@@ -799,10 +861,10 @@ def test_run_from_a_file_is_the_same_at_any_jobs_on_a_tilted_warp(tmp_path, monk
             run(_base_config(tmp_path, truth, affine=str(affine_path), jobs=jobs,
                              output_dir=str(out_dir)), scan_path)
         # the read stage checks all 96 planes in one band; in register a target plane
-        # reaches up to a dozen planes, and each thread reads each plane once
-        assert reads[0][:2] == (0, 96)
+        # reaches up to a dozen planes, and each z range's ring reads each plane once
+        assert reads[0] == (0, 96, None)
         assert 8 <= max(windows) < 96
-        assert _threads_reading_each_plane_once(reads[1:]) == jobs
+        assert _rings_reading_each_plane_once(reads[1:]) == jobs
         blobs[jobs] = [(out_dir / name).read_bytes() for name in ("atlas_labels.nii", "native_labels.nii")]
     assert blobs[1] == blobs[2]
 
@@ -821,11 +883,11 @@ def test_register_from_the_file_is_bitwise_the_in_memory_resample(tmp_path, monk
             got = resample_intensity(scan, forward, target, jobs=jobs)
         assert got.data.dtype == np.float32
         assert got.data.tobytes("F") == want.data.tobytes("F")
-        threads = _threads_reading_each_plane_once(reads)
-        if nz == 96:  # a ring of the dozen planes a target plane reaches, per thread
-            assert threads == jobs
-        else:  # at 90 degrees a target plane reaches every plane: one ring, one thread
-            assert threads == 1
+        rings = _rings_reading_each_plane_once(reads)
+        if nz == 96:  # a ring of the dozen planes a target plane reaches, per z range
+            assert rings == jobs
+        else:  # at 90 degrees a target plane reaches every plane: one ring, one z range
+            assert rings == 1
     reference = intensity_from_labels(make_blob_phantom(target, 5, seed=7), seed=7)
     with tio.NiftiScan(scan_path) as scan:
         est = estimate_affine_moments(scan, reference)
