@@ -169,18 +169,16 @@ def cmd_tile(args) -> int:
 def cmd_fuse(args) -> int:
     tiles_dir = Path(args.tiles)
     grid = load_grid(tiles_dir / "grid.json")
-    segs = []
-    for tile in grid.tiles:
-        path = tiles_dir / f"tile_{tile.index:03d}.nii"
-        seg, _ = tio.read_nifti(path, as_labels=True, num_labels=args.num_labels)
-        segs.append(seg)
+    paths = (tiles_dir / f"tile_{tile.index:03d}.nii" for tile in grid.tiles)
+    # read as the vote takes them; without --num-labels fuse_majority lists them first
+    segs = (tio.read_nifti(p, as_labels=True, num_labels=args.num_labels)[0] for p in paths)
     if args.mode == "majority":
         result = fuse_majority(segs, grid, num_labels=args.num_labels)
         tio.write_nifti(result.fused, args.output)
         cov = grid.coverage()
         print(f"fused {grid.k} tiles: ties={result.tie_count} coverage {min(cov)}..{max(cov)}")
     else:
-        fused = fuse_concatenate(segs, grid)
+        fused = fuse_concatenate(segs, grid, num_labels=args.num_labels)
         tio.write_nifti(fused, args.output)
         print(f"concatenated {grid.k} tiles")
     return 0

@@ -16,13 +16,14 @@ the longest run holds the smallest winning label.  The winner is a plain
 min-reduce over the stack or'ed with ``at_top - 1`` in the label type:
 zero on the longest runs, all ones (the type's maximum) elsewhere, so no
 per-voxel select is made.  The cost grows with the votes cast, not with
-the label count.  ``fuse_majority`` on a list of answers feeds them all
-to one vote and finishes it.
+the label count.  ``fuse_majority`` on the answers in grid order feeds
+them to one vote as they come and finishes it.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,16 +176,17 @@ class StreamingVote:
 
 
 def fuse_majority(
-    tile_segs: list[LabelVolume] | StreamingVote,
+    tile_segs: Iterable[LabelVolume] | StreamingVote,
     grid: TileGrid,
     num_labels: int | None = None,
 ) -> FusionResult:
     """Per-voxel majority vote over the covering tiles.
 
-    ``tile_segs`` is the k answers in grid order, fed here to one
-    ``StreamingVote`` in the label type of ``num_labels`` (by default the
-    largest of the answers' counts), or a ``StreamingVote`` on ``grid``
-    already fed every answer, which is finished as it is.
+    ``tile_segs`` is the k answers in grid order, any iterable, each fed to
+    one ``StreamingVote`` in the label type of ``num_labels`` as it comes
+    (by default the largest of the answers' counts, so they are listed
+    first), or a ``StreamingVote`` on ``grid`` already fed every answer,
+    which is finished as it is.
 
     Returns the fused atlas-space label volume, the number of voxels where
     the top vote count was shared by several labels, and the grid, whose
@@ -197,18 +199,22 @@ def fuse_majority(
         if vote.grid != grid:
             raise FusionError("the vote was taken on another grid")
         return vote.finish()
-    if len(tile_segs) != grid.k:
-        raise FusionError(f"got {len(tile_segs)} tiles for a grid of {grid.k}")
     if num_labels is None:
-        num_labels = max(seg.num_labels for seg in tile_segs)
+        tile_segs = list(tile_segs)
+        num_labels = max((seg.num_labels for seg in tile_segs), default=2)
     vote = StreamingVote(grid, num_labels)
-    for tile, seg in zip(grid.tiles, tile_segs):
+    segs = iter(tile_segs)
+    for tile, seg in zip(grid.tiles, segs):  # takes no answer beyond the k-th
         vote.add(tile, seg)
-    return vote.finish()
+    if extra := sum(1 for _ in segs):
+        raise FusionError(f"got {grid.k + extra} tiles for a grid of {grid.k}")
+    return vote.finish()  # fewer than k: "got N tiles for a grid of k"
 
 
-def fuse_concatenate(tile_segs: list[LabelVolume] | StreamingVote, grid: TileGrid) -> LabelVolume:
-    """Reassemble an exact partition; every region is one tile's copy."""
+def fuse_concatenate(
+    tile_segs: Iterable[LabelVolume] | StreamingVote, grid: TileGrid, num_labels: int | None = None
+) -> LabelVolume:
+    """Reassemble an exact partition from what ``fuse_majority`` takes; each region is one tile's copy."""
     if not grid.is_partition():
         raise FusionError("concatenation needs a non-overlapped partition grid")
-    return fuse_majority(tile_segs, grid).fused
+    return fuse_majority(tile_segs, grid, num_labels).fused

@@ -40,6 +40,8 @@ Conventions used throughout the package:
   ``m[a,2]*z``, plus ``m[a,3]``.  Each voxel's coordinate is this one
   expression in any box, so the output is the same bit for bit at any
   ``jobs``.
+* A target voxel that maps outside the source gets 0: +0.0 from
+  ``resample_intensity``, label 0 (background) from ``resample_labels``.
 * Nearest-neighbor rounding at exact half-voxel ties rounds half toward
   negative infinity, so results are deterministic across platforms.
 """
@@ -81,14 +83,6 @@ def _as_triple(value, name: str, kind=int) -> tuple:
     if len(t) != 3:
         raise GeometryError(f"{name} must have exactly 3 components, got {value!r}")
     return t
-
-
-def _float(value, name: str, error=GeometryError) -> float:
-    """``float(value)``; a whole number beyond the float range is an ``error``."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise error(f"{name} must be within the float range, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -592,7 +586,6 @@ def resample_intensity(
     src,
     transform: AffineTransform,
     target: VolumeGeometry,
-    background: float = 0.0,
     jobs: int = 1,
 ) -> IntensityVolume:
     """Pull-back trilinear resampling of ``src`` onto ``target``.
@@ -608,26 +601,15 @@ def resample_intensity(
     half of them runs one thread.
     ``transform`` maps target world coordinates into source world
     coordinates.  Target voxels that map outside the source grid (continuous
-    index beyond ``[0, n-1]`` on any axis) receive ``background``.  ``jobs``
-    threads split the target's z planes; the output is the same bit for bit.
-    Each voxel is computed in float64 and stored in ``_intensity_dtype`` of
-    the source: float32 for a stored type, so a finite ``background``
-    beyond float32 range is refused before any voxel is computed, as is a
-    number beyond the float range.
+    index beyond ``[0, n-1]`` on any axis) receive +0.0.  ``jobs`` threads
+    split the target's z planes; the output is the same bit for bit.  Each
+    voxel is computed in float64 and stored in ``_intensity_dtype`` of the
+    source: float32 for a stored type.
     """
-    background = _float(background, "background")
     m = _pullback(src.geometry, transform, target)
-    dtype = _intensity_dtype(src.dtype)
-    with np.errstate(over="ignore"):
-        fill = dtype.type(background)
-    if np.isfinite(background) and not np.isfinite(fill):
-        raise GeometryError(
-            f"background {background!r} does not fit the {dtype.name} output"
-            f" of a {src.dtype.name} source"
-        )
     sx, sy, sz = src.dims
     sty = sx  # the y stride in elements (x's is 1); a window gives the plane stride
-    out = np.full(target.dims, fill, dtype=dtype, order="F")
+    out = np.zeros(target.dims, dtype=_intensity_dtype(src.dtype), order="F")
     reach = (0.0, (sx - 1, sy - 1, sz - 1))
     terms = _plane_terms(target.dims, m)
     # a new thread's window: a volume's data as it is, or a ring of the file's planes
@@ -668,7 +650,7 @@ def resample_intensity(
                 inside = np.ones(cx.shape, dtype=bool)
                 for c, n in zip((cx, cy, cz), src.dims):
                     inside &= (c >= 0.0) & (c <= n - 1)
-                # outside voxels gather voxel 0 and get `background` below; the step
+                # outside voxels gather voxel 0 and get 0.0 below; the step
                 # to the upper neighbour is 0 on the last plane, where b - a is 0 and
                 # a lerp returns a
                 i000 = np.where(inside, i000, 0.0)
@@ -688,7 +670,8 @@ def resample_intensity(
             above = _lerp(_lerp(at(y0, i000 + dz), at(step, i100 + dz), fx),
                           _lerp(at(z0, i010 + dz), at(step, i110 + dz), fx), fy)
             val = _lerp(below, above, fz)
-            out[box] = val if inside is None else np.where(inside, val, background)
+            # not val * inside: that stores -0.0 where val is negative
+            out[box] = val if inside is None else np.where(inside, val, 0.0)
 
     _sweep(kernel, target.dims, jobs)
     return IntensityVolume._adopt(target, out)
@@ -698,23 +681,20 @@ def resample_labels(
     src: LabelVolume,
     transform: AffineTransform,
     target: VolumeGeometry,
-    background: int = 0,
     jobs: int = 1,
 ) -> LabelVolume:
     """Pull-back nearest-neighbor resampling of a label map onto ``target``.
 
     Half-voxel ties round toward negative infinity.  Voxels whose rounded
-    source index falls outside the grid receive ``background``.  ``jobs``
-    threads split the target's z planes; the output is the same bit for bit.
+    source index falls outside the grid receive label 0, the background.
+    ``jobs`` threads split the target's z planes; the output is the same
+    bit for bit.
     """
     m = _pullback(src.geometry, transform, target)
-    if not 0 <= background < src.num_labels:
-        raise GeometryError(f"background {background} out of label range")
     sx, sy, _ = src.dims
     flat = src.data.ravel(order="F")  # a view: volumes hold x-fastest arrays
     sty, stz = sx, sx * sy
-    out = _labels(target.dims, background, src.num_labels)
-    fill = out.dtype.type(background)
+    out = _labels(target.dims, 0, src.num_labels)
     reach = (-0.5, tuple(n - 0.5 for n in src.dims))
     terms = _plane_terms(target.dims, m)
 
@@ -726,11 +706,8 @@ def resample_labels(
                 inside &= (c >= 0.0) & (c < n)
             # a non-finite coordinate must not reach the integer cast: voxel 0 instead
             index = np.where(inside, rx + ry * sty + rz * stz, 0.0).astype(np.intp)
-            # (v - b) * inside + b, exact in unsigned wraparound: v inside, b outside
             labels = flat.take(index)
-            labels -= fill
-            labels *= inside
-            labels += fill
+            labels *= inside  # 0 outside
             out[box] = labels
 
     _sweep(kernel, target.dims, jobs)

@@ -48,7 +48,6 @@ from .geometry import (
     AffineTransform,
     LabelVolume,
     VolumeGeometry,
-    _float,
     estimate_affine_moments,
     make_centered_geometry,
     resample_intensity,
@@ -79,6 +78,14 @@ _KINDS = {
     "str": (str, os.PathLike), "str | None": (str, os.PathLike, type(None)),
     "str | SegmenterBackend": (str, SegmenterBackend),
 }
+
+
+def _float(value, name: str) -> float:
+    """``float(value)``; a whole number beyond the float range is a ``ConfigError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be within the float range, got {value!r}") from None
 
 
 def _is_a(value, kind) -> bool:
@@ -127,7 +134,7 @@ class PipelineConfig:
                 triple = ()
             if len(triple) != 3 or not all(_is_a(v, kind) for v in triple):
                 raise ConfigError(f"{name} must be three numbers, got {value!r}")
-            convert = int if kind is numbers.Integral else lambda v: _float(v, name, ConfigError)
+            convert = int if kind is numbers.Integral else lambda v: _float(v, name)
             object.__setattr__(self, name, tuple(convert(v) for v in triple))
         if not all(math.isfinite(s) and s > 0 for s in self.atlas_spacing):
             raise ConfigError(f"atlas_spacing must be finite and positive, got {self.atlas_spacing}")

@@ -259,20 +259,18 @@ def segment_all(
     backend: SegmenterBackend,
     atlas_vol: IntensityVolume,
     grid: TileGrid,
+    on_tile,
     jobs: int = 1,
     on_tile_failure: str = "abort",
     cache_dir=None,
-    on_tile=None,
-) -> list[LabelVolume] | None:
-    """Segment every tile of ``atlas_vol``, in fixed grid order.
+) -> None:
+    """Segment every tile of ``atlas_vol``, handing each answer to ``on_tile``.
 
     Tiles are independent: ``geometry._each`` runs ``run_one`` on each, in
     grid order on ``min(jobs, k)`` threads, the calling thread among them,
-    and the result is identical to the sequential run.  The answers are
-    returned in grid order; with ``on_tile``, each answer is instead handed
-    to ``on_tile(tile, answer)`` on the thread that made it, as it lands
-    (``fusion.StreamingVote.add`` votes it), none is held and None is
-    returned.
+    and each answer is identical to the sequential run's.  Each answer is
+    handed to ``on_tile(tile, answer)`` on the thread that made it, as it
+    lands (``fusion.StreamingVote.add`` votes it); none is held.
     A failing tile aborts the whole run (no thread takes another tile, and
     the first failed tile in grid order is named) unless
     ``on_tile_failure="background"``, which warns and substitutes
@@ -322,13 +320,10 @@ def segment_all(
             tio.write_raw(out, entry)
         return out
 
-    def run_one(tile: TileSpec):
-        if on_tile is None:
-            return answer(tile)
+    def run_one(tile: TileSpec) -> None:
         on_tile(tile, answer(tile))
 
-    answers = _each(run_one, grid.tiles, jobs)
-    return answers if on_tile is None else None
+    _each(run_one, grid.tiles, jobs)
 
 
 def parse_backend_spec(spec: str, num_labels: int = DEFAULT_NUM_LABELS) -> SegmenterBackend:

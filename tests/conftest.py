@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
-from tileseg.segmenter import SegmenterBackend
+from tileseg.segmenter import SegmenterBackend, segment_all
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -67,6 +67,18 @@ class NearestLevel(SegmenterBackend):
         levels = self.levels + np.random.default_rng(tile.index).normal(0.0, self.bias)
         nearest = np.abs(tile_input.data[..., None] - levels).argmin(axis=-1)
         return LabelVolume(tile_input.geometry, nearest, self.num_labels)
+
+
+def segment_answers(backend, atlas_vol, grid, **kwargs) -> list:
+    """``segment_all``'s answers, collected through its ``on_tile`` sink, in grid order."""
+    answers = {}
+
+    def keep(tile, answer):
+        assert tile.index not in answers, f"tile {tile.index} handed on twice"
+        answers[tile.index] = answer
+
+    segment_all(backend, atlas_vol, grid, keep, **kwargs)
+    return [answers[tile.index] for tile in grid.tiles]
 
 
 def peak_alloc(fn):

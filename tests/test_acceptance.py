@@ -26,8 +26,9 @@ from tileseg.geometry import (
 from tileseg.harmonize import fit_model, harmonize
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
 from tileseg.pipeline import PipelineConfig, run, save_affine
-from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper, segment_all
+from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper
 from tileseg.tiling import build_grid, coverage_map, extract_tile
+from conftest import segment_answers
 
 
 @contextmanager
@@ -144,7 +145,7 @@ def test_single_corrupted_tile_is_corrected(capsys):
             backend = CorruptingWrapper(
                 AtlasPriorOracle(truth), target_index=target, corruption_label=1
             )
-            segs = segment_all(backend, scan, grid)
+            segs = segment_answers(backend, scan, grid)
             fused = fuse_majority(segs, grid, num_labels=6).fused
             npt.assert_array_equal(fused.data[deep], truth.data[deep], err_msg=f"tile {target}")
 

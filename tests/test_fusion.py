@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_intensity, random_labels
+from conftest import random_intensity, random_labels, segment_answers
 from test_acceptance import _dense_vote_oracle
 from tileseg.fusion import (
     FusionError,
@@ -21,7 +21,7 @@ from tileseg.geometry import (
     compose,
     make_centered_geometry,
 )
-from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper, segment_all
+from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper
 from tileseg.tiling import (
     TileGrid,
     TileSpec,
@@ -122,7 +122,7 @@ def test_agreeing_tiles_reproduce_the_prior():
     prior = random_labels(dims, 5, seed=3)
     grid = build_grid(dims, (2, 2, 2), (10, 10, 10))
     vol = random_intensity(dims, seed=3)
-    segs = segment_all(AtlasPriorOracle(prior), vol, grid)
+    segs = segment_answers(AtlasPriorOracle(prior), vol, grid)
     result = fuse_majority(segs, grid)
     npt.assert_array_equal(result.fused.data, prior.data)
     assert result.tie_count == 0
@@ -136,7 +136,7 @@ def test_one_corrupted_tile_is_outvoted_where_coverage_is_deep():
     grid = build_grid(dims, (3, 3, 3), (8, 8, 8))
     vol = random_intensity(dims, seed=4)
     backend = CorruptingWrapper(AtlasPriorOracle(prior), target_index=13, corruption_label=1)
-    segs = segment_all(backend, vol, grid)
+    segs = segment_answers(backend, vol, grid)
     result = fuse_majority(segs, grid)
     cov = coverage_map(grid)
     deep = cov >= 3
@@ -151,7 +151,7 @@ def test_fusion_invariant_to_tile_order():
     prior = random_labels(dims, 6, seed=5)
     grid = build_grid(dims, (2, 2, 2), (7, 7, 7))
     vol = random_intensity(dims, seed=5)
-    segs = segment_all(AtlasPriorOracle(prior), vol, grid)
+    segs = segment_answers(AtlasPriorOracle(prior), vol, grid)
     base = fuse_majority(segs, grid)
 
     rng = np.random.default_rng(6)
@@ -212,6 +212,22 @@ def test_rejects_wrong_tile_count():
     segs, grid = _stacked_tiles([[1, 1], [2, 2]], num_labels=3)
     with pytest.raises(FusionError, match="tiles for a grid"):
         fuse_majority(segs[:1], grid)
+
+
+@pytest.mark.parametrize("num_labels", [None, 8])
+def test_the_tile_count_is_checked_on_any_iterable(num_labels):
+    segs, grid = _stacked_tiles([[5, 5], [5, 7], [7, 5]], num_labels=8)
+    for given in (segs[:2], segs + segs[:2], []):
+        for form in (list, iter):
+            with pytest.raises(FusionError, match=f"^got {len(given)} tiles for a grid of 3$"):
+                fuse_majority(form(given), grid, num_labels)
+
+
+@pytest.mark.parametrize("num_labels", [None, 8])
+def test_answers_from_a_generator_fuse_as_from_a_list(num_labels):
+    segs, grid = _stacked_tiles([[5, 5, 1], [5, 7, 2], [7, 5, 2]], num_labels=8)
+    want = fuse_majority(segs, grid, num_labels)
+    _same_result(fuse_majority(iter(segs), grid, num_labels), want)
 
 
 def test_rejects_wrong_tile_dims():

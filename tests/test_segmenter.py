@@ -11,7 +11,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import NOT_LABELS, float32_nifti, peak_alloc, random_intensity, random_labels
+from conftest import (
+    NOT_LABELS, float32_nifti, peak_alloc, random_intensity, random_labels, segment_answers,
+)
 from tileseg import io as tio
 from tileseg.fusion import StreamingVote, fuse_majority
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
@@ -36,7 +38,7 @@ GRID = build_grid(DIMS, (2, 2, 2), (5, 5, 5))
 def test_constant_oracle_fills_one_label():
     vol = random_intensity(DIMS, seed=1)
     backend = ConstantOracle(label=3, num_labels=5)
-    outs = segment_all(backend, vol, GRID)
+    outs = segment_answers(backend, vol, GRID)
     assert len(outs) == GRID.k
     for out, tile in zip(outs, GRID.tiles):
         assert out.dims == tile.size
@@ -52,7 +54,7 @@ def test_constant_oracle_rejects_out_of_range_label():
 def test_prior_oracle_returns_prior_boxes():
     vol = random_intensity(DIMS, seed=2)
     prior = random_labels(DIMS, 6, seed=3)
-    outs = segment_all(AtlasPriorOracle(prior), vol, GRID)
+    outs = segment_answers(AtlasPriorOracle(prior), vol, GRID)
     for out, tile in zip(outs, GRID.tiles):
         npt.assert_array_equal(out.data, extract_tile(prior, tile).data)
         assert out.geometry.matches(extract_tile(vol, tile).geometry, tol=1e-9)
@@ -63,8 +65,8 @@ def test_corrupting_wrapper_hits_only_its_target():
     prior = random_labels(DIMS, 6, seed=3)
     inner = AtlasPriorOracle(prior)
     wrapped = CorruptingWrapper(inner, target_index=3, corruption_label=2)
-    outs = segment_all(wrapped, vol, GRID)
-    clean = segment_all(inner, vol, GRID)
+    outs = segment_answers(wrapped, vol, GRID)
+    clean = segment_answers(inner, vol, GRID)
     for n, (got, want) in enumerate(zip(outs, clean)):
         if n == 3:
             assert np.all(got.data == 2)
@@ -82,8 +84,8 @@ def test_parallel_matches_sequential():
     vol = random_intensity(DIMS, seed=4)
     prior = random_labels(DIMS, 6, seed=5)
     backend = AtlasPriorOracle(prior)
-    seq = segment_all(backend, vol, GRID, jobs=1)
-    par = segment_all(backend, vol, GRID, jobs=4)
+    seq = segment_answers(backend, vol, GRID, jobs=1)
+    par = segment_answers(backend, vol, GRID, jobs=4)
     assert len(seq) == len(par)
     for a, b in zip(seq, par):
         npt.assert_array_equal(a.data, b.data)
@@ -114,10 +116,10 @@ def test_segment_all_runs_tiles_on_the_calling_thread_too():
     vol = random_intensity(DIMS, seed=4)
     prior = random_labels(DIMS, 6, seed=5)
     backend = _MeetingOracle(prior)
-    outs = {2: segment_all(backend, vol, GRID, jobs=2)}
+    outs = {2: segment_answers(backend, vol, GRID, jobs=2)}
     assert len(backend.threads) == 2 and threading.get_ident() in backend.threads
-    outs[3] = segment_all(AtlasPriorOracle(prior), vol, GRID, jobs=3)
-    want = [o.data.tobytes() for o in segment_all(AtlasPriorOracle(prior), vol, GRID, jobs=1)]
+    outs[3] = segment_answers(AtlasPriorOracle(prior), vol, GRID, jobs=3)
+    want = [o.data.tobytes() for o in segment_answers(AtlasPriorOracle(prior), vol, GRID, jobs=1)]
     for jobs, got in outs.items():
         assert [o.data.tobytes() for o in got] == want, jobs
 
@@ -142,7 +144,7 @@ def test_segment_all_threads_take_each_tile_once():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        outs = segment_all(backend, vol, grid, jobs=8)
+        outs = segment_answers(backend, vol, grid, jobs=8)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(backend.calls) == [t.index for t in grid.tiles]
@@ -164,19 +166,19 @@ class _FailingOracle(ConstantOracle):
 def test_abort_raises_the_first_failed_tile_in_grid_order(jobs):
     vol = random_intensity(DIMS, seed=4)
     with pytest.raises(SegmentationError, match="^tile 3: no answer for tile 3$"):
-        segment_all(_FailingOracle(0, 4), vol, GRID, jobs=jobs)
+        segment_answers(_FailingOracle(0, 4), vol, GRID, jobs=jobs)
 
 
 def test_segment_all_rejects_dim_mismatch():
     vol = random_intensity((9, 8, 8))
     with pytest.raises(SegmentationError, match="do not match grid"):
-        segment_all(ConstantOracle(0, 4), vol, GRID)
+        segment_answers(ConstantOracle(0, 4), vol, GRID)
 
 
 def test_segment_all_rejects_unknown_policy():
     vol = random_intensity(DIMS)
     with pytest.raises(SegmentationError, match="policy"):
-        segment_all(ConstantOracle(0, 4), vol, GRID, on_tile_failure="retry")
+        segment_answers(ConstantOracle(0, 4), vol, GRID, on_tile_failure="retry")
 
 
 def test_segment_tile_rejects_input_size_mismatch():
@@ -239,7 +241,7 @@ def test_a_non_label_answer_fails_the_tile():
     with pytest.raises(SegmentationError, match="non-label volume"):
         segment_tile(_IntensityBackend(0, 4), vol, tile)
     with pytest.raises(SegmentationError, match="^tile 0: backend returned a non-label volume$"):
-        segment_all(_IntensityBackend(0, 4), random_intensity(DIMS), GRID)
+        segment_answers(_IntensityBackend(0, 4), random_intensity(DIMS), GRID)
 
 
 # --- external process protocol ---
@@ -281,8 +283,8 @@ def test_external_backend_matches_prior_oracle(tmp_path):
     backend = ExternalProcessBackend(
         f"{sys.executable} {stub} {{input}} {{output}} {{spec}}", num_labels=6
     )
-    outs = segment_all(backend, vol, GRID, jobs=2)
-    oracle = segment_all(AtlasPriorOracle(prior), vol, GRID)
+    outs = segment_answers(backend, vol, GRID, jobs=2)
+    oracle = segment_answers(AtlasPriorOracle(prior), vol, GRID)
     for got, want, tile in zip(outs, oracle, GRID.tiles):
         npt.assert_array_equal(got.data, want.data)
         # exact input geometry restored, not the float32 round trip
@@ -293,7 +295,7 @@ def test_external_backend_nonzero_exit_names_the_tile():
     vol = random_intensity(DIMS, seed=7)
     backend = ExternalProcessBackend("false {input} {output}", num_labels=4)
     with pytest.raises(SegmentationError, match=r"tile 0: .*exited 1"):
-        segment_all(backend, vol, GRID)
+        segment_answers(backend, vol, GRID)
 
 
 def test_external_backend_missing_output_file():
@@ -373,7 +375,7 @@ def test_background_policy_substitutes_and_warns():
     vol = random_intensity(DIMS, seed=9)
     backend = ExternalProcessBackend("false {input} {output}", num_labels=4)
     with pytest.warns(UserWarning, match="substituting background"):
-        outs = segment_all(backend, vol, GRID, on_tile_failure="background")
+        outs = segment_answers(backend, vol, GRID, on_tile_failure="background")
     assert len(outs) == GRID.k
     for out in outs:
         assert np.all(out.data == 0)
@@ -427,7 +429,7 @@ def test_cache_key_hashes_the_x_fastest_bytes_without_a_copy(tmp_path, order):
     vol = IntensityVolume(geometry, np.asfortranarray(data) if order == "F" else data)
     grid = build_grid(geometry.dims, (2, 2, 2), (24, 20, 18))
     backend = ConstantOracle(label=1, num_labels=4)
-    segment_all(backend, vol, grid, cache_dir=tmp_path)
+    segment_answers(backend, vol, grid, cache_dir=tmp_path)
     descriptor = backend.descriptor().encode()
     want = []
     for tile in grid.tiles:
@@ -462,8 +464,8 @@ def test_built_in_answers_take_the_label_type(num_labels, dtype):
     corrupt = CorruptingWrapper(ConstantOracle(1, num_labels), 0, num_labels - 1)
     failing = ExternalProcessBackend("false {input} {output}", num_labels=num_labels)
     with pytest.warns(UserWarning, match="substituting background"):
-        substituted = segment_all(failing, vol, GRID, on_tile_failure="background")[0]
-    corrupted, constant = segment_all(corrupt, vol, GRID)[:2]
+        substituted = segment_answers(failing, vol, GRID, on_tile_failure="background")[0]
+    corrupted, constant = segment_answers(corrupt, vol, GRID)[:2]
     for out, value in ((corrupted, num_labels - 1), (constant, 1), (substituted, 0)):
         assert out.data.dtype == dtype
         assert out.data.tobytes() == np.full(size, value, dtype).tobytes()
@@ -488,7 +490,7 @@ def test_a_substituted_tile_is_voted_like_any_answer(jobs):
     prior = random_labels(grid.atlas_dims, 4, seed=12)
     vol = random_intensity(grid.atlas_dims, seed=12)
     backend = _PriorFailingTile(prior)
-    answers = segment_all(backend, vol, grid, jobs=jobs, on_tile_failure="background")
+    answers = segment_answers(backend, vol, grid, jobs=jobs, on_tile_failure="background")
     want = fuse_majority(answers, grid)
     vote, handed = StreamingVote(grid, 4), []
 

@@ -28,6 +28,7 @@ from tileseg.geometry import (
 )
 from tileseg.harmonize import fit_model, harmonize, sorted_intensities, standardize
 from tileseg.tiling import build_grid, extract_tile
+from test_geometry import _assert_zero_outside, _three_index_trilinear
 
 DIMS = (23, 19, 17)
 
@@ -142,12 +143,13 @@ def test_resample_intensity_is_bitwise_the_widened_result(
     monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)  # two threads at jobs=2
     vol, wide = _read(tmp_path, code, endian)
     transform, target = warp()
-    got = resample_intensity(vol, transform, target, background=-1.5, jobs=jobs)
-    want = resample_intensity(wide, transform, target, background=-1.5, jobs=jobs)
+    got = resample_intensity(vol, transform, target, jobs=jobs)
+    want = resample_intensity(wide, transform, target, jobs=jobs)
     assert _same(got.data, _rounded(want.data))
     assert _tile_files_agree(tmp_path, got, want)
-    inside = got.data != -1.5
+    _, inside = _three_index_trilinear(wide, transform, target)
     assert inside.all() if warp is _interior else 0 < inside.mean() < 1
+    _assert_zero_outside(got.data, inside)
 
 
 @pytest.mark.parametrize("code, endian", STORED, ids=IDS)
