@@ -103,7 +103,11 @@ class AffineTransform:
             raise GeometryError("affine matrix contains non-finite entries")
         if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
             raise GeometryError("affine matrix last row must be [0, 0, 0, 1]")
-        if abs(np.linalg.det(m[:3, :3])) <= _DET_EPS:
+        # LU divides by a subnormal pivot of a near-singular matrix: the
+        # determinant comes out ~0 and is refused below, not warned about
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = np.linalg.det(m[:3, :3])
+        if not abs(det) > _DET_EPS:
             raise GeometryError("affine matrix is not invertible")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

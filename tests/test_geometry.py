@@ -47,7 +47,8 @@ finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 @st.composite
 def invertible_affines(draw):
     linear = np.array(draw(st.lists(finite, min_size=9, max_size=9))).reshape(3, 3)
-    assume(abs(np.linalg.det(linear)) > 0.1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a subnormal pivot
+        assume(abs(np.linalg.det(linear)) > 0.1)
     translation = np.array(draw(st.lists(finite, min_size=3, max_size=3)))
     return AffineTransform.from_linear_translation(linear, translation)
 
@@ -65,6 +66,12 @@ def test_affine_rejects_bad_last_row():
     m[3, 0] = 1.0
     with pytest.raises(GeometryError):
         AffineTransform(m)
+
+
+def test_affine_rejects_singular_with_a_subnormal_pivot():
+    linear = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 2.2250738585e-309, 0.0]])
+    with pytest.raises(GeometryError, match="not invertible"):
+        AffineTransform.from_linear_translation(linear, np.zeros(3))
 
 
 def test_affine_rejects_singular():
