@@ -20,8 +20,11 @@ Conventions used throughout the package:
   coordinates into *source* world coordinates.
 * Resampling gathers each corner with one ``take`` at ``x + y*sty +
   z*stz`` (element strides) on a flat view of the source, which is never
-  copied.  Trilinear output is seven float64 lerps ``a + f*(b - a)``, four
-  along x, two along y and one along z.  Against the eight-corner sum
+  copied.  Where a trilinear plane has all eight corners of every voxel,
+  only the lowest corner's index ``i`` is built, and the corner ``d``
+  elements on (1, ``sty``, ``stz`` and their sums) is ``flat[d:].take(i)``.
+  Trilinear output is seven float64 lerps ``a + f*(b - a)``, four along x,
+  two along y and one along z.  Against the eight-corner sum
   ``d000*gx*gy*gz + ...`` a float64 output changes in its last bits (at most
   ~1e-15 relative); float32 outputs were byte-identical on the benchmark
   warp, but a value within an ulp of a float32 rounding boundary can round
@@ -602,7 +605,8 @@ def resample_intensity(
     volume's ``data``, one slot per plane, or a thread's ``_PlaneRing`` of
     a file.  The rings of the threads together hold at most the source's
     planes, one more each, so a warp whose target plane reaches more than
-    half of them runs one thread.
+    half of them runs one thread.  A plane whose voxels all have their
+    eight corners builds the lowest corner's index only, and steps from it.
     ``transform`` maps target world coordinates into source world
     coordinates.  Target voxels that map outside the source grid (continuous
     index beyond ``[0, n-1]`` on any axis) receive +0.0.  ``jobs`` threads
@@ -628,9 +632,9 @@ def resample_intensity(
     def kernel(z_range):
         window = new_window()
 
-        def at(buf, index):
-            """``flat[index]`` of the plane's window, widened into ``buf``."""
-            np.copyto(buf, flat.take(index))
+        def at(buf, corner):
+            """Each voxel's ``corner``, a step from ``i000`` or an index, widened into ``buf``."""
+            np.copyto(buf, flat[corner:].take(i000) if inside is None else flat.take(corner))
             return buf
 
         for box, (cx, cy, cz) in _planes(target.dims, m, terms, z_range, reach):
@@ -662,16 +666,17 @@ def resample_intensity(
                 dy = (inside & (cy < sy - 1)) * sty
                 dz = (inside & (cz < sz - 1)) * stz
             i000 = i000.astype(np.intp)
-            i100, i010 = i000 + dx, i000 + dy
+            c000 = 0 if inside is None else i000  # no mask: each corner a fixed step
+            i100, i010 = c000 + dx, c000 + dy
             i110 = i100 + dy
             # the fractions overwrite the coordinates; the floors, not read again,
             # and one more plane take the gathers, widened to float64, and the lerps
             # a + f*(b - a), run in place: four along x, two along y, one along z
             fx, fy, fz = (np.subtract(c, c0, out=c) for c, c0 in ((cx, x0), (cy, y0), (cz, z0)))
             step = np.empty_like(x0)
-            below = _lerp(_lerp(at(x0, i000), at(step, i100), fx),
+            below = _lerp(_lerp(at(x0, c000), at(step, i100), fx),
                           _lerp(at(y0, i010), at(step, i110), fx), fy)
-            above = _lerp(_lerp(at(y0, i000 + dz), at(step, i100 + dz), fx),
+            above = _lerp(_lerp(at(y0, c000 + dz), at(step, i100 + dz), fx),
                           _lerp(at(z0, i010 + dz), at(step, i110 + dz), fx), fy)
             val = _lerp(below, above, fz)
             # not val * inside: that stores -0.0 where val is negative

@@ -70,6 +70,8 @@ class HarmonizationModel:
             raise HarmonizeError("mean_sorted must be finite and non-increasing")
         if int(self.quantile_count) != v.size:
             raise HarmonizeError("quantile_count must equal len(mean_sorted)")
+        if self.mask.num_labels != 2:
+            raise HarmonizeError(f"model mask must have num_labels=2, got {self.mask.num_labels}")
         if not np.any(self.mask.data):
             raise HarmonizeError("model mask is empty")
         v.flags.writeable = False
@@ -80,9 +82,6 @@ class HarmonizationModel:
 # voxels per block of the moments and of the output: one float64 buffer of
 # this many voxels is the only float64 array harmonize builds at atlas scale
 _BLOCK = 1 << 16
-# voxels per chunk of the profile's gather of the masked voxels: its index
-# temporary is 64 KiB
-_GATHER = 1 << 13
 
 
 def _blocks(data: np.ndarray):
@@ -147,7 +146,7 @@ def standardize(vol: IntensityVolume) -> IntensityVolume:
 def sorted_intensities(
     vol: IntensityVolume, mask: LabelVolume, quantile_count: int
 ) -> np.ndarray:
-    """Masked intensities sorted descending, resampled to ``quantile_count``.
+    """Intensities under a two-label ``mask`` sorted descending, resampled to ``quantile_count``.
 
     Linear interpolation over the sorted sequence, endpoints inclusive, so
     the output is non-increasing of length ``quantile_count`` regardless of
@@ -167,17 +166,13 @@ def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndar
         raise HarmonizeError(f"quantile_count must be in [2, {MAX_QUANTILES}], got {quantile_count}")
     if not geometry.matches(mask.geometry):
         raise HarmonizeError("volume and mask geometries differ")
-    flat, keep = data.ravel("F"), mask.data.ravel("F")
-    n = np.count_nonzero(keep)
+    if mask.num_labels != 2:
+        raise HarmonizeError(f"mask must have num_labels=2, got {mask.num_labels}")
+    # one boolean gather: a two-label mask's bytes, 0 or 1, are read as bools in place
+    values = data.ravel("F")[mask.data.ravel("F").view(np.bool_)]
+    n = values.size
     if n == 0:
         raise HarmonizeError("mask selects no voxels")
-    # the masked voxels x-fastest, gathered chunk by chunk (no atlas-sized bool);
-    # labels are unsigned, so nonzero is > 0, and the picked indices are in range
-    values, at = np.empty(n, data.dtype), 0
-    for start in range(0, flat.size, _GATHER):
-        picked = np.flatnonzero(keep[start : start + _GATHER])
-        np.take(flat[start : start + _GATHER], picked, out=values[at : at + picked.size], mode="clip")
-        at += picked.size
     values.sort()
     positions = np.linspace(0.0, n - 1.0, quantile_count)
     # np.interp over all n ranks reads only the two that bracket each

@@ -49,6 +49,7 @@ from .geometry import (
     _bands,
     _check_finite,
     _label_array,
+    _label_dtype,
 )
 
 __all__ = [
@@ -207,9 +208,20 @@ def read_nifti(path, as_labels: bool = False, num_labels: int | None = None):
     Returns ``(IntensityVolume, NiftiHeaderSummary)`` or, with
     ``as_labels=True``, ``(LabelVolume, NiftiHeaderSummary)``.  The world
     affine is taken from the srow (sform) rows; if the sform is absent a
-    spacing-only diagonal affine is used and a warning is issued.
+    spacing-only diagonal affine is used and a warning is issued.  Integer
+    labels all below ``num_labels`` are cast a band at a time, never holding
+    the file's bytes whole.
     """
     with NiftiScan(path) as scan:
+        if as_labels and num_labels and scan.dtype.kind in "iu":
+            arr = np.empty(scan.dims, _label_dtype(num_labels), order="F")
+            for z0, z1 in _bands(scan):
+                band = scan.band(z0, z1)
+                if band.min() < 0 or band.max() >= num_labels:
+                    break
+                arr[:, :, z0:z1] = band
+            else:
+                return LabelVolume._adopt(scan.geometry, arr, num_labels), scan.summary
         arr = scan.band(0, scan.dims[2])
     if as_labels:
         arr = _label_array(arr, num_labels or 0, NiftiFormatError)
@@ -223,7 +235,8 @@ class NiftiScan:
     Opening it checks the header and the file size; only the header and
     the file descriptor stay held.  ``band(z0, z1)`` reads planes ``z0 ..
     z1-1`` with ``os.pread`` into a new x-fastest array in native byte
-    order, so threads may read at once; ``read_nifti`` (all planes),
+    order, so threads may read at once; ``read_nifti`` (all planes, or labels
+    a band at a time),
     ``resample_intensity`` (a ring per thread), the moments and
     ``check_finite`` take their planes this way.  Close it, or use it as a
     context manager.

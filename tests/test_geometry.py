@@ -933,6 +933,35 @@ def test_resampling_temporaries_are_a_few_planes_per_thread(monkeypatch, resampl
     assert peak - out.data.nbytes < 24 * jobs * plane
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_register_fast_path_builds_one_corner_index_per_thread(monkeypatch, dtype, jobs):
+    # every target voxel has all eight corners, so each corner is a fixed step
+    # from one index plane: a thread's temporaries stay under 17 planes, next to
+    # the 3 plane terms the threads share.  An index plane per corner (three
+    # more, and one per upper corner in turn) reaches 19 per thread.  The
+    # threads are not always at their peaks at once, so the worst of five
+    # calls is bounded
+    monkeypatch.setattr(geometry_module, "_SWEEP_VOXELS", 1)  # two threads at jobs=2
+    geometry = make_centered_geometry((160, 160, 24))
+    values = np.random.default_rng(37).uniform(0.0, 1.0, geometry.dims)
+    src = IntensityVolume._adopt(geometry, values.astype(dtype, order="F"))
+    c, s = np.cos(0.1), np.sin(0.1)
+    inside = AffineTransform.from_linear_translation(
+        [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], [0.3, -0.2, 0.4]
+    )
+    target = make_centered_geometry((96, 96, 16))  # wholly inside the source
+    worst = max(
+        peak - out.data.nbytes
+        for peak, out in (
+            peak_alloc(lambda: resample_intensity(src, inside, target, jobs=jobs))
+            for _ in range(5)
+        )
+    )
+    plane = 96 * 96 * np.dtype(np.float64).itemsize
+    assert worst < (3 + 17 * jobs) * plane
+
+
 def test_user_arrays_are_copied():
     g = make_centered_geometry((3, 3, 3))
     for make, a in (

@@ -292,6 +292,17 @@ def test_model_rejects_empty_mask():
         HarmonizationModel(np.array([2.0, 1.0]), mask, 2)
 
 
+@pytest.mark.parametrize("num_labels", [3, 300])
+def test_profile_masks_must_have_two_labels(num_labels):
+    # the profile reads a two-label mask's bytes as bools, so no other mask is taken
+    g = make_centered_geometry((2, 2, 2))
+    mask = LabelVolume(g, np.ones((2, 2, 2), dtype=np.uint16), num_labels)
+    with pytest.raises(HarmonizeError, match="num_labels=2"):
+        HarmonizationModel(np.array([2.0, 1.0]), mask, 2)
+    with pytest.raises(HarmonizeError, match="num_labels=2"):
+        sorted_intensities(random_intensity((2, 2, 2), seed=1), mask, 2)
+
+
 def test_model_save_load_round_trip(tmp_path):
     vols = [random_intensity((5, 4, 3), seed=s) for s in (1, 2)]
     mask = _full_mask(vols[0].geometry)

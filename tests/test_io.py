@@ -12,6 +12,7 @@ from tileseg.cli import EXIT_CODES, main
 from tileseg.evaluate import report as dice_report
 from tileseg.geometry import (
     AffineTransform,
+    GeometryError,
     IntensityVolume,
     LabelVolume,
     VolumeGeometry,
@@ -221,6 +222,24 @@ def test_missing_sform_falls_back_to_spacing_diagonal(tmp_path):
     npt.assert_array_equal(out.data, src.data)
 
 
+@pytest.mark.parametrize(
+    "srow",
+    [
+        (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0),  # z row repeats x
+        (1e-40, 0.0, 0.0, 0.0, 0.0, 1e-40, 0.0, 0.0, 0.0, 0.0, 1e-40, 0.0),  # float32 subnormals
+    ],
+    ids=["singular", "subnormal"],
+)
+def test_rejects_non_invertible_srow_without_a_warning(tmp_path, srow):
+    p, raw, _ = _write_valid(tmp_path)
+    struct.pack_into("<12f", raw, 280, *srow)
+    p.write_bytes(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NiftiFormatError, match="non-invertible srow affine"):
+            read_nifti(p)
+
+
 def test_reads_big_endian_file(tmp_path):
     # crafted byte-by-byte, independent of the writer under test
     dims = (2, 3, 2)
@@ -416,6 +435,25 @@ def test_read_nifti_copies_labels_once_into_their_type(tmp_path):
     assert vol.data.tobytes() == src.data.tobytes()
     # the file's int16 bytes and the one-byte volume; a uint16 step would add 2 bytes a voxel
     assert peak < path.stat().st_size + 1.25 * vol.data.nbytes
+
+
+def test_read_nifti_casts_labels_a_band_at_a_time(tmp_path):
+    # 160 planes of 128x128 int16 are five bands of 1 MiB; next to the 2.6 MB
+    # label volume at most two bands are held, never the file's 5.2 MB of bytes
+    g = make_centered_geometry((128, 128, 160))
+    data = np.random.default_rng(43).integers(0, 133, g.dims, dtype=np.uint16)
+    data[-1, -1, -1] = 299
+    path = tmp_path / "lab.nii"
+    write_nifti(LabelVolume(g, data, 300), path)
+    # a label out of range, here in the last band, takes the whole file and its error
+    with pytest.raises(GeometryError, match="label value 299 out of range for num_labels=133"):
+        read_nifti(path, as_labels=True, num_labels=133)
+    data[-1, -1, -1] = 132
+    write_nifti(LabelVolume(g, data, 133), path)
+    peak, (vol, _) = peak_alloc(lambda: read_nifti(path, as_labels=True, num_labels=133))
+    assert vol.data.dtype == np.uint8
+    assert vol.data.tobytes() == data.astype(np.uint8, order="F").tobytes()
+    assert peak < vol.data.nbytes + 2.5 * (1 << 20)
 
 
 def test_read_nifti_holds_the_file_bytes_and_no_float64_copy(tmp_path):
