@@ -51,16 +51,14 @@ class RegressionFit:
 
 @dataclass(frozen=True)
 class HarmonizationModel:
-    """Reference sorted-intensity profile plus the mask that produced it.
+    """A reference sorted-intensity profile and the union of the atlas masks.
 
-    ``mean_sorted`` is finite and non-increasing, of length
-    ``quantile_count``; ``mask`` is a binary label volume on the grid all
-    harmonized scans share (the union of the atlas masks).
+    ``mean_sorted`` is finite and non-increasing, its length ``quantile_count``;
+    ``mask`` is a two-label volume on the grid all harmonized scans share.
     """
 
     mean_sorted: np.ndarray
     mask: LabelVolume
-    quantile_count: int
 
     def __post_init__(self):
         v = np.array(self.mean_sorted, dtype=np.float64)
@@ -68,15 +66,16 @@ class HarmonizationModel:
             raise HarmonizeError("mean_sorted must be a vector of length >= 2")
         if not np.isfinite(v).all() or np.any(np.diff(v) > 1e-12):  # a NaN compares False
             raise HarmonizeError("mean_sorted must be finite and non-increasing")
-        if int(self.quantile_count) != v.size:
-            raise HarmonizeError("quantile_count must equal len(mean_sorted)")
         if self.mask.num_labels != 2:
             raise HarmonizeError(f"model mask must have num_labels=2, got {self.mask.num_labels}")
         if not np.any(self.mask.data):
             raise HarmonizeError("model mask is empty")
         v.flags.writeable = False
         object.__setattr__(self, "mean_sorted", v)
-        object.__setattr__(self, "quantile_count", int(self.quantile_count))
+
+    @property
+    def quantile_count(self) -> int:
+        return self.mean_sorted.size
 
 
 # voxels per block of the moments and of the output: one float64 buffer of
@@ -213,7 +212,7 @@ def fit_model(
         for vol in atlas_volumes
     ]
     mean_sorted = np.mean(profiles, axis=0)
-    return HarmonizationModel(mean_sorted, union_mask, quantile_count)
+    return HarmonizationModel(mean_sorted, union_mask)
 
 
 def harmonize(
@@ -249,30 +248,30 @@ def harmonize(
 
 
 def save_model(model: HarmonizationModel, directory) -> None:
+    """Write ``model``; ``meta.json`` holds only ``{"quantile_count": q}``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "quantile_count": model.quantile_count,
-        "mask_dims": list(model.mask.dims),
-        "mask_spacing": list(model.mask.geometry.spacing),
-    }
-    tio.write_atomic(directory / "meta.json", (json.dumps(meta, indent=1).encode(),))
+    meta = json.dumps({"quantile_count": model.quantile_count}).encode()
+    tio.write_atomic(directory / "meta.json", (meta,))
     tio.write_atomic(directory / "mean_sorted.bin", (model.mean_sorted.astype("<f8").tobytes(),))
     tio.write_nifti(model.mask, directory / "mask.nii")
 
 
 def load_model(directory) -> HarmonizationModel:
+    """Read a saved model; of ``meta.json`` only ``quantile_count`` is read.
+
+    ``HarmonizeError`` unless it is a JSON integer q and ``mean_sorted.bin``
+    holds 8 q bytes.  ``harmonize`` checks the mask's grid against the scan's.
+    """
     directory = Path(directory)
     try:
-        meta = json.loads((directory / "meta.json").read_text())
-        mask_dims, quantile_count = meta["mask_dims"], int(meta["quantile_count"])
-        mask_spacing = np.array(meta["mask_spacing"], dtype=np.float64).reshape(3)
+        count = json.loads((directory / "meta.json").read_text())["quantile_count"]
     except (ValueError, KeyError, TypeError) as exc:
         raise HarmonizeError(f"model metadata in {directory} is malformed: {exc!r}") from exc
-    mean_sorted = np.fromfile(directory / "mean_sorted.bin", dtype="<f8")
+    profile = (directory / "mean_sorted.bin").read_bytes()
+    if type(count) is not int or len(profile) != 8 * count:  # a bool or float (1e400 is inf) is no count
+        raise HarmonizeError(
+            f"model in {directory} is malformed: quantile_count {count!r}, {len(profile)} profile bytes"
+        )
     mask, _ = tio.read_nifti(directory / "mask.nii", as_labels=True, num_labels=2)
-    if list(mask.dims) != mask_dims:
-        raise HarmonizeError("model mask dims disagree with metadata")
-    if not np.allclose(mask.geometry.spacing, mask_spacing, atol=1e-4):
-        raise HarmonizeError("model mask spacing disagrees with metadata")
-    return HarmonizationModel(mean_sorted, mask, quantile_count)
+    return HarmonizationModel(np.frombuffer(profile, dtype="<f8"), mask)

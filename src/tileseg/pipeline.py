@@ -1,11 +1,11 @@
 """End-to-end orchestration: native scan in, native-space labels out.
 
 Stage order is fixed: read, register (resample onto the atlas grid),
-harmonize (optional), tile, segment, fuse, map back to native space,
-write.  Every merge point is a deterministic reduction, so outputs are
-bitwise identical for any parallelism degree.
+harmonize (optional), segment, fuse, map back to native space, write.
+Every merge point is a deterministic reduction, so outputs are bitwise
+identical for any parallelism degree.
 
-Segment hands each tile's answer, as it lands, to a
+Segment cuts the tiles and hands each answer, as it lands, to a
 ``fusion.StreamingVote``, which votes each region once its covering tiles
 have answered, so no stage holds all the answers; fuse finishes that vote
 (``fuse_majority``, or ``fuse_concatenate`` for a partition).

@@ -304,7 +304,7 @@ def segment_all(
             entry = cache_dir / _cache_key(tile_input, tile, descriptor)
             try:
                 return _check_answer(tio.read_raw(entry), tile_input, backend.num_labels)
-            except (OSError, ValueError, KeyError, TypeError, SegmentationError):
+            except (OSError, ValueError, KeyError, TypeError, OverflowError, SegmentationError):
                 pass  # absent, unreadable or off-contract: recompute
         try:
             out = segment_tile(backend, tile_input, tile)

@@ -229,7 +229,7 @@ def load_grid(path) -> TileGrid:
         stored = [tuple(o) for o in doc["origins"]]
     except TilingError:
         raise
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, OverflowError) as exc:
         raise TilingError(f"grid file {path} is malformed: {exc!r}") from exc
     actual = [t.origin for t in rebuilt.tiles]
     if stored != actual:

@@ -732,6 +732,7 @@ _LAYOUT = '"grid": [2, 2, 2], "tile_size": [9, 9, 9], "origins": []'
         '{"grid": [2, 2, 2]}',
         '{"atlas_dims": "abc", ' + _LAYOUT + "}",
         '{"atlas_dims": [16, 16], ' + _LAYOUT + "}",
+        '{"atlas_dims": [1e400, 16, 16], ' + _LAYOUT + "}",  # inf, which int() refuses
     ],
 )
 def test_malformed_grid_json_exits_6(tmp_path, capsys, text):
@@ -751,7 +752,15 @@ def test_malformed_grid_json_exits_6(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "text",
-    ["{bad", '{"mask_dims": [16, 16, 16]}', '{"mask_dims": [16, 16, 16], "quantile_count": "x"}'],
+    [
+        "{bad",
+        '{"mask_dims": [16, 16, 16]}',
+        '{"mask_dims": [16, 16, 16], "quantile_count": "x"}',
+        '{"mask_dims": [16, 16, 16], "quantile_count": "16"}',
+        '{"mask_dims": [16, 16, 16], "quantile_count": 16.0}',
+        '{"mask_dims": [16, 16, 16], "quantile_count": true}',
+        '{"mask_dims": [16, 16, 16], "quantile_count": 1e400}',  # inf, which int() refuses
+    ],
 )
 def test_malformed_harmonization_meta_exits_5(tmp_path, capsys, text):
     truth, truth_path, scan_path = _write_phantom(tmp_path)
@@ -768,6 +777,26 @@ def test_malformed_harmonization_meta_exits_5(tmp_path, capsys, text):
     )
     assert code == 5
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [8 * 16 + 4, 8 * 15])
+def test_harmonization_profile_of_another_length_exits_5(tmp_path, capsys, size):
+    # meta.json's count detects a mean_sorted.bin cut short or run over
+    truth, truth_path, scan_path = _write_phantom(tmp_path)
+    mask = truth.with_data((truth.data > 0).astype(np.uint16))
+    model_dir = tmp_path / "model"
+    save_model(fit_model([tio.read_nifti(scan_path)[0]], [mask], 16), model_dir)
+    profile = (model_dir / "mean_sorted.bin").read_bytes()
+    (model_dir / "mean_sorted.bin").write_bytes((profile + bytes(8))[:size])
+    code = main(
+        [
+            "run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+            "--backend", f"prior:{truth_path}", "--num-labels", "4",
+            "--harmonization", str(model_dir), *_SMALL_RUN,
+        ]
+    )
+    assert code == 5
+    assert f"quantile_count 16, {size} profile bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.05), (1.0, 1.0, 1.0005)])

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -226,7 +227,7 @@ def test_harmonize_two_voxel_regression_by_hand():
     # of [3, 1] the least-squares line is exactly slope 1, intercept 2
     vol = _line_volume([10.0, 4.0])
     mask = _full_mask(vol.geometry)
-    model = HarmonizationModel(np.array([3.0, 1.0]), mask, 2)
+    model = HarmonizationModel(np.array([3.0, 1.0]), mask)
     out, fit = harmonize(vol, model)
     npt.assert_allclose(fit.beta1, 1.0, atol=1e-12)
     npt.assert_allclose(fit.beta0, 2.0, atol=1e-12)
@@ -265,7 +266,7 @@ def test_harmonize_rejects_constant_scan():
     g = make_centered_geometry((3, 3, 3))
     vol = IntensityVolume(g, np.full((3, 3, 3), 2.0))
     mask = _full_mask(g)
-    model = HarmonizationModel(np.array([1.0, 0.0]), mask, 2)
+    model = HarmonizationModel(np.array([1.0, 0.0]), mask)
     with pytest.raises(HarmonizeError):
         harmonize(vol, model)
 
@@ -276,20 +277,26 @@ def test_harmonize_rejects_constant_scan():
 def test_model_rejects_increasing_profile():
     mask = _full_mask(make_centered_geometry((2, 2, 2)))
     with pytest.raises(HarmonizeError, match="non-increasing"):
-        HarmonizationModel(np.array([1.0, 2.0]), mask, 2)
+        HarmonizationModel(np.array([1.0, 2.0]), mask)
 
 
-def test_model_rejects_quantile_count_mismatch():
-    mask = _full_mask(make_centered_geometry((2, 2, 2)))
-    with pytest.raises(HarmonizeError, match="quantile_count"):
-        HarmonizationModel(np.array([2.0, 1.0]), mask, 3)
+def test_model_rejects_quantile_count_mismatch(tmp_path):
+    # the count in meta.json is what detects a profile cut short or run over
+    vol = random_intensity((4, 4, 4))
+    save_model(fit_model([vol], [_full_mask(vol.geometry)], quantile_count=8), tmp_path / "model")
+    path = tmp_path / "model" / "mean_sorted.bin"
+    profile = path.read_bytes()
+    for wrong in (profile + bytes(4), profile[:-8]):  # 8q + 4 and 8(q - 1) bytes
+        path.write_bytes(wrong)
+        with pytest.raises(HarmonizeError, match=f"quantile_count 8, {len(wrong)} profile bytes"):
+            load_model(tmp_path / "model")
 
 
 def test_model_rejects_empty_mask():
     g = make_centered_geometry((2, 2, 2))
     mask = LabelVolume(g, np.zeros((2, 2, 2), dtype=np.uint16), 2)
     with pytest.raises(HarmonizeError, match="empty"):
-        HarmonizationModel(np.array([2.0, 1.0]), mask, 2)
+        HarmonizationModel(np.array([2.0, 1.0]), mask)
 
 
 @pytest.mark.parametrize("num_labels", [3, 300])
@@ -298,7 +305,7 @@ def test_profile_masks_must_have_two_labels(num_labels):
     g = make_centered_geometry((2, 2, 2))
     mask = LabelVolume(g, np.ones((2, 2, 2), dtype=np.uint16), num_labels)
     with pytest.raises(HarmonizeError, match="num_labels=2"):
-        HarmonizationModel(np.array([2.0, 1.0]), mask, 2)
+        HarmonizationModel(np.array([2.0, 1.0]), mask)
     with pytest.raises(HarmonizeError, match="num_labels=2"):
         sorted_intensities(random_intensity((2, 2, 2), seed=1), mask, 2)
 
@@ -314,31 +321,45 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.quantile_count == model.quantile_count
 
 
-def test_load_model_rejects_tampered_dims(tmp_path):
+def test_model_states_its_count_once(tmp_path):
+    assert "quantile_count" not in inspect.signature(HarmonizationModel).parameters
     vol = random_intensity((4, 4, 4))
-    mask = _full_mask(vol.geometry)
-    save_model(fit_model([vol], [mask], quantile_count=8), tmp_path / "model")
-    meta_path = tmp_path / "model" / "meta.json"
-    meta_path.write_text(meta_path.read_text().replace("4", "5"))
-    with pytest.raises(HarmonizeError, match="dims"):
-        load_model(tmp_path / "model")
+    model = fit_model([vol], [_full_mask(vol.geometry)], quantile_count=8)
+    assert model.quantile_count == model.mean_sorted.size == 8
+    save_model(model, tmp_path / "model")
+    assert json.loads((tmp_path / "model" / "meta.json").read_text()) == {"quantile_count": 8}
 
 
-@pytest.mark.parametrize(
-    "spacing, error",
-    [([1.0, 1.0, 1.001], "spacing disagrees"), ([1.0, 1.0], "malformed"), (["x", 1, 1], "malformed")],
-)
-def test_load_model_rejects_tampered_spacing(tmp_path, spacing, error):
+@pytest.mark.parametrize("count", ['"8"', "8.0", "true", "1e400"])
+def test_load_model_rejects_a_count_that_is_no_integer(tmp_path, count):
     vol = random_intensity((4, 4, 4))
     save_model(fit_model([vol], [_full_mask(vol.geometry)], quantile_count=8), tmp_path / "model")
     meta_path = tmp_path / "model" / "meta.json"
     meta = json.loads(meta_path.read_text())
-    meta_path.write_text(json.dumps({**meta, "mask_spacing": spacing}))
-    with pytest.raises(HarmonizeError, match=error):
+    meta_path.write_text(json.dumps({**meta, "quantile_count": None}).replace("null", count))
+    with pytest.raises(HarmonizeError, match="malformed"):
         load_model(tmp_path / "model")
-    # within the grid tolerance of `VolumeGeometry.matches`, it loads
-    meta_path.write_text(json.dumps({**meta, "mask_spacing": [1.0, 1.0, 1.00005]}))
-    assert load_model(tmp_path / "model").mask.geometry.spacing == (1.0, 1.0, 1.0)
+
+
+def test_a_model_in_the_older_format_loads_and_harmonizes_the_same(tmp_path):
+    # the older meta.json also repeated mask.nii's dims and spacing; those keys
+    # are ignored now, and harmonize checks the mask's grid against each scan's
+    vol = random_intensity((5, 4, 3), seed=3)
+    model = fit_model([random_intensity((5, 4, 3), seed=4)], [_full_mask(vol.geometry)], 16)
+    save_model(model, tmp_path / "new")
+    save_model(model, tmp_path / "old")
+    meta = {"quantile_count": 16, "mask_dims": [5, 4, 3], "mask_spacing": [1.0, 1.0, 1.0]}
+    (tmp_path / "old" / "meta.json").write_text(json.dumps(meta, indent=1))
+    new, old = (harmonize(vol, load_model(tmp_path / name))[0] for name in ("new", "old"))
+    assert old.data.tobytes() == new.data.tobytes()
+    # a disagreeing spacing is not refused at load, only by harmonize on another grid
+    meta["mask_spacing"] = [1.0, 1.0, 2.0]
+    (tmp_path / "old" / "meta.json").write_text(json.dumps(meta, indent=1))
+    loaded = load_model(tmp_path / "old")
+    assert loaded.mask.geometry.spacing == (1.0, 1.0, 1.0)
+    other = random_intensity((5, 4, 3), seed=3, spacing=(1.0, 1.0, 2.0))
+    with pytest.raises(HarmonizeError, match="geometries differ"):
+        harmonize(other, loaded)
 
 
 # --- memory and bitwise contracts ---
@@ -383,7 +404,7 @@ def test_harmonize_holds_few_volume_sized_arrays():
     # std's temporary, then the masked values, then the output: never a z-scored copy
     vol = random_intensity((64, 64, 64), seed=21)
     mask = _full_mask(vol.geometry)
-    model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), mask, 1024)
+    model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), mask)
     harmonize(vol, model)  # first calls of numpy routines allocate once
     peak, _ = peak_alloc(lambda: harmonize(vol, model))
     assert peak <= 1.3 * vol.data.nbytes
@@ -412,7 +433,7 @@ def test_harmonize_of_a_float32_volume_builds_no_float64_copy(tmp_path):
                     tmp_path / "scan.nii")
     vol, _ = tio.read_nifti(tmp_path / "scan.nii")
     assert vol.data.dtype == np.float32 and vol.data.size >= 1 << 20
-    model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), _full_mask(geometry), 1024)
+    model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), _full_mask(geometry))
     harmonize(vol, model)  # first calls of numpy routines allocate once
     peak, (out, _) = peak_alloc(lambda: harmonize(vol, model))
     assert out.data.dtype == np.float32

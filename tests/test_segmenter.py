@@ -445,6 +445,21 @@ def test_cache_key_hashes_the_x_fastest_bytes_without_a_copy(tmp_path, order):
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == sorted(want)
 
 
+def test_a_cache_entry_whose_dims_overflow_is_recomputed(tmp_path):
+    # JSON's 1e400 reads as inf, which the sidecar's int() dims refuse with OverflowError
+    vol = random_intensity(DIMS, seed=5)
+    segment_answers(_CountingOracle(GRID.k), vol, GRID, cache_dir=tmp_path)
+    sidecars = sorted(tmp_path.glob("*.json"))
+    assert len(sidecars) == GRID.k
+    for sidecar in sidecars:
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "dims": None}).replace("null", "[1e400, 5, 5]"))
+    backend = _CountingOracle(GRID.k)
+    outs = segment_answers(backend, vol, GRID, cache_dir=tmp_path)
+    assert sorted(backend.calls) == [t.index for t in GRID.tiles]
+    assert [int(o.data.max()) for o in outs] == [t.index for t in GRID.tiles]
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_prior_descriptor_is_pinned(order):
     # the prior's voxels x-fastest as <u2, whatever its label type or the
