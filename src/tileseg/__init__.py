@@ -4,10 +4,11 @@ Pipeline: affine-align a scan onto a canonical atlas grid, harmonize its
 intensities against a sorted-intensity reference, split the atlas into
 overlapped tiles, segment each tile with a pluggable backend, fuse the
 tile label maps by majority vote, and map the result back to native
-space.  A Dice harness evaluates the output against reference labels.
+space.  A Dice harness (``evaluate.report``) evaluates the output against
+reference labels.
 """
 
-from .evaluate import DiceReport, dice, report
+from .evaluate import DiceReport, report
 from .fusion import FusionResult, fuse_concatenate, fuse_majority
 from .geometry import (
     AffineTransform,
@@ -33,7 +34,6 @@ from .pipeline import PipelineConfig, RunResult, run
 from .segmenter import (
     AtlasPriorOracle,
     ConstantOracle,
-    CorruptingWrapper,
     ExternalProcessBackend,
     segment_all,
     segment_tile,
@@ -46,7 +46,6 @@ __all__ = [
     "AffineTransform",
     "AtlasPriorOracle",
     "ConstantOracle",
-    "CorruptingWrapper",
     "DiceReport",
     "ExternalProcessBackend",
     "FusionResult",
@@ -62,7 +61,6 @@ __all__ = [
     "build_grid",
     "compose",
     "coverage_map",
-    "dice",
     "estimate_affine_moments",
     "extract_tile",
     "fit_model",

@@ -107,8 +107,9 @@ class AffineTransform:
         if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
             raise GeometryError("affine matrix last row must be [0, 0, 0, 1]")
         # LU divides by a subnormal pivot of a near-singular matrix: the
-        # determinant comes out ~0 and is refused below, not warned about
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # determinant comes out ~0 and is refused below, not warned about;
+        # huge finite entries overflow it to inf, which is accepted
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             det = np.linalg.det(m[:3, :3])
         if not abs(det) > _DET_EPS:
             raise GeometryError("affine matrix is not invertible")

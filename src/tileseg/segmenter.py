@@ -8,7 +8,8 @@ float32 for a scan read from a file (float32, int16 or uint8 voxels),
 float64 for a float64 scan built in memory (see
 ``geometry._intensity_dtype``).  Production models run as
 external processes through a file-based protocol; deterministic built-in
-oracles cover testing and phantom studies.
+oracles cover testing and phantom studies.  The wrapper that fakes one bad
+tile (``CorruptingWrapper``) is a test double, kept in ``tests/conftest.py``.
 
 External-process protocol, per tile:
 
@@ -48,7 +49,6 @@ __all__ = [
     "SegmenterBackend",
     "ConstantOracle",
     "AtlasPriorOracle",
-    "CorruptingWrapper",
     "ExternalProcessBackend",
     "segment_tile",
     "segment_all",
@@ -117,33 +117,6 @@ class AtlasPriorOracle(SegmenterBackend):
         # the prior's x-fastest voxels as <u2, whatever its label type
         digest = hashlib.sha256(self.prior.data.ravel("F").astype("<u2"))
         return f"prior:{digest.hexdigest()}:{self.num_labels}"
-
-
-class CorruptingWrapper(SegmenterBackend):
-    """Wraps a backend and answers one target tile with a constant label.
-
-    Reproduces the failure mode where a single sub-space model goes wrong,
-    for studying how much of the damage fusion undoes.  The target tile is
-    ``ConstantOracle(corruption_label, inner.num_labels)``'s answer, so a
-    label outside ``[0, inner.num_labels)`` fails here, at construction.
-    """
-
-    def __init__(self, inner: SegmenterBackend, target_index: int, corruption_label: int):
-        self.inner = inner
-        self.target_index = int(target_index)
-        self.corruption_label = int(corruption_label)
-        self.num_labels = inner.num_labels
-        self._corrupt = ConstantOracle(self.corruption_label, self.num_labels)
-
-    def segment(self, tile_input, tile):
-        backend = self._corrupt if tile.index == self.target_index else self.inner
-        return backend.segment(tile_input, tile)
-
-    def descriptor(self):
-        return (
-            f"corrupt:{self.target_index}:{self.corruption_label}"
-            f":{self.inner.descriptor()}"
-        )
 
 
 class ExternalProcessBackend(SegmenterBackend):

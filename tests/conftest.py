@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
-from tileseg.segmenter import SegmenterBackend, segment_all
+from tileseg.segmenter import ConstantOracle, SegmenterBackend, segment_all
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -67,6 +67,33 @@ class NearestLevel(SegmenterBackend):
         levels = self.levels + np.random.default_rng(tile.index).normal(0.0, self.bias)
         nearest = np.abs(tile_input.data[..., None] - levels).argmin(axis=-1)
         return LabelVolume(tile_input.geometry, nearest, self.num_labels)
+
+
+class CorruptingWrapper(SegmenterBackend):
+    """Wraps a backend and answers one target tile with a constant label.
+
+    Reproduces the failure mode where a single sub-space model goes wrong,
+    for studying how much of the damage fusion undoes.  The target tile is
+    ``ConstantOracle(corruption_label, inner.num_labels)``'s answer, so a
+    label outside ``[0, inner.num_labels)`` fails here, at construction.
+    """
+
+    def __init__(self, inner: SegmenterBackend, target_index: int, corruption_label: int):
+        self.inner = inner
+        self.target_index = int(target_index)
+        self.corruption_label = int(corruption_label)
+        self.num_labels = inner.num_labels
+        self._corrupt = ConstantOracle(self.corruption_label, self.num_labels)
+
+    def segment(self, tile_input, tile):
+        backend = self._corrupt if tile.index == self.target_index else self.inner
+        return backend.segment(tile_input, tile)
+
+    def descriptor(self):
+        return (
+            f"corrupt:{self.target_index}:{self.corruption_label}"
+            f":{self.inner.descriptor()}"
+        )
 
 
 def segment_answers(backend, atlas_vol, grid, **kwargs) -> list:

@@ -26,9 +26,9 @@ from tileseg.geometry import (
 from tileseg.harmonize import fit_model, harmonize
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
 from tileseg.pipeline import PipelineConfig, run, save_affine
-from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper
+from tileseg.segmenter import AtlasPriorOracle
 from tileseg.tiling import build_grid, coverage_map, extract_tile
-from conftest import segment_answers
+from conftest import CorruptingWrapper, segment_answers
 
 
 @contextmanager

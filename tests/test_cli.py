@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from tileseg.geometry import (
 )
 from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
-from tileseg.pipeline import PipelineConfig, run
+from tileseg.pipeline import PipelineConfig, load_config, run
 from tileseg.tiling import build_grid, load_grid
 
 
@@ -432,10 +433,20 @@ def test_tile_of_the_wrong_size_exits_8(tmp_path, capsys):
     assert not (tmp_path / "f.nii").exists()
 
 
+def _readme_section(title):
+    """The text of the README's ``## title`` section, up to the next ``## ``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_block(title, language):
+    """The first ```language fenced block of the README's ``## title`` section."""
+    return _readme_section(title).split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_exit_codes():
     """``{code: meaning}`` from the README's "Exit codes" table."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme_section("Exit codes")
     rows = (line.split("|") for line in section.splitlines() if line.startswith("|"))
     return {int(cells[1]): cells[2].strip() for cells in rows if cells[1].strip().isdigit()}
 
@@ -445,6 +456,27 @@ def test_readme_exit_code_table_matches_exit_codes():
     assert table[0] == "success"
     assert {code for code in table if 2 <= code <= 9} == {code for _, code in EXIT_CODES}
     assert set(table) <= {0, *range(2, 10)}
+
+
+def test_readme_config_example_has_every_config_field_but_the_output(tmp_path):
+    # `--output` names the directory on the command line, so the example leaves it out
+    doc = json.loads(_readme_block("Config file", "json"))
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert set(doc) == fields - {"output_dir"}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    load_config(tmp_path / "config.json")  # and its values are valid
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch, capsys):
+    # the block's files: a 6-label prior on the atlas grid and a scan on the same grid
+    prior = make_blob_phantom(PipelineConfig().atlas_geometry(), 6, seed=7)
+    tio.write_nifti(prior, tmp_path / "prior.nii")
+    tio.write_nifti(intensity_from_labels(prior, seed=7), tmp_path / "scan.nii")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_readme_block("Library use", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.endswith(" 0\n")  # the prior's tiles agree: no tie
+    native, _ = tio.read_nifti(tmp_path / "out" / "native_labels.nii", as_labels=True)
+    assert native.data.tobytes() == prior.data.astype(native.data.dtype).tobytes()
 
 
 def test_evaluate_dim_mismatch_exits_9(tmp_path):
@@ -1165,6 +1197,20 @@ def test_atlas_spacing_flag_out_of_range_exits_2(tmp_path, capsys, spacing):
     assert code == 2
     assert "atlas_spacing must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_atlas_spacing_whose_affine_determinant_overflows_exits_4_without_a_warning(
+    tmp_path, capsys
+):
+    # the atlas affine's det is inf and is accepted; its inverse is the one refused
+    _, _, scan_path = _write_phantom(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--input", str(scan_path), "--output", str(tmp_path / "out"),
+                     "--num-labels", "4", "--backend", "constant:1",
+                     "--atlas-spacing", "1e103,1e103,1e103", *_SMALL_RUN])
+    assert code == 4
+    assert "affine matrix is not invertible" in capsys.readouterr().err
 
 
 def test_run_with_atlas_spacing_writes_atlas_labels_on_that_spacing(tmp_path):

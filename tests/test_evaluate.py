@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import peak_alloc, random_labels
-from tileseg.evaluate import EvaluateError, dice, report
+from tileseg.evaluate import EvaluateError, report
 from tileseg.geometry import LabelVolume, make_centered_geometry
 
 
@@ -14,6 +14,19 @@ def _labels(values, num_labels):
     values = np.asarray(values, dtype=np.uint16)
     g = make_centered_geometry((values.size, 1, 1))
     return LabelVolume(g, values.reshape(values.size, 1, 1), num_labels)
+
+
+def dice(auto: LabelVolume, manual: LabelVolume, label: int) -> float | None:
+    """``report``'s oracle: one label's DSC from whole-volume masks; None when
+    neither volume contains it."""
+    if auto.dims != manual.dims:
+        raise EvaluateError(f"dims differ: {auto.dims} vs {manual.dims}")
+    a = auto.data == label
+    b = manual.data == label
+    denom = int(a.sum()) + int(b.sum())
+    if denom == 0:
+        return None
+    return 2.0 * int((a & b).sum()) / denom
 
 
 def test_identical_volumes_score_one():
@@ -29,6 +42,7 @@ def test_disjoint_masks_score_zero():
     a = _labels([1, 1, 0, 0], 2)
     b = _labels([0, 0, 1, 1], 2)
     assert dice(a, b, 1) == 0.0
+    assert report(a, b).per_label[1] == 0.0
 
 
 def test_half_overlap_by_hand():
@@ -46,6 +60,7 @@ def test_dice_is_symmetric():
     b = random_labels((5, 5, 5), 4, seed=3)
     for label in range(1, 4):
         assert dice(a, b, label) == dice(b, a, label)
+    assert report(a, b).per_label == report(b, a).per_label
 
 
 def test_label_absent_from_both_is_undefined():
@@ -75,6 +90,7 @@ def test_label_present_on_one_side_scores_zero():
     a = _labels([2, 0], 3)
     b = _labels([0, 0], 3)
     assert dice(a, b, 2) == 0.0
+    assert report(a, b).per_label[2] == 0.0
 
 
 def test_all_background_volumes_have_no_defined_scores():

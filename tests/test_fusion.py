@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_intensity, random_labels, segment_answers
+from conftest import CorruptingWrapper, random_intensity, random_labels, segment_answers
 from test_acceptance import _dense_vote_oracle
 from tileseg.fusion import (
     FusionError,
@@ -21,7 +21,7 @@ from tileseg.geometry import (
     compose,
     make_centered_geometry,
 )
-from tileseg.segmenter import AtlasPriorOracle, CorruptingWrapper
+from tileseg.segmenter import AtlasPriorOracle
 from tileseg.tiling import (
     TileGrid,
     TileSpec,

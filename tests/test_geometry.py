@@ -12,7 +12,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
-    NOT_LABELS, apply_affine, peak_alloc, random_intensity, random_labels, segment_answers,
+    NOT_LABELS, CorruptingWrapper, apply_affine, peak_alloc, random_intensity, random_labels,
+    segment_answers,
 )
 from tileseg.geometry import (
     ATLAS_DIMS,
@@ -38,7 +39,7 @@ from tileseg.fusion import fuse_majority
 from tileseg.harmonize import fit_model, harmonize, standardize
 from tileseg.pipeline import PipelineConfig
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
-from tileseg.segmenter import ConstantOracle, CorruptingWrapper, SegmenterBackend
+from tileseg.segmenter import ConstantOracle, SegmenterBackend
 from tileseg.tiling import build_grid, extract_tile
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -72,6 +73,14 @@ def test_affine_rejects_singular_with_a_subnormal_pivot():
     linear = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 2.2250738585e-309, 0.0]])
     with pytest.raises(GeometryError, match="not invertible"):
         AffineTransform.from_linear_translation(linear, np.zeros(3))
+
+
+def test_affine_with_an_overflowing_determinant_builds_without_a_warning():
+    # det is 1e309, beyond float64: inf, which is invertible enough
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = AffineTransform(np.diag([1e103, 1e103, 1e103, 1.0]))
+    assert t.linear[0, 0] == 1e103
 
 
 def test_affine_rejects_singular():

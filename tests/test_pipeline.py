@@ -41,13 +41,12 @@ from tileseg.pipeline import (
 from tileseg.segmenter import (
     AtlasPriorOracle,
     ConstantOracle,
-    CorruptingWrapper,
     SegmentationError,
     SegmenterBackend,
     segment_all,
 )
 from tileseg.tiling import build_grid, coverage_map, extract_tile
-from conftest import peak_alloc, random_labels
+from conftest import CorruptingWrapper, peak_alloc, random_labels
 
 
 # --- configuration ---

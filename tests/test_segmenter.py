@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import (
-    NOT_LABELS, float32_nifti, peak_alloc, random_intensity, random_labels, segment_answers,
+    NOT_LABELS, CorruptingWrapper, float32_nifti, peak_alloc, random_intensity, random_labels, segment_answers,
 )
 from tileseg import io as tio
 from tileseg.fusion import StreamingVote, fuse_majority
@@ -20,7 +20,6 @@ from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometr
 from tileseg.segmenter import (
     AtlasPriorOracle,
     ConstantOracle,
-    CorruptingWrapper,
     ExternalProcessBackend,
     SegmentationError,
     SegmenterBackend,
