@@ -299,8 +299,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
         fit = None
         with clock.time("harmonize"):
             if config.harmonization_model:
-                model = load_model(config.harmonization_model)
-                atlas_input, fit = apply_harmonization(atlas_input, model)
+                atlas_input, fit = apply_harmonization(atlas_input, load_model(config.harmonization_model))
 
         with clock.time("segment"):
             vote = StreamingVote(grid, backend.num_labels)

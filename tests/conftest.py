@@ -1,4 +1,8 @@
+import functools
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -8,6 +12,18 @@ from tileseg.segmenter import ConstantOracle, SegmenterBackend, segment_all
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("suite")
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@functools.cache
+def bench_module(name):
+    """``bench/<name>.py``, imported read-only: the benchmark's fixtures and scan set-up."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def apply_affine(transform, points):

@@ -14,19 +14,15 @@ contract change: the change that moves it updates it here and says which
 output changed, and why.
 """
 
-import functools
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from tileseg import pipeline
 from tileseg.segmenter import SegmenterBackend
+from conftest import bench_module
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 2601
 
 GOLDEN = {
@@ -45,15 +41,6 @@ GOLDEN = {
         "tile_inputs": "c299de6a028073e36db62788ccf0be470845ca47c9519c90cc33798185bf09f0",
     },
 }
-
-
-@functools.cache
-def _bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
 
 
 class _Recording(SegmenterBackend):
@@ -75,7 +62,7 @@ def _sha(data: bytes) -> str:
 
 @pytest.fixture(scope="module")
 def manifests(tmp_path_factory):
-    fixture = _bench_module("fixture")
+    fixture = bench_module("fixture")
     root = tmp_path_factory.mktemp("golden")
     return {
         name: json.loads(fixture.build(name, fixture.SMALL, SEED, root / name).manifest_path.read_text())
@@ -87,7 +74,7 @@ def manifests(tmp_path_factory):
 @pytest.mark.parametrize("workload", sorted(GOLDEN))
 def test_outputs_match_their_golden_digests(tmp_path, manifests, workload, jobs):
     manifest = manifests[workload]
-    backend = _Recording(_bench_module("scan").make_backend(manifest))
+    backend = _Recording(bench_module("scan").make_backend(manifest))
     out = tmp_path / "out"
     config = pipeline.PipelineConfig(
         **manifest["config"], backend=backend, jobs=jobs, output_dir=str(out)

@@ -1,0 +1,121 @@
+"""What each stage of ``pipeline.run`` holds, pinned for a whole run.
+
+The budget test runs the benchmark's paper-layout ``overlap-noisy`` fixture
+(``bench/fixture.py`` and ``bench/scan.py``, imported read-only) at
+``jobs=1`` under tracemalloc, with ``_StageClock.time`` wrapped to read each
+stage's live set at its start and end and its peak in between.  Budgets
+have the form ``a * atlas + SLACK``: one atlas is the float32 atlas volume,
+and the slack covers what does not scale with the volumes (Python objects,
+lazy imports).  tracemalloc sees numpy's allocations, not the allocator's
+arenas, so these pins are on what the program holds, not on its resident
+set.  At ``jobs=2`` register and segment rise further, by thread timing.
+"""
+
+import contextlib
+import json
+import tracemalloc
+import weakref
+
+import numpy as np
+
+from tileseg import pipeline
+from tileseg.segmenter import SegmenterBackend
+from conftest import bench_module
+
+MiB = 2**20
+SLACK = 2 * MiB
+
+# per stage, in atlases: (peak above the stage's start, live set at its end)
+BUDGETS = {
+    "read": (0.05, 0.0),  # one 1 MB band of scan planes, then nothing
+    "register": (1.3, 1.0),  # the registered volume and a few planes per thread
+    "harmonize": (1.35, 1.0),  # the masked copy and the model's mask; the registered volume and model go
+    "segment": (0.95, 1.25),  # tile input and answer, the vote's pending parts and its fused map
+    "fuse": (0.0, 0.25),  # the fused map (uint8, a quarter atlas)
+    "unregister": (0.7, 0.75),  # a few planes per thread; the native map (0.47 atlas) joins the fused
+    "write": (0.05, 0.75),  # one z plane cast at a time
+}
+
+
+def _manifest(layout, seed, directory):
+    """Build the ``overlap-noisy`` fixture at ``layout``; its manifest."""
+    fixture = bench_module("fixture")
+    built = fixture.build("overlap-noisy", getattr(fixture, layout), seed, directory)
+    return json.loads(built.manifest_path.read_text())
+
+
+def _stage_memory(monkeypatch, config, scan):
+    """``{stage: (rise, end)}`` in bytes for one traced ``run``."""
+    stages = {}
+    time = pipeline._StageClock.time
+
+    @contextlib.contextmanager
+    def measured(clock, name):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with time(clock, name):
+            yield
+        end, peak = tracemalloc.get_traced_memory()
+        stages[name] = (peak - start, end)
+
+    monkeypatch.setattr(pipeline._StageClock, "time", measured)
+    tracemalloc.start()
+    try:
+        pipeline.run(config, scan)
+    finally:
+        tracemalloc.stop()
+    return stages
+
+
+def test_each_stage_keeps_to_its_memory_budget(tmp_path, monkeypatch):
+    manifest = _manifest("PAPER", 32001, tmp_path / "fx")
+    config = pipeline.PipelineConfig(
+        **manifest["config"],
+        backend=bench_module("scan").make_backend(manifest),
+        output_dir=str(tmp_path / "out"),
+    )
+    atlas = np.prod(config.atlas_dims) * np.dtype(np.float32).itemsize
+    stages = _stage_memory(monkeypatch, config, manifest["scan"])
+    assert list(stages) == list(BUDGETS)
+    over = [
+        f"{name} {what} {got / atlas:.2f} atlas > {a} + {SLACK // MiB} MiB"
+        for name, measured in stages.items()
+        for what, got, a in zip(("rise", "end"), measured, BUDGETS[name])
+        if got > a * atlas + SLACK
+    ]
+    assert not over
+
+
+def test_the_model_is_freed_when_harmonize_returns(tmp_path, monkeypatch):
+    manifest = _manifest("SMALL", 5, tmp_path / "fx")
+    models = []
+    load_model = pipeline.load_model
+
+    def watched(directory):
+        model = load_model(directory)
+        models.append(weakref.ref(model))
+        return model
+
+    class Probe(SegmenterBackend):
+        """Asserts, in its first call, that no model is alive."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.num_labels = inner.num_labels
+            self.calls = 0
+
+        def segment(self, tile_input, tile):
+            if self.calls == 0:
+                alive = [ref() is not None for ref in models]
+                assert alive == [False], "the model outlived harmonize"
+            self.calls += 1
+            return self.inner.segment(tile_input, tile)
+
+    monkeypatch.setattr(pipeline, "load_model", watched)
+    probe = Probe(bench_module("scan").make_backend(manifest))
+    config = pipeline.PipelineConfig(
+        **manifest["config"], backend=probe, output_dir=str(tmp_path / "out")
+    )
+    assert config.harmonization_model is not None
+    pipeline.run(config, manifest["scan"])
+    assert probe.calls == len(config.build_grid().tiles)
