@@ -21,14 +21,7 @@ from .geometry import (
     resample_intensity,
     resample_labels,
 )
-from .harmonize import (
-    HarmonizationModel,
-    RegressionFit,
-    fit_model,
-    harmonize,
-    sorted_intensities,
-    standardize,
-)
+from .harmonize import HarmonizationModel, RegressionFit, fit_model, harmonize
 from .io import read_nifti, read_raw, write_nifti, write_raw
 from .pipeline import PipelineConfig, RunResult, run
 from .segmenter import (
@@ -76,8 +69,6 @@ __all__ = [
     "run",
     "segment_all",
     "segment_tile",
-    "sorted_intensities",
-    "standardize",
     "write_nifti",
     "write_raw",
 ]

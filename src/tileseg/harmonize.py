@@ -26,8 +26,6 @@ __all__ = [
     "HarmonizeError",
     "HarmonizationModel",
     "RegressionFit",
-    "standardize",
-    "sorted_intensities",
     "fit_model",
     "harmonize",
     "save_model",
@@ -119,8 +117,8 @@ def _moments(data: np.ndarray):
     return mean, std
 
 
-def _mapped(data: np.ndarray, mean: float, std: float, fit=None) -> np.ndarray:
-    """``(data - mean) / std``, then ``* beta1 + beta0`` of ``fit``, block by block.
+def _mapped(data: np.ndarray, mean: float, std: float, fit: RegressionFit) -> np.ndarray:
+    """``(data - mean) / std * beta1 + beta0`` of ``fit``, block by block.
 
     Each voxel is computed in float64 and rounded once into the output, a
     new x-fastest array in ``_intensity_dtype``.
@@ -130,33 +128,17 @@ def _mapped(data: np.ndarray, mean: float, std: float, fit=None) -> np.ndarray:
     for part, wide in _blocks(data):
         wide -= mean
         wide /= std
-        if fit is not None:
-            wide *= fit.beta1
-            wide += fit.beta0
+        wide *= fit.beta1
+        wide += fit.beta0
         dest[part] = wide
     return out
 
 
-def standardize(vol: IntensityVolume) -> IntensityVolume:
-    """Demean and scale to unit population std, over all voxels."""
-    return IntensityVolume._adopt(vol.geometry, _mapped(vol.data, *_moments(vol.data)))
-
-
-def sorted_intensities(
-    vol: IntensityVolume, mask: LabelVolume, quantile_count: int
-) -> np.ndarray:
-    """Intensities under a two-label ``mask`` sorted descending, resampled to ``quantile_count``.
-
-    Linear interpolation over the sorted sequence, endpoints inclusive, so
-    the output is non-increasing of length ``quantile_count`` regardless of
-    how many voxels the mask selects.
-    """
-    return _profile(vol.geometry, mask, quantile_count, vol.data)
-
-
-def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndarray:
+def _profile(geometry, mask, quantile_count, data, mean, std) -> np.ndarray:
     """The sorted profile of ``(data - mean) / std``, ``data`` on ``geometry``.
 
+    The values under a two-label ``mask``, sorted descending, are linearly
+    interpolated onto ``quantile_count`` positions, endpoints inclusive.
     The raw masked values are sorted and only the ranks read are z-scored:
     ``(v - mean) / std`` is monotone in floating point, so this gives the
     bits of sorting the z-scored volume.
@@ -176,8 +158,8 @@ def _profile(geometry, mask, quantile_count, data, mean=0.0, std=1.0) -> np.ndar
     positions = np.linspace(0.0, n - 1.0, quantile_count)
     # np.interp over all n ranks reads only the two that bracket each
     # position, so interpolating over just those ranks gives the same bits
-    lower = positions.astype(np.intp)
-    ranks = np.union1d(lower, np.minimum(lower + 1, n - 1))
+    lower = positions.astype(np.intp).tolist()
+    ranks = np.array(sorted({*lower, *(min(i + 1, n - 1) for i in lower)}))
     picked = (values[n - 1 - ranks].astype(np.float64) - mean) / std
     return np.interp(positions, ranks, picked)
 

@@ -1,4 +1,4 @@
-"""NIfTI-1 single-file reading/writing plus a raw fixture format.
+"""NIfTI-1 single-file reading/writing plus the resume cache's raw label format.
 
 The header is one named record, ``_HEADER``, read and written by field
 name.  The reader accepts either byte order (detected from the 348
@@ -17,11 +17,10 @@ registered is not read whole: a ``NiftiScan`` holds its header and file
 descriptor, ``check_finite`` reads its voxels once, a band of planes at a
 time, and the resampler's rings and the moments read the planes they need.
 
-The raw format is a JSON sidecar (dims, spacing, affine, dtype) next to a
-flat little-endian binary blob in x-fastest order.  It exists for test
-fixtures where bit-exact float64 round-trips matter, and it holds the
-resume cache's tile answers.  Labels are stored as ``<u2`` whatever their
-label type, so entries written by earlier versions still read.
+The raw format is the resume cache's label format: a JSON sidecar (dims,
+spacing, affine, num_labels) next to a flat ``<u2`` blob in x-fastest
+order.  Labels are stored as ``<u2`` whatever their label type, so
+entries written by earlier versions still read.
 
 Both writers cast and write one z plane at a time (``_planes``): every
 volume is x-fastest in memory (see ``geometry``), so each of its planes is
@@ -360,47 +359,40 @@ def write_atomic(path, chunks: Iterable) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Raw fixture format
+# Raw label format: the resume cache's entries
 # ---------------------------------------------------------------------------
 
 
-def write_raw(vol, path) -> None:
-    """Write a volume as ``path`` (binary blob) + ``path.json`` (sidecar), each atomically.
+def write_raw(vol: LabelVolume, path) -> None:
+    """Write a label volume as ``path`` (``<u2`` blob) + ``path.json`` (sidecar), each atomically.
 
     The blob is cast and written one z plane at a time, like ``write_nifti``.
     """
     path = Path(path)
-    if isinstance(vol, LabelVolume):
-        kind, dtype = "labels", "<u2"
-    else:
-        kind, dtype = "intensity", "<f8"
+    # "kind" and "dtype" never vary; they keep an entry's bytes those of earlier versions
     meta = {
-        "kind": kind,
-        "dtype": dtype,
+        "kind": "labels",
+        "dtype": "<u2",
         "dims": list(vol.dims),
         "spacing": list(vol.geometry.spacing),
         "index_to_world": vol.geometry.index_to_world.matrix.reshape(-1).tolist(),
+        "num_labels": vol.num_labels,
     }
-    if kind == "labels":
-        meta["num_labels"] = vol.num_labels
-    write_atomic(path, _planes(vol.data, np.dtype(dtype)))
+    write_atomic(path, _planes(vol.data, np.dtype("<u2")))
     write_atomic(str(path) + ".json", (json.dumps(meta, indent=1).encode(),))
 
 
-def read_raw(path):
-    """Read a volume written by :func:`write_raw`."""
+def read_raw(path) -> LabelVolume:
+    """Read a label volume written by :func:`write_raw`; it adopts the one copy of the blob."""
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
     dims = tuple(meta["dims"])
     affine = np.array(meta["index_to_world"], dtype=np.float64).reshape(4, 4)
     geometry = VolumeGeometry(dims, tuple(meta["spacing"]), AffineTransform(affine))
-    flat = np.frombuffer(path.read_bytes(), dtype=np.dtype(meta["dtype"]))
+    flat = np.frombuffer(path.read_bytes(), dtype="<u2")
     nvox = dims[0] * dims[1] * dims[2]
     if flat.size != nvox:
         raise NiftiFormatError(f"raw blob holds {flat.size} values, expected {nvox}")
-    arr = flat.reshape(dims, order="F")
-    # each branch makes the one copy of the blob, which the volume adopts
-    if meta["kind"] == "labels":
-        num_labels = meta.get("num_labels", 0)
-        return LabelVolume._adopt(geometry, _label_array(arr, num_labels), num_labels)
-    return IntensityVolume._adopt(geometry, arr.astype(np.float64))
+    num_labels = meta.get("num_labels", 0)
+    arr = _label_array(flat.reshape(dims, order="F"), num_labels)
+    return LabelVolume._adopt(geometry, arr, num_labels)

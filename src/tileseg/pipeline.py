@@ -302,14 +302,14 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 atlas_input, fit = apply_harmonization(atlas_input, load_model(config.harmonization_model))
 
         with clock.time("segment"):
-            vote = StreamingVote(grid, backend.num_labels)
+            vote = StreamingVote(grid, config.num_labels)
             segment_all(
                 backend, atlas_input, grid, jobs=config.jobs,
                 on_tile_failure=config.on_tile_failure,
                 cache_dir=out_dir / "work" / "tiles" if config.resume else None,
                 on_tile=vote.add,
             )
-        del atlas_input
+        del atlas_input, backend
 
         with clock.time("fuse"):
             if config.fusion_mode == "majority":
@@ -349,7 +349,7 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 "coverage_mean": sum(n * v for n, v in coverage.items()) / sum(coverage.values()),
             },
             "grid": grid.to_dict(),
-            "num_labels": backend.num_labels,
+            "num_labels": config.num_labels,
             "outputs": {
                 "atlas_labels": str(atlas_path),
                 "native_labels": str(native_path),

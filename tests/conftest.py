@@ -8,6 +8,7 @@ import hypothesis
 import numpy as np
 
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
+from tileseg.harmonize import RegressionFit, _mapped, _moments
 from tileseg.segmenter import ConstantOracle, SegmenterBackend, segment_all
 
 hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
@@ -29,6 +30,11 @@ def bench_module(name):
 def apply_affine(transform, points):
     """Map an (N, 3) array of points through an AffineTransform."""
     return np.asarray(points, dtype=np.float64) @ transform.linear.T + transform.offset
+
+
+def z_scored(vol):
+    """Harmonize's z-scored voxels of ``vol``: its moments, mapped by the identity fit."""
+    return _mapped(vol.data, *_moments(vol.data), RegressionFit(1.0, 0.0, 0.0))
 
 
 def random_intensity(dims, seed=0, lo=0.0, hi=100.0, spacing=(1.0, 1.0, 1.0)):

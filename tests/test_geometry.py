@@ -36,7 +36,7 @@ from tileseg.geometry import (
 from tileseg import geometry as geometry_module
 from tileseg import io as tio
 from tileseg.fusion import fuse_majority
-from tileseg.harmonize import fit_model, harmonize, standardize
+from tileseg.harmonize import fit_model, harmonize
 from tileseg.pipeline import PipelineConfig
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
 from tileseg.segmenter import ConstantOracle, SegmenterBackend
@@ -999,7 +999,6 @@ def _package_built_volumes(tmp_path) -> list:
     tiles = [extract_tile(lab, t) for t in grid.tiles]
     mask = lab.with_data(np.ones(lab.dims))
     tile_input = extract_tile(img, grid.tiles[0])
-    tio.write_raw(img, tmp_path / "img.raw")
     tio.write_raw(lab, tmp_path / "lab.raw")
     tio.write_nifti(lab, tmp_path / "lab.nii")
     with pytest.warns(UserWarning, match="substituting background"):
@@ -1007,7 +1006,6 @@ def _package_built_volumes(tmp_path) -> list:
     return [
         resample_intensity(img, _tilted(), img.geometry),
         resample_labels(lab, _tilted(), lab.geometry),
-        standardize(img),
         harmonize(img, fit_model([img], [mask], quantile_count=8))[0],
         fit_model([img], [mask], quantile_count=8).mask,
         fuse_majority(tiles, grid).fused,
@@ -1015,7 +1013,6 @@ def _package_built_volumes(tmp_path) -> list:
         CorruptingWrapper(ConstantOracle(1, 4), 0, 2).segment(tile_input, grid.tiles[0]),
         substituted[0],
         make_blob_phantom(lab.geometry, num_labels=2),
-        tio.read_raw(tmp_path / "img.raw"),
         tio.read_raw(tmp_path / "lab.raw"),
         tio.read_nifti(tmp_path / "lab.nii", as_labels=True)[0],
     ]
@@ -1045,7 +1042,7 @@ def test_package_built_intensity_arrays_are_x_fastest(tmp_path):
         intensity_from_labels(random_labels((4, 5, 6), 4), noise=1.0),
         tio.read_nifti(tmp_path / "img.nii")[0],
     ]
-    assert len(volumes) == 8
+    assert len(volumes) == 6
     for vol in volumes:
         assert vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous
 

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import peak_alloc, random_intensity
+from conftest import peak_alloc, random_intensity, z_scored
 from tileseg import io as tio
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.harmonize import (
     HarmonizationModel,
     HarmonizeError,
+    _profile,
     fit_model,
     harmonize,
     load_model,
     save_model,
-    sorted_intensities,
-    standardize,
 )
 
 
@@ -32,26 +31,48 @@ def _line_volume(values):
     return IntensityVolume(g, values.reshape(values.size, 1, 1))
 
 
-# --- standardize ---
+def _standardize(vol):
+    return IntensityVolume(vol.geometry, z_scored(vol))
+
+
+def _sorted_profile(vol, mask, quantile_count):
+    """The profile of ``vol`` itself, not z-scored."""
+    return _profile(vol.geometry, mask, quantile_count, vol.data, 0.0, 1.0)
+
+
+def _full_interpolation(values, quantile_count):
+    """The profile as np.interp over every rank of the descending sort."""
+    ordered = np.sort(values)[::-1]
+    positions = np.linspace(0.0, ordered.size - 1.0, quantile_count)
+    return np.interp(positions, np.arange(ordered.size), ordered)
+
+
+def _z_scored_profile(vol, mask, quantile_count):
+    """An oracle for an atlas's profile in ``fit_model``: numpy's z-score, sort and interp."""
+    z = (vol.data - vol.data.mean()) / vol.data.std()
+    return _full_interpolation(z[mask.data > 0], quantile_count)
+
+
+# --- z-scoring ---
 
 
 def test_standardize_two_point():
-    out = standardize(_line_volume([0.0, 2.0]))
+    out = _standardize(_line_volume([0.0, 2.0]))
     # population std of {0, 2} is 1, mean is 1
     npt.assert_allclose(out.data.reshape(-1), [-1.0, 1.0])
 
 
 def test_standardize_zero_mean_unit_std():
     vol = random_intensity((6, 5, 4), seed=1)
-    out = standardize(vol)
+    out = _standardize(vol)
     assert abs(out.data.mean()) < 1e-12
     npt.assert_allclose(out.data.std(), 1.0, atol=1e-12)
 
 
 def test_standardize_idempotent():
     vol = random_intensity((6, 5, 4), seed=1)
-    once = standardize(vol)
-    twice = standardize(once)
+    once = _standardize(vol)
+    twice = _standardize(once)
     npt.assert_allclose(twice.data, once.data, atol=1e-12)
 
 
@@ -61,35 +82,35 @@ def test_standardize_idempotent():
 )
 def test_standardize_removes_affine_rescaling(a, b):
     vol = random_intensity((5, 5, 5), seed=2)
-    base = standardize(vol)
-    scaled = standardize(vol.with_data(a * vol.data + b))
+    base = _standardize(vol)
+    scaled = _standardize(vol.with_data(a * vol.data + b))
     npt.assert_allclose(scaled.data, base.data, atol=1e-9)
 
 
 def test_standardize_rejects_constant():
     g = make_centered_geometry((3, 3, 3))
     with pytest.raises(HarmonizeError, match="constant"):
-        standardize(IntensityVolume(g, np.full((3, 3, 3), 5.0)))
+        _standardize(IntensityVolume(g, np.full((3, 3, 3), 5.0)))
 
 
-# --- sorted_intensities ---
+# --- the sorted profile ---
 
 
 def test_sorted_profile_descends():
     vol = _line_volume([3.0, 1.0, 2.0])
-    out = sorted_intensities(vol, _full_mask(vol.geometry), 3)
+    out = _sorted_profile(vol, _full_mask(vol.geometry), 3)
     npt.assert_allclose(out, [3.0, 2.0, 1.0])
 
 
 def test_sorted_profile_interpolates_between_ranks():
     vol = _line_volume([4.0, 0.0])
-    out = sorted_intensities(vol, _full_mask(vol.geometry), 3)
+    out = _sorted_profile(vol, _full_mask(vol.geometry), 3)
     npt.assert_allclose(out, [4.0, 2.0, 0.0])
 
 
 def test_sorted_profile_constant_input():
     vol = _line_volume([1.0, 1.0, 1.0])
-    out = sorted_intensities(vol, _full_mask(vol.geometry), 5)
+    out = _sorted_profile(vol, _full_mask(vol.geometry), 5)
     npt.assert_allclose(out, np.ones(5))
 
 
@@ -98,7 +119,7 @@ def test_sorted_profile_single_voxel_mask():
     mask = LabelVolume(
         vol.geometry, np.array([0, 1, 0], dtype=np.uint16).reshape(3, 1, 1), 2
     )
-    out = sorted_intensities(vol, mask, 4)
+    out = _sorted_profile(vol, mask, 4)
     npt.assert_allclose(out, np.full(4, 4.0))
 
 
@@ -107,14 +128,14 @@ def test_sorted_profile_respects_mask_selection():
     mask = LabelVolume(
         vol.geometry, np.array([0, 1, 1, 1], dtype=np.uint16).reshape(4, 1, 1), 2
     )
-    out = sorted_intensities(vol, mask, 3)
+    out = _sorted_profile(vol, mask, 3)
     npt.assert_allclose(out, [3.0, 2.0, 1.0])
 
 
 @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
 def test_sorted_profile_is_always_non_increasing(q, seed):
     vol = random_intensity((4, 4, 4), seed=seed)
-    out = sorted_intensities(vol, _full_mask(vol.geometry), q)
+    out = _sorted_profile(vol, _full_mask(vol.geometry), q)
     assert out.size == q
     assert np.all(np.diff(out) <= 1e-12)
 
@@ -122,21 +143,21 @@ def test_sorted_profile_is_always_non_increasing(q, seed):
 def test_sorted_profile_rejects_small_quantile_count():
     vol = _line_volume([1.0, 2.0])
     with pytest.raises(HarmonizeError, match="quantile_count"):
-        sorted_intensities(vol, _full_mask(vol.geometry), 1)
+        _sorted_profile(vol, _full_mask(vol.geometry), 1)
 
 
 def test_sorted_profile_rejects_geometry_mismatch():
     vol = _line_volume([1.0, 2.0])
     other = make_centered_geometry((3, 1, 1))
     with pytest.raises(HarmonizeError, match="geometries"):
-        sorted_intensities(vol, _full_mask(other), 4)
+        _sorted_profile(vol, _full_mask(other), 4)
 
 
 def test_sorted_profile_rejects_empty_mask():
     vol = _line_volume([1.0, 2.0])
     mask = LabelVolume(vol.geometry, np.zeros((2, 1, 1), dtype=np.uint16), 2)
     with pytest.raises(HarmonizeError, match="no voxels"):
-        sorted_intensities(vol, mask, 4)
+        _sorted_profile(vol, mask, 4)
 
 
 # --- fit_model ---
@@ -146,7 +167,7 @@ def test_fit_single_atlas_equals_its_own_profile():
     vol = random_intensity((5, 5, 5), seed=3)
     mask = _full_mask(vol.geometry)
     model = fit_model([vol], [mask], quantile_count=16)
-    expected = sorted_intensities(standardize(vol), mask, 16)
+    expected = _z_scored_profile(vol, mask, 16)
     npt.assert_allclose(model.mean_sorted, expected, atol=1e-12)
     npt.assert_array_equal(model.mask.data, mask.data)
 
@@ -155,8 +176,8 @@ def test_fit_model_averages_profiles():
     vols = [random_intensity((5, 5, 5), seed=s) for s in (1, 2, 3)]
     mask = _full_mask(vols[0].geometry)
     model = fit_model(vols, [mask] * 3, quantile_count=8)
-    # independent oracle: profile each standardized scan, then average
-    profiles = [sorted_intensities(standardize(v), mask, 8) for v in vols]
+    # independent oracle: profile each z-scored scan, then average
+    profiles = [_z_scored_profile(v, mask, 8) for v in vols]
     npt.assert_allclose(model.mean_sorted, np.mean(profiles, axis=0), atol=1e-12)
 
 
@@ -182,8 +203,8 @@ def test_fit_model_masks_are_unioned():
     union = model.mask
     expected = np.mean(
         [
-            sorted_intensities(standardize(v1), union, 4),
-            sorted_intensities(standardize(v2), union, 4),
+            _z_scored_profile(v1, union, 4),
+            _z_scored_profile(v2, union, 4),
         ],
         axis=0,
     )
@@ -218,7 +239,7 @@ def test_harmonize_self_fit_is_identity_map():
     out, fit = harmonize(vol, model)
     assert abs(fit.beta1 - 1.0) <= 1e-6
     assert abs(fit.beta0) <= 1e-6
-    npt.assert_allclose(out.data, standardize(vol).data, atol=1e-9)
+    npt.assert_allclose(out.data, (vol.data - vol.data.mean()) / vol.data.std(), atol=1e-9)
     assert fit.residual_rms <= 1e-9
 
 
@@ -257,7 +278,7 @@ def test_harmonize_residual_matches_definition():
     out, fit = harmonize(vol, model)
     assert fit.beta1 > 0
     # with a positive slope the output's sorted profile is the mapped input profile
-    out_profile = sorted_intensities(out, mask, model.quantile_count)
+    out_profile = _sorted_profile(out, mask, model.quantile_count)
     rms = float(np.sqrt(np.mean((model.mean_sorted - out_profile) ** 2)))
     npt.assert_allclose(fit.residual_rms, rms, atol=1e-9)
 
@@ -307,7 +328,7 @@ def test_profile_masks_must_have_two_labels(num_labels):
     with pytest.raises(HarmonizeError, match="num_labels=2"):
         HarmonizationModel(np.array([2.0, 1.0]), mask)
     with pytest.raises(HarmonizeError, match="num_labels=2"):
-        sorted_intensities(random_intensity((2, 2, 2), seed=1), mask, 2)
+        _sorted_profile(random_intensity((2, 2, 2), seed=1), mask, 2)
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -365,13 +386,6 @@ def test_a_model_in_the_older_format_loads_and_harmonizes_the_same(tmp_path):
 # --- memory and bitwise contracts ---
 
 
-def _full_interpolation(values, quantile_count):
-    """The profile as np.interp over every rank of the descending sort."""
-    ordered = np.sort(values)[::-1]
-    positions = np.linspace(0.0, ordered.size - 1.0, quantile_count)
-    return np.interp(positions, np.arange(ordered.size), ordered)
-
-
 @pytest.mark.parametrize(
     "n, quantile_count, draw",
     [
@@ -396,7 +410,7 @@ def test_sorted_profile_equals_full_interpolation_bitwise(n, quantile_count, dra
         "lognormal": lambda: np.exp(rng.normal(scale=30.0, size=n)),
     }[draw]()
     vol = _line_volume(values)
-    got = sorted_intensities(vol, _full_mask(vol.geometry), quantile_count)
+    got = _sorted_profile(vol, _full_mask(vol.geometry), quantile_count)
     assert got.tobytes() == _full_interpolation(values, quantile_count).tobytes()
 
 
@@ -418,8 +432,8 @@ def test_the_profile_gathers_the_masked_values_without_a_volume_sized_mask():
     data = np.random.default_rng(23).normal(50.0, 10.0, geometry.dims).astype(np.float32)
     vol = IntensityVolume(geometry, data)
     mask = _full_mask(geometry)
-    sorted_intensities(vol, mask, 1024)  # first calls of numpy routines allocate once
-    peak, got = peak_alloc(lambda: sorted_intensities(vol, mask, 1024))
+    _sorted_profile(vol, mask, 1024)  # first calls of numpy routines allocate once
+    peak, got = peak_alloc(lambda: _sorted_profile(vol, mask, 1024))
     assert peak < 1.05 * vol.data.nbytes
     assert got.tobytes() == _full_interpolation(data.ravel().astype(np.float64), 1024).tobytes()
 

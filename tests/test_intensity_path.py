@@ -11,7 +11,7 @@ and harmonized.
 import numpy as np
 import pytest
 
-from conftest import NearestLevel
+from conftest import NearestLevel, z_scored
 from tileseg import io as tio
 from tileseg.evaluate import report as dice_report
 from tileseg.geometry import (
@@ -23,7 +23,7 @@ from tileseg.geometry import (
     make_centered_geometry,
     resample_labels,
 )
-from tileseg.harmonize import fit_model, save_model, standardize
+from tileseg.harmonize import fit_model, save_model
 from tileseg.phantom import intensity_from_labels, make_blob_phantom
 from tileseg.pipeline import PipelineConfig, run, save_affine
 
@@ -66,7 +66,7 @@ def _whole_path_run(tmp_path, seed, bias=0.0, **layout):
     config = PipelineConfig(
         atlas_dims=ATLAS_DIMS, num_labels=NUM_LABELS, affine=str(tmp_path / "forward.txt"),
         harmonization_model=str(tmp_path / "model"),
-        backend=NearestLevel.fitted(standardize(reference), prior, bias),
+        backend=NearestLevel.fitted(reference.with_data(z_scored(reference)), prior, bias),
         output_dir=str(tmp_path / "out"),
         **{"grid": (2, 2, 2), "tile_size": (24, 28, 20), **layout},
     )

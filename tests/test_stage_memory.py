@@ -13,11 +13,16 @@ set.  At ``jobs=2`` register and segment rise further, by thread timing.
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 
+import tileseg
 from tileseg import pipeline
 from tileseg.segmenter import SegmenterBackend
 from conftest import bench_module
@@ -37,10 +42,10 @@ BUDGETS = {
 }
 
 
-def _manifest(layout, seed, directory):
-    """Build the ``overlap-noisy`` fixture at ``layout``; its manifest."""
+def _manifest(layout, seed, directory, workload="overlap-noisy"):
+    """Build ``workload``'s fixture at ``layout``; its manifest."""
     fixture = bench_module("fixture")
-    built = fixture.build("overlap-noisy", getattr(fixture, layout), seed, directory)
+    built = fixture.build(workload, getattr(fixture, layout), seed, directory)
     return json.loads(built.manifest_path.read_text())
 
 
@@ -119,3 +124,54 @@ def test_the_model_is_freed_when_harmonize_returns(tmp_path, monkeypatch):
     assert config.harmonization_model is not None
     pipeline.run(config, manifest["scan"])
     assert probe.calls == len(config.build_grid().tiles)
+
+
+def test_the_backend_is_freed_when_segment_returns(tmp_path, monkeypatch):
+    # the report and the vote take the label count from the config, so a
+    # prior backend's prior does not live through unregister and write
+    manifest = _manifest("SMALL", 5, tmp_path / "fx", workload="partition")
+    backends = []
+    parse_backend_spec = pipeline.parse_backend_spec
+    resample_labels = pipeline.resample_labels
+
+    def watched(spec, num_labels):
+        backend = parse_backend_spec(spec, num_labels)
+        backends.append(weakref.ref(backend))
+        return backend
+
+    def unregister(*args, **kwargs):
+        alive = [ref() is not None for ref in backends]
+        assert alive == [False], "the backend outlived segment"
+        return resample_labels(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_backend_spec", watched)
+    monkeypatch.setattr(pipeline, "resample_labels", unregister)
+    config = pipeline.PipelineConfig(
+        **manifest["config"],
+        backend=f"prior:{manifest['backend']['path']}",
+        output_dir=str(tmp_path / "out"),
+    )
+    result = pipeline.run(config, manifest["scan"])
+    assert result.report["num_labels"] == config.num_labels
+
+
+def test_a_harmonized_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma is ~1 MB resident once imported; a run needs none of it
+    manifest = _manifest("SMALL", 5, tmp_path / "fx", workload="partition")
+    assert manifest["config"]["harmonization_model"] is not None
+    script = (
+        "import json, sys\n"
+        "from tileseg import pipeline\n"
+        "manifest, backend, out = json.loads(sys.argv[1])\n"
+        "config = pipeline.PipelineConfig(**manifest['config'], backend=backend, output_dir=out)\n"
+        "pipeline.run(config, manifest['scan'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    argument = json.dumps([manifest, f"prior:{manifest['backend']['path']}", str(tmp_path / "out")])
+    env = dict(os.environ, PYTHONPATH=str(Path(tileseg.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, argument], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "out" / "native_labels.nii").exists()
