@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume, _intensity_dtype, _labels
+from .geometry import IntensityVolume, LabelVolume, VolumeGeometry, _intensity_dtype, _labels
 
 __all__ = [
     "HarmonizeError",
@@ -47,38 +47,57 @@ class RegressionFit:
     residual_rms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HarmonizationModel:
     """A reference sorted-intensity profile and the union of the atlas masks.
 
-    ``mean_sorted`` is finite and non-increasing, its length ``quantile_count``;
-    ``mask`` is a two-label volume on the grid all harmonized scans share.
+    ``mean_sorted`` is finite and non-increasing, its length ``quantile_count``.
+    The two-label mask on ``geometry``, the grid all harmonized scans share, is
+    held as one bit per voxel (``_pack``); ``mask`` rebuilds it, and ``mask.nii``
+    is still written as that two-label volume.
     """
 
     mean_sorted: np.ndarray
-    mask: LabelVolume
+    geometry: VolumeGeometry
+    bits: np.ndarray
+    count: int
 
-    def __post_init__(self):
-        v = np.array(self.mean_sorted, dtype=np.float64)
+    def __init__(self, mean_sorted: np.ndarray, mask: LabelVolume):
+        v = np.array(mean_sorted, dtype=np.float64)
         if v.ndim != 1 or v.size < 2:
             raise HarmonizeError("mean_sorted must be a vector of length >= 2")
         if not np.isfinite(v).all() or np.any(np.diff(v) > 1e-12):  # a NaN compares False
             raise HarmonizeError("mean_sorted must be finite and non-increasing")
-        if self.mask.num_labels != 2:
-            raise HarmonizeError(f"model mask must have num_labels=2, got {self.mask.num_labels}")
-        if not np.any(self.mask.data):
+        geometry, bits, count = _pack(mask)
+        if count == 0:
             raise HarmonizeError("model mask is empty")
-        v.flags.writeable = False
-        object.__setattr__(self, "mean_sorted", v)
+        v.flags.writeable = bits.flags.writeable = False
+        for name, value in zip(("mean_sorted", "geometry", "bits", "count"), (v, geometry, bits, count)):
+            object.__setattr__(self, name, value)
 
     @property
     def quantile_count(self) -> int:
         return self.mean_sorted.size
 
+    @property
+    def mask(self) -> LabelVolume:
+        data = np.unpackbits(self.bits, count=self.geometry.voxel_count, bitorder="little")
+        return LabelVolume._adopt(self.geometry, data.reshape(self.geometry.dims, order="F"), 2)
+
+
+def _pack(mask: LabelVolume):
+    """``(geometry, bits, count)`` of a two-label ``mask``, one bit per voxel x-fastest."""
+    if mask.num_labels != 2:
+        raise HarmonizeError(f"mask must have num_labels=2, got {mask.num_labels}")
+    flat = mask.data.ravel("F")
+    return mask.geometry, np.packbits(flat, bitorder="little"), int(np.count_nonzero(flat))
+
 
 # voxels per block of the moments and of the output: one float64 buffer of
 # this many voxels is the only float64 array harmonize builds at atlas scale
 _BLOCK = 1 << 16
+# voxels per block of the profile's gather: a whole number of bytes of bits
+_GATHER = 1 << 14
 
 
 def _blocks(data: np.ndarray):
@@ -134,10 +153,11 @@ def _mapped(data: np.ndarray, mean: float, std: float, fit: RegressionFit) -> np
     return out
 
 
-def _profile(geometry, mask, quantile_count, data, mean, std) -> np.ndarray:
+def _profile(geometry, packed, quantile_count, data, mean, std) -> np.ndarray:
     """The sorted profile of ``(data - mean) / std``, ``data`` on ``geometry``.
 
-    The values under a two-label ``mask``, sorted descending, are linearly
+    The values under the mask ``packed``, one bit per voxel (``_pack``), are
+    gathered one block of bits at a time, sorted descending and linearly
     interpolated onto ``quantile_count`` positions, endpoints inclusive.
     The raw masked values are sorted and only the ranks read are z-scored:
     ``(v - mean) / std`` is monotone in floating point, so this gives the
@@ -145,15 +165,17 @@ def _profile(geometry, mask, quantile_count, data, mean, std) -> np.ndarray:
     """
     if not 2 <= quantile_count <= MAX_QUANTILES:
         raise HarmonizeError(f"quantile_count must be in [2, {MAX_QUANTILES}], got {quantile_count}")
-    if not geometry.matches(mask.geometry):
+    mask_geometry, bits, n = packed
+    if not geometry.matches(mask_geometry):
         raise HarmonizeError("volume and mask geometries differ")
-    if mask.num_labels != 2:
-        raise HarmonizeError(f"mask must have num_labels=2, got {mask.num_labels}")
-    # one boolean gather: a two-label mask's bytes, 0 or 1, are read as bools in place
-    values = data.ravel("F")[mask.data.ravel("F").view(np.bool_)]
-    n = values.size
     if n == 0:
         raise HarmonizeError("mask selects no voxels")
+    flat, values, end = data.ravel("F"), np.empty(n, dtype=data.dtype), 0
+    for start in range(0, flat.size, _GATHER):
+        part = flat[start : start + _GATHER]
+        keep = np.unpackbits(bits[start // 8 :], count=part.size, bitorder="little").view(np.bool_)
+        begin, end = end, end + np.count_nonzero(keep)
+        values[begin:end] = part[keep]
     values.sort()
     positions = np.linspace(0.0, n - 1.0, quantile_count)
     # np.interp over all n ranks reads only the two that bracket each
@@ -189,12 +211,12 @@ def fit_model(
             raise HarmonizeError("atlas mask is not on the common grid")
         union |= mask.data > 0
     union_mask = LabelVolume._adopt(geometry, union, 2)
+    packed = _pack(union_mask)
     profiles = [
-        _profile(geometry, union_mask, quantile_count, vol.data, *_moments(vol.data))
+        _profile(geometry, packed, quantile_count, vol.data, *_moments(vol.data))
         for vol in atlas_volumes
     ]
-    mean_sorted = np.mean(profiles, axis=0)
-    return HarmonizationModel(mean_sorted, union_mask)
+    return HarmonizationModel(np.mean(profiles, axis=0), union_mask)
 
 
 def harmonize(
@@ -211,7 +233,8 @@ def harmonize(
     ``_intensity_dtype`` (float32 for a stored-type or float32 scan).
     """
     mean, std = _moments(vol.data)
-    profile = _profile(vol.geometry, model.mask, model.quantile_count, vol.data, mean, std)
+    packed = (model.geometry, model.bits, model.count)
+    profile = _profile(vol.geometry, packed, model.quantile_count, vol.data, mean, std)
     px = profile - profile.mean()
     var = float(px @ px)
     if var <= 1e-20:

@@ -13,6 +13,7 @@ from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometr
 from tileseg.harmonize import (
     HarmonizationModel,
     HarmonizeError,
+    _pack,
     _profile,
     fit_model,
     harmonize,
@@ -37,7 +38,7 @@ def _standardize(vol):
 
 def _sorted_profile(vol, mask, quantile_count):
     """The profile of ``vol`` itself, not z-scored."""
-    return _profile(vol.geometry, mask, quantile_count, vol.data, 0.0, 1.0)
+    return _profile(vol.geometry, _pack(mask), quantile_count, vol.data, 0.0, 1.0)
 
 
 def _full_interpolation(values, quantile_count):
@@ -381,6 +382,54 @@ def test_a_model_in_the_older_format_loads_and_harmonizes_the_same(tmp_path):
     other = random_intensity((5, 4, 3), seed=3, spacing=(1.0, 1.0, 2.0))
     with pytest.raises(HarmonizeError, match="geometries differ"):
         harmonize(other, loaded)
+
+
+# --- the mask as bits ---
+
+
+def _gathered_oracle(data, mask):
+    """The masked values, x-fastest, sorted ascending."""
+    return np.sort(data.ravel("F")[mask.data.ravel("F") > 0])
+
+
+@pytest.mark.parametrize("density", [1.0, 0.03])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_packed_gather_takes_the_oracles_values(density, dtype):
+    # 37 * 29 * 23 voxels: more than one gather block, and not a multiple of 8
+    geometry = make_centered_geometry((37, 29, 23))
+    assert geometry.voxel_count % 8 != 0
+    rng = np.random.default_rng(34)
+    data = rng.normal(50.0, 10.0, geometry.dims).astype(dtype)
+    mask = LabelVolume(geometry, rng.random(geometry.dims) < density, 2)
+    vol = IntensityVolume._adopt(geometry, np.asfortranarray(data))  # kept in its own type
+    oracle = _gathered_oracle(data, mask)
+    # a quantile count of n reads every rank once: the gathered values themselves
+    every = _sorted_profile(vol, mask, oracle.size)
+    assert every.tobytes() == oracle[::-1].astype(np.float64).tobytes()
+    got = _sorted_profile(vol, mask, 1024)
+    assert got.tobytes() == _full_interpolation(oracle.astype(np.float64), 1024).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3), (8, 2, 1), (37, 29, 23)])
+def test_the_model_keeps_one_bit_per_mask_voxel(dims):
+    geometry = make_centered_geometry(dims)
+    mask = LabelVolume(geometry, np.random.default_rng(1).random(dims) < 0.5, 2)
+    model = HarmonizationModel(np.array([1.0, 0.0]), mask)
+    assert model.bits.nbytes == -(-geometry.voxel_count // 8)
+    assert model.count == np.count_nonzero(mask.data)
+    assert model.geometry == geometry
+    rebuilt = model.mask
+    assert rebuilt.geometry == geometry and rebuilt.num_labels == 2
+    assert rebuilt.data.dtype == mask.data.dtype
+    assert rebuilt.data.tobytes(order="F") == mask.data.tobytes(order="F")
+
+
+def test_save_model_writes_the_mask_it_was_built_from(tmp_path):
+    geometry = make_centered_geometry((37, 29, 23))
+    mask = LabelVolume(geometry, np.random.default_rng(2).random(geometry.dims) < 0.3, 2)
+    save_model(HarmonizationModel(np.array([1.0, 0.0]), mask), tmp_path / "model")
+    tio.write_nifti(mask, tmp_path / "mask.nii")
+    assert (tmp_path / "model" / "mask.nii").read_bytes() == (tmp_path / "mask.nii").read_bytes()
 
 
 # --- memory and bitwise contracts ---

@@ -471,6 +471,18 @@ def test_prior_descriptor_is_pinned(order):
     assert AtlasPriorOracle(prior).descriptor() == f"prior:{digest}:11"
 
 
+def test_prior_descriptor_casts_no_copy_of_the_whole_prior():
+    # a <u2 copy of a uint8 prior would weigh twice the prior
+    geometry = make_centered_geometry((128, 128, 64))  # 1 Mi voxels
+    data = np.random.default_rng(5).integers(0, 133, geometry.dims, dtype=np.uint8)
+    backend = AtlasPriorOracle(LabelVolume(geometry, data, 133))
+    backend.descriptor()  # first calls of numpy routines allocate once
+    peak, got = peak_alloc(backend.descriptor)
+    assert peak < 0.25 * data.nbytes
+    digest = hashlib.sha256(data.astype("<u2").tobytes(order="F")).hexdigest()
+    assert got == f"prior:{digest}:133"
+
+
 @pytest.mark.parametrize("num_labels, dtype", [(4, np.uint8), (300, np.uint16)])
 def test_built_in_answers_take_the_label_type(num_labels, dtype):
     vol = random_intensity(DIMS, seed=11)

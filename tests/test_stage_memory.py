@@ -34,7 +34,7 @@ SLACK = 2 * MiB
 BUDGETS = {
     "read": (0.05, 0.0),  # one 1 MB band of scan planes, then nothing
     "register": (1.3, 1.0),  # the registered volume and a few planes per thread
-    "harmonize": (1.35, 1.0),  # the masked copy and the model's mask; the registered volume and model go
+    "harmonize": (1.1, 1.0),  # the masked copy; the model's mask is bits
     "segment": (0.95, 1.25),  # tile input and answer, the vote's pending parts and its fused map
     "fuse": (0.0, 0.25),  # the fused map (uint8, a quarter atlas)
     "unregister": (0.7, 0.75),  # a few planes per thread; the native map (0.47 atlas) joins the fused

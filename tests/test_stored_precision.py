@@ -26,7 +26,7 @@ from tileseg.geometry import (
     make_centered_geometry,
     resample_intensity,
 )
-from tileseg.harmonize import _profile, fit_model, harmonize
+from tileseg.harmonize import _pack, _profile, fit_model, harmonize
 from tileseg.tiling import build_grid, extract_tile
 from conftest import z_scored
 from test_geometry import _assert_zero_outside, _three_index_trilinear
@@ -202,8 +202,8 @@ def test_fit_model_and_harmonize_are_bitwise_the_widened_result(
     assert fit == wide_fit
     assert _tile_files_agree(tmp_path, got, want)
     assert _same(z_scored(a), _rounded(z_scored(wide_a)))
-    assert _profile(a.geometry, masks[0], 33, a.data, 0.0, 1.0).tobytes() == (
-        _profile(wide_a.geometry, masks[0], 33, wide_a.data, 0.0, 1.0).tobytes()
+    assert _profile(a.geometry, _pack(masks[0]), 33, a.data, 0.0, 1.0).tobytes() == (
+        _profile(wide_a.geometry, _pack(masks[0]), 33, wide_a.data, 0.0, 1.0).tobytes()
     )
 
 
