@@ -38,9 +38,6 @@ class DiceReport:
     median_dsc: float
     labels_evaluated: int
 
-    def defined(self) -> dict:
-        return {k: v for k, v in self.per_label.items() if v is not None}
-
     def to_text(self) -> str:
         lines = ["label\tdsc"]
         for label in sorted(self.per_label):

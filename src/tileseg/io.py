@@ -17,10 +17,10 @@ registered is not read whole: a ``NiftiScan`` holds its header and file
 descriptor, ``check_finite`` reads its voxels once, a band of planes at a
 time, and the resampler's rings and the moments read the planes they need.
 
-The raw format is the resume cache's label format: a JSON sidecar (dims,
-spacing, affine, num_labels) next to a flat ``<u2`` blob in x-fastest
-order.  Labels are stored as ``<u2`` whatever their label type, so
-entries written by earlier versions still read.
+The raw format is the resume cache's label format: one file, the labels
+alone as a flat ``<u2`` blob in x-fastest order, whatever their label
+type.  The reader names the grid and the label count, which the cache
+key already fixes (see ``segmenter.segment_all``).
 
 Both writers cast and write one z plane at a time (``_planes``): every
 volume is x-fastest in memory (see ``geometry``), so each of its planes is
@@ -29,7 +29,6 @@ one block, and no whole-volume copy in the stored type is ever made.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 import warnings
@@ -364,35 +363,21 @@ def write_atomic(path, chunks: Iterable) -> None:
 
 
 def write_raw(vol: LabelVolume, path) -> None:
-    """Write a label volume as ``path`` (``<u2`` blob) + ``path.json`` (sidecar), each atomically.
+    """Write a label volume's voxels to ``path`` as a ``<u2`` blob, atomically.
 
     The blob is cast and written one z plane at a time, like ``write_nifti``.
     """
-    path = Path(path)
-    # "kind" and "dtype" never vary; they keep an entry's bytes those of earlier versions
-    meta = {
-        "kind": "labels",
-        "dtype": "<u2",
-        "dims": list(vol.dims),
-        "spacing": list(vol.geometry.spacing),
-        "index_to_world": vol.geometry.index_to_world.matrix.reshape(-1).tolist(),
-        "num_labels": vol.num_labels,
-    }
     write_atomic(path, _planes(vol.data, np.dtype("<u2")))
-    write_atomic(str(path) + ".json", (json.dumps(meta, indent=1).encode(),))
 
 
-def read_raw(path) -> LabelVolume:
-    """Read a label volume written by :func:`write_raw`; it adopts the one copy of the blob."""
-    path = Path(path)
-    meta = json.loads(Path(str(path) + ".json").read_text())
-    dims = tuple(meta["dims"])
-    affine = np.array(meta["index_to_world"], dtype=np.float64).reshape(4, 4)
-    geometry = VolumeGeometry(dims, tuple(meta["spacing"]), AffineTransform(affine))
-    flat = np.frombuffer(path.read_bytes(), dtype="<u2")
-    nvox = dims[0] * dims[1] * dims[2]
+def read_raw(path, geometry: VolumeGeometry, num_labels: int) -> LabelVolume:
+    """Read a :func:`write_raw` blob as labels on ``geometry``, adopting its one copy.
+
+    A blob of another size, or a label not below ``num_labels``, raises a ``ValueError``.
+    """
+    flat = np.frombuffer(Path(path).read_bytes(), dtype="<u2")
+    nvox = int(np.prod(geometry.dims))
     if flat.size != nvox:
         raise NiftiFormatError(f"raw blob holds {flat.size} values, expected {nvox}")
-    num_labels = meta.get("num_labels", 0)
-    arr = _label_array(flat.reshape(dims, order="F"), num_labels)
+    arr = _label_array(flat.reshape(geometry.dims, order="F"), num_labels)
     return LabelVolume._adopt(geometry, arr, num_labels)

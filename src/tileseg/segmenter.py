@@ -38,8 +38,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import io as tio
 from .geometry import IntensityVolume, LabelVolume, _each, _labels
 from .tiling import TileGrid, TileSpec, extract_tile
@@ -196,16 +194,12 @@ class ExternalProcessBackend(SegmenterBackend):
 def segment_tile(
     backend: SegmenterBackend, tile_input: IntensityVolume, tile: TileSpec
 ) -> LabelVolume:
-    """Run one tile through a backend and validate the contract."""
+    """Run one tile through a backend; its answer must be labels below ``num_labels`` on its grid."""
     if tile_input.dims != tile.size:
         raise SegmentationError(
             f"tile input dims {tile_input.dims} do not match tile size {tile.size}"
         )
-    return _check_answer(backend.segment(tile_input, tile), tile_input, backend.num_labels)
-
-
-def _check_answer(out, tile_input: IntensityVolume, num_labels: int) -> LabelVolume:
-    """The tile contract: labels below ``num_labels`` on ``tile_input``'s grid."""
+    out = backend.segment(tile_input, tile)
     if not isinstance(out, LabelVolume):
         raise SegmentationError("backend returned a non-label volume")
     if out.dims != tile_input.dims:
@@ -214,19 +208,22 @@ def _check_answer(out, tile_input: IntensityVolume, num_labels: int) -> LabelVol
         )
     if not out.geometry.matches(tile_input.geometry, tol=1e-6):
         raise SegmentationError("backend changed the tile's world geometry")
-    if int(out.data.max(initial=0)) >= num_labels:
+    if int(out.data.max(initial=0)) >= backend.num_labels:
         raise SegmentationError("backend produced labels out of range")
     return out
 
 
 def _cache_key(tile_input: IntensityVolume, tile: TileSpec, descriptor: bytes) -> str:
-    """sha256 of the tile's input voxels, the backend descriptor and the placement.
+    """sha256 of the tile's input voxels, the backend descriptor, the placement and the grid.
 
-    The voxels are hashed in place, in their x-fastest order: no copy.
+    The voxels are hashed in place, in their x-fastest order: no copy.  The
+    grid (spacing, index-to-world affine) is the one an entry is read on.
     """
+    g = tile_input.geometry
     key = hashlib.sha256(tile_input.data.ravel("F"))
     key.update(descriptor)
-    key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
+    place = [tile.origin, tile.size, tile.index, g.spacing, g.index_to_world.matrix.tolist()]
+    key.update(json.dumps(place).encode())
     return key.hexdigest()
 
 
@@ -251,12 +248,12 @@ def segment_all(
     ``on_tile_failure="background"``, which warns and substitutes
     ``ConstantOracle(0, backend.num_labels)``'s answer, an all-background tile.
 
-    With ``cache_dir``, each backend answer is stored there under the sha256
-    of the tile input bytes, the backend descriptor and the tile placement,
-    and later calls read it back; an entry that is unreadable or breaks the
-    tile contract is recomputed.  A substituted background tile is never
-    stored, so a later call retries it.  Orphan ``*.tmp`` files that a
-    killed write left in ``cache_dir`` are deleted before any tile runs.
+    With ``cache_dir``, each answer is stored there as one file of labels
+    (``io.write_raw``) named by the sha256 of the tile input bytes, the
+    backend descriptor, the placement and the tile's grid, and read back on
+    that grid; an entry unreadable, of another size or off-range is
+    recomputed.  A substituted background tile is never stored, so a later
+    call retries it.  Orphan ``*.tmp`` files of killed writes are deleted first.
     """
     if atlas_vol.dims != grid.atlas_dims:
         raise SegmentationError(
@@ -278,9 +275,9 @@ def segment_all(
         if cache_dir is not None:
             entry = cache_dir / _cache_key(tile_input, tile, descriptor)
             try:
-                return _check_answer(tio.read_raw(entry), tile_input, backend.num_labels)
-            except (OSError, ValueError, KeyError, TypeError, OverflowError, SegmentationError):
-                pass  # absent, unreadable or off-contract: recompute
+                return tio.read_raw(entry, tile_input.geometry, backend.num_labels)
+            except (OSError, ValueError):
+                pass  # absent, of another size or off-range: recompute
         try:
             out = segment_tile(backend, tile_input, tile)
         except Exception as exc:

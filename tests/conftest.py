@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import hypothesis
 import numpy as np
 
-from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
+from tileseg.geometry import IntensityVolume, LabelVolume, _labels, make_centered_geometry
 from tileseg.harmonize import RegressionFit, _mapped, _moments
 from tileseg.segmenter import ConstantOracle, SegmenterBackend, segment_all
 
@@ -48,6 +49,53 @@ def random_labels(dims, num_labels, seed=0, spacing=(1.0, 1.0, 1.0)):
     rng = np.random.default_rng(seed)
     data = rng.integers(0, num_labels, size=geometry.dims, dtype=np.uint16)
     return LabelVolume(geometry, data, num_labels)
+
+
+def make_blob_phantom(geometry, num_labels=6, seed=0):
+    """Label volume with ``num_labels - 1`` ellipsoidal blobs on background 0.
+
+    Blob centers sit on a jittered lattice so every label is present and
+    blobs stay inside the grid. Deterministic in (geometry, num_labels, seed).
+    """
+    if num_labels < 2:
+        raise ValueError("need at least one foreground label")
+    rng = np.random.default_rng(seed)
+    dims = np.array(geometry.dims, dtype=np.float64)
+    n_blobs = num_labels - 1
+    per_axis = max(1, math.ceil(n_blobs ** (1.0 / 3.0)))
+
+    cells = []
+    for cz in range(per_axis):
+        for cy in range(per_axis):
+            for cx in range(per_axis):
+                cells.append((cx, cy, cz))
+    cell_size = dims / per_axis
+
+    x = np.arange(geometry.dims[0])[:, None, None]
+    y = np.arange(geometry.dims[1])[None, :, None]
+    z = np.arange(geometry.dims[2])[None, None, :]
+    out = _labels(geometry.dims, 0, num_labels)
+    for label, cell in zip(range(1, num_labels), cells):
+        center = (np.array(cell) + 0.5) * cell_size
+        center += rng.uniform(-0.08, 0.08, size=3) * cell_size
+        radii = rng.uniform(0.28, 0.42, size=3) * cell_size
+        d2 = (
+            ((x - center[0]) / radii[0]) ** 2
+            + ((y - center[1]) / radii[1]) ** 2
+            + ((z - center[2]) / radii[2]) ** 2
+        )
+        out[d2 <= 1.0] = label
+    vol = LabelVolume._adopt(geometry, out, num_labels)
+    present = set(np.unique(vol.data).tolist())
+    missing = [l for l in range(1, num_labels) if l not in present]
+    if missing:
+        raise ValueError(f"phantom too small for labels {missing}; use a larger grid")
+    return vol
+
+
+def defined(report):
+    """A ``DiceReport``'s per-label scores, without the undefined ones."""
+    return {k: v for k, v in report.per_label.items() if v is not None}
 
 
 def float32_nifti(path, dims, value):

@@ -24,11 +24,11 @@ from tileseg.geometry import (
     resample_labels,
 )
 from tileseg.harmonize import fit_model, harmonize
-from tileseg.phantom import intensity_from_labels, make_blob_phantom
+from tileseg.phantom import intensity_from_labels
 from tileseg.pipeline import PipelineConfig, run, save_affine
 from tileseg.segmenter import AtlasPriorOracle
 from tileseg.tiling import build_grid, coverage_map, extract_tile
-from conftest import CorruptingWrapper, segment_answers
+from conftest import CorruptingWrapper, defined, make_blob_phantom, segment_answers
 
 
 @contextmanager
@@ -265,12 +265,12 @@ def test_end_to_end_phantom(tmp_path, capsys):
 
         atlas_rep = dice_report(result.fused, truth_atlas)
         assert atlas_rep.labels_evaluated == 5
-        assert all(v == 1.0 for v in atlas_rep.defined().values())
+        assert all(v == 1.0 for v in defined(atlas_rep).values())
 
         native_rep = dice_report(result.native_labels, truth_native)
         assert native_rep.labels_evaluated == 5
         # two nearest-neighbor passes erode blob boundaries slightly
-        assert min(native_rep.defined().values()) >= 0.95
+        assert min(defined(native_rep).values()) >= 0.95
 
 
 def test_determinism_across_parallelism(tmp_path, capsys):

@@ -48,14 +48,46 @@ def _referenced_names(source):
             yield from (alias.name for alias in node.names)
 
 
-def test_every_export_has_a_caller_outside_the_tests():
-    # an export only tests call belongs in tests/: the package ships what
-    # the pipeline, the CLI, the benchmark and the README's examples reach
+def _names_outside_the_tests():
+    """The names read by the package's modules, ``bench/*.py`` and the README's python blocks.
+
+    The package's ``__init__`` is left out: it imports every export.
+    """
     root = Path(__file__).resolve().parents[1]
     package = Path(tileseg.__file__).parent
     sources = [path.read_text() for path in package.glob("*.py") if path.name != "__init__.py"]
     sources += [path.read_text() for path in (root / "bench").glob("*.py")]
     readme = (root / "README.md").read_text()
     sources += [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
-    used = {name for source in sources for name in _referenced_names(source)}
-    assert sorted(set(tileseg.__all__) - used) == []
+    return {name for source in sources for name in _referenced_names(source)}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # an export only tests call belongs in tests/: the package ships what
+    # the pipeline, the CLI, the benchmark and the README's examples reach
+    assert sorted(set(tileseg.__all__) - _names_outside_the_tests()) == []
+
+
+def _defined_functions(path):
+    """``(qualified name, name)`` of each module-level function and each method in ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_function_and_method_is_named_outside_the_tests():
+    # the same rule for what is not exported: a def is not a name, so a
+    # function counts once some other code names it (calls it, passes it or
+    # imports it); special methods are the language's to call
+    used = _names_outside_the_tests()
+    unnamed = sorted(
+        f"{path.stem}.{qualified}"
+        for path in Path(tileseg.__file__).parent.glob("*.py")
+        for qualified, name in _defined_functions(path)
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unnamed == []

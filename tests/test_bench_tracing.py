@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_blob_phantom
 from tileseg import io as tio
 from tileseg import pipeline
 from tileseg.fusion import fuse_majority
 from tileseg.geometry import make_centered_geometry
-from tileseg.phantom import intensity_from_labels, make_blob_phantom
+from tileseg.phantom import intensity_from_labels
 from tileseg.segmenter import AtlasPriorOracle
 from tileseg.tiling import coverage_map
 

@@ -15,7 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import peak_alloc, random_intensity, random_labels
+from conftest import make_blob_phantom, peak_alloc, random_intensity, random_labels
 from tileseg import io as tio
 import tileseg
 from tileseg.cli import EXIT_CODES, build_parser, main
@@ -24,7 +24,7 @@ from tileseg.geometry import (
     make_centered_geometry,
 )
 from tileseg.harmonize import fit_model, save_model
-from tileseg.phantom import intensity_from_labels, make_blob_phantom
+from tileseg.phantom import intensity_from_labels
 from tileseg.pipeline import PipelineConfig, load_config, run
 from tileseg.tiling import build_grid, load_grid
 
@@ -166,7 +166,7 @@ def test_prior_resume_hits_the_cache_in_a_new_process(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         entries.append(sorted(p.name for p in (out_dir / "work" / "tiles").iterdir()))
-    assert len(entries[0]) == 16  # 8 blobs + 8 sidecars
+    assert len(entries[0]) == 8  # one file per tile
     assert entries[1] == entries[0]
 
 

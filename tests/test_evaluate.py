@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import peak_alloc, random_labels
+from conftest import defined, peak_alloc, random_labels
 from tileseg.evaluate import EvaluateError, report
 from tileseg.geometry import LabelVolume, make_centered_geometry
 
@@ -32,7 +32,7 @@ def dice(auto: LabelVolume, manual: LabelVolume, label: int) -> float | None:
 def test_identical_volumes_score_one():
     vol = random_labels((6, 6, 6), 5, seed=1)
     rep = report(vol, vol)
-    for label, value in rep.defined().items():
+    for label, value in defined(rep).items():
         assert value == 1.0
     assert rep.mean_dsc == 1.0
     assert rep.median_dsc == 1.0
@@ -69,7 +69,7 @@ def test_label_absent_from_both_is_undefined():
     assert dice(a, b, 2) is None
     rep = report(a, b)
     assert rep.per_label[2] is None
-    assert 2 not in rep.defined()
+    assert 2 not in defined(rep)
     assert rep.labels_evaluated == 1
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     NOT_LABELS, CorruptingWrapper, apply_affine, peak_alloc, random_intensity, random_labels,
-    segment_answers,
+    make_blob_phantom, segment_answers,
 )
 from tileseg.geometry import (
     ATLAS_DIMS,
@@ -38,7 +38,7 @@ from tileseg import io as tio
 from tileseg.fusion import fuse_majority
 from tileseg.harmonize import fit_model, harmonize
 from tileseg.pipeline import PipelineConfig
-from tileseg.phantom import intensity_from_labels, make_blob_phantom
+from tileseg.phantom import intensity_from_labels
 from tileseg.segmenter import ConstantOracle, SegmenterBackend
 from tileseg.tiling import build_grid, extract_tile
 
@@ -1012,8 +1012,7 @@ def _package_built_volumes(tmp_path) -> list:
         ConstantOracle(1, 4).segment(tile_input, grid.tiles[0]),
         CorruptingWrapper(ConstantOracle(1, 4), 0, 2).segment(tile_input, grid.tiles[0]),
         substituted[0],
-        make_blob_phantom(lab.geometry, num_labels=2),
-        tio.read_raw(tmp_path / "lab.raw"),
+        tio.read_raw(tmp_path / "lab.raw", lab.geometry, lab.num_labels),
         tio.read_nifti(tmp_path / "lab.nii", as_labels=True)[0],
     ]
 
@@ -1027,7 +1026,7 @@ def test_package_built_volumes_are_read_only(tmp_path):
 
 def test_package_built_label_arrays_are_x_fastest(tmp_path):
     labels = [v for v in _package_built_volumes(tmp_path) if isinstance(v, LabelVolume)]
-    assert len(labels) == 9
+    assert len(labels) == 8
     for vol in labels:
         assert vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous
 

@@ -11,7 +11,7 @@ and harmonized.
 import numpy as np
 import pytest
 
-from conftest import NearestLevel, z_scored
+from conftest import NearestLevel, defined, make_blob_phantom, z_scored
 from tileseg import io as tio
 from tileseg.evaluate import report as dice_report
 from tileseg.geometry import (
@@ -24,7 +24,7 @@ from tileseg.geometry import (
     resample_labels,
 )
 from tileseg.harmonize import fit_model, save_model
-from tileseg.phantom import intensity_from_labels, make_blob_phantom
+from tileseg.phantom import intensity_from_labels
 from tileseg.pipeline import PipelineConfig, run, save_affine
 
 ATLAS_DIMS = (36, 40, 32)
@@ -74,7 +74,7 @@ def _whole_path_run(tmp_path, seed, bias=0.0, **layout):
 
 
 def _least_dice(auto, manual):
-    return min(dice_report(auto, manual).defined().values())
+    return min(defined(dice_report(auto, manual)).values())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -335,8 +335,9 @@ def test_raw_round_trip_labels(tmp_path, num_labels, dtype):
     src = random_labels((5, 4, 3), num_labels, seed=7)
     p = tmp_path / "lab.raw"
     write_raw(src, p)
-    out = read_raw(p)
+    out = read_raw(p, src.geometry, num_labels)
     assert isinstance(out, LabelVolume)
+    assert out.geometry is src.geometry
     assert out.data.dtype == src.data.dtype == dtype
     assert out.data.tobytes() == src.data.tobytes()
     assert out.num_labels == num_labels
@@ -345,8 +346,8 @@ def test_raw_round_trip_labels(tmp_path, num_labels, dtype):
 
 
 def test_raw_label_entry_bytes_are_pinned(tmp_path):
-    # resume-cache entries are raw label files; these digests were taken when
-    # every label volume was uint16, so caches written then still match
+    # resume-cache entries are raw label files; this digest was taken when
+    # every label volume was uint16, and an entry is this one file
     data = (np.arange(120).reshape(4, 5, 6) * 7) % 11
     vol = LabelVolume(make_centered_geometry((4, 5, 6)), data, 11)
     assert vol.data.dtype == np.uint8
@@ -355,9 +356,7 @@ def test_raw_label_entry_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
         "153c7e66e3a25c288bbf3d17c753a9c480d20febb80fda62cf599672ab619b76"
     )
-    assert hashlib.sha256((tmp_path / "entry.json").read_bytes()).hexdigest() == (
-        "0cb091432a439ac1956212ae79ac597e9bbe4644607726ea20bfa17eec444479"
-    )
+    assert [q.name for q in tmp_path.iterdir()] == ["entry"]
 
 
 def test_raw_rejects_size_mismatch(tmp_path):
@@ -365,8 +364,20 @@ def test_raw_rejects_size_mismatch(tmp_path):
     p = tmp_path / "lab.raw"
     write_raw(src, p)
     p.write_bytes(p.read_bytes()[:-2])
-    with pytest.raises(NiftiFormatError, match="raw blob"):
-        read_raw(p)
+    with pytest.raises(NiftiFormatError, match="raw blob holds 59 values, expected 60"):
+        read_raw(p, src.geometry, 9)
+
+
+def test_raw_refuses_a_ragged_blob_and_a_label_out_of_range(tmp_path):
+    src = random_labels((5, 4, 3), 9)
+    p = tmp_path / "lab.raw"
+    p.write_bytes(src.data.astype("<u2").tobytes(order="F")[:-1])  # half a value short
+    with pytest.raises(ValueError):
+        read_raw(p, src.geometry, 9)
+    write_raw(src, p)
+    top = int(src.data.max())
+    with pytest.raises(GeometryError, match=f"label value {top} out of range for num_labels={top}"):
+        read_raw(p, src.geometry, top)
 
 
 def _volume(kind, order, seed=41):
@@ -401,7 +412,7 @@ def test_read_raw_copies_the_blob_once(tmp_path, kind):
     vol = _volume(kind, "C")
     path = tmp_path / "vol.raw"
     write_raw(vol, path)
-    peak, out = peak_alloc(lambda: read_raw(path))
+    peak, out = peak_alloc(lambda: read_raw(path, vol.geometry, 133))
     # the blob and the volume: 133 labels take one byte, copied from the
     # <u2 blob with no uint16 step
     assert peak < path.stat().st_size + 1.25 * out.data.nbytes

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -16,20 +17,19 @@ import tileseg
 import tileseg.geometry as geometry_module
 from tileseg import io as tio
 from tileseg.cli import main
-from tileseg.fusion import StreamingVote, fuse_majority
+from tileseg.fusion import StreamingVote
 from tileseg.geometry import (
     AffineTransform,
     GeometryError,
     LabelVolume,
     VolumeGeometry,
-    compose,
     estimate_affine_moments,
     make_centered_geometry,
     resample_intensity,
     resample_labels,
 )
 from tileseg.harmonize import fit_model, save_model
-from tileseg.phantom import intensity_from_labels, make_blob_phantom
+from tileseg.phantom import intensity_from_labels
 from tileseg.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -43,10 +43,9 @@ from tileseg.segmenter import (
     ConstantOracle,
     SegmentationError,
     SegmenterBackend,
-    segment_all,
 )
 from tileseg.tiling import build_grid, coverage_map, extract_tile
-from conftest import CorruptingWrapper, peak_alloc, random_labels
+from conftest import CorruptingWrapper, make_blob_phantom, peak_alloc, random_labels
 
 
 # --- configuration ---
@@ -418,11 +417,10 @@ def test_resume_reuses_cached_tiles(tmp_path):
     first = run(config, scan_path)
     npt.assert_array_equal(first.fused.data, truth.data)
     cache = tmp_path / "out" / "work" / "tiles"
-    entries = sorted(p for p in cache.iterdir() if not p.name.endswith(".json"))
+    entries = sorted(cache.iterdir())
     assert len(entries) == 8
 
-    poisoned = tio.read_raw(entries[0])
-    tio.write_raw(poisoned.with_data(np.full(poisoned.dims, 1, dtype=np.uint16)), entries[0])
+    entries[0].write_bytes(np.full(12 ** 3, 1, dtype="<u2").tobytes())  # label 1 throughout
     second = run(config, scan_path)
     assert np.any(second.fused.data != truth.data)  # cache was read, not recomputed
 
@@ -456,7 +454,7 @@ def _outputs(out_dir):
 
 def _cache_entries(tmp_path):
     cache = tmp_path / "out" / "work" / "tiles"
-    return sorted(p for p in cache.iterdir() if p.suffix != ".json")
+    return sorted(cache.iterdir())
 
 
 @pytest.mark.filterwarnings("ignore:tile 3 failed")
@@ -570,7 +568,7 @@ def _kill_resume_case(tmp_path):
         "--atlas-dims", "12,12,12", "--grid", "3,3,3", "--tile-size", "6,6,6",
         "--num-labels", "5", "--affine", "identity", "--harmonization", "skip",
     ]
-    return args, grid.k
+    return args, grid
 
 
 def _calls(log):
@@ -583,7 +581,8 @@ def _calls(log):
     ids=["0", "13", "26", "13-stale"],
 )
 def test_resume_after_a_kill_matches_a_fresh_run(tmp_path, monkeypatch, kill_at, stale, jobs):
-    args, k = _kill_resume_case(tmp_path)
+    args, grid = _kill_resume_case(tmp_path)
+    k = grid.k
     monkeypatch.delenv("KILL_AT", raising=False)
     monkeypatch.setenv("CALLS_LOG", str(tmp_path / "fresh.log"))
     fresh = tmp_path / "fresh"
@@ -607,11 +606,17 @@ def test_resume_after_a_kill_matches_a_fresh_run(tmp_path, monkeypatch, kill_at,
     for name in ("atlas_labels.nii", "native_labels.nii", "report.json"):
         assert not (out / name).exists()
     cache = out / "work" / "tiles"
-    # complete entries: a blob and its sidecar (the kill may fall between the two writes)
-    cached = {p.name for p in cache.glob("*.json")} & {p.name + ".json" for p in cache.iterdir()}
+    # an entry is one file, renamed into place whole: every file left is an answer
+    cached = sorted(cache.iterdir())
+    got = sorted(tio.read_raw(entry, make_centered_geometry(grid.tiles[0].size), 5).data.tobytes()
+                 for entry in cached)
     if jobs == 1:
         assert _calls(tmp_path / "killed.log") == list(range(kill_at + 1))
         assert len(cached) == kill_at
+        answers = tmp_path / "answers"
+        want = [tio.read_nifti(answers / f"tile_{i:03d}.nii", as_labels=True, num_labels=5)[0]
+                for i in range(kill_at)]
+        assert got == sorted(answer.data.tobytes() for answer in want)
 
     monkeypatch.setenv("CALLS_LOG", str(tmp_path / "resumed.log"))
     assert main(resumed) == 0
@@ -626,19 +631,15 @@ def test_resume_after_a_kill_matches_a_fresh_run(tmp_path, monkeypatch, kill_at,
     for report in reports:
         del report["stages"], report["outputs"]
     assert reports[0] == reports[1]
-    assert not list(cache.glob("*.tmp"))
-
-
-def _drop_sidecar(entry):
-    Path(str(entry) + ".json").unlink()
+    assert len(list(cache.iterdir())) == k  # one file per tile, no .tmp or .json
 
 
 def _truncate_blob(entry):
     entry.write_bytes(entry.read_bytes()[:-2])
 
 
-def _non_object_sidecar(entry):
-    Path(str(entry) + ".json").write_text("[]")
+def _ragged_blob(entry):
+    entry.write_bytes(entry.read_bytes()[:-1])  # not a whole number of <u2 values
 
 
 def test_resume_sweeps_orphan_temp_files(tmp_path):
@@ -658,7 +659,7 @@ def test_resume_sweeps_orphan_temp_files(tmp_path):
     assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
 
 
-@pytest.mark.parametrize("damage", [_drop_sidecar, _truncate_blob, _non_object_sidecar])
+@pytest.mark.parametrize("damage", [_truncate_blob, _ragged_blob])
 def test_resume_recomputes_an_unreadable_entry(tmp_path, damage):
     truth, scan_path = _phantom_case(tmp_path)
     backend = CorruptingWrapper(AtlasPriorOracle(truth), target_index=2, corruption_label=1)
@@ -672,8 +673,9 @@ def test_resume_recomputes_an_unreadable_entry(tmp_path, damage):
     run(config, scan_path)
     assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
     assert _cache_entries(tmp_path) == entries
+    geometry = extract_tile(truth, config.build_grid().tiles[0]).geometry  # every tile is 14^3
     for entry in entries:
-        tio.read_raw(entry)  # the damaged entries were rewritten
+        tio.read_raw(entry, geometry, truth.num_labels)  # the damaged entries were rewritten
 
 
 class _CountingPrior(AtlasPriorOracle):
@@ -688,26 +690,53 @@ class _CountingPrior(AtlasPriorOracle):
         return super().segment(tile_input, tile)
 
 
-def _short_dims(vol):
-    nx, ny, nz = vol.dims
-    geometry = VolumeGeometry((nx, ny, nz - 1), vol.geometry.spacing, vol.geometry.index_to_world)
-    return LabelVolume(geometry, vol.data[:, :, :-1], vol.num_labels)
+def test_a_cache_entry_in_the_older_format_is_a_miss(tmp_path):
+    # earlier versions wrote a blob and a JSON sidecar under a key that left
+    # out the tile's grid; such an entry, poisoned here, is never read
+    truth, scan_path = _phantom_case(tmp_path)
+    inputs = []
+
+    class Recording(AtlasPriorOracle):
+        def segment(self, tile_input, tile):
+            inputs.append((tile_input, tile))
+            return super().segment(tile_input, tile)
+
+    backend = Recording(truth)
+    run(_base_config(tmp_path, truth, backend=backend, output_dir=str(tmp_path / "fresh")), scan_path)
+    cache = tmp_path / "out" / "work" / "tiles"
+    cache.mkdir(parents=True)
+    for tile_input, tile in inputs:
+        key = hashlib.sha256(tile_input.data.ravel("F"))
+        key.update(backend.descriptor().encode())
+        key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
+        entry = cache / key.hexdigest()
+        entry.write_bytes(np.full(tile.size, 1, dtype="<u2").tobytes())
+        g = tile_input.geometry
+        meta = {"kind": "labels", "dtype": "<u2", "dims": list(g.dims), "spacing": list(g.spacing),
+                "index_to_world": g.index_to_world.matrix.reshape(-1).tolist(),
+                "num_labels": truth.num_labels}
+        Path(f"{entry}.json").write_text(json.dumps(meta, indent=1))
+    old = sorted(cache.iterdir())
+    counting = _CountingPrior(truth)
+    run(_base_config(tmp_path, truth, backend=counting, resume=True), scan_path)
+    assert sorted(counting.calls) == list(range(8))
+    assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
+    assert len(set(_cache_entries(tmp_path)) - set(old)) == 8
 
 
-def _shifted_geometry(vol):
-    i2w = compose(AffineTransform.translation((5.0, 0.0, 0.0)), vol.geometry.index_to_world)
-    return LabelVolume(VolumeGeometry(vol.dims, vol.geometry.spacing, i2w), vol.data, vol.num_labels)
+def _short_dims(blob, num_labels):
+    return blob[: -14 * 14]  # the 14^3 tile's labels, one z plane short
 
 
-def _label_out_of_range(vol):
-    data = vol.data.copy()
-    data[0, 0, 0] = vol.num_labels + 2
-    return LabelVolume(vol.geometry, data, vol.num_labels + 5)
+def _label_out_of_range(blob, num_labels):
+    blob = blob.copy()
+    blob[0] = num_labels + 2
+    return blob
 
 
-@pytest.mark.parametrize("rewrite", [_short_dims, _shifted_geometry, _label_out_of_range])
+@pytest.mark.parametrize("rewrite", [_short_dims, _label_out_of_range])
 def test_resume_recomputes_an_entry_that_breaks_the_tile_contract(tmp_path, rewrite):
-    # each rewritten entry reads back fine, but is not an answer for its tile
+    # each rewritten entry is a whole blob of <u2 labels, but not an answer for its tile
     truth, scan_path = _phantom_case(tmp_path)
     fresh = _base_config(tmp_path, truth, output_dir=str(tmp_path / "fresh"))
     run(fresh, scan_path)
@@ -715,16 +744,14 @@ def test_resume_recomputes_an_entry_that_breaks_the_tile_contract(tmp_path, rewr
     config = _base_config(tmp_path, truth, backend=backend, resume=True)
     run(config, scan_path)
     entry = _cache_entries(tmp_path)[0]
-    tio.write_raw(rewrite(tio.read_raw(entry)), entry)
+    entry.write_bytes(rewrite(np.frombuffer(entry.read_bytes(), "<u2"), truth.num_labels).tobytes())
     backend.calls.clear()
     run(config, scan_path)
     assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
     assert len(backend.calls) == 1  # only the rewritten tile ran again
     # and its entry now holds the backend's answer
     answer = extract_tile(truth, config.build_grid().tiles[backend.calls[0]])
-    cached = tio.read_raw(entry)
-    assert cached.geometry.matches(answer.geometry, tol=1e-6)
-    npt.assert_array_equal(cached.data, answer.data)
+    npt.assert_array_equal(tio.read_raw(entry, answer.geometry, truth.num_labels).data, answer.data)
 
 
 def test_bench_tracing_targets_resolve():

@@ -16,7 +16,9 @@ from conftest import (
 )
 from tileseg import io as tio
 from tileseg.fusion import StreamingVote, fuse_majority
-from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
+from tileseg.geometry import (
+    AffineTransform, IntensityVolume, LabelVolume, VolumeGeometry, compose, make_centered_geometry,
+)
 from tileseg.segmenter import (
     AtlasPriorOracle,
     ConstantOracle,
@@ -436,27 +438,31 @@ def test_cache_key_hashes_the_x_fastest_bytes_without_a_copy(tmp_path, order):
         assert tile_input.data.flags.f_contiguous
         key = hashlib.sha256(tile_input.data.tobytes(order="F"))
         key.update(descriptor)
-        key.update(json.dumps([tile.origin, tile.size, tile.index]).encode())
+        g = tile_input.geometry
+        place = [tile.origin, tile.size, tile.index, g.spacing, g.index_to_world.matrix.tolist()]
+        key.update(json.dumps(place).encode())
         want.append(key.hexdigest())
         peak, got = peak_alloc(lambda: _cache_key(tile_input, tile, descriptor))
         assert got == key.hexdigest()
         assert peak < tile_input.data.nbytes / 20
-    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == sorted(want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
 
 
-def test_a_cache_entry_whose_dims_overflow_is_recomputed(tmp_path):
-    # JSON's 1e400 reads as inf, which the sidecar's int() dims refuse with OverflowError
+def test_a_cache_entry_is_keyed_on_the_tile_grid(tmp_path):
+    # the same voxels on a grid shifted by 5 mm are other tiles: each grid
+    # keeps its own entries, and neither overwrites the other's
     vol = random_intensity(DIMS, seed=5)
-    segment_answers(_CountingOracle(GRID.k), vol, GRID, cache_dir=tmp_path)
-    sidecars = sorted(tmp_path.glob("*.json"))
-    assert len(sidecars) == GRID.k
-    for sidecar in sidecars:
-        meta = json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps({**meta, "dims": None}).replace("null", "[1e400, 5, 5]"))
-    backend = _CountingOracle(GRID.k)
-    outs = segment_answers(backend, vol, GRID, cache_dir=tmp_path)
-    assert sorted(backend.calls) == [t.index for t in GRID.tiles]
-    assert [int(o.data.max()) for o in outs] == [t.index for t in GRID.tiles]
+    i2w = compose(AffineTransform.translation((5.0, 0.0, 0.0)), vol.geometry.index_to_world)
+    shifted = IntensityVolume(VolumeGeometry(DIMS, vol.geometry.spacing, i2w), vol.data)
+    calls = []
+    for atlas_vol in (vol, shifted, vol):
+        backend = _CountingOracle(GRID.k)
+        outs = segment_answers(backend, atlas_vol, GRID, cache_dir=tmp_path)
+        calls.append(len(backend.calls))
+        for out, tile in zip(outs, GRID.tiles):
+            assert out.geometry.matches(extract_tile(atlas_vol, tile).geometry, tol=1e-9)
+    assert calls == [GRID.k, GRID.k, 0]
+    assert len(list(tmp_path.iterdir())) == 2 * GRID.k
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
