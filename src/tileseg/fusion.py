@@ -9,8 +9,9 @@ more than the parts of the regions still waiting for a tile are held.
 Each of the grid's regions (``TileGrid.regions``) is covered by one fixed
 set of K tiles.  A region with K = 1 is a copy of that tile, made as the
 tile arrives, so an abutting partition is reassembled without voting.
-Otherwise each tile's part is kept x-fastest until the region's last part
-arrives; then the K parts are stacked, sorted along the tile axis, and
+Otherwise the region's first part waits in the fused map's own box, and
+each later part is kept x-fastest until the region's last part lands; then
+the K parts are stacked in covering order, sorted along the tile axis, and
 the mode is read from the run lengths: the first position that reaches
 the longest run holds the smallest winning label.  The winner is a plain
 min-reduce over the stack or'ed with ``at_top - 1`` in the label type:
@@ -90,10 +91,13 @@ class StreamingVote:
     """The majority vote over ``grid``'s tiles, taken as their answers arrive.
 
     ``add(tile, seg)`` takes each tile's answer once, in any order and from
-    any thread.  It copies the tile's K = 1 regions into the fused map and
-    keeps an x-fastest copy, in the label type of ``num_labels``, of its
-    part of every other region; the thread that adds a region's last part
-    votes it.  Only the regions' bookkeeping and the tie sum are locked.
+    any thread.  It copies the tile's K = 1 regions into the fused map.  Of
+    every other region, the first part to claim it (its home part) is copied
+    into the region's box of the fused map and each later part into an
+    x-fastest copy, both in the label type of ``num_labels``.  The copies
+    are made outside the lock, so the thread whose part is the K-th to land,
+    not to arrive, votes the region.  Only the regions' bookkeeping and the
+    tie sum are locked.
     ``finish()`` checks that every tile arrived and returns the
     ``FusionResult``, its geometry derived from the first tile's answer.
     """
@@ -108,9 +112,11 @@ class StreamingVote:
         self._geometries = [None] * grid.k
         self._ties = 0
         self._lock = threading.Lock()
-        # per region, its box and the parts received so far (None once voted);
-        # per tile, its regions and its row in each
-        self._regions, self._parts = [], []
+        # per region, its box and K, and its parts landed so far by row (the
+        # home part, kept in the region's box of the fused map, as None; None
+        # once voted); the regions whose home is claimed; per tile, its
+        # regions and its row in each
+        self._regions, self._parts, self._claimed = [], [], set()
         self._rows = [[] for _ in grid.tiles]
         for r, (box, covering) in enumerate(grid.regions()):
             self._regions.append((box, len(covering)))
@@ -133,21 +139,33 @@ class StreamingVote:
             if k == 1:
                 self._fused[box] = part
                 continue
-            # an x-fastest copy, cast into the fused type (its values are below num_labels)
-            flat = np.empty(part.size, dtype=self._fused.dtype)
-            np.copyto(flat.reshape(part.shape, order="F"), part, casting="same_kind")
             with self._lock:
+                home = r not in self._claimed
+                self._claimed.add(r)
+            # cast into the fused type (its values are below num_labels): the
+            # home part into the region's own box, any other into an x-fastest copy
+            if home:
+                np.copyto(self._fused[box], part, casting="same_kind")
+                flat = None
+            else:
+                flat = np.empty(part.size, dtype=self._fused.dtype)
+                np.copyto(flat.reshape(part.shape, order="F"), part, casting="same_kind")
+            with self._lock:  # the K-th part to land, not to arrive, votes
                 parts = self._parts[r]
                 parts[row] = flat
                 if len(parts) < k:
                     continue
                 self._parts[r] = None
-            self._vote(box, part.shape, [parts.pop(j) for j in range(k)])
+            self._vote(box, part.shape, parts)
 
-    def _vote(self, box, shape, rows) -> None:
-        """Vote one region from its K rows, in covering order."""
-        stack = np.stack(rows)
-        rows.clear()  # the parts go before the kernel's temporaries come
+    def _vote(self, box, shape, parts) -> None:
+        """Vote one region from its K parts by row, the home part (None) read from its box."""
+        stack = np.empty((len(parts), np.prod(shape)), dtype=self._fused.dtype)
+        for row in range(len(stack)):
+            if parts[row] is None:
+                np.copyto(stack[row].reshape(shape, order="F"), self._fused[box])
+            else:
+                stack[row] = parts.pop(row)  # each part goes as it is stacked
         low = np.empty_like(stack[0])
         for i, j in _sorting_network(len(stack)):
             np.minimum(stack[i], stack[j], out=low)

@@ -28,6 +28,7 @@ restore the original tile dims before writing its output.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import shlex
@@ -119,6 +120,26 @@ class AtlasPriorOracle(SegmenterBackend):
         return f"prior:{digest.hexdigest()}:{self.num_labels}"
 
 
+def _quote(stream, limit: int = 500) -> str:
+    """``text.strip()[:limit]`` of a binary stream's text, whatever bytes it holds.
+
+    The stream is decoded as UTF-8 (bad bytes replaced) a chunk at a time:
+    past the quoted head, only whether anything but whitespace follows is kept.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+    head = ""
+    while True:
+        chunk = stream.read(1 << 16)
+        text = decoder.decode(chunk, final=not chunk)
+        if len(head) < limit:
+            head = (head + text).lstrip()
+            head, text = head[:limit], head[limit:]
+        if text and not text.isspace():  # the quote runs on past its limit
+            return head
+        if not chunk:
+            return head.rstrip()
+
+
 class ExternalProcessBackend(SegmenterBackend):
     """Runs one subprocess per tile through the file protocol above.
 
@@ -163,14 +184,15 @@ class ExternalProcessBackend(SegmenterBackend):
                 )
             )
             paths = {"input": str(input_path), "output": str(output_path), "spec": str(spec_path)}
-            # stdout is never read; stderr is quoted, whatever bytes it holds
-            proc = subprocess.run(
-                [arg.format(**paths) for arg in self._args],
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            )
-            if proc.returncode != 0:
-                stderr = proc.stderr.decode(errors="replace").strip()
-                raise SegmentationError(f"backend exited {proc.returncode}: {stderr[:500]}")
+            # stdout is never read; stderr waits in a file, of which only the quoted head is read
+            with open(tmp / "stderr", "w+b") as stderr:
+                proc = subprocess.run(
+                    [arg.format(**paths) for arg in self._args],
+                    stdout=subprocess.DEVNULL, stderr=stderr,
+                )
+                if proc.returncode != 0:
+                    stderr.seek(0)
+                    raise SegmentationError(f"backend exited {proc.returncode}: {_quote(stderr)}")
             if not output_path.exists():
                 raise SegmentationError("backend wrote no output file")
             try:

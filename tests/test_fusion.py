@@ -475,6 +475,36 @@ def test_streaming_vote_fed_from_many_threads_is_the_list_vote(dims, counts, siz
         sys.setswitchinterval(interval)
 
 
+def test_a_region_waits_for_its_home_part_to_land(monkeypatch):
+    # the first part to claim a region is copied into the fused map outside the
+    # lock: while that copy is held back, the region's other parts all arrive
+    # from another thread, and the vote must still wait for it to land
+    dims, counts, size = STREAM_LAYOUTS[0]
+    grid = build_grid(dims, counts, size)
+    segs = _noisy_answers(dims, grid, 5, seed=5)
+    want = fuse_majority(segs, grid)
+    vote = StreamingVote(grid, 5)
+    held, release = threading.Event(), threading.Event()
+    copyto = np.copyto
+
+    def held_back(dst, src, **kwargs):
+        if dst.base is vote._fused and not held.is_set():
+            held.set()
+            assert release.wait(timeout=30)
+        copyto(dst, src, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", held_back)
+    first = threading.Thread(target=vote.add, args=(grid.tiles[0], segs[0]))
+    first.start()
+    assert held.wait(timeout=30)
+    for i in range(1, grid.k):
+        vote.add(grid.tiles[i], segs[i])
+    release.set()
+    first.join(timeout=30)
+    assert not first.is_alive()
+    _same_result(vote.finish(), want)
+
+
 def test_streaming_vote_takes_the_geometry_from_tile_0_not_the_first_to_arrive():
     # answers may disagree in their last bits within the check's tolerance; the
     # atlas geometry is tile 0's, whichever tile lands first

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -26,6 +27,7 @@ from tileseg.segmenter import (
     SegmentationError,
     SegmenterBackend,
     _cache_key,
+    _quote,
     parse_backend_spec,
     segment_all,
     segment_tile,
@@ -297,6 +299,47 @@ def test_external_backend_nonzero_exit_names_the_tile():
     backend = ExternalProcessBackend("false {input} {output}", num_labels=4)
     with pytest.raises(SegmentationError, match=r"tile 0: .*exited 1"):
         segment_answers(backend, vol, GRID)
+
+
+def test_a_long_backend_stderr_is_quoted_from_its_head(tmp_path):
+    # 50 MB of stderr after a blank start: the message quotes its first 500
+    # characters, and the run holds none of the rest
+    vol, tile = _one_tile_case()
+    stub = tmp_path / "noisy.py"
+    stub.write_text(
+        "import sys\n"
+        "sys.stderr.buffer.write(b' \\n' + b'\\xe2\\x82\\xac\\xff' * 12_500_000)\n"
+        "sys.exit(1)\n"
+    )
+    backend = ExternalProcessBackend(f"{sys.executable} {stub} {{input}} {{output}}", num_labels=4)
+
+    def fail():
+        with pytest.raises(SegmentationError) as failed:
+            segment_tile(backend, vol, tile)
+        return str(failed.value)
+
+    peak, message = peak_alloc(fail)
+    assert message == "backend exited 1: " + "\u20ac\ufffd" * 250
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "stderr",
+    [
+        b"",
+        b" \n\t ",
+        b"\n  model says \xff\n",
+        b"\xc2\xa0\xe3\x80\x80" * 30_000 + b"late start",
+        b"x" * 499 + b" \xc2\xa0" + b" " * 70_000,
+        b"x" * 499 + b" \xc2\xa0" + b" " * 70_000 + b"y",
+        b"e" * 1999 + b"\xf0\x9f\x98\x80" * 20_000,
+        b"\xf0\x9f\x98" * 700,
+    ],
+)
+def test_the_stderr_quote_is_the_whole_text_stripped_and_cut(stderr):
+    # read a chunk at a time, the quote still sees whitespace, multi-byte and
+    # bad bytes exactly as one decode of the whole text would
+    assert _quote(io.BytesIO(stderr)) == stderr.decode(errors="replace").strip()[:500]
 
 
 def test_external_backend_missing_output_file():

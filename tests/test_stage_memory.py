@@ -2,13 +2,13 @@
 
 The budget test runs the benchmark's paper-layout ``overlap-noisy`` fixture
 (``bench/fixture.py`` and ``bench/scan.py``, imported read-only) at
-``jobs=1`` under tracemalloc, with ``_StageClock.time`` wrapped to read each
-stage's live set at its start and end and its peak in between.  Budgets
-have the form ``a * atlas + SLACK``: one atlas is the float32 atlas volume,
-and the slack covers what does not scale with the volumes (Python objects,
-lazy imports).  tracemalloc sees numpy's allocations, not the allocator's
-arenas, so these pins are on what the program holds, not on its resident
-set.  At ``jobs=2`` register and segment rise further, by thread timing.
+``jobs=1`` and at ``jobs=2`` under tracemalloc, with ``_StageClock.time``
+wrapped to read each stage's live set at its start and end and its peak in
+between.  Budgets have the form ``a * atlas + SLACK``: one atlas is the
+float32 atlas volume, and the slack covers what does not scale with the
+volumes (Python objects, lazy imports).  tracemalloc sees numpy's
+allocations, not the allocator's arenas, so these pins are on what the
+program holds, not on its resident set.
 """
 
 import contextlib
@@ -35,10 +35,21 @@ BUDGETS = {
     "read": (0.05, 0.0),  # one 1 MB band of scan planes, then nothing
     "register": (1.3, 1.0),  # the registered volume and a few planes per thread
     "harmonize": (1.1, 1.0),  # the masked copy; the model's mask is bits
-    "segment": (0.95, 1.25),  # tile input and answer, the vote's pending parts and its fused map
+    # tile input and answer, and the fused map, in whose box each pending
+    # region's first part waits: only the others are held as copies
+    "segment": (0.8, 1.25),
     "fuse": (0.0, 0.25),  # the fused map (uint8, a quarter atlas)
     "unregister": (0.7, 0.75),  # a few planes per thread; the native map (0.47 atlas) joins the fused
     "write": (0.05, 0.75),  # one z plane cast at a time
+}
+# at jobs=2 register, segment and unregister work in two threads at once;
+# register and segment move with thread timing, so with the slack each
+# budget here sits 0.15-0.2 atlas above the highest of 5 runs
+BUDGETS_PAR = {
+    **BUDGETS,
+    "register": (1.6, 1.0),
+    "segment": (1.15, 1.25),
+    "unregister": (0.85, 0.75),
 }
 
 
@@ -72,23 +83,32 @@ def _stage_memory(monkeypatch, config, scan):
     return stages
 
 
-def test_each_stage_keeps_to_its_memory_budget(tmp_path, monkeypatch):
+def _over_budget(tmp_path, monkeypatch, jobs, budgets):
+    """The stages of a paper-layout run at ``jobs`` that exceed ``budgets``."""
     manifest = _manifest("PAPER", 32001, tmp_path / "fx")
     config = pipeline.PipelineConfig(
         **manifest["config"],
         backend=bench_module("scan").make_backend(manifest),
         output_dir=str(tmp_path / "out"),
+        jobs=jobs,
     )
     atlas = np.prod(config.atlas_dims) * np.dtype(np.float32).itemsize
     stages = _stage_memory(monkeypatch, config, manifest["scan"])
-    assert list(stages) == list(BUDGETS)
-    over = [
+    assert list(stages) == list(budgets)
+    return [
         f"{name} {what} {got / atlas:.2f} atlas > {a} + {SLACK // MiB} MiB"
         for name, measured in stages.items()
-        for what, got, a in zip(("rise", "end"), measured, BUDGETS[name])
+        for what, got, a in zip(("rise", "end"), measured, budgets[name])
         if got > a * atlas + SLACK
     ]
-    assert not over
+
+
+def test_each_stage_keeps_to_its_memory_budget(tmp_path, monkeypatch):
+    assert not _over_budget(tmp_path, monkeypatch, 1, BUDGETS)
+
+
+def test_each_stage_keeps_to_its_memory_budget_at_two_jobs(tmp_path, monkeypatch):
+    assert not _over_budget(tmp_path, monkeypatch, 2, BUDGETS_PAR)
 
 
 def test_the_model_is_freed_when_harmonize_returns(tmp_path, monkeypatch):
