@@ -8,7 +8,9 @@ map to every voxel yields the harmonized image.
 
 Because masked voxel counts differ between scans, the sorted vectors are
 made commensurate by linear interpolation onto ``quantile_count`` evenly
-spaced positions (endpoints inclusive) before averaging or regression.
+spaced positions (endpoints inclusive) before averaging or regression;
+the ranks those positions read are found from a histogram of the masked
+intensities (``_profile``), and ``harmonize`` maps the scan in place.
 """
 
 from __future__ import annotations
@@ -93,11 +95,12 @@ def _pack(mask: LabelVolume):
     return mask.geometry, np.packbits(flat, bitorder="little"), int(np.count_nonzero(flat))
 
 
-# voxels per block of the moments and of the output: one float64 buffer of
-# this many voxels is the only float64 array harmonize builds at atlas scale
+# voxels per block of every pass (whole bytes of mask bits): one float64
+# buffer of this many voxels is the only float64 array harmonize builds at
+# atlas scale
 _BLOCK = 1 << 16
-# voxels per block of the profile's gather: a whole number of bytes of bits
-_GATHER = 1 << 14
+# bins of the profile's histogram at most: 512 KiB of counts
+_BINS = 1 << 16
 
 
 def _blocks(data: np.ndarray):
@@ -139,10 +142,16 @@ def _moments(data: np.ndarray):
 def _mapped(data: np.ndarray, mean: float, std: float, fit: RegressionFit) -> np.ndarray:
     """``(data - mean) / std * beta1 + beta0`` of ``fit``, block by block.
 
-    Each voxel is computed in float64 and rounded once into the output, a
-    new x-fastest array in ``_intensity_dtype``.
+    Each voxel is computed in float64 and rounded once into an x-fastest
+    array in ``_intensity_dtype``: over ``data``, which the caller gives
+    up, if it owns its voxels and holds that type, else a new one.
     """
-    out = np.empty_like(data, dtype=_intensity_dtype(data.dtype), order="F")
+    dtype = _intensity_dtype(data.dtype)
+    if data.flags.owndata and data.dtype == dtype:
+        out = data
+        out.flags.writeable = True
+    else:
+        out = np.empty_like(data, dtype=dtype, order="F")
     dest = out.ravel("F")
     for part, wide in _blocks(data):
         wide -= mean
@@ -153,15 +162,24 @@ def _mapped(data: np.ndarray, mean: float, std: float, fit: RegressionFit) -> np
     return out
 
 
+def _masked(bits: np.ndarray, data: np.ndarray):
+    """Yield the values of ``data`` under the mask ``bits`` (``_pack``), x-fastest, a block at a time."""
+    flat = data.ravel("F")
+    for start in range(0, flat.size, _BLOCK):
+        part = flat[start : start + _BLOCK]
+        yield part[np.unpackbits(bits[start // 8 :], count=part.size, bitorder="little").view(np.bool_)]
+
+
 def _profile(geometry, packed, quantile_count, data, mean, std) -> np.ndarray:
     """The sorted profile of ``(data - mean) / std``, ``data`` on ``geometry``.
 
-    The values under the mask ``packed``, one bit per voxel (``_pack``), are
-    gathered one block of bits at a time, sorted descending and linearly
+    The masked values (``_pack``), sorted descending, are linearly
     interpolated onto ``quantile_count`` positions, endpoints inclusive.
-    The raw masked values are sorted and only the ranks read are z-scored:
-    ``(v - mean) / std`` is monotone in floating point, so this gives the
-    bits of sorting the z-scored volume.
+    One pass counts them into bins that never fall as the value rises, and
+    a second sorts only the bins holding the two ranks ``np.interp`` reads
+    per position: a full sort's bits (bar the order of -0.0 and +0.0).
+    Only those ranks are z-scored: ``(v - mean) / std`` is monotone in
+    floating point, so this gives the bits of sorting the z-scored volume.
     """
     if not 2 <= quantile_count <= MAX_QUANTILES:
         raise HarmonizeError(f"quantile_count must be in [2, {MAX_QUANTILES}], got {quantile_count}")
@@ -170,19 +188,42 @@ def _profile(geometry, packed, quantile_count, data, mean, std) -> np.ndarray:
         raise HarmonizeError("volume and mask geometries differ")
     if n == 0:
         raise HarmonizeError("mask selects no voxels")
-    flat, values, end = data.ravel("F"), np.empty(n, dtype=data.dtype), 0
-    for start in range(0, flat.size, _GATHER):
-        part = flat[start : start + _GATHER]
-        keep = np.unpackbits(bits[start // 8 :], count=part.size, bitorder="little").view(np.bool_)
-        begin, end = end, end + np.count_nonzero(keep)
-        values[begin:end] = part[keep]
-    values.sort()
     positions = np.linspace(0.0, n - 1.0, quantile_count)
-    # np.interp over all n ranks reads only the two that bracket each
-    # position, so interpolating over just those ranks gives the same bits
     lower = positions.astype(np.intp).tolist()
     ranks = np.array(sorted({*lower, *(min(i + 1, n - 1) for i in lower)}))
-    picked = (values[n - 1 - ranks].astype(np.float64) - mean) / std
+    ascending = n - 1 - ranks
+
+    # (v - lo) * scale rounds into [0, bins]; a range the type cannot
+    # subtract or scale takes one bin
+    work = _intensity_dtype(data.dtype)
+    top = float(np.finfo(work).max) / 2
+    bins = max(1, min(_BINS, n // 64))
+    lo, hi = float(data.min()), float(data.max())
+    scale = bins / (hi - lo) if hi > lo else 0.0
+    if not (hi - lo < top and scale < top):
+        lo = scale = 0.0
+    lo, scale = work.type(lo), work.type(scale)
+    index = np.empty(min(_BLOCK, data.size), np.intp)
+
+    def binned(values):
+        t = np.subtract(values, lo, dtype=work)
+        return np.multiply(t, scale, out=index[: values.size], casting="unsafe")
+
+    counts = np.zeros(bins + 1, np.intp)
+    for values in _masked(bits, data):
+        counts += np.bincount(binned(values), minlength=bins + 1)
+    below = np.cumsum(counts)  # up to and including each bin
+    held = np.searchsorted(below, ascending, side="right")  # each rank's bin
+    wanted = np.zeros(bins + 1, np.bool_)
+    wanted[held] = True
+    kept = np.cumsum(np.where(wanted, counts, 0))  # the same, of wanted bins
+    gathered, end = np.empty(int(kept[-1]), dtype=data.dtype), 0
+    for values in _masked(bits, data):
+        values = values[wanted[binned(values)]]
+        gathered[end : end + values.size] = values
+        end += values.size
+    gathered.sort()
+    picked = (gathered[ascending + kept[held] - below[held]].astype(np.float64) - mean) / std
     return np.interp(positions, ranks, picked)
 
 
@@ -226,11 +267,11 @@ def harmonize(
 
     Standardizes the scan, regresses the reference profile on the scan's
     own sorted profile (ordinary least squares), and applies the fitted
-    slope and intercept to every voxel.  No z-scored or widened volume is
-    built: the masked voxels are sorted in the scan's own type, and the
-    output, ``((x - mean) / std) * beta1 + beta0`` in float64 rounded once,
-    is written block by block into an x-fastest array in
-    ``_intensity_dtype`` (float32 for a stored-type or float32 scan).
+    slope and intercept to every voxel.  No z-scored, widened or masked
+    copy is built: the output, ``((x - mean) / std) * beta1 + beta0`` in
+    float64 rounded once, is written block by block in ``_intensity_dtype``
+    (float32 for a stored-type or float32 scan), over ``vol``'s own array
+    where ``_mapped`` can: ``vol`` is consumed.
     """
     mean, std = _moments(vol.data)
     packed = (model.geometry, model.bits, model.count)

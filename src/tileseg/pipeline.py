@@ -268,7 +268,8 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
     ``report.json`` into ``config.output_dir``.  An earlier run's label
     files and report are removed before the first stage, so a run killed
     part way leaves none of them; on failure, partial outputs are removed
-    and a ``FAILED`` marker names the broken stage.
+    and a ``FAILED`` marker names the broken stage.  With ``resume``, a run
+    past segment leaves only its own entries in ``work/tiles``.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,13 +304,17 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
 
         with clock.time("segment"):
             vote = StreamingVote(grid, config.num_labels)
-            segment_all(
+            cache = out_dir / "work" / "tiles" if config.resume else None
+            kept = segment_all(
                 backend, atlas_input, grid, jobs=config.jobs,
-                on_tile_failure=config.on_tile_failure,
-                cache_dir=out_dir / "work" / "tiles" if config.resume else None,
-                on_tile=vote.add,
+                on_tile_failure=config.on_tile_failure, cache_dir=cache, on_tile=vote.add,
             )
-        del atlas_input, backend
+            if cache is not None:
+                # what this run neither read nor wrote goes, *.tmp files too
+                for path in cache.iterdir():
+                    if path.name not in kept:
+                        path.unlink(missing_ok=True)
+        del atlas_input, backend, kept
 
         with clock.time("fuse"):
             if config.fusion_mode == "majority":

@@ -257,7 +257,7 @@ def segment_all(
     jobs: int = 1,
     on_tile_failure: str = "abort",
     cache_dir=None,
-) -> None:
+) -> set[str]:
     """Segment every tile of ``atlas_vol``, handing each answer to ``on_tile``.
 
     Tiles are independent: ``geometry._each`` runs ``run_one`` on each, in
@@ -275,7 +275,8 @@ def segment_all(
     backend descriptor, the placement and the tile's grid, and read back on
     that grid; an entry unreadable, of another size or off-range is
     recomputed.  A substituted background tile is never stored, so a later
-    call retries it.  Orphan ``*.tmp`` files of killed writes are deleted first.
+    call retries it.  Returns the names of the entries read or written;
+    none is removed here (``pipeline.run`` removes the rest).
     """
     if atlas_vol.dims != grid.atlas_dims:
         raise SegmentationError(
@@ -286,18 +287,15 @@ def segment_all(
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        # temp files of writes killed before their rename (see io.write_atomic)
-        for orphan in cache_dir.glob("*.tmp"):
-            orphan.unlink(missing_ok=True)
         descriptor = backend.descriptor().encode()
 
-    def answer(tile: TileSpec) -> LabelVolume:
+    def answer(tile: TileSpec) -> tuple[LabelVolume, str | None]:
         tile_input = extract_tile(atlas_vol, tile)
-        entry = None
+        key = None
         if cache_dir is not None:
-            entry = cache_dir / _cache_key(tile_input, tile, descriptor)
+            key = _cache_key(tile_input, tile, descriptor)
             try:
-                return tio.read_raw(entry, tile_input.geometry, backend.num_labels)
+                return tio.read_raw(cache_dir / key, tile_input.geometry, backend.num_labels), key
             except (OSError, ValueError):
                 pass  # absent, of another size or off-range: recompute
         try:
@@ -308,16 +306,18 @@ def segment_all(
                     f"tile {tile.index} failed ({exc}); substituting background",
                     stacklevel=2,
                 )
-                return ConstantOracle(0, backend.num_labels).segment(tile_input, tile)
+                return ConstantOracle(0, backend.num_labels).segment(tile_input, tile), None
             raise SegmentationError(f"tile {tile.index}: {exc}") from exc
-        if entry is not None:
-            tio.write_raw(out, entry)
-        return out
+        if key is not None:
+            tio.write_raw(out, cache_dir / key)
+        return out, key
 
-    def run_one(tile: TileSpec) -> None:
-        on_tile(tile, answer(tile))
+    def run_one(tile: TileSpec) -> str | None:
+        out, key = answer(tile)
+        on_tile(tile, out)
+        return key
 
-    _each(run_one, grid.tiles, jobs)
+    return {key for key in _each(run_one, grid.tiles, jobs) if key is not None}
 
 
 def parse_backend_spec(spec: str, num_labels: int = DEFAULT_NUM_LABELS) -> SegmenterBackend:

@@ -1,13 +1,16 @@
 import functools
 import importlib.util
 import math
+import os
 import sys
 import tracemalloc
 from pathlib import Path
 
 import hypothesis
 import numpy as np
+import pytest
 
+import tileseg
 from tileseg.geometry import IntensityVolume, LabelVolume, _labels, make_centered_geometry
 from tileseg.harmonize import RegressionFit, _mapped, _moments
 from tileseg.segmenter import ConstantOracle, SegmenterBackend, segment_all
@@ -16,6 +19,15 @@ hypothesis.settings.register_profile("suite", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("suite")
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_this_package():
+    """Python processes the tests start (external backends, the CLI) import tileseg from here."""
+    src = str(Path(tileseg.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @functools.cache
@@ -34,8 +46,16 @@ def apply_affine(transform, points):
 
 
 def z_scored(vol):
-    """Harmonize's z-scored voxels of ``vol``: its moments, mapped by the identity fit."""
-    return _mapped(vol.data, *_moments(vol.data), RegressionFit(1.0, 0.0, 0.0))
+    """Harmonize's z-scored voxels of ``vol``: its moments, mapped by the identity fit.
+
+    ``_mapped`` may write over the array it maps, so it maps a copy: ``vol`` is unchanged.
+    """
+    return _mapped(vol.data.copy(order="F"), *_moments(vol.data), RegressionFit(1.0, 0.0, 0.0))
+
+
+def copied(vol):
+    """A copy of ``vol`` in its own element type, for ``harmonize``, which consumes its input."""
+    return IntensityVolume._adopt(vol.geometry, vol.data.copy(order="F"))
 
 
 def random_intensity(dims, seed=0, lo=0.0, hi=100.0, spacing=(1.0, 1.0, 1.0)):

@@ -28,7 +28,7 @@ from tileseg.phantom import intensity_from_labels
 from tileseg.pipeline import PipelineConfig, run, save_affine
 from tileseg.segmenter import AtlasPriorOracle
 from tileseg.tiling import build_grid, coverage_map, extract_tile
-from conftest import CorruptingWrapper, defined, make_blob_phantom, segment_answers
+from conftest import CorruptingWrapper, copied, defined, make_blob_phantom, segment_answers
 
 
 @contextmanager
@@ -171,7 +171,7 @@ def test_harmonization_invariance(capsys):
 
         rng = np.random.default_rng(6)
         scan = _random_volume(geometry, seed=7)
-        base, _ = harmonize(scan, model)
+        base, _ = harmonize(copied(scan), model)
         for _ in range(20):
             a = float(rng.uniform(0.1, 10.0))
             b = float(rng.uniform(-100.0, 100.0))

@@ -12,8 +12,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
-    NOT_LABELS, CorruptingWrapper, apply_affine, peak_alloc, random_intensity, random_labels,
-    make_blob_phantom, segment_answers,
+    NOT_LABELS, CorruptingWrapper, apply_affine, copied, peak_alloc, random_intensity,
+    random_labels, make_blob_phantom, segment_answers,
 )
 from tileseg.geometry import (
     ATLAS_DIMS,
@@ -1006,7 +1006,7 @@ def _package_built_volumes(tmp_path) -> list:
     return [
         resample_intensity(img, _tilted(), img.geometry),
         resample_labels(lab, _tilted(), lab.geometry),
-        harmonize(img, fit_model([img], [mask], quantile_count=8))[0],
+        harmonize(copied(img), fit_model([img], [mask], quantile_count=8))[0],
         fit_model([img], [mask], quantile_count=8).mask,
         fuse_majority(tiles, grid).fused,
         ConstantOracle(1, 4).segment(tile_input, grid.tiles[0]),

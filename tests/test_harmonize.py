@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import peak_alloc, random_intensity, z_scored
+from conftest import copied, peak_alloc, random_intensity, z_scored
 from tileseg import io as tio
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.harmonize import (
+    MAX_QUANTILES,
     HarmonizationModel,
     HarmonizeError,
     _pack,
@@ -72,7 +73,9 @@ def test_standardize_zero_mean_unit_std():
 
 def test_standardize_idempotent():
     vol = random_intensity((6, 5, 4), seed=1)
+    before = vol.data.copy()
     once = _standardize(vol)
+    assert vol.data.tobytes() == before.tobytes()  # z_scored maps a copy: _mapped may write over its input
     twice = _standardize(once)
     npt.assert_allclose(twice.data, once.data, atol=1e-12)
 
@@ -237,7 +240,7 @@ def test_harmonize_self_fit_is_identity_map():
     vol = random_intensity((6, 6, 6), seed=7)
     mask = _full_mask(vol.geometry)
     model = fit_model([vol], [mask], quantile_count=64)
-    out, fit = harmonize(vol, model)
+    out, fit = harmonize(copied(vol), model)
     assert abs(fit.beta1 - 1.0) <= 1e-6
     assert abs(fit.beta0) <= 1e-6
     npt.assert_allclose(out.data, (vol.data - vol.data.mean()) / vol.data.std(), atol=1e-9)
@@ -265,7 +268,7 @@ def test_harmonize_invariant_to_input_rescaling(a, b):
     vol = random_intensity((5, 5, 5), seed=11)
     mask = _full_mask(vol.geometry)
     model = fit_model([random_intensity((5, 5, 5), seed=12)], [mask], quantile_count=32)
-    base, base_fit = harmonize(vol, model)
+    base, base_fit = harmonize(copied(vol), model)
     out, fit = harmonize(vol.with_data(a * vol.data + b), model)
     npt.assert_allclose(out.data, base.data, atol=1e-6)
     npt.assert_allclose(fit.beta1, base_fit.beta1, atol=1e-9)
@@ -372,7 +375,7 @@ def test_a_model_in_the_older_format_loads_and_harmonizes_the_same(tmp_path):
     save_model(model, tmp_path / "old")
     meta = {"quantile_count": 16, "mask_dims": [5, 4, 3], "mask_spacing": [1.0, 1.0, 1.0]}
     (tmp_path / "old" / "meta.json").write_text(json.dumps(meta, indent=1))
-    new, old = (harmonize(vol, load_model(tmp_path / name))[0] for name in ("new", "old"))
+    new, old = (harmonize(copied(vol), load_model(tmp_path / name))[0] for name in ("new", "old"))
     assert old.data.tobytes() == new.data.tobytes()
     # a disagreeing spacing is not refused at load, only by harmonize on another grid
     meta["mask_spacing"] = [1.0, 1.0, 2.0]
@@ -448,6 +451,18 @@ def test_save_model_writes_the_mask_it_was_built_from(tmp_path):
         (4097, 1024, "cauchy"),
         (20000, 1024, "normal"),
         (20000, 333, "lognormal"),
+        (5000, 1024, "equal"),
+        (5000, 1024, "two"),
+        (5000, 1024, "zeros"),
+        (5000, 1024, "float32-extremes"),
+        (5000, 1024, "float64-extremes"),
+        (5000, 1024, "float32-tiny"),
+        (5000, 1024, "float64-tiny"),
+        (1, 2, "normal"),  # a one-voxel mask
+        (1, 1024, "ties"),
+        (20000, 2, "lognormal"),
+        (20000, MAX_QUANTILES, "normal"),
+        (3000, MAX_QUANTILES, "float32-extremes"),
     ],
 )
 def test_sorted_profile_equals_full_interpolation_bitwise(n, quantile_count, draw):
@@ -457,33 +472,46 @@ def test_sorted_profile_equals_full_interpolation_bitwise(n, quantile_count, dra
         "ties": lambda: rng.integers(-3, 4, size=n).astype(np.float64),
         "cauchy": lambda: rng.standard_cauchy(size=n) * 1e150,
         "lognormal": lambda: np.exp(rng.normal(scale=30.0, size=n)),
+        "equal": lambda: np.full(n, 3.25),
+        "two": lambda: rng.choice([-1.5, 2.0], size=n),
+        "zeros": lambda: rng.choice([-0.0, 0.0], size=n),
+        # hi - lo overflows the element type
+        "float32-extremes": lambda: (rng.uniform(-1.0, 1.0, size=n) * 3.4e38).astype(np.float32),
+        "float64-extremes": lambda: rng.uniform(-1.0, 1.0, size=n) * 1.79e308,
+        # the least subnormal and zero: bins over so fine a range overflow the type
+        "float32-tiny": lambda: rng.choice([0.0, 1e-45], size=n).astype(np.float32),
+        "float64-tiny": lambda: rng.choice([0.0, 5e-324], size=n),
     }[draw]()
-    vol = _line_volume(values)
-    got = _sorted_profile(vol, _full_mask(vol.geometry), quantile_count)
+    geometry = make_centered_geometry((n, 1, 1))
+    vol = IntensityVolume._adopt(geometry, values.reshape(n, 1, 1))  # kept in its own type
+    got = _sorted_profile(vol, _full_mask(geometry), quantile_count)
     assert got.tobytes() == _full_interpolation(values, quantile_count).tobytes()
 
 
 def test_harmonize_holds_few_volume_sized_arrays():
-    # std's temporary, then the masked values, then the output: never a z-scored copy
-    vol = random_intensity((64, 64, 64), seed=21)
+    # the output is written over the volume it maps, and the profile holds
+    # one block's temporaries and the values of the wanted bins: never a
+    # masked, z-scored or output copy of the volume
+    vol = random_intensity((128, 128, 64), seed=21)  # 1 Mi voxels, 16 blocks
     mask = _full_mask(vol.geometry)
     model = HarmonizationModel(np.linspace(1.0, -1.0, 1024), mask)
-    harmonize(vol, model)  # first calls of numpy routines allocate once
-    peak, _ = peak_alloc(lambda: harmonize(vol, model))
-    assert peak <= 1.3 * vol.data.nbytes
-
+    vol, _ = harmonize(vol, model)  # first calls of numpy routines allocate once
+    data = vol.data
+    peak, (out, _) = peak_alloc(lambda: harmonize(vol, model))
+    assert out.data is data and not data.flags.writeable
+    assert peak <= 0.4 * data.nbytes
 
 
 def test_the_profile_gathers_the_masked_values_without_a_volume_sized_mask():
-    # the masked float32 values are the one volume-sized array: a bool mask of
-    # the volume would add a quarter of their bytes
+    # a 64 Ki-voxel block at a time, and then only the values in the bins
+    # that hold a wanted rank: no copy of the masked values, nor a bool mask
     geometry = make_centered_geometry((128, 128, 64))  # 1 Mi voxels
     data = np.random.default_rng(23).normal(50.0, 10.0, geometry.dims).astype(np.float32)
     vol = IntensityVolume(geometry, data)
     mask = _full_mask(geometry)
     _sorted_profile(vol, mask, 1024)  # first calls of numpy routines allocate once
     peak, got = peak_alloc(lambda: _sorted_profile(vol, mask, 1024))
-    assert peak < 1.05 * vol.data.nbytes
+    assert peak < 0.55 * vol.data.nbytes
     assert got.tobytes() == _full_interpolation(data.ravel().astype(np.float64), 1024).tobytes()
 
 
@@ -500,4 +528,5 @@ def test_harmonize_of_a_float32_volume_builds_no_float64_copy(tmp_path):
     harmonize(vol, model)  # first calls of numpy routines allocate once
     peak, (out, _) = peak_alloc(lambda: harmonize(vol, model))
     assert out.data.dtype == np.float32
+    assert not np.shares_memory(out.data, vol.data)  # the file's bytes are kept
     assert peak < 1.5 * vol.data.nbytes

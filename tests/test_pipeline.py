@@ -45,7 +45,7 @@ from tileseg.segmenter import (
     SegmenterBackend,
 )
 from tileseg.tiling import build_grid, coverage_map, extract_tile
-from conftest import CorruptingWrapper, make_blob_phantom, peak_alloc, random_labels
+from conftest import CorruptingWrapper, NearestLevel, make_blob_phantom, peak_alloc, random_labels
 
 
 # --- configuration ---
@@ -657,6 +657,50 @@ def test_resume_sweeps_orphan_temp_files(tmp_path):
     assert not orphan.exists()
     assert _cache_entries(tmp_path) == entries
     assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
+
+
+class _Levels(NearestLevel):
+    """``NearestLevel`` with a descriptor, so that a resumed run can cache it."""
+
+    def descriptor(self):
+        return f"levels:{self.levels.tolist()}"
+
+
+def test_a_resumed_run_on_another_scan_keeps_only_its_own_entries(tmp_path):
+    truth, scan_path = _phantom_case(tmp_path)
+    # labels read off the intensities, so another scan gives other outputs
+    backend = _Levels.fitted(intensity_from_labels(truth, seed=4), truth)
+    config = _base_config(tmp_path, truth, backend=backend, resume=True)
+    run(config, scan_path)
+    before = _outputs(tmp_path / "out")
+    first = _cache_entries(tmp_path)
+    tio.write_nifti(intensity_from_labels(truth, seed=9), scan_path)
+    run(config, scan_path)
+    entries = _cache_entries(tmp_path)
+    assert len(entries) == config.build_grid().k
+    assert not set(entries) & set(first)
+    run(_base_config(tmp_path, truth, backend=backend, output_dir=str(tmp_path / "fresh")), scan_path)
+    assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh") != before
+
+
+def test_a_run_that_fails_in_segment_keeps_every_cache_entry(tmp_path):
+    truth, scan_path = _phantom_case(tmp_path)
+    backend = _FailingTile(truth, target_index=3, failures=1)
+    config = _base_config(tmp_path, truth, backend=backend, resume=True)
+    run(_base_config(tmp_path, truth, backend=_FailingTile(truth, target_index=3, failures=0),
+                     resume=True), scan_path)
+    stale = _cache_entries(tmp_path)  # the same backend, on the first scan
+    tio.write_nifti(intensity_from_labels(truth, seed=9), scan_path)
+    with pytest.raises(SegmentationError, match="^tile 3: "):
+        run(config, scan_path)
+    written = set(_cache_entries(tmp_path)) - set(stale)
+    assert len(written) == 3 and set(stale) < set(_cache_entries(tmp_path))  # tiles 0, 1 and 2
+    calls, segment = [], backend.inner.segment
+    backend.inner.segment = lambda tile_input, tile: calls.append(tile.index) or segment(tile_input, tile)
+    run(config, scan_path)
+    assert calls == [3, 4, 5, 6, 7]
+    entries = _cache_entries(tmp_path)
+    assert len(entries) == 8 and written < set(entries)
 
 
 @pytest.mark.parametrize("damage", [_truncate_blob, _ragged_blob])

@@ -34,7 +34,10 @@ SLACK = 2 * MiB
 BUDGETS = {
     "read": (0.05, 0.0),  # one 1 MB band of scan planes, then nothing
     "register": (1.3, 1.0),  # the registered volume and a few planes per thread
-    "harmonize": (1.1, 1.0),  # the masked copy; the model's mask is bits
+    # the model's two-label mask as read (a quarter atlas) and one band of
+    # its file, before it is packed to bits; the profile and the output,
+    # written over the registered volume, rise 0.14
+    "harmonize": (0.3, 1.0),
     # tile input and answer, and the fused map, in whose box each pending
     # region's first part waits: only the others are held as copies
     "segment": (0.8, 1.25),

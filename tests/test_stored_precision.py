@@ -28,7 +28,7 @@ from tileseg.geometry import (
 )
 from tileseg.harmonize import _pack, _profile, fit_model, harmonize
 from tileseg.tiling import build_grid, extract_tile
-from conftest import z_scored
+from conftest import copied, z_scored
 from test_geometry import _assert_zero_outside, _three_index_trilinear
 
 DIMS = (23, 19, 17)
@@ -196,8 +196,8 @@ def test_fit_model_and_harmonize_are_bitwise_the_widened_result(
     assert model.mean_sorted.tobytes() == wide_model.mean_sorted.tobytes()
     assert np.array_equal(model.mask.data, wide_model.mask.data)
 
-    got, fit = harmonize(a, model)
-    want, wide_fit = harmonize(wide_a, model)
+    got, fit = harmonize(copied(a), model)
+    want, wide_fit = harmonize(copied(wide_a), model)
     assert _same(got.data, _rounded(want.data))
     assert fit == wide_fit
     assert _tile_files_agree(tmp_path, got, want)
@@ -222,7 +222,7 @@ def test_harmonize_equals_the_z_scored_volume_oracle(tmp_path, monkeypatch, code
     other, _ = _read(tmp_path, code, endian, seed=3)
     mask = _masks(vol.geometry)[0]
     model = fit_model([other], [mask], quantile_count=128)
-    got, fit = harmonize(vol, model)
+    got, fit = harmonize(copied(vol), model)
 
     # the scan's z-scored volume, its sorted profile, then one least-squares line
     x = wide.data
