@@ -5,10 +5,12 @@ Conventions used throughout the package:
 * Volumes are indexed ``data[x, y, z]`` with shape equal to ``dims``.
   The linear (disk) layout is x-fastest ("Fortran" order), matching the
   de facto layout of single-file medical volumes.
-* Every array a volume holds is x-fastest in memory too: the public
-  constructors copy into that order, and ``_adopt`` takes nothing else.  So
-  a z plane is one block that the writers cast and store as it is, and
-  every sum in memory order (``harmonize``, the moments) runs x-fastest.
+* Every array a volume holds has x-fastest strides too: the public
+  constructors copy into x-fastest order, ``_adopt`` takes no other
+  strides, and a tile (``tiling.extract_tile``) may be a read-only view of
+  such an array.  So a z plane's rows lie in memory order for the writers
+  to cast as they lie, and every sum in memory order (``harmonize``, the
+  moments) runs x-fastest.
   Intensity arrays the package builds hold ``_intensity_dtype`` of their
   source: float64 from float64, float32 from a stored type.  Each value is
   computed in float64 and rounded once, where it is stored.
@@ -207,15 +209,21 @@ class _Volume:
 
     @classmethod
     def _adopt(cls, geometry: VolumeGeometry, arr: np.ndarray, *args):
-        """Wrap ``arr``, an x-fastest array the package just built or decoded, without a copy.
+        """Wrap ``arr``, an array the package just built or decoded, without a copy.
 
-        Runs the same checks as the public constructor, then freezes ``arr``
-        itself; only the constructor's copy is skipped.  An intensity array
-        may keep a stored element type (``read_nifti`` adopts its view of
-        the file bytes).  Arrays from outside (a user array, a tile view)
-        go through the copying constructor.
+        ``arr`` must have x-fastest strides: each axis steps over the whole
+        span of the axes before it, so a contiguous x-fastest array or a box
+        of one qualifies.  Runs the same checks as the public constructor,
+        then freezes ``arr`` itself; only the constructor's copy is skipped.
+        An intensity array may keep a stored element type (``read_nifti``
+        adopts its view of the file bytes).  Arrays from outside (a user
+        array) go through the copying constructor.
         """
-        assert arr.flags.f_contiguous, "volumes hold x-fastest arrays"
+        span = arr.itemsize
+        for n, stride in zip(arr.shape, arr.strides):
+            if n > 1:
+                assert stride >= span, "volumes hold arrays with x-fastest strides"
+                span = stride * n
         vol = object.__new__(cls)
         object.__setattr__(vol, "geometry", geometry)
         vol._freeze(arr, *args)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .geometry import IntensityVolume, LabelVolume, VolumeGeometry, _intensity_dtype, _labels
+from .geometry import IntensityVolume, LabelVolume, VolumeGeometry, _bands, _intensity_dtype, _labels
 
 __all__ = [
     "HarmonizeError",
@@ -56,7 +56,8 @@ class HarmonizationModel:
     ``mean_sorted`` is finite and non-increasing, its length ``quantile_count``.
     The two-label mask on ``geometry``, the grid all harmonized scans share, is
     held as one bit per voxel (``_pack``); ``mask`` rebuilds it, and ``mask.nii``
-    is still written as that two-label volume.
+    is still written as that two-label volume.  ``mask`` may be given as a
+    ``LabelVolume`` or as its ``_pack`` triple (``load_model``).
     """
 
     mean_sorted: np.ndarray
@@ -70,7 +71,7 @@ class HarmonizationModel:
             raise HarmonizeError("mean_sorted must be a vector of length >= 2")
         if not np.isfinite(v).all() or np.any(np.diff(v) > 1e-12):  # a NaN compares False
             raise HarmonizeError("mean_sorted must be finite and non-increasing")
-        geometry, bits, count = _pack(mask)
+        geometry, bits, count = mask if isinstance(mask, tuple) else _pack(mask)
         if count == 0:
             raise HarmonizeError("model mask is empty")
         v.flags.writeable = bits.flags.writeable = False
@@ -307,7 +308,9 @@ def load_model(directory) -> HarmonizationModel:
     """Read a saved model; of ``meta.json`` only ``quantile_count`` is read.
 
     ``HarmonizeError`` unless it is a JSON integer q and ``mean_sorted.bin``
-    holds 8 q bytes.  ``harmonize`` checks the mask's grid against the scan's.
+    holds 8 q bytes.  ``mask.nii`` is packed to bits a band of planes at a
+    time (``_read_mask``).  ``harmonize`` checks the mask's grid against the
+    scan's.
     """
     directory = Path(directory)
     try:
@@ -319,5 +322,32 @@ def load_model(directory) -> HarmonizationModel:
         raise HarmonizeError(
             f"model in {directory} is malformed: quantile_count {count!r}, {len(profile)} profile bytes"
         )
-    mask, _ = tio.read_nifti(directory / "mask.nii", as_labels=True, num_labels=2)
-    return HarmonizationModel(np.frombuffer(profile, dtype="<f8"), mask)
+    return HarmonizationModel(np.frombuffer(profile, dtype="<f8"), _read_mask(directory / "mask.nii"))
+
+
+def _read_mask(path):
+    """``_pack``'s triple of the two-label mask file ``path``, packed a band of planes at a time.
+
+    An integer file whose voxels are all 0 or 1 is never held whole; the
+    last voxels of a band that fill no byte are carried into the next.  Any
+    other file is read as ``read_nifti(path, as_labels=True, num_labels=2)``
+    reads it, so it is taken or refused as that call takes or refuses it.
+    """
+    with tio.NiftiScan(path) as scan:
+        if scan.dtype.kind in "iu":
+            bits = np.empty(-(-scan.geometry.voxel_count // 8), np.uint8)
+            count, done, carry = 0, 0, np.empty(0, bool)
+            for z0, z1 in _bands(scan):
+                band = scan.band(z0, z1)
+                if band.min() < 0 or band.max() >= 2:
+                    break
+                count += int(np.count_nonzero(band))
+                # cast as it is copied: packbits of bools is ~10x faster than of int16
+                flat = np.concatenate((carry, band.ravel("F")), dtype=bool, casting="unsafe")
+                whole = flat.size - flat.size % 8
+                bits[done : done + whole // 8] = np.packbits(flat[:whole], bitorder="little")
+                done, carry = done + whole // 8, flat[whole:]
+            else:
+                bits[done:] = np.packbits(carry, bitorder="little")
+                return scan.geometry, bits, count
+    return _pack(tio.read_nifti(path, as_labels=True, num_labels=2)[0])

@@ -23,8 +23,8 @@ type.  The reader names the grid and the label count, which the cache
 key already fixes (see ``segmenter.segment_all``).
 
 Both writers cast and write one z plane at a time (``_planes``): every
-volume is x-fastest in memory (see ``geometry``), so each of its planes is
-one block, and no whole-volume copy in the stored type is ever made.
+volume has x-fastest strides (see ``geometry``), so each of its planes is
+cast as it lies, and no whole-volume copy in the stored type is ever made.
 """
 
 from __future__ import annotations
@@ -323,14 +323,16 @@ def write_nifti(vol, path) -> None:
 def _planes(data: np.ndarray, dtype: np.dtype) -> Iterator[np.ndarray]:
     """The voxels of ``data`` cast to ``dtype``, one x-fastest z plane at a time.
 
-    A plane of a volume's x-fastest array is one block, cast as it lies.
-    The volume is finite, so a cast to a float type that makes a plane's
-    extreme infinite overflowed it: that raises ``NiftiFormatError``.
+    A plane of a volume's array (x-fastest strides) is cast as it lies.
+    The volume is finite, so a narrowing cast to a float type (float64 to
+    float32) that makes a plane's extreme infinite overflowed it: that
+    raises ``NiftiFormatError``.  A cast that does not narrow cannot.
     """
+    narrowing = dtype.kind == "f" and data.dtype.itemsize > dtype.itemsize
     for z in range(data.shape[2]):
         with np.errstate(over="ignore"):
             plane = data[:, :, z].astype(dtype, order="F")
-        if dtype.kind == "f" and not np.isfinite([plane.min(), plane.max()]).all():
+        if narrowing and not np.isfinite([plane.min(), plane.max()]).all():
             raise NiftiFormatError(f"intensities overflow {dtype.name}")
         yield plane.ravel(order="F")
 

@@ -3,13 +3,16 @@
 The per-tile model is a black box behind a small contract: given an
 intensity tile it must return a label tile of identical dims and world
 geometry with values below ``num_labels``.  An in-process backend gets the
-tile x-fastest, like every volume, in the atlas volume's element type:
-float32 for a scan read from a file (float32, int16 or uint8 voxels),
-float64 for a float64 scan built in memory (see
-``geometry._intensity_dtype``).  Production models run as
-external processes through a file-based protocol; deterministic built-in
-oracles cover testing and phantom studies.  The wrapper that fakes one bad
-tile (``CorruptingWrapper``) is a test double, kept in ``tests/conftest.py``.
+tile in the atlas volume's element type: float32 for a scan read from a
+file (float32, int16 or uint8 voxels), float64 for a float64 scan built in
+memory (see ``geometry._intensity_dtype``).  Of a float32 or float64
+atlas volume the tile is a read-only view (``tiling.extract_tile``), with
+x-fastest strides that may not be contiguous: a backend that needs one
+block copies it, and one that keeps the tile past its call keeps the whole
+atlas alive.  Production models run as external processes through a
+file-based protocol; deterministic built-in oracles cover testing and
+phantom studies.  The wrapper that fakes one bad tile
+(``CorruptingWrapper``) is a test double, kept in ``tests/conftest.py``.
 
 External-process protocol, per tile:
 
@@ -235,14 +238,25 @@ def segment_tile(
     return out
 
 
-def _cache_key(tile_input: IntensityVolume, tile: TileSpec, descriptor: bytes) -> str:
-    """sha256 of the tile's input voxels, the backend descriptor, the placement and the grid.
+def _atlas_digest(vol: IntensityVolume) -> bytes:
+    """sha256 of an atlas volume: its dims, its element type and its voxels x-fastest.
 
-    The voxels are hashed in place, in their x-fastest order: no copy.  The
-    grid (spacing, index-to-world affine) is the one an entry is read on.
+    The dims and the type tell apart atlases whose voxels hold the same
+    bytes; the voxels are hashed in place.
+    """
+    digest = hashlib.sha256(json.dumps([vol.dims, vol.dtype.str]).encode())
+    digest.update(vol.data.ravel("F"))
+    return digest.digest()
+
+
+def _cache_key(atlas: bytes, tile_input: IntensityVolume, tile: TileSpec, descriptor: bytes) -> str:
+    """sha256 of the atlas digest (``_atlas_digest``), the backend descriptor, the placement and the grid.
+
+    The atlas and the placement fix the tile's voxels, so they are not read.
+    The grid (spacing, index-to-world affine) is the one an entry is read on.
     """
     g = tile_input.geometry
-    key = hashlib.sha256(tile_input.data.ravel("F"))
+    key = hashlib.sha256(atlas)
     key.update(descriptor)
     place = [tile.origin, tile.size, tile.index, g.spacing, g.index_to_world.matrix.tolist()]
     key.update(json.dumps(place).encode())
@@ -270,13 +284,15 @@ def segment_all(
     ``on_tile_failure="background"``, which warns and substitutes
     ``ConstantOracle(0, backend.num_labels)``'s answer, an all-background tile.
 
-    With ``cache_dir``, each answer is stored there as one file of labels
-    (``io.write_raw``) named by the sha256 of the tile input bytes, the
-    backend descriptor, the placement and the tile's grid, and read back on
-    that grid; an entry unreadable, of another size or off-range is
-    recomputed.  A substituted background tile is never stored, so a later
-    call retries it.  Returns the names of the entries read or written;
-    none is removed here (``pipeline.run`` removes the rest).
+    With ``cache_dir``, the atlas volume is hashed once (``_atlas_digest``),
+    and each answer is stored there as one file of labels (``io.write_raw``)
+    named by the sha256 of that digest, the backend descriptor, the
+    placement and the tile's grid (``_cache_key``), and read back on that
+    grid; an entry unreadable, of another size or off-range is recomputed.
+    So an atlas changed in any voxel misses every entry.  A substituted
+    background tile is never stored, so a later call retries it.  Returns
+    the names of the entries read or written; none is removed here
+    (``pipeline.run`` removes the rest).
     """
     if atlas_vol.dims != grid.atlas_dims:
         raise SegmentationError(
@@ -288,12 +304,13 @@ def segment_all(
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
         descriptor = backend.descriptor().encode()
+        atlas = _atlas_digest(atlas_vol)
 
     def answer(tile: TileSpec) -> tuple[LabelVolume, str | None]:
         tile_input = extract_tile(atlas_vol, tile)
         key = None
         if cache_dir is not None:
-            key = _cache_key(tile_input, tile, descriptor)
+            key = _cache_key(atlas, tile_input, tile, descriptor)
             try:
                 return tio.read_raw(cache_dir / key, tile_input.geometry, backend.num_labels), key
             except (OSError, ValueError):

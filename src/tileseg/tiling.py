@@ -21,7 +21,6 @@ import numpy as np
 from .geometry import (
     AffineTransform,
     IntensityVolume,
-    LabelVolume,
     VolumeGeometry,
     _intensity_dtype,
     compose,
@@ -194,14 +193,17 @@ def coverage_map(grid: TileGrid) -> np.ndarray:
 
 
 def extract_tile(vol, tile: TileSpec):
-    """Copy a tile's sub-volume, preserving world coordinates.
+    """A tile's sub-volume, preserving world coordinates.
 
     Works for intensity and label volumes alike; the extracted geometry
     composes the parent affine with the tile-origin offset so voxel (0,0,0)
     of the tile maps to the same world point as the parent voxel at
-    ``tile.origin``.  A tile is copied x-fastest, like every volume; an
-    intensity tile holds ``_intensity_dtype``: a float32 or float64
-    volume's own type.
+    ``tile.origin``.  A tile holds ``vol``'s own element type, as a
+    read-only view of ``vol.data`` with x-fastest strides (not contiguous
+    unless the tile spans x and y): its voxels passed ``vol``'s checks when
+    it was frozen, and are not checked again.  Only a stored-type (int16 or
+    uint8) intensity volume's tile is a new x-fastest array, of float32
+    (``_intensity_dtype``).
     """
     dims = vol.dims
     if any(o + s > d for o, s, d in zip(tile.origin, tile.size, dims)):
@@ -213,9 +215,11 @@ def extract_tile(vol, tile: TileSpec):
         vol.geometry.spacing,
         compose(vol.geometry.index_to_world, offset),
     )
-    if isinstance(vol, LabelVolume):
-        return LabelVolume(geometry, sub, vol.num_labels)
-    return IntensityVolume._adopt(geometry, sub.astype(_intensity_dtype(sub.dtype), order="F"))
+    if isinstance(vol, IntensityVolume) and sub.dtype != _intensity_dtype(sub.dtype):
+        return IntensityVolume._adopt(geometry, sub.astype(_intensity_dtype(sub.dtype), order="F"))
+    view = object.__new__(type(vol))
+    view.__dict__.update(vars(vol), geometry=geometry, data=sub)
+    return view
 
 
 def save_grid(grid: TileGrid, path) -> None:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import copied, peak_alloc, random_intensity, z_scored
+from tileseg import geometry as geometry_module
 from tileseg import io as tio
 from tileseg.geometry import IntensityVolume, LabelVolume, make_centered_geometry
 from tileseg.harmonize import (
@@ -433,6 +434,49 @@ def test_save_model_writes_the_mask_it_was_built_from(tmp_path):
     save_model(HarmonizationModel(np.array([1.0, 0.0]), mask), tmp_path / "model")
     tio.write_nifti(mask, tmp_path / "mask.nii")
     assert (tmp_path / "model" / "mask.nii").read_bytes() == (tmp_path / "mask.nii").read_bytes()
+
+
+def _saved_mask_model(tmp_path):
+    # 67 * 45 voxels a plane, so a band of 1 or 3 planes ends inside a byte of bits
+    geometry = make_centered_geometry((67, 45, 40))
+    mask = LabelVolume(geometry, np.random.default_rng(3).random(geometry.dims) < 0.4, 2)
+    model = HarmonizationModel(np.array([1.0, 0.0]), mask)
+    save_model(model, tmp_path / "model")
+    return model, mask
+
+
+@pytest.mark.parametrize("planes", [1, 3, 40])
+def test_load_model_packs_the_mask_a_band_of_planes_at_a_time(tmp_path, monkeypatch, planes):
+    model, mask = _saved_mask_model(tmp_path)
+    monkeypatch.setattr(geometry_module, "_BAND_BYTES", planes * 67 * 45 * 2)  # int16 planes
+    load_model(tmp_path / "model")  # first calls of numpy routines allocate once
+    peak, loaded = peak_alloc(lambda: load_model(tmp_path / "model"))
+    assert loaded.bits.tobytes() == model.bits.tobytes() and loaded.count == model.count
+    assert loaded.geometry.matches(mask.geometry, tol=1e-6)
+    if planes < 40:  # never the two-label volume whole
+        assert peak < mask.data.nbytes
+
+
+@pytest.mark.parametrize("value", [2, 0.5, 1.0])
+def test_load_model_takes_or_refuses_a_mask_as_read_nifti_does(tmp_path, monkeypatch, value):
+    # a label out of range in the last plane, a fraction, and a float file of whole 0s and 1s
+    model, mask = _saved_mask_model(tmp_path)
+    monkeypatch.setattr(geometry_module, "_BAND_BYTES", 3 * 67 * 45 * 2)
+    data = mask.data.astype(np.float64)
+    data[5, 7, 39] = value
+    path = tmp_path / "model" / "mask.nii"
+    volume = LabelVolume(mask.geometry, data, 3) if value == 2 else IntensityVolume(mask.geometry, data)
+    tio.write_nifti(volume, path)
+    try:
+        want = tio.read_nifti(path, as_labels=True, num_labels=2)[0]
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            load_model(tmp_path / "model")
+        assert str(got.value) == str(exc)
+    else:
+        loaded = load_model(tmp_path / "model")
+        assert loaded.mask.data.tobytes() == want.data.tobytes()
+        assert loaded.count == np.count_nonzero(data)
 
 
 # --- memory and bitwise contracts ---

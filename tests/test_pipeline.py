@@ -768,6 +768,25 @@ def test_a_cache_entry_in_the_older_format_is_a_miss(tmp_path):
     assert len(set(_cache_entries(tmp_path)) - set(old)) == 8
 
 
+def test_a_scan_changed_in_one_voxel_misses_every_tile(tmp_path):
+    # an entry is keyed on one digest of the whole atlas, not on its tile's
+    # voxels: a voxel that only tile 0 holds changes every tile's key
+    truth, scan_path = _phantom_case(tmp_path)
+    counting = _CountingPrior(truth)
+    config = _base_config(tmp_path, truth, backend=counting, resume=True)
+    run(config, scan_path)
+    first = _cache_entries(tmp_path)
+    assert coverage_map(config.build_grid())[0, 0, 0] == 1
+    scan, _ = tio.read_nifti(scan_path)
+    data = np.array(scan.data, order="F")
+    data[0, 0, 0] += 1.0
+    tio.write_nifti(scan.with_data(data), scan_path)
+    counting.calls.clear()
+    run(config, scan_path)
+    assert sorted(counting.calls) == list(range(8))
+    assert len(_cache_entries(tmp_path)) == 8 and not set(_cache_entries(tmp_path)) & set(first)
+
+
 def _short_dims(blob, num_labels):
     return blob[: -14 * 14]  # the 14^3 tile's labels, one z plane short
 

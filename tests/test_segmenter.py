@@ -26,6 +26,7 @@ from tileseg.segmenter import (
     ExternalProcessBackend,
     SegmentationError,
     SegmenterBackend,
+    _atlas_digest,
     _cache_key,
     _quote,
     parse_backend_spec,
@@ -467,7 +468,8 @@ def test_parse_unknown_spec():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_cache_key_hashes_the_x_fastest_bytes_without_a_copy(tmp_path, order):
-    # the user array's layout does not matter: every volume and tile is x-fastest
+    # the user array's layout does not matter: the atlas is hashed once,
+    # x-fastest and in place, and no key reads a tile's voxels
     geometry = make_centered_geometry((40, 36, 32))
     data = np.random.default_rng(6).uniform(0.0, 1.0, geometry.dims)
     vol = IntensityVolume(geometry, np.asfortranarray(data) if order == "F" else data)
@@ -475,20 +477,46 @@ def test_cache_key_hashes_the_x_fastest_bytes_without_a_copy(tmp_path, order):
     backend = ConstantOracle(label=1, num_labels=4)
     segment_answers(backend, vol, grid, cache_dir=tmp_path)
     descriptor = backend.descriptor().encode()
+    atlas = hashlib.sha256(json.dumps([[40, 36, 32], "<f8"]).encode())
+    atlas.update(data.tobytes(order="F"))
+    peak, got = peak_alloc(lambda: _atlas_digest(vol))
+    assert got == atlas.digest()
+    assert peak < vol.data.nbytes / 20
     want = []
     for tile in grid.tiles:
         tile_input = extract_tile(vol, tile)
-        assert tile_input.data.flags.f_contiguous
-        key = hashlib.sha256(tile_input.data.tobytes(order="F"))
+        assert tile_input.data.strides == vol.data.strides
+        key = hashlib.sha256(atlas.digest())
         key.update(descriptor)
         g = tile_input.geometry
         place = [tile.origin, tile.size, tile.index, g.spacing, g.index_to_world.matrix.tolist()]
         key.update(json.dumps(place).encode())
         want.append(key.hexdigest())
-        peak, got = peak_alloc(lambda: _cache_key(tile_input, tile, descriptor))
+        peak, got = peak_alloc(lambda: _cache_key(atlas.digest(), tile_input, tile, descriptor))
         assert got == key.hexdigest()
         assert peak < tile_input.data.nbytes / 20
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
+
+
+def test_atlases_of_the_same_bytes_key_other_entries():
+    # one tile on atlases whose voxels hold the same bytes: on permuted dims,
+    # in another element type, and on another grid; the first three put the
+    # tile on one grid, so only the atlas digest tells their keys apart
+    raw = np.random.default_rng(8).uniform(0.0, 1.0, 120).astype(np.float32)
+    i2w = make_centered_geometry((6, 4, 5)).index_to_world
+    shifted = compose(AffineTransform.translation((5.0, 0.0, 0.0)), i2w)
+
+    def atlas(dims, dtype=np.float32, affine=i2w):
+        data = raw.copy().view(dtype).reshape(dims, order="F")
+        return IntensityVolume._adopt(VolumeGeometry(dims, (1.0, 1.0, 1.0), affine), data)
+
+    atlases = [atlas((6, 4, 5)), atlas((4, 6, 5)), atlas((3, 4, 5), np.float64), atlas((6, 4, 5), affine=shifted)]
+    tile = TileSpec((0, 0, 0), (3, 4, 5), 0)
+    inputs = [extract_tile(vol, tile) for vol in atlases]
+    assert all(t.geometry.matches(inputs[0].geometry, tol=0.0) for t in inputs[:3])
+    assert len({vol.data.tobytes(order="F") for vol in atlases}) == 1
+    keys = {_cache_key(_atlas_digest(vol), t, tile, b"constant:0:4") for vol, t in zip(atlases, inputs)}
+    assert len(keys) == len(atlases)
 
 
 def test_a_cache_entry_is_keyed_on_the_tile_grid(tmp_path):

@@ -1,8 +1,9 @@
 """What each stage of ``pipeline.run`` holds, pinned for a whole run.
 
-The budget test runs the benchmark's paper-layout ``overlap-noisy`` fixture
-(``bench/fixture.py`` and ``bench/scan.py``, imported read-only) at
-``jobs=1`` and at ``jobs=2`` under tracemalloc, with ``_StageClock.time``
+The budget test runs the benchmark's paper-layout ``overlap-noisy`` and
+``external-resume`` fixtures (``bench/fixture.py`` and ``bench/scan.py``,
+imported read-only) at ``jobs=1``, and ``overlap-noisy`` at ``jobs=2``,
+under tracemalloc, with ``_StageClock.time``
 wrapped to read each stage's live set at its start and end and its peak in
 between.  Budgets have the form ``a * atlas + SLACK``: one atlas is the
 float32 atlas volume, and the slack covers what does not scale with the
@@ -21,6 +22,7 @@ import weakref
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tileseg
 from tileseg import pipeline
@@ -34,13 +36,13 @@ SLACK = 2 * MiB
 BUDGETS = {
     "read": (0.05, 0.0),  # one 1 MB band of scan planes, then nothing
     "register": (1.3, 1.0),  # the registered volume and a few planes per thread
-    # the model's two-label mask as read (a quarter atlas) and one band of
-    # its file, before it is packed to bits; the profile and the output,
-    # written over the registered volume, rise 0.14
-    "harmonize": (0.3, 1.0),
-    # tile input and answer, and the fused map, in whose box each pending
-    # region's first part waits: only the others are held as copies
-    "segment": (0.8, 1.25),
+    # the profile and the output, written over the registered volume, rise
+    # 0.14; the model's mask is packed to bits a band of its file at a time
+    "harmonize": (0.2, 1.0),
+    # the fused map, in whose box each pending region's first part waits
+    # (only the others are held as copies), and a tile's answer; the tile
+    # input is a view of the atlas
+    "segment": (0.7, 1.25),
     "fuse": (0.0, 0.25),  # the fused map (uint8, a quarter atlas)
     "unregister": (0.7, 0.75),  # a few planes per thread; the native map (0.47 atlas) joins the fused
     "write": (0.05, 0.75),  # one z plane cast at a time
@@ -51,7 +53,7 @@ BUDGETS = {
 BUDGETS_PAR = {
     **BUDGETS,
     "register": (1.6, 1.0),
-    "segment": (1.15, 1.25),
+    "segment": (0.95, 1.25),
     "unregister": (0.85, 0.75),
 }
 
@@ -86,9 +88,9 @@ def _stage_memory(monkeypatch, config, scan):
     return stages
 
 
-def _over_budget(tmp_path, monkeypatch, jobs, budgets):
-    """The stages of a paper-layout run at ``jobs`` that exceed ``budgets``."""
-    manifest = _manifest("PAPER", 32001, tmp_path / "fx")
+def _over_budget(tmp_path, monkeypatch, jobs, budgets, workload="overlap-noisy"):
+    """The stages of a paper-layout ``workload`` run at ``jobs`` that exceed ``budgets``."""
+    manifest = _manifest("PAPER", 32001, tmp_path / "fx", workload)
     config = pipeline.PipelineConfig(
         **manifest["config"],
         backend=bench_module("scan").make_backend(manifest),
@@ -106,8 +108,9 @@ def _over_budget(tmp_path, monkeypatch, jobs, budgets):
     ]
 
 
-def test_each_stage_keeps_to_its_memory_budget(tmp_path, monkeypatch):
-    assert not _over_budget(tmp_path, monkeypatch, 1, BUDGETS)
+@pytest.mark.parametrize("workload", ["overlap-noisy", "external-resume"])
+def test_each_stage_keeps_to_its_memory_budget(tmp_path, monkeypatch, workload):
+    assert not _over_budget(tmp_path, monkeypatch, 1, BUDGETS, workload)
 
 
 def test_each_stage_keeps_to_its_memory_budget_at_two_jobs(tmp_path, monkeypatch):

@@ -105,11 +105,17 @@ def test_read_keeps_the_stored_type_read_only(tmp_path, code, endian):
     assert np.array_equal(vol.data, values)
     with tio.NiftiScan(path) as scan:  # the one decoder, all planes as one band
         assert _same(scan.band(0, DIMS[2]), vol.data)
-    # tiles hold the rule's float32: the widened volume's tiles rounded once
+    # tiles hold the rule's float32: the widened volume's tiles rounded once;
+    # a float32 volume's tile is a view of it, any other's a new x-fastest array
     wide = IntensityVolume(vol.geometry, vol.data)
     assert wide.data.dtype == np.float64
     for tile in build_grid(DIMS, (2, 2, 2), (12, 10, 9)).tiles:
-        assert _same(extract_tile(vol, tile).data, _rounded(extract_tile(wide, tile).data))
+        got, want = extract_tile(vol, tile).data, _rounded(extract_tile(wide, tile).data)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if code == "f4":
+            assert np.shares_memory(got, vol.data) and got.strides == vol.data.strides
+        else:
+            assert got.flags.f_contiguous and got.flags.owndata
     assert _tile_files_agree(tmp_path, vol, wide)
     # and the writer encodes the same bytes
     tio.write_nifti(vol, tmp_path / "stored.nii")

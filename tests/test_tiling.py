@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import apply_affine, random_intensity, random_labels
-from tileseg.geometry import ATLAS_DIMS
+from tileseg.geometry import ATLAS_DIMS, IntensityVolume, make_centered_geometry
 from tileseg.tiling import (
     MAX_TILES,
     TileGrid,
@@ -244,6 +244,29 @@ def test_extract_labels_keeps_num_labels():
     sub = extract_tile(lab, TileSpec((2, 2, 2), (4, 4, 4), 0))
     assert sub.num_labels == 7
     npt.assert_array_equal(sub.data, lab.data[2:6, 2:6, 2:6])
+
+
+def test_a_tile_is_a_read_only_view_unless_its_volume_holds_a_stored_type():
+    # a float32 atlas's tile and a label tile share their volume's memory and
+    # refuse writes; an int16 volume's tile is a new float32 array
+    tile = TileSpec((2, 1, 3), (4, 5, 3), 0)
+    geometry = make_centered_geometry((8, 7, 6))
+    values = np.random.default_rng(4).uniform(-50.0, 50.0, geometry.dims)
+    atlas = IntensityVolume._adopt(geometry, np.asfortranarray(values, dtype=np.float32))
+    prior = random_labels(geometry.dims, 5, seed=4)
+    for vol in (atlas, prior):
+        sub = extract_tile(vol, tile)
+        assert type(sub) is type(vol) and sub.data.dtype == vol.data.dtype
+        assert np.shares_memory(sub.data, vol.data) and sub.data.strides == vol.data.strides
+        npt.assert_array_equal(sub.data, vol.data[tile.slices()])
+        with pytest.raises(ValueError, match="read-only"):
+            sub.data[0, 0, 0] = 1
+    assert extract_tile(prior, tile).num_labels == 5
+    stored = IntensityVolume._adopt(geometry, np.asfortranarray(values, dtype=np.int16))
+    sub = extract_tile(stored, tile)
+    assert sub.data.dtype == np.float32 and sub.data.flags.f_contiguous
+    assert not np.shares_memory(sub.data, stored.data)
+    npt.assert_array_equal(sub.data, stored.data[tile.slices()])
 
 
 def test_extract_rejects_out_of_bounds():
