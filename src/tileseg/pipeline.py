@@ -310,9 +310,11 @@ def run(config: PipelineConfig, input_scan) -> RunResult:
                 on_tile_failure=config.on_tile_failure, cache_dir=cache, on_tile=vote.add,
             )
             if cache is not None:
-                # what this run neither read nor wrote goes, *.tmp files too
-                for path in cache.iterdir():
-                    if path.name not in kept:
+                # what this run neither read nor wrote goes, *.tmp files too, and
+                # what a killed run's write left beside the cache
+                stale = [path for path in cache.iterdir() if path.name not in kept]
+                for path in (*stale, *cache.parent.iterdir()):
+                    if path.is_file():
                         path.unlink(missing_ok=True)
         del atlas_input, backend, kept
 

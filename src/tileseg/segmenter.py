@@ -25,6 +25,11 @@ External-process protocol, per tile:
 4. the process must write a NIfTI-1 label file of identical dims to
    ``{output}`` and exit 0; anything else fails the tile.
 
+Steps 1 and 2 prepare the tile in its own temporary workspace, step 3
+launches the process in its own session, and the tile finishes when the
+answer has been read and the workspace removed.  ``segment_all`` writes
+the next tile's files while the last one's process runs.
+
 A backend that internally resizes tiles to a fixed network input must
 restore the original tile dims before writing its output.
 """
@@ -32,12 +37,18 @@ restore the original tile dims before writing its output.
 from __future__ import annotations
 
 import codecs
+import collections
+import contextlib
 import hashlib
 import json
+import os
 import shlex
+import shutil
+import signal
 import string
 import subprocess
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +85,13 @@ class SegmenterBackend:
 
     def segment(self, tile_input: IntensityVolume, tile: TileSpec) -> LabelVolume:
         raise NotImplementedError
+
+    def prepare(self, tile_input: IntensityVolume, tile: TileSpec):
+        """A tile's first step: the job to ``launch``, then ``finish`` or ``discard``.
+
+        ``None`` in process, where ``segment`` is the whole tile.
+        """
+        return None
 
     def descriptor(self) -> str:
         """Stable string identifying the backend configuration (cache key)."""
@@ -143,13 +161,91 @@ def _quote(stream, limit: int = 500) -> str:
             return head.rstrip()
 
 
+class _Workspace:
+    """One tile's run of an external backend, in three steps.
+
+    Made, it holds the input and the spec in a fresh temporary directory;
+    ``launch`` starts the process in its own session; ``finish`` waits for
+    it and reads the answer.  A fault of the tile in any step is raised by
+    ``finish``; ``finish`` and ``discard`` remove the directory.
+    """
+
+    def __init__(self, backend, tile_input, tile):
+        self.backend, self.tile_input, self.tile = backend, tile_input, tile
+        self.dir = self.proc = self.error = None
+        try:
+            self.dir = Path(tempfile.mkdtemp(prefix=f"tile{tile.index:03d}_"))
+            tio.write_nifti(tile_input, self.dir / "input.nii")
+            place = {"origin": list(tile.origin), "size": list(tile.size), "index": tile.index}
+            (self.dir / "tile.json").write_text(json.dumps({**place, "num_labels": backend.num_labels}))
+        except Exception as exc:
+            self.error = exc
+        except BaseException:
+            self.discard()
+            raise
+
+    def launch(self) -> None:
+        if self.error is not None:
+            return
+        paths = {"input": "input.nii", "output": "output.nii", "spec": "tile.json"}
+        paths = {name: self.dir / file for name, file in paths.items()}
+        # stdout is never read; stderr waits in a file, of which only the quoted head is read
+        try:
+            with open(self.dir / "stderr", "wb") as stderr:
+                self.proc = subprocess.Popen(
+                    [arg.format(**paths) for arg in self.backend._args],
+                    stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True,
+                )
+        except Exception as exc:
+            self.error = exc
+
+    def finish(self) -> LabelVolume:
+        num_labels = self.backend.num_labels
+        try:
+            if self.error is not None:
+                raise self.error
+            if self.proc.wait() != 0:
+                with open(self.dir / "stderr", "rb") as stderr:
+                    raise SegmentationError(f"backend exited {self.proc.returncode}: {_quote(stderr)}")
+            if not (self.dir / "output.nii").exists():
+                raise SegmentationError("backend wrote no output file")
+            try:
+                out, _ = tio.read_nifti(self.dir / "output.nii", as_labels=True, num_labels=num_labels)
+            except (tio.NiftiFormatError, ValueError) as exc:
+                raise SegmentationError(f"malformed backend output: {exc}") from exc
+        finally:
+            self.discard()
+        # the float32 srow in the output file cannot carry the exact affine;
+        # dims are checked here, the exact input geometry is restored below
+        if out.dims != self.tile_input.dims:
+            raise SegmentationError(
+                f"backend output dims {out.dims} != tile dims {self.tile_input.dims}"
+            )
+        return LabelVolume._adopt(self.tile_input.geometry, out.data, num_labels)
+
+    def kill(self) -> None:
+        """SIGKILL the process group of a process still running; any thread may call it."""
+        if self.proc is not None and self.proc.returncode is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(self.proc.pid, signal.SIGKILL)
+
+    def discard(self) -> None:
+        """Kill and reap the process if it still runs, and remove the directory."""
+        self.kill()
+        if self.proc is not None:
+            self.proc.wait()
+        if self.dir is not None:
+            shutil.rmtree(self.dir, ignore_errors=True)
+
+
 class ExternalProcessBackend(SegmenterBackend):
     """Runs one subprocess per tile through the file protocol above.
 
     ``command_template`` must contain the ``{input}`` and ``{output}``
     placeholders, may contain ``{spec}`` and no other; a template that
-    breaks this fails here, before any tile runs.  Each invocation gets its
-    own temporary workspace, so tiles may run concurrently.
+    breaks this fails here, before any tile runs.  ``prepare`` makes a
+    tile's ``_Workspace``, its own temporary directory, so tiles may run
+    concurrently; ``segment`` runs its three steps in a row.
     """
 
     def __init__(self, command_template: str, num_labels: int = DEFAULT_NUM_LABELS):
@@ -169,62 +265,34 @@ class ExternalProcessBackend(SegmenterBackend):
         self.command_template = command_template
         self.num_labels = int(num_labels)
 
+    def prepare(self, tile_input, tile):
+        return _Workspace(self, tile_input, tile)
+
     def segment(self, tile_input, tile):
-        with tempfile.TemporaryDirectory(prefix=f"tile{tile.index:03d}_") as tmp:
-            tmp = Path(tmp)
-            input_path = tmp / "input.nii"
-            output_path = tmp / "output.nii"
-            spec_path = tmp / "tile.json"
-            tio.write_nifti(tile_input, input_path)
-            spec_path.write_text(
-                json.dumps(
-                    {
-                        "origin": list(tile.origin),
-                        "size": list(tile.size),
-                        "index": tile.index,
-                        "num_labels": self.num_labels,
-                    }
-                )
-            )
-            paths = {"input": str(input_path), "output": str(output_path), "spec": str(spec_path)}
-            # stdout is never read; stderr waits in a file, of which only the quoted head is read
-            with open(tmp / "stderr", "w+b") as stderr:
-                proc = subprocess.run(
-                    [arg.format(**paths) for arg in self._args],
-                    stdout=subprocess.DEVNULL, stderr=stderr,
-                )
-                if proc.returncode != 0:
-                    stderr.seek(0)
-                    raise SegmentationError(f"backend exited {proc.returncode}: {_quote(stderr)}")
-            if not output_path.exists():
-                raise SegmentationError("backend wrote no output file")
-            try:
-                out, _ = tio.read_nifti(
-                    output_path, as_labels=True, num_labels=self.num_labels
-                )
-            except (tio.NiftiFormatError, ValueError) as exc:
-                raise SegmentationError(f"malformed backend output: {exc}") from exc
-        # the float32 srow in the output file cannot carry the exact affine;
-        # dims are checked here, the exact input geometry is restored below
-        if out.dims != tile_input.dims:
-            raise SegmentationError(
-                f"backend output dims {out.dims} != tile dims {tile_input.dims}"
-            )
-        return LabelVolume._adopt(tile_input.geometry, out.data, self.num_labels)
+        job = self.prepare(tile_input, tile)
+        try:
+            job.launch()
+            return job.finish()
+        finally:
+            job.discard()
 
     def descriptor(self):
         return f"external:{self.command_template}:{self.num_labels}"
 
 
 def segment_tile(
-    backend: SegmenterBackend, tile_input: IntensityVolume, tile: TileSpec
+    backend: SegmenterBackend, tile_input: IntensityVolume, tile: TileSpec, job=None
 ) -> LabelVolume:
-    """Run one tile through a backend; its answer must be labels below ``num_labels`` on its grid."""
+    """Run one tile through a backend; its answer must be labels below ``num_labels`` on its grid.
+
+    ``job`` is the tile's launched ``backend.prepare(tile_input, tile)``,
+    which this finishes; without one, ``backend.segment`` runs the tile.
+    """
     if tile_input.dims != tile.size:
         raise SegmentationError(
             f"tile input dims {tile_input.dims} do not match tile size {tile.size}"
         )
-    out = backend.segment(tile_input, tile)
+    out = backend.segment(tile_input, tile) if job is None else job.finish()
     if not isinstance(out, LabelVolume):
         raise SegmentationError("backend returned a non-label volume")
     if out.dims != tile_input.dims:
@@ -274,25 +342,39 @@ def segment_all(
 ) -> set[str]:
     """Segment every tile of ``atlas_vol``, handing each answer to ``on_tile``.
 
-    Tiles are independent: ``geometry._each`` runs ``run_one`` on each, in
-    grid order on ``min(jobs, k)`` threads, the calling thread among them,
-    and each answer is identical to the sequential run's.  Each answer is
-    handed to ``on_tile(tile, answer)`` on the thread that made it, as it
-    lands (``fusion.StreamingVote.add`` votes it); none is held.
-    A failing tile aborts the whole run (no thread takes another tile, and
-    the first failed tile in grid order is named) unless
-    ``on_tile_failure="background"``, which warns and substitutes
-    ``ConstantOracle(0, backend.num_labels)``'s answer, an all-background tile.
+    ``min(jobs, k)`` workers, the calling thread among them
+    (``geometry._each``), take tiles in grid order, and each answer is
+    identical to the sequential run's.  Each tile runs in the backend's
+    three steps (``SegmenterBackend.prepare``, then the job's ``launch``
+    and ``finish``), and a worker overlaps its own work with its running
+    tile: it launches a tile, hands on its last answer, takes and prepares
+    the next tile, then finishes the launched one.  So at most ``jobs``
+    external processes run at once, and between two of them a worker only
+    reads an answer and launches.  A prepared tile waits for the first free
+    worker.  Handing on stores the answer in the cache, then calls
+    ``on_tile(tile, answer)`` (``fusion.StreamingVote.add`` votes it), and
+    drops it.  A cached answer is ready when its tile is taken.
+
+    A failing tile aborts the run unless ``on_tile_failure="background"``,
+    which warns and substitutes ``ConstantOracle(0, backend.num_labels)``'s
+    answer, an all-background tile.  Once a tile has failed, no later tile
+    (in grid order) is launched or handed on, and the process of each is
+    killed; the first failed tile in grid order is named.  On any exit by
+    an exception, a ``KeyboardInterrupt`` too, every backend process still
+    running is killed by its process group and reaped, and every workspace
+    is removed.
 
     With ``cache_dir``, the atlas volume is hashed once (``_atlas_digest``),
     and each answer is stored there as one file of labels (``io.write_raw``)
     named by the sha256 of that digest, the backend descriptor, the
     placement and the tile's grid (``_cache_key``), and read back on that
     grid; an entry unreadable, of another size or off-range is recomputed.
-    So an atlas changed in any voxel misses every entry.  A substituted
-    background tile is never stored, so a later call retries it.  Returns
-    the names of the entries read or written; none is removed here
-    (``pipeline.run`` removes the rest).
+    So an atlas changed in any voxel misses every entry.  An entry is
+    written in the cache directory's parent, then renamed into it, so the
+    directory holds whole entries alone whenever the run is killed.  A
+    substituted background tile is never stored, so a later call retries
+    it.  Returns the names of the entries read or written; none is removed
+    here (``pipeline.run`` removes the rest, and what a killed write left).
     """
     if atlas_vol.dims != grid.atlas_dims:
         raise SegmentationError(
@@ -306,35 +388,113 @@ def segment_all(
         descriptor = backend.descriptor().encode()
         atlas = _atlas_digest(atlas_vol)
 
-    def answer(tile: TileSpec) -> tuple[LabelVolume, str | None]:
+    todo, lock = iter(grid.tiles), threading.Lock()  # next() on the iterator is atomic
+    ahead = collections.deque()  # tiles taken and prepared, for the first free worker to launch
+    running, failures, kept = {}, {}, set()  # running: tile index -> launched job
+    stop = len(grid.tiles)  # no tile after this index is launched or handed on
+
+    def halt(index: int, exc: BaseException) -> None:
+        """Record a failure at ``index``; kill the process of every later tile."""
+        nonlocal stop
+        with lock:
+            failures.setdefault(index, exc)
+            stop = min(stop, index)
+            for i, job in running.items():
+                if i > index:
+                    job.kill()
+
+    def take() -> bool:
+        """Take the next tile and prepare it into ``ahead``: (tile, input, key, job, cached answer)."""
+        tile = next(todo, None)
+        if tile is None or tile.index > stop:
+            return False
         tile_input = extract_tile(atlas_vol, tile)
         key = None
         if cache_dir is not None:
             key = _cache_key(atlas, tile_input, tile, descriptor)
             try:
-                return tio.read_raw(cache_dir / key, tile_input.geometry, backend.num_labels), key
+                out = tio.read_raw(cache_dir / key, tile_input.geometry, backend.num_labels)
             except (OSError, ValueError):
                 pass  # absent, of another size or off-range: recompute
+            else:
+                kept.add(key)
+                ahead.append((tile, tile_input, key, None, out))
+                return True
+        ahead.append((tile, tile_input, key, backend.prepare(tile_input, tile), None))
+        return True
+
+    def next_slot():
+        """The oldest tile prepared ahead, or else the next tile; ``None`` when none is left."""
+        while True:
+            try:
+                return ahead.popleft()
+            except IndexError:
+                if not take():
+                    return None
+
+    def finish(slot):
+        """The tile and its answer, stored in the cache; ``None`` once the run stops at the tile."""
+        tile, tile_input, key, job, out = slot
+        if out is not None:
+            return tile, out
         try:
-            out = segment_tile(backend, tile_input, tile)
+            if tile.index > stop:
+                return None  # not launched
+            out = segment_tile(backend, tile_input, tile, job)
         except Exception as exc:
-            if on_tile_failure == "background":
-                warnings.warn(
-                    f"tile {tile.index} failed ({exc}); substituting background",
-                    stacklevel=2,
-                )
-                return ConstantOracle(0, backend.num_labels).segment(tile_input, tile), None
-            raise SegmentationError(f"tile {tile.index}: {exc}") from exc
-        if key is not None:
-            tio.write_raw(out, cache_dir / key)
-        return out, key
+            if tile.index > stop:
+                return None  # killed when an earlier tile failed
+            if on_tile_failure == "abort":
+                failure = SegmentationError(f"tile {tile.index}: {exc}")
+                failure.__cause__ = exc
+                halt(tile.index, failure)
+                return None
+            warnings.warn(f"tile {tile.index} failed ({exc}); substituting background", stacklevel=2)
+            return tile, ConstantOracle(0, backend.num_labels).segment(tile_input, tile)
+        finally:
+            with lock:
+                running.pop(tile.index, None)
+            if job is not None:
+                job.discard()
+        if key is not None:  # before this worker launches again; written beside the cache and
+            # renamed into it whole, so a killed run leaves whole entries alone in it
+            tio.write_raw(out, cache_dir.parent / key)
+            os.replace(cache_dir.parent / key, cache_dir / key)
+            kept.add(key)
+        return tile, out
 
-    def run_one(tile: TileSpec) -> str | None:
-        out, key = answer(tile)
-        on_tile(tile, out)
-        return key
+    def work(_):
+        """Launch a tile, hand on the last answer, prepare a tile ahead, then finish the launched one."""
+        now = last = None
+        try:
+            while (now := next_slot()) is not None:
+                with lock:  # so that a halt sees every process launched
+                    if now[0].index <= stop and now[3] is not None:
+                        now[3].launch()
+                        running[now[0].index] = now[3]
+                if last is not None and last[0].index <= stop:  # else the run stops before it
+                    on_tile(*last)
+                last = None  # dropped before the next tile is taken
+                if not ahead:
+                    take()
+                last, now = finish(now), None
+            if last is not None and last[0].index <= stop:
+                on_tile(*last)
+        except BaseException as exc:  # segment_all raises it
+            halt(-1, exc)
+        finally:
+            if now is not None and now[3] is not None:
+                now[3].discard()
 
-    return {key for key in _each(run_one, grid.tiles, jobs) if key is not None}
+    try:
+        _each(work, range(min(jobs, len(grid.tiles))), jobs)
+    finally:
+        for slot in ahead:  # prepared after the run stopped
+            if slot[3] is not None:
+                slot[3].discard()
+    if failures:
+        raise failures[min(failures)]
+    return kept
 
 
 def parse_backend_spec(spec: str, num_labels: int = DEFAULT_NUM_LABELS) -> SegmenterBackend:

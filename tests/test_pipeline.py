@@ -659,6 +659,21 @@ def test_resume_sweeps_orphan_temp_files(tmp_path):
     assert _outputs(tmp_path / "out") == _outputs(tmp_path / "fresh")
 
 
+
+def test_resume_sweeps_what_a_killed_write_left_beside_the_cache(tmp_path):
+    truth, scan_path = _phantom_case(tmp_path)
+    config = _base_config(tmp_path, truth, backend=AtlasPriorOracle(truth), resume=True)
+    run(config, scan_path)
+    entries = _cache_entries(tmp_path)
+    work = entries[0].parent.parent
+    # an entry written beside the cache, before or after its own temp file was renamed
+    left = [work / entries[0].name, work / f"{entries[1].name}.{'0' * 32}.tmp"]
+    for path in left:
+        path.write_bytes(entries[0].read_bytes())
+    run(config, scan_path)
+    assert not any(path.exists() for path in left)
+    assert _cache_entries(tmp_path) == entries
+
 class _Levels(NearestLevel):
     """``NearestLevel`` with a descriptor, so that a resumed run can cache it."""
 

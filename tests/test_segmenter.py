@@ -2,11 +2,13 @@ import hashlib
 import io
 import itertools
 import json
+import subprocess
 import sys
 import tempfile
 import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -425,6 +427,199 @@ def test_background_policy_substitutes_and_warns():
     for out in outs:
         assert np.all(out.data == 0)
         assert out.num_labels == 4
+
+
+# --- external tiles: one process per worker, launched while the last answer is handed on ---
+
+# A stdlib-only `external:` backend, run as `python -S` (no site start-up):
+# it answers tile i with the prior's box in answers/tile_<i>.nii, unless the
+# mode in argv[4] fails tile i or makes it hang.
+_REPLAY = r"""
+import json, os, shutil, subprocess, sys, time
+answers, output, spec, mode, arg = sys.argv[1:6]
+i = json.load(open(spec))["index"]
+if mode == "fail" and i == int(arg):
+    sys.exit(1)
+if mode == "limit":  # fail a tile that runs alongside more than arg others
+    live = os.path.join(answers, "live")
+    marker = os.path.join(live, str(i))
+    open(marker, "w").close()
+    running = len(os.listdir(live))
+    time.sleep(0.1)
+    os.remove(marker)
+    if running > int(arg):
+        sys.exit(f"{running} backend processes at once")
+pids = os.path.join(answers, "pids")
+if mode == "hang" and i > 0:  # note the pids of this process and of a child, then wait on it
+    child = subprocess.Popen(["sleep", "60"])
+    with open(os.path.join(pids, f"{i}.tmp"), "w") as f:
+        f.write(f"{os.getpid()} {child.pid}")
+    os.rename(os.path.join(pids, f"{i}.tmp"), os.path.join(pids, str(i)))
+    child.wait()
+if mode == "hang" and arg == "fail":  # tile 0 fails once another tile hangs
+    for _ in range(3000):
+        if os.listdir(pids):
+            break
+        time.sleep(0.01)
+    sys.exit(1)
+shutil.copyfile(os.path.join(answers, f"tile_{i:03d}.nii"), output)
+"""
+
+
+def _replay(tmp_path, monkeypatch, mode="answer", arg="0"):
+    """The replay backend, its answers (the prior's), and ``TMPDIR`` in ``tmp_path/tmp``."""
+    prior = random_labels(DIMS, 6, seed=8)
+    answers = tmp_path / "answers"
+    for name in ("live", "pids"):
+        (answers / name).mkdir(parents=True)
+    for tile in GRID.tiles:
+        tio.write_nifti(extract_tile(prior, tile), answers / f"tile_{tile.index:03d}.nii")
+    script = tmp_path / "replay.py"
+    script.write_text(_REPLAY)
+    workspaces = tmp_path / "tmp"
+    workspaces.mkdir()
+    monkeypatch.setenv("TMPDIR", str(workspaces))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    backend = ExternalProcessBackend(
+        f"{sys.executable} -S {script} {answers} {{output}} {{spec}} {mode} {arg} {{input}}", 6
+    )
+    return backend, AtlasPriorOracle(prior), workspaces
+
+
+def _launches(monkeypatch, log):
+    """Log ``("launch", tile index)`` for each backend process started."""
+    popen = subprocess.Popen
+
+    def logged(args, **kwargs):
+        log.append(("launch", json.loads(Path(args[5]).read_text())["index"]))
+        return popen(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", logged)
+
+
+def test_a_worker_launches_a_tile_then_hands_on_the_last_and_writes_the_next(tmp_path, monkeypatch):
+    backend, _, _ = _replay(tmp_path, monkeypatch)
+    log = []
+    _launches(monkeypatch, log)
+    write, add = tio.write_nifti, StreamingVote.add
+    monkeypatch.setattr(
+        tio, "write_nifti",
+        lambda vol, path: log.append(("write", int(Path(path).parent.name[4:7]))) or write(vol, path),
+    )
+    monkeypatch.setattr(
+        StreamingVote, "add", lambda vote, tile, out: log.append(("vote", tile.index)) or add(vote, tile, out)
+    )
+    segment_all(backend, random_intensity(DIMS, seed=7), GRID, StreamingVote(GRID, 6).add)
+    want = [("write", 0)]
+    for k in range(GRID.k):
+        want += [("launch", k)] + [("vote", k - 1)] * (k > 0) + [("write", k + 1)] * (k + 1 < GRID.k)
+    assert log == want + [("vote", GRID.k - 1)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_at_most_jobs_backend_processes_run_at_once(tmp_path, monkeypatch, jobs):
+    backend, oracle, workspaces = _replay(tmp_path, monkeypatch, "limit", str(jobs))
+    vol = random_intensity(DIMS, seed=7)
+    outs = segment_answers(backend, vol, GRID, jobs=jobs)
+    assert [o.data.tobytes() for o in outs] == [o.data.tobytes() for o in segment_answers(oracle, vol, GRID)]
+    assert not list(workspaces.iterdir())
+
+
+def test_an_external_tile_failure_under_abort_launches_and_votes_no_later_tile(tmp_path, monkeypatch):
+    backend, _, workspaces = _replay(tmp_path, monkeypatch, "fail", "3")
+    log = []
+    _launches(monkeypatch, log)
+    voted = []
+    with pytest.raises(SegmentationError, match="^tile 3: backend exited 1"):
+        segment_all(backend, random_intensity(DIMS, seed=7), GRID, lambda tile, out: voted.append(tile.index))
+    assert voted == [0, 1, 2]
+    assert log == [("launch", i) for i in range(4)]
+    assert not list(workspaces.iterdir())  # tile 4, prepared ahead, too
+
+
+def test_an_external_tile_failure_under_background_is_the_same_at_any_jobs(tmp_path, monkeypatch):
+    backend, oracle, workspaces = _replay(tmp_path, monkeypatch, "fail", "3")
+    vol = random_intensity(DIMS, seed=7)
+    want = [o.data.tobytes() for o in segment_answers(oracle, vol, GRID)]
+    want[3] = bytes(len(want[3]))  # the background tile
+    for jobs in (1, 2):
+        with pytest.warns(UserWarning, match="^tile 3 failed .*substituting background"):
+            outs = segment_answers(backend, vol, GRID, jobs=jobs, on_tile_failure="background")
+        assert [o.data.tobytes() for o in outs] == want
+        assert not list(workspaces.iterdir())
+
+
+@pytest.mark.parametrize("policy", ["abort", "background"])
+def test_a_tile_whose_input_cannot_be_written_fails_and_starts_no_process(tmp_path, monkeypatch, policy):
+    backend, oracle, workspaces = _replay(tmp_path, monkeypatch)
+    log = []
+    _launches(monkeypatch, log)
+    write = tio.write_nifti
+
+    def full_at_tile_2(vol, path):
+        if Path(path).parent.name.startswith("tile002_"):
+            raise OSError("no space left")
+        write(vol, path)
+
+    monkeypatch.setattr(tio, "write_nifti", full_at_tile_2)
+    vol = random_intensity(DIMS, seed=7)
+    if policy == "abort":
+        with pytest.raises(SegmentationError, match="^tile 2: no space left$"):
+            segment_answers(backend, vol, GRID)
+        assert log == [("launch", 0), ("launch", 1)]
+    else:
+        with pytest.warns(UserWarning, match="^tile 2 failed"):
+            outs = segment_answers(backend, vol, GRID, on_tile_failure="background")
+        assert not outs[2].data.any()
+        assert [i for _, i in log] == [0, 1] + list(range(3, GRID.k))
+    assert not list(workspaces.iterdir())
+
+def _gone(pid: int) -> bool:
+    """Whether a process has exited (a zombie left to init counts)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+def _left_running(answers) -> list:
+    """The backend processes and their children, of those that noted their pids, still running."""
+    pids = [int(p) for f in (answers / "pids").iterdir() for p in f.read_text().split()]
+    assert pids, "no tile hung"
+    deadline = time.monotonic() + 5  # a killed grandchild exits soon after its group's leader
+    while any(not _gone(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if not _gone(pid)]
+
+
+def test_a_failed_tile_kills_the_hung_process_of_the_other_worker(tmp_path, monkeypatch):
+    backend, _, workspaces = _replay(tmp_path, monkeypatch, "hang", "fail")
+    start = time.monotonic()
+    with pytest.raises(SegmentationError, match="^tile 0: backend exited 1"):
+        segment_answers(backend, random_intensity(DIMS, seed=7), GRID, jobs=2)
+    assert time.monotonic() - start < 20  # each hung tile would sleep 60 s
+    assert not _left_running(tmp_path / "answers")
+    assert not list(workspaces.iterdir())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_interrupt_kills_every_backend_process(tmp_path, monkeypatch, jobs):
+    backend, _, workspaces = _replay(tmp_path, monkeypatch, "hang")
+    pids = tmp_path / "answers" / "pids"
+
+    def interrupt(tile, out):  # once tile 1's process (and its child) runs
+        for _ in range(3000):
+            if (pids / "1").exists():
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        segment_all(backend, random_intensity(DIMS, seed=7), GRID, interrupt, jobs=jobs)
+    assert time.monotonic() - start < 20
+    assert not _left_running(tmp_path / "answers")
+    assert not list(workspaces.iterdir())
 
 
 # --- spec strings ---
