@@ -28,7 +28,7 @@ External-process protocol, per tile:
 Steps 1 and 2 prepare the tile in its own temporary workspace, step 3
 launches the process in its own session, and the tile finishes when the
 answer has been read and the workspace removed.  ``segment_all`` writes
-the next tile's files while the last one's process runs.
+the next tile's files while the previous tile's process runs.
 
 A backend that internally resizes tiles to a fixed network input must
 restore the original tile dims before writing its output.
@@ -171,7 +171,7 @@ class _Workspace:
     """
 
     def __init__(self, backend, tile_input, tile):
-        self.backend, self.tile_input, self.tile = backend, tile_input, tile
+        self.backend, self.tile_input = backend, tile_input
         self.dir = self.proc = self.error = None
         try:
             self.dir = Path(tempfile.mkdtemp(prefix=f"tile{tile.index:03d}_"))
@@ -270,11 +270,8 @@ class ExternalProcessBackend(SegmenterBackend):
 
     def segment(self, tile_input, tile):
         job = self.prepare(tile_input, tile)
-        try:
-            job.launch()
-            return job.finish()
-        finally:
-            job.discard()
+        job.launch()
+        return job.finish()
 
     def descriptor(self):
         return f"external:{self.command_template}:{self.num_labels}"
@@ -344,16 +341,17 @@ def segment_all(
 
     ``min(jobs, k)`` workers, the calling thread among them
     (``geometry._each``), take tiles in grid order, and each answer is
-    identical to the sequential run's.  Each tile runs in the backend's
-    three steps (``SegmenterBackend.prepare``, then the job's ``launch``
-    and ``finish``), and a worker overlaps its own work with its running
-    tile: it launches a tile, hands on its last answer, takes and prepares
-    the next tile, then finishes the launched one.  So at most ``jobs``
-    external processes run at once, and between two of them a worker only
-    reads an answer and launches.  A prepared tile waits for the first free
-    worker.  Handing on stores the answer in the cache, then calls
-    ``on_tile(tile, answer)`` (``fusion.StreamingVote.add`` votes it), and
-    drops it.  A cached answer is ready when its tile is taken.
+    identical to the sequential run's.  A tile runs in the backend's three
+    steps (``SegmenterBackend.prepare``, then the job's ``launch`` and
+    ``finish``).  A worker launches a tile, hands on its last answer, takes
+    and prepares the next tile, then finishes the launched one and stores
+    its answer in the cache.  So at most ``jobs`` external processes run
+    at once, and the vote and the next input write run alongside one.  A
+    tile prepared ahead goes to the first free worker.  A tile with no job
+    (in process) or read from the cache has nothing to run alongside: it
+    is finished and handed on as soon as it is taken.  Handing on calls
+    ``on_tile(tile, answer)`` (``fusion.StreamingVote.add`` votes it) and
+    drops the answer.
 
     A failing tile aborts the run unless ``on_tile_failure="background"``,
     which warns and substitutes ``ConstantOracle(0, backend.num_labels)``'s
@@ -391,7 +389,7 @@ def segment_all(
     todo, lock = iter(grid.tiles), threading.Lock()  # next() on the iterator is atomic
     ahead = collections.deque()  # tiles taken and prepared, for the first free worker to launch
     running, failures, kept = {}, {}, set()  # running: tile index -> launched job
-    stop = len(grid.tiles)  # no tile after this index is launched or handed on
+    stop = len(grid.tiles)  # no tile from this index on is launched or handed on
 
     def halt(index: int, exc: BaseException) -> None:
         """Record a failure at ``index``; kill the process of every later tile."""
@@ -404,42 +402,27 @@ def segment_all(
                     job.kill()
 
     def take() -> bool:
-        """Take the next tile and prepare it into ``ahead``: (tile, input, key, job, cached answer)."""
+        """Prepare the next tile into ``ahead`` as (tile, input, key, job, cached answer)."""
         tile = next(todo, None)
-        if tile is None or tile.index > stop:
+        if tile is None or tile.index >= stop:
             return False
-        tile_input = extract_tile(atlas_vol, tile)
-        key = None
+        tile_input, key, out = extract_tile(atlas_vol, tile), None, None
         if cache_dir is not None:
             key = _cache_key(atlas, tile_input, tile, descriptor)
             try:
                 out = tio.read_raw(cache_dir / key, tile_input.geometry, backend.num_labels)
+                kept.add(key)
             except (OSError, ValueError):
                 pass  # absent, of another size or off-range: recompute
-            else:
-                kept.add(key)
-                ahead.append((tile, tile_input, key, None, out))
-                return True
-        ahead.append((tile, tile_input, key, backend.prepare(tile_input, tile), None))
+        job = backend.prepare(tile_input, tile) if out is None else None
+        ahead.append((tile, tile_input, key, job, out))
         return True
 
-    def next_slot():
-        """The oldest tile prepared ahead, or else the next tile; ``None`` when none is left."""
-        while True:
-            try:
-                return ahead.popleft()
-            except IndexError:
-                if not take():
-                    return None
-
-    def finish(slot):
-        """The tile and its answer, stored in the cache; ``None`` once the run stops at the tile."""
-        tile, tile_input, key, job, out = slot
+    def finish(tile, tile_input, key, job, out):
+        """The tile and its answer, stored in the cache; ``None`` once the run stops at or before it."""
         if out is not None:
             return tile, out
         try:
-            if tile.index > stop:
-                return None  # not launched
             out = segment_tile(backend, tile_input, tile, job)
         except Exception as exc:
             if tile.index > stop:
@@ -463,23 +446,36 @@ def segment_all(
             kept.add(key)
         return tile, out
 
+    def hand_on(last) -> None:
+        """``on_tile`` a tile and its answer, unless the run stops at or before the tile."""
+        if last is not None and last[0].index < stop:
+            on_tile(*last)
+
     def work(_):
         """Launch a tile, hand on the last answer, prepare a tile ahead, then finish the launched one."""
         now = last = None
         try:
-            while (now := next_slot()) is not None:
+            while ahead or take():
+                try:
+                    now = ahead.popleft()
+                except IndexError:
+                    continue  # another worker took it
                 with lock:  # so that a halt sees every process launched
-                    if now[0].index <= stop and now[3] is not None:
+                    if now[0].index >= stop:
+                        break
+                    if now[3] is not None:
                         now[3].launch()
                         running[now[0].index] = now[3]
-                if last is not None and last[0].index <= stop:  # else the run stops before it
-                    on_tile(*last)
+                hand_on(last)
                 last = None  # dropped before the next tile is taken
-                if not ahead:
-                    take()
-                last, now = finish(now), None
-            if last is not None and last[0].index <= stop:
-                on_tile(*last)
+                if now[3] is None:  # in process or cached: nothing runs alongside, so hand on at once
+                    hand_on(finish(*now))
+                else:
+                    if not ahead:
+                        take()
+                    last = finish(*now)
+                now = None
+            hand_on(last)
         except BaseException as exc:  # segment_all raises it
             halt(-1, exc)
         finally:

@@ -516,6 +516,21 @@ def test_a_worker_launches_a_tile_then_hands_on_the_last_and_writes_the_next(tmp
     assert log == want + [("vote", GRID.k - 1)]
 
 
+def test_a_tile_in_process_or_cached_is_handed_on_before_the_next_is_taken(tmp_path, monkeypatch):
+    # nothing runs alongside such a tile, so no answer waits for the next one
+    log = []
+    read = tio.read_raw
+    monkeypatch.setattr(tio, "read_raw", lambda path, *args: log.append("read") or read(path, *args))
+    backend = AtlasPriorOracle(random_labels(DIMS, 6, seed=8))
+    segment = backend.segment
+    backend.segment = lambda tile_input, tile: log.append("segment") or segment(tile_input, tile)
+    vol = random_intensity(DIMS, seed=7)
+    for steps in (["read", "segment", "vote"], ["read", "vote"]):  # a cold cache, then a warm one
+        log.clear()
+        segment_all(backend, vol, GRID, lambda tile, out: log.append("vote"), cache_dir=tmp_path)
+        assert log == steps * GRID.k
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_at_most_jobs_backend_processes_run_at_once(tmp_path, monkeypatch, jobs):
     backend, oracle, workspaces = _replay(tmp_path, monkeypatch, "limit", str(jobs))
@@ -523,6 +538,26 @@ def test_at_most_jobs_backend_processes_run_at_once(tmp_path, monkeypatch, jobs)
     outs = segment_answers(backend, vol, GRID, jobs=jobs)
     assert [o.data.tobytes() for o in outs] == [o.data.tobytes() for o in segment_answers(oracle, vol, GRID)]
     assert not list(workspaces.iterdir())
+
+
+def test_more_workers_than_cores_hand_on_and_cache_each_tile_once(tmp_path, monkeypatch):
+    # the workers share the tiles prepared ahead, the running jobs and the cache's names
+    backend, oracle, workspaces = _replay(tmp_path, monkeypatch)
+    vol = random_intensity(DIMS, seed=7)
+    want = [o.data.tobytes() for o in segment_answers(oracle, vol, GRID)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):  # a cold cache, then a warm one
+            start = time.monotonic()
+            outs = segment_answers(backend, vol, GRID, jobs=4, cache_dir=tmp_path / "cache")
+            assert time.monotonic() - start < 60
+            assert [o.data.tobytes() for o in outs] == want
+    finally:
+        sys.setswitchinterval(interval)
+    kept = segment_all(backend, vol, GRID, lambda tile, out: None, jobs=4, cache_dir=tmp_path / "cache")
+    assert sorted(kept) == sorted(path.name for path in (tmp_path / "cache").iterdir())
+    assert len(kept) == GRID.k and not list(workspaces.iterdir())
 
 
 def test_an_external_tile_failure_under_abort_launches_and_votes_no_later_tile(tmp_path, monkeypatch):
