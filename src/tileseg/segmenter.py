@@ -434,11 +434,9 @@ def segment_all(
                 return None
             warnings.warn(f"tile {tile.index} failed ({exc}); substituting background", stacklevel=2)
             return tile, ConstantOracle(0, backend.num_labels).segment(tile_input, tile)
-        finally:
+        finally:  # the job removed its workspace when it finished
             with lock:
                 running.pop(tile.index, None)
-            if job is not None:
-                job.discard()
         if key is not None:  # before this worker launches again; written beside the cache and
             # renamed into it whole, so a killed run leaves whole entries alone in it
             tio.write_raw(out, cache_dir.parent / key)
