@@ -37,7 +37,6 @@ restore the original tile dims before writing its output.
 from __future__ import annotations
 
 import codecs
-import collections
 import contextlib
 import hashlib
 import json
@@ -339,25 +338,26 @@ def segment_all(
 ) -> set[str]:
     """Segment every tile of ``atlas_vol``, handing each answer to ``on_tile``.
 
-    ``min(jobs, k)`` workers, the calling thread among them
+    ``min(jobs, k)`` workers, at least one, the calling thread among them
     (``geometry._each``), take tiles in grid order, and each answer is
     identical to the sequential run's.  A tile runs in the backend's three
     steps (``SegmenterBackend.prepare``, then the job's ``launch`` and
-    ``finish``).  A worker launches a tile, hands on its last answer, takes
-    and prepares the next tile, then finishes the launched one and stores
-    its answer in the cache.  So at most ``jobs`` external processes run
-    at once, and the vote and the next input write run alongside one.  A
-    tile prepared ahead goes to the first free worker.  A tile with no job
-    (in process) or read from the cache has nothing to run alongside: it
-    is finished and handed on as soon as it is taken.  Handing on calls
-    ``on_tile(tile, answer)`` (``fusion.StreamingVote.add`` votes it) and
-    drops the answer.
+    ``finish``), all on the worker that took it.  A worker takes and
+    prepares tile k+1, finishes its tile k and stores its answer in the
+    cache, launches k+1, then hands on k.  So at most ``jobs`` external
+    processes run at once, and the vote and the next input write run
+    alongside one.  A tile with no job (in process) or read from the cache
+    has nothing to run alongside: it is finished and handed on as soon as
+    it is taken.  Handing on calls ``on_tile(tile, answer)``
+    (``fusion.StreamingVote.add`` votes it) and drops the answer.
 
     A failing tile aborts the run unless ``on_tile_failure="background"``,
     which warns and substitutes ``ConstantOracle(0, backend.num_labels)``'s
     answer, an all-background tile.  Once a tile has failed, no later tile
     (in grid order) is launched or handed on, and the process of each is
-    killed; the first failed tile in grid order is named.  On any exit by
+    killed; a later tile handed on by another worker before then stays
+    handed on, and the run raises, naming the first failed tile in grid
+    order.  On any exit by
     an exception, a ``KeyboardInterrupt`` too, every backend process still
     running is killed by its process group and reaped, and every workspace
     is removed.
@@ -387,25 +387,24 @@ def segment_all(
         atlas = _atlas_digest(atlas_vol)
 
     todo, lock = iter(grid.tiles), threading.Lock()  # next() on the iterator is atomic
-    ahead = collections.deque()  # tiles taken and prepared, for the first free worker to launch
-    running, failures, kept = {}, {}, set()  # running: tile index -> launched job
-    stop = len(grid.tiles)  # no tile from this index on is launched or handed on
+    running, kept = {}, set()  # running: tile index -> launched job
+    stop, failure = len(grid.tiles), None  # no tile from stop on is launched or handed on
 
     def halt(index: int, exc: BaseException) -> None:
         """Record a failure at ``index``; kill the process of every later tile."""
-        nonlocal stop
+        nonlocal stop, failure
         with lock:
-            failures.setdefault(index, exc)
-            stop = min(stop, index)
-            for i, job in running.items():
-                if i > index:
-                    job.kill()
+            if index < stop:  # the first failure in grid order is kept
+                stop, failure = index, exc
+                for i, job in running.items():
+                    if i > index:
+                        job.kill()
 
-    def take() -> bool:
-        """Prepare the next tile into ``ahead`` as (tile, input, key, job, cached answer)."""
+    def take():
+        """The next tile, prepared: (tile, input, key, job, cached answer); ``None`` once the run stops."""
         tile = next(todo, None)
         if tile is None or tile.index >= stop:
-            return False
+            return None
         tile_input, key, out = extract_tile(atlas_vol, tile), None, None
         if cache_dir is not None:
             key = _cache_key(atlas, tile_input, tile, descriptor)
@@ -415,8 +414,7 @@ def segment_all(
             except (OSError, ValueError):
                 pass  # absent, of another size or off-range: recompute
         job = backend.prepare(tile_input, tile) if out is None else None
-        ahead.append((tile, tile_input, key, job, out))
-        return True
+        return tile, tile_input, key, job, out
 
     def finish(tile, tile_input, key, job, out):
         """The tile and its answer, stored in the cache; ``None`` once the run stops at or before it."""
@@ -428,9 +426,9 @@ def segment_all(
             if tile.index > stop:
                 return None  # killed when an earlier tile failed
             if on_tile_failure == "abort":
-                failure = SegmentationError(f"tile {tile.index}: {exc}")
-                failure.__cause__ = exc
-                halt(tile.index, failure)
+                error = SegmentationError(f"tile {tile.index}: {exc}")
+                error.__cause__ = exc
+                halt(tile.index, error)
                 return None
             warnings.warn(f"tile {tile.index} failed ({exc}); substituting background", stacklevel=2)
             return tile, ConstantOracle(0, backend.num_labels).segment(tile_input, tile)
@@ -444,50 +442,45 @@ def segment_all(
             kept.add(key)
         return tile, out
 
-    def hand_on(last) -> None:
+    def hand_on(done) -> None:
         """``on_tile`` a tile and its answer, unless the run stops at or before the tile."""
-        if last is not None and last[0].index < stop:
-            on_tile(*last)
+        if done is not None and done[0].index < stop:
+            on_tile(*done)
 
     def work(_):
-        """Launch a tile, hand on the last answer, prepare a tile ahead, then finish the launched one."""
-        now = last = None
+        """Take and prepare tile k+1, finish tile k, launch k+1, then hand on k."""
+        taken = launched = None  # each as ``take`` returns it
         try:
-            while ahead or take():
-                try:
-                    now = ahead.popleft()
-                except IndexError:
-                    continue  # another worker took it
-                with lock:  # so that a halt sees every process launched
-                    if now[0].index >= stop:
-                        break
-                    if now[3] is not None:
-                        now[3].launch()
-                        running[now[0].index] = now[3]
-                hand_on(last)
-                last = None  # dropped before the next tile is taken
-                if now[3] is None:  # in process or cached: nothing runs alongside, so hand on at once
-                    hand_on(finish(*now))
-                else:
-                    if not ahead:
-                        take()
-                    last = finish(*now)
-                now = None
-            hand_on(last)
+            while True:
+                taken = take()
+                done = None if launched is None else finish(*launched)
+                launched = None
+                # so that a halt sees every process launched; taken every cycle, in process too,
+                # as taking it only to launch raised the jobs=2 peak RSS (ROADMAP, "Tried")
+                with lock:
+                    if taken is not None and taken[3] is not None and taken[0].index < stop:
+                        taken[3].launch()
+                        running[taken[0].index] = taken[3]
+                        launched, taken = taken, None
+                hand_on(done)
+                done = None  # dropped before the next tile is taken
+                if launched is None:
+                    if taken is None or taken[3] is not None:
+                        break  # no tile left, or the run stopped
+                    # in process or cached: nothing runs alongside, so hand on at once
+                    hand_on(finish(*taken))
+                    taken = None
         except BaseException as exc:  # segment_all raises it
             halt(-1, exc)
         finally:
-            if now is not None and now[3] is not None:
-                now[3].discard()
+            for slot in (taken, launched):
+                if slot is not None and slot[3] is not None:
+                    slot[3].discard()
 
-    try:
-        _each(work, range(min(jobs, len(grid.tiles))), jobs)
-    finally:
-        for slot in ahead:  # prepared after the run stopped
-            if slot[3] is not None:
-                slot[3].discard()
-    if failures:
-        raise failures[min(failures)]
+    workers = max(1, min(jobs, len(grid.tiles)))
+    _each(work, range(workers), workers)
+    if failure is not None:
+        raise failure
     return kept
 
 

@@ -130,6 +130,15 @@ def test_segment_all_runs_tiles_on_the_calling_thread_too():
         assert [o.data.tobytes() for o in got] == want, jobs
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_fewer_than_one_job_segments_every_tile_as_one_job_does(jobs):
+    vol = random_intensity(DIMS, seed=4)
+    backend = AtlasPriorOracle(random_labels(DIMS, 6, seed=5))
+    want = [o.data.tobytes() for o in segment_answers(backend, vol, GRID, jobs=1)]
+    # segment_answers fails on a tile handed on twice or never
+    assert [o.data.tobytes() for o in segment_answers(backend, vol, GRID, jobs=jobs)] == want
+
+
 class _CountingOracle(ConstantOracle):
     """Labels each tile with its index, noting each call (``list.append`` is atomic)."""
 
@@ -516,6 +525,28 @@ def test_a_worker_launches_a_tile_then_hands_on_the_last_and_writes_the_next(tmp
     assert log == want + [("vote", GRID.k - 1)]
 
 
+def test_a_worker_launches_only_the_tiles_it_prepared(tmp_path, monkeypatch):
+    backend, oracle, _ = _replay(tmp_path, monkeypatch)
+    threads = {}  # (step, tile index) -> the thread that took the step
+    popen, write = subprocess.Popen, tio.write_nifti
+
+    def launch(args, **kwargs):
+        threads["launch", json.loads(Path(args[5]).read_text())["index"]] = threading.get_ident()
+        return popen(args, **kwargs)
+
+    def write_input(vol, path):
+        threads["write", int(Path(path).parent.name[4:7])] = threading.get_ident()
+        write(vol, path)
+
+    monkeypatch.setattr(subprocess, "Popen", launch)
+    monkeypatch.setattr(tio, "write_nifti", write_input)
+    vol = random_intensity(DIMS, seed=7)
+    outs = segment_answers(backend, vol, GRID, jobs=2)
+    assert [o.data.tobytes() for o in outs] == [o.data.tobytes() for o in segment_answers(oracle, vol, GRID)]
+    assert len(threads) == 2 * GRID.k and len(set(threads.values())) == 2
+    assert all(threads["launch", k] == threads["write", k] for k in range(GRID.k))
+
+
 def test_a_tile_in_process_or_cached_is_handed_on_before_the_next_is_taken(tmp_path, monkeypatch):
     # nothing runs alongside such a tile, so no answer waits for the next one
     log = []
@@ -541,7 +572,7 @@ def test_at_most_jobs_backend_processes_run_at_once(tmp_path, monkeypatch, jobs)
 
 
 def test_more_workers_than_cores_hand_on_and_cache_each_tile_once(tmp_path, monkeypatch):
-    # the workers share the tiles prepared ahead, the running jobs and the cache's names
+    # the workers share the tile iterator, the running jobs and the cache's names
     backend, oracle, workspaces = _replay(tmp_path, monkeypatch)
     vol = random_intensity(DIMS, seed=7)
     want = [o.data.tobytes() for o in segment_answers(oracle, vol, GRID)]
@@ -570,6 +601,22 @@ def test_an_external_tile_failure_under_abort_launches_and_votes_no_later_tile(t
     assert voted == [0, 1, 2]
     assert log == [("launch", i) for i in range(4)]
     assert not list(workspaces.iterdir())  # tile 4, prepared ahead, too
+
+
+def test_a_resume_stops_at_a_failed_external_tile_among_cached_ones(tmp_path, monkeypatch):
+    backend, _, workspaces = _replay(tmp_path, monkeypatch, "fail", "3")
+    vol, cache = random_intensity(DIMS, seed=7), tmp_path / "cache"
+    with pytest.warns(UserWarning, match="^tile 3 failed"):  # caches every tile but 3
+        segment_all(backend, vol, GRID, lambda tile, out: None, on_tile_failure="background", cache_dir=cache)
+    atlas, descriptor = _atlas_digest(vol), backend.descriptor().encode()
+    for tile in GRID.tiles[:3]:
+        (cache / _cache_key(atlas, extract_tile(vol, tile), tile, descriptor)).unlink()
+    assert len(list(cache.iterdir())) == GRID.k - 4  # tiles 4 on
+    voted = []
+    with pytest.raises(SegmentationError, match="^tile 3: backend exited 1"):
+        segment_all(backend, vol, GRID, lambda tile, out: voted.append(tile.index), cache_dir=cache)
+    assert voted == [0, 1, 2]
+    assert not list(workspaces.iterdir())
 
 
 def test_an_external_tile_failure_under_background_is_the_same_at_any_jobs(tmp_path, monkeypatch):
